@@ -71,7 +71,12 @@ let rules ?(guards = []) ?(wrappers = []) ?(atomic_only = false) ?(waivers = [])
    is the prose inventory this table encodes. *)
 let default_manifest =
   [ rules "lib/service/wqueue.ml"
-      ~guards:[ { g_lock = "m"; g_fields = [ "front"; "front_len"; "q"; "closed" ] } ];
+      ~guards:
+        [ { g_lock = "m";
+            g_fields =
+              [ "front"; "front_len"; "q"; "closed"; "sleeping"; "wake_pending"; "pushes";
+                "wakeups" ] } ]
+      ~wrappers:[ { wr_fn = "locked"; wr_lock = "m" } ];
     rules "lib/service/server.ml"
       ~guards:
         [ { g_lock = "mb_m"; g_fields = [ "mb_resp" ] };

@@ -3,23 +3,29 @@
 
    Data path: the store is split into S shards, each an independent
    Kv_store behind its *own* Kex_lock/Assignment admission wrapper, with a
-   per-shard MPMC submission ring.  Connection threads (one sysprem thread
-   per accepted socket) deframe requests, route them to a shard by key
-   hash, and either
-
-   - block on a per-item mailbox (untagged v1 requests: one in flight,
-     responses in order), or
-   - stream them (id-tagged requests): the item carries the connection and
-     the id, the thread keeps reading — a client may hold a whole window
-     of requests in flight per connection.
+   per-shard MPMC submission ring.  The connection plane owns the sockets:
+   by default R reactor domains, each a poll(2) event loop over the
+   connections it accepted (thread-per-connection remains as a baseline).
+   Per socket read, the plane decodes every complete frame, answers reads
+   and control requests inline (GETs and SCANs come off the wait-free
+   snapshots), and collects the mutations in per-shard pending lists in
+   arrival order.  After the read is decoded each non-empty list is
+   dispatched as one batch: one fence check, one ring lock, at most one
+   worker wakeup.  The item carries the connection and the request id, so
+   a client may hold a whole window of requests in flight per connection.
+   (An untagged v1 request on a connection thread is the exception: it is
+   dispatched at once and the thread blocks on a per-item mailbox.)
 
    Worker domains have shard affinity: each drains *its* shard's ring in
    batches, enters the shard store through one (N,k)-assignment admission
    per batch (amortizing the wrapper over the batch), executes, and
    flushes all responses bound for the same connection as one coalesced
-   write.  Per-shard contention therefore stays <= k while aggregate
-   mutator parallelism is S*k — the paper's scaling story — and a worker
-   death costs one slot in one shard only.
+   write.  Because the ring wakes one worker per dispatched batch and
+   recruits another only for a backlog, the workers contending for the
+   shard's k slots track the load, not the number of requests in a read.
+   Per-shard contention therefore stays <= k while aggregate mutator
+   parallelism is S*k — the paper's scaling story — and a worker death
+   costs one slot in one shard only.
 
    Fault injection: a "killed" worker (chaos schedule or the KILL admin
    command) crashes at its next admission boundary — it returns its
@@ -194,6 +200,8 @@ let stats_pairs t =
       ("apply_calls", Sharded.apply_calls t.store);
       ("open_conns", Sync.with_lock t.conns_m (fun () -> List.length t.conns));
       ("uptime_ms", int_of_float ((Unix.gettimeofday () -. t.started_at) *. 1000.)) ]
+  @ [ ("ring_pushes", Array.fold_left (fun a s -> a + Wqueue.pushes s.sh_queue) 0 t.shard_ctxs);
+      ("ring_wakeups", Array.fold_left (fun a s -> a + Wqueue.wakeups s.sh_queue) 0 t.shard_ctxs) ]
   @ (if Array.length t.reactors = 0 then []
      else
        [ ("reactors", Array.length t.reactors);
@@ -500,21 +508,23 @@ let topo_resp t =
       let self = Printf.sprintf "127.0.0.1:%d" t.actual_port in
       Protocol.Topo_reply (1, List.init t.cfg.shards (fun s -> (s, self)))
 
-(* Push one item at its shard's ring, against the migration fence: wait out
-   an active fence, re-check ownership (the fence-holder may have flipped
-   routing), and count the item in flight.  The check-then-push is under
-   [sh_fence_m], so a fence set after our check cannot miss our item — the
-   drain sees [sh_inflight] > 0. *)
+(* Push a list of items at their shard's ring, against the migration fence:
+   wait out an active fence, re-check ownership (the fence-holder may have
+   flipped routing), and count the items in flight.  The check-then-push is
+   under [sh_fence_m], so a fence set after our check cannot miss our items
+   — the drain sees [sh_inflight] > 0.  The list is accepted or refused as
+   a whole: one fence check, one ring lock, at most one worker wakeup. *)
 type dispatched = Pushed | Not_owner | Shutting_down
 
-let dispatch_item t sh item =
+let dispatch_items t sh items =
+  let n = List.length items in
   Sync.with_lock sh.sh_fence_m (fun () ->
       while sh.sh_fenced do
         Condition.wait sh.sh_fence_c sh.sh_fence_m
       done;
       if not (owns t sh.sh_id) then Not_owner
-      else if Wqueue.push sh.sh_queue item then begin
-        Atomic.incr sh.sh_inflight;
+      else if Wqueue.push_list sh.sh_queue items then begin
+        ignore (Atomic.fetch_and_add sh.sh_inflight n);
         Pushed
       end
       else Shutting_down)
@@ -748,7 +758,45 @@ let max_scan = 4096
    workers' coalesced flushes. *)
 let respond_now conn out tag resp = Protocol.encode_response_wire out conn.c_wire ~id:tag resp
 
-let handle_request t conn out tag (req : Protocol.request) =
+(* The mutations decoded from one socket read, one list per shard, newest
+   first.  [handle_request] only appends; the plane dispatches them with
+   [flush_pending] once the read is decoded. *)
+type pending = item list array
+
+let new_pending t : pending = Array.make (Array.length t.shard_ctxs) []
+
+(* Dispatch each shard's pending mutations, in arrival order, as one batch.
+   A refused batch is answered right here: streamed requests into [out],
+   leaving their connections' pending counts — the plane appends [out]
+   after this, so the refusals and the count drops land in the same
+   append — and a mailbox request through its mailbox. *)
+let flush_pending t out (pending : pending) =
+  Array.iteri
+    (fun s newest_first ->
+      if newest_first <> [] then begin
+        pending.(s) <- [];
+        let items = List.rev newest_first in
+        let refuse resp =
+          List.iter
+            (fun it ->
+              match it.reply with
+              | Stream (conn, tag) ->
+                  ignore (Atomic.fetch_and_add conn.c_pending (-1));
+                  respond_now conn out tag (resp ())
+              | Sync mb -> deliver mb (resp ()))
+            items
+        in
+        match dispatch_items t t.shard_ctxs.(s) items with
+        | Pushed -> ()
+        | Not_owner -> refuse (fun () -> moved_resp t s)
+        | Shutting_down ->
+            refuse (fun () ->
+                Metrics.incr_errors t.conn_metrics;
+                Protocol.Error "server shutting down")
+      end)
+    pending
+
+let handle_request t conn out pending tag (req : Protocol.request) =
   match req with
   | Protocol.Ping -> respond_now conn out tag Protocol.Pong
   | Protocol.Stats -> respond_now conn out tag (Protocol.Stats_reply (stats_pairs t))
@@ -825,43 +873,35 @@ let handle_request t conn out tag (req : Protocol.request) =
       respond_now conn out tag (Protocol.Range pairs)
   | req -> (
       let shard = shard_of_key t (key_of_req req) in
-      let sh = t.shard_ctxs.(shard) in
       match tag with
-      | None when conn.c_rc = None -> (
-          (* v1 contract: one in flight, in order — dispatch and wait. *)
+      | None when conn.c_rc = None ->
+          (* v1 contract: one in flight, in order — dispatch now, behind
+             this read's earlier mutations, and wait.  A refusal is
+             delivered to the mailbox like a worker's answer. *)
           let mb = mailbox () in
-          match dispatch_item t sh { req; reply = Sync mb } with
-          | Pushed -> respond_now conn out None (await mb)
-          | Not_owner -> respond_now conn out None (moved_resp t shard)
-          | Shutting_down ->
-              Metrics.incr_errors t.conn_metrics;
-              respond_now conn out None (Protocol.Error "server shutting down"))
-      | _ -> (
+          pending.(shard) <- { req; reply = Sync mb } :: pending.(shard);
+          flush_pending t out pending;
+          respond_now conn out None (await mb)
+      | _ ->
           (* Pipelined — or untagged on a reactor, where blocking on a
-             mailbox would stall every connection of the loop: dispatch
-             and keep going; a worker writes the response (coalesced with
-             its batch-mates).  Untagged responses stay in order because
-             the v1 contract keeps one request in flight. *)
+             mailbox would stall every connection of the loop: queue it
+             for this read's batched dispatch and keep going; a worker
+             writes the response (coalesced with its batch-mates).
+             Untagged responses stay in order because the v1 contract
+             keeps one request in flight. *)
           Atomic.incr conn.c_pending;
-          match dispatch_item t sh { req; reply = Stream (conn, tag) } with
-          | Pushed -> ()
-          | Not_owner ->
-              ignore (Atomic.fetch_and_add conn.c_pending (-1));
-              respond_now conn out tag (moved_resp t shard)
-          | Shutting_down ->
-              ignore (Atomic.fetch_and_add conn.c_pending (-1));
-              Metrics.incr_errors t.conn_metrics;
-              respond_now conn out tag (Protocol.Error "server shutting down")))
+          pending.(shard) <- { req; reply = Stream (conn, tag) } :: pending.(shard))
 
 let handle_conn t conn =
   let dec = conn.c_dec in
   let buf = Bytes.create 8192 in
   let out = Buffer.create 1024 in
+  let pending = new_pending t in
   let rec drain () =
     match Protocol.Req_decoder.next dec with
     | Protocol.Dec_more -> true
     | Protocol.Dec_frame (tag, req) ->
-        handle_request t conn out tag req;
+        handle_request t conn out pending tag req;
         drain ()
     | Protocol.Dec_skip (tag, msg) ->
         (* Malformed frame with intact framing: answer ERR and keep the
@@ -896,6 +936,7 @@ let handle_conn t conn =
         | Some w -> conn.c_wire <- w
         | None -> ());
         let keep = drain () in
+        flush_pending t out pending;
         flush_out ();
         if keep then serve ()
     | exception Unix.Unix_error _ -> ()
@@ -919,9 +960,12 @@ let handle_conn t conn =
    mailbox they answer to.  [scratch] collects every inline reply produced
    while draining one socket read (pipelined GETs, MOVED, parse errors...)
    and lands in the connection's output buffer as one append — the reactor
-   counterpart of the connection thread's flush-per-drained-read. *)
+   counterpart of the connection thread's flush-per-drained-read.  The
+   read's mutations collect in [pending] and are dispatched, one batch per
+   shard, before that append. *)
 let reactor_handlers t =
   let scratch = Buffer.create 4096 in
+  let pending = new_pending t in
   { Reactor.on_attach = (fun rc -> (Reactor.user rc).c_rc <- Some rc);
     on_data =
       (fun rc bytes len ->
@@ -936,7 +980,7 @@ let reactor_handlers t =
           match Protocol.Req_decoder.next dec with
           | Protocol.Dec_more -> true
           | Protocol.Dec_frame (tag, req) ->
-              handle_request t conn scratch tag req;
+              handle_request t conn scratch pending tag req;
               drain ()
           | Protocol.Dec_skip (tag, msg) ->
               Metrics.incr_errors t.conn_metrics;
@@ -949,6 +993,7 @@ let reactor_handlers t =
               false
         in
         let keep = drain () in
+        flush_pending t scratch pending;
         if Buffer.length scratch > 0 then Reactor.append_buffer rc scratch;
         keep);
     on_drained = (fun rc -> Atomic.get (Reactor.user rc).c_pending = 0);

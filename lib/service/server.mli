@@ -7,8 +7,12 @@
     route to shards by hash, so per-shard contention stays <= [k] while
     aggregate mutator parallelism is [shards * k].
 
-    Workers drain their shard's ring in batches and enter the store through
-    one admission per batch, amortizing the wrapper; responses to pipelined
+    The connection plane dispatches per socket read: the mutations decoded
+    from one read enter each shard's ring as one list, under one lock and
+    with at most one worker wakeup; a second worker is woken only when the
+    first leaves a backlog.  Workers drain their shard's ring in batches
+    and enter the store through one admission per batch, amortizing the
+    wrapper; responses to pipelined
     (id-tagged) requests bound for the same connection are flushed as one
     coalesced write.  Untagged requests keep the v1 contract: the connection
     thread blocks on a mailbox and answers in order.

@@ -807,6 +807,74 @@ let test_reactor_chaos_kill_c128 () =
       done;
       Alcotest.(check int) "the kill actually landed" 1 (stat "deaths" t))
 
+(* One socket write of [n] id-tagged UPDATEs of [key], as the reactor sees
+   it: one read, so one batched dispatch. *)
+let send_updates c ~n key =
+  let out = Buffer.create (n * 32) in
+  for id = 0 to n - 1 do
+    Buffer.add_string out (P.frame (P.print_request_tagged ~id (P.Update (key, 1))))
+  done;
+  send_raw c (Buffer.contents out)
+
+(* Batched dispatch: a read's 64 mutations enter the ring as one list with
+   one wakeup, so a worker sweeps them in a few full batches instead of the
+   read being split across every worker of the shard. *)
+let test_reactor_read_is_one_dispatch () =
+  with_server { quiet with workers = 4; k = 2; reactors = 2 } (fun t ->
+      let c = connect (Server.port t) in
+      Fun.protect ~finally:(fun () -> close c) (fun () ->
+          Unix.setsockopt_float c.fd Unix.SO_RCVTIMEO 5.0;
+          let batches0 = stat "batches" t in
+          let n = 64 in
+          send_updates c ~n "ctr";
+          let acked = Array.make n false in
+          for _ = 1 to n do
+            match recv_tagged c with
+            | id, P.Int _ when id >= 0 && id < n && not acked.(id) -> acked.(id) <- true
+            | id, r -> Alcotest.failf "id %d answered %s" id (P.print_response r)
+          done;
+          let batches = stat "batches" t - batches0 in
+          if batches > 4 then Alcotest.failf "64 pipelined UPDATEs took %d batches (want <= 4)" batches;
+          assert_resp "counter" (P.Value (Some "64")) (rpc c (P.Get "ctr"));
+          Alcotest.(check bool) "ring counted the pushes" true (stat "ring_pushes" t >= n);
+          Alcotest.(check bool) "fewer wakeups than pushes" true
+            (stat "ring_wakeups" t < stat "ring_pushes" t)))
+
+(* A refused batch (the shard is owned elsewhere) is answered item by item
+   with MOVED, and each refused request leaves its connection's pending
+   count: the connection still closes at once when the client hangs up,
+   instead of waiting out the reactor's drain grace. *)
+let test_reactor_refused_read_closes_clean () =
+  with_server { quiet with workers = 2; k = 1; shards = 2; reactors = 2 } (fun t ->
+      let self = Printf.sprintf "127.0.0.1:%d" (Server.port t) in
+      Server.enable_cluster t ~node:0 ~addrs:[ self; "127.0.0.1:1" ];
+      let rec key_in_shard i =
+        let key = Printf.sprintf "key-%d" i in
+        if Server.shard_of_key t key = 1 then key else key_in_shard (i + 1)
+      in
+      let c = connect (Server.port t) in
+      Fun.protect ~finally:(fun () -> close c) (fun () ->
+          Unix.setsockopt_float c.fd Unix.SO_RCVTIMEO 5.0;
+          let n = 64 in
+          send_updates c ~n (key_in_shard 0);
+          let seen = Array.make n false in
+          for _ = 1 to n do
+            match recv_tagged c with
+            | id, P.Moved (1, _, "127.0.0.1:1") when id >= 0 && id < n && not seen.(id) ->
+                seen.(id) <- true
+            | id, r -> Alcotest.failf "id %d answered %s" id (P.print_response r)
+          done;
+          Unix.shutdown c.fd Unix.SHUTDOWN_SEND;
+          let t0 = Unix.gettimeofday () in
+          (match Unix.read c.fd c.buf 0 (Bytes.length c.buf) with
+          | 0 -> ()
+          | _ -> Alcotest.fail "bytes after the last MOVED"
+          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+              Alcotest.fail "connection never closed");
+          let waited = Unix.gettimeofday () -. t0 in
+          if waited > 2. then
+            Alcotest.failf "close took %.1fs: refused requests still counted as pending" waited))
+
 let suite =
   [ Helpers.tc "CRUD over a socket" test_crud_over_socket;
     Helpers.tc "garbage stream dropped" test_garbage_stream_dropped;
@@ -827,6 +895,9 @@ let suite =
     Helpers.tc "preload feeds GET and SCAN" test_preload;
     Helpers.tc "reactor: CRUD and stats over the event loop" test_reactor_crud;
     Helpers.tc "reactor: pipelined window, out-of-order by id" test_reactor_pipelined_window;
+    Helpers.tc "reactor: one read of 64 mutations is one dispatch" test_reactor_read_is_one_dispatch;
+    Helpers.tc "reactor: refused read answers MOVED and closes clean"
+      test_reactor_refused_read_closes_clean;
     Helpers.tc_slow "reactor: GETs survive a fully wedged shard"
       test_reactor_get_survives_wedged_shard;
     Helpers.tc_slow "reactor: slow client paused then dropped, no stall, no leak"
