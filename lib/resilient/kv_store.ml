@@ -1,5 +1,3 @@
-module Smap = Map.Make (String)
-
 type op =
   | Set of string * string
   | Get of string
@@ -9,26 +7,42 @@ type op =
 
 type result = Unit | Value of string option | Existed of bool | New_value of int
 
-type t = (string Smap.t, op, result) Resilient.t
+(* The committed state: the sorted index plus its key count, kept exact by
+   every write (the index reports whether each add or remove changed the
+   count) so that [size] is O(1) at any store size. *)
+type state = { map : string Smap.t; keys : int }
 
-let apply m = function
-  | Set (key, v) -> (Smap.add key v m, Unit)
-  | Get key -> (m, Value (Smap.find_opt key m))
-  | Delete key -> (Smap.remove key m, Existed (Smap.mem key m))
+type t = (state, op, result) Resilient.t
+
+let put s key v =
+  let map, added = Smap.add key v s.map in
+  { map; keys = (if added then s.keys + 1 else s.keys) }
+
+let drop s key =
+  let map, removed = Smap.remove key s.map in
+  ((if removed then { map; keys = s.keys - 1 } else s), removed)
+
+let apply s = function
+  | Set (key, v) -> (put s key v, Unit)
+  | Get key -> (s, Value (Smap.find_opt key s.map))
+  | Delete key ->
+      let s, existed = drop s key in
+      (s, Existed existed)
   | Update (key, f) -> (
-      match f (Smap.find_opt key m) with
-      | Some v -> (Smap.add key v m, Unit)
-      | None -> (Smap.remove key m, Unit))
+      match f (Smap.find_opt key s.map) with
+      | Some v -> (put s key v, Unit)
+      | None -> (fst (drop s key), Unit))
   | Fetch_add (key, delta) ->
       let current =
-        match Smap.find_opt key m with
-        | Some s -> Option.value (int_of_string_opt s) ~default:0
+        match Smap.find_opt key s.map with
+        | Some digits -> Option.value (int_of_string_opt digits) ~default:0
         | None -> 0
       in
       let v = current + delta in
-      (Smap.add key (string_of_int v) m, New_value v)
+      (put s key (string_of_int v), New_value v)
 
-let create ?algo ~n ~k () = Resilient.create ?algo ~n ~k ~init:Smap.empty ~apply ()
+let create ?algo ~n ~k () =
+  Resilient.create ?algo ~n ~k ~init:{ map = Smap.empty; keys = 0 } ~apply ()
 
 let set t ~pid ~key v =
   match Resilient.perform t ~pid (Set (key, v)) with Unit -> () | _ -> assert false
@@ -37,7 +51,11 @@ let get t ~pid ~key =
   match Resilient.perform t ~pid (Get key) with Value v -> v | _ -> assert false
 
 (* The wait-free read plane: no pid, no admission, live on a wedged store. *)
-let read t ~key = Smap.find_opt key (Resilient.read t)
+let read t ~key = Smap.find_opt key (Resilient.read t).map
+
+(* A batch of wait-free reads off one snapshot: every key is looked up in
+   the same published map, walked in lockstep ([Smap.find_many]). *)
+let read_many t keys = Smap.find_many (Resilient.read t).map keys
 
 (* Ordered range read off the same published snapshot: the Smap *is* the
    sorted index — every mutation maintains it — so a scan is one consistent
@@ -52,12 +70,12 @@ let scan t ~start ~count =
         | Seq.Nil -> List.rev acc
         | Seq.Cons (kv, rest) -> take (n - 1) rest (kv :: acc)
     in
-    take count (Smap.to_seq_from start (Resilient.read t)) []
+    take count (Smap.to_seq_from start (Resilient.read t).map) []
   end
 
 let read_versioned t =
-  let version, m = Resilient.read_versioned t in
-  (version, Smap.bindings m)
+  let version, s = Resilient.read_versioned t in
+  (version, Smap.bindings s.map)
 
 let read_version t = fst (Resilient.read_versioned t)
 
@@ -94,8 +112,8 @@ let apply_changes t ~pid changes =
   in
   go changes
 
-let size t = Smap.cardinal (Resilient.peek t)
-let snapshot t = Smap.bindings (Resilient.peek t)
+let size t = (Resilient.peek t).keys
+let snapshot t = Smap.bindings (Resilient.peek t).map
 let operations t = Resilient.operations t
 let apply_calls t = Resilient.apply_calls t
 let assignment t = Resilient.assignment t

@@ -33,6 +33,12 @@ val read : t -> key:string -> string option
     mutation returns) and keeps answering when all k admission slots are
     wedged by crashed clients — the service's GET path. *)
 
+val read_many : t -> string array -> string option array
+(** {!read} for every key of the array, all from {e one} published
+    snapshot: the batch linearizes at that single snapshot read.  The
+    lookups walk the index in lockstep so their cache misses overlap — the
+    service resolves each socket read's GETs this way. *)
+
 val scan : t -> start:string -> count:int -> (string * string) list
 (** Wait-free ordered range read: the first [count] bindings with key >=
     [start], ascending, all taken from {e one} published snapshot (the
@@ -70,6 +76,8 @@ val apply_changes : t -> pid:int -> (string * string option) list -> unit
     receives no client mutations. *)
 
 val size : t -> int
+(** Keys in the committed state; O(1), the count is kept by every write. *)
+
 val snapshot : t -> (string * string) list
 (** Committed bindings, sorted by key (linearized read, no slot needed). *)
 

@@ -51,7 +51,8 @@ type t = {
   connections : int Atomic.t;  (* connections accepted, lifetime *)
   redispatched : int Atomic.t;  (* requests requeued off a dead worker *)
   batches : int Atomic.t;  (* admission entries (one per drained batch) *)
-  inline_reads : int Atomic.t;  (* GETs served wait-free by conn threads *)
+  inline_reads : int Atomic.t;  (* GETs and SCANs served wait-free inline *)
+  read_batches : int Atomic.t;  (* GET batches resolved on the read plane *)
   migrations_out : int Atomic.t;  (* shards handed off to another node *)
   migrations_in : int Atomic.t;  (* shards received from another node *)
   lat_sum_us : int Atomic.t array;  (* per class, for a cheap mean *)
@@ -71,6 +72,7 @@ let create () =
     redispatched = Atomic.make 0;
     batches = Atomic.make 0;
     inline_reads = Atomic.make 0;
+    read_batches = Atomic.make 0;
     migrations_out = Atomic.make 0;
     migrations_in = Atomic.make 0;
     lat_sum_us = Array.init (Array.length op_classes) (fun _ -> Atomic.make 0);
@@ -86,14 +88,19 @@ let bump_max a v =
 
 (* Clamp once, up front: sum, max and histogram must agree on the sample,
    or a single negative stamp drags the mean below percentiles that never
-   saw it. *)
-let record t cls ~lat_us =
-  let lat_us = max 0 lat_us in
-  let i = class_index cls in
-  Atomic.incr t.served.(i);
-  ignore (Atomic.fetch_and_add t.lat_sum_us.(i) lat_us);
-  bump_max t.lat_max_us.(i) lat_us;
-  Atomic.incr t.lat_hist.(i).(Hist.bucket_of lat_us)
+   saw it.  [n] samples of one latency cost the same four atomic updates
+   as one — batches record their per-item share this way. *)
+let record_many t cls ~n ~lat_us =
+  if n > 0 then begin
+    let lat_us = max 0 lat_us in
+    let i = class_index cls in
+    ignore (Atomic.fetch_and_add t.served.(i) n);
+    ignore (Atomic.fetch_and_add t.lat_sum_us.(i) (n * lat_us));
+    bump_max t.lat_max_us.(i) lat_us;
+    ignore (Atomic.fetch_and_add t.lat_hist.(i).(Hist.bucket_of lat_us) n)
+  end
+
+let record t cls ~lat_us = record_many t cls ~n:1 ~lat_us
 
 let incr_errors t = Atomic.incr t.errors
 let incr_deaths t = Atomic.incr t.deaths
@@ -104,6 +111,10 @@ let incr_inline_reads t = Atomic.incr t.inline_reads
 let incr_migrations_out t = Atomic.incr t.migrations_out
 let incr_migrations_in t = Atomic.incr t.migrations_in
 let deaths t = Atomic.get t.deaths
+
+let incr_read_batch t ~gets =
+  ignore (Atomic.fetch_and_add t.inline_reads gets);
+  Atomic.incr t.read_batches
 
 let served t = Array.fold_left (fun acc a -> acc + Atomic.get a) 0 t.served
 
@@ -131,6 +142,7 @@ let pairs_merged ts =
     ("redispatched", sum_over ts (fun t -> Atomic.get t.redispatched));
     ("batches", sum_over ts (fun t -> Atomic.get t.batches));
     ("inline_reads", sum_over ts (fun t -> Atomic.get t.inline_reads));
+    ("read_batches", sum_over ts (fun t -> Atomic.get t.read_batches));
     ("migrations_out", sum_over ts (fun t -> Atomic.get t.migrations_out));
     ("migrations_in", sum_over ts (fun t -> Atomic.get t.migrations_in));
     ("p50_us", Hist.percentile all_hist 0.5);

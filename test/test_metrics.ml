@@ -36,8 +36,35 @@ let test_inline_reads_merged () =
   Alcotest.(check int) "summed across instances" 3
     (assoc "inline_reads" (Metrics.pairs_merged [ a; b ]))
 
+(* A batch records its per-item share once per op class: that must be
+   indistinguishable, in every STATS pair, from recording each item. *)
+let test_record_many_is_n_records () =
+  List.iter
+    (fun (n, lat_us) ->
+      let batched = Metrics.create () and single = Metrics.create () in
+      Metrics.record batched Metrics.C_get ~lat_us:3;
+      Metrics.record single Metrics.C_get ~lat_us:3;
+      Metrics.record_many batched Metrics.C_set ~n ~lat_us;
+      for _ = 1 to n do
+        Metrics.record single Metrics.C_set ~lat_us
+      done;
+      Alcotest.(check (list (pair string int)))
+        (Printf.sprintf "n = %d at %d us" n lat_us)
+        (Metrics.pairs single) (Metrics.pairs batched))
+    [ (0, 10); (1, 10); (7, 0); (32, 250); (5, -4); (11, 100_000) ]
+
+let test_read_batch_counts () =
+  let m = Metrics.create () in
+  Metrics.incr_read_batch m ~gets:11;
+  Metrics.incr_read_batch m ~gets:1;
+  Metrics.incr_inline_reads m;
+  Alcotest.(check int) "GETs and the SCAN" 13 (assoc "inline_reads" (Metrics.pairs m));
+  Alcotest.(check int) "two batches" 2 (assoc "read_batches" (Metrics.pairs m))
+
 let suite =
   [ Helpers.tc "negative latency clamped in sum, max and histogram"
       test_negative_latency_clamped_everywhere;
     Helpers.tc "now_us never steps backwards" test_now_us_monotone;
-    Helpers.tc "inline_reads summed across instances" test_inline_reads_merged ]
+    Helpers.tc "inline_reads summed across instances" test_inline_reads_merged;
+    Helpers.tc "record_many ~n equals n records" test_record_many_is_n_records;
+    Helpers.tc "read batches count GETs and batches" test_read_batch_counts ]

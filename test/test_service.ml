@@ -875,6 +875,119 @@ let test_reactor_refused_read_closes_clean () =
           if waited > 2. then
             Alcotest.failf "close took %.1fs: refused requests still counted as pending" waited))
 
+(* ------------------------- batched wait-free GETs ------------------------ *)
+
+(* The delta of a STATS counter across [f]. *)
+let stat_delta t names f =
+  let before = List.map (fun name -> stat name t) names in
+  f ();
+  List.map2 (fun name b -> (name, stat name t - b)) names before
+
+(* One write of 64 tagged binary GETs with a PING, a length-intact
+   malformed frame and two SETs among them, on the reactor plane.  The GETs
+   are answered in three batches — the PING and the ERR are inline replies,
+   so the GETs queued before each answer first — and the SETs ride the ring
+   without splitting a batch.  Every id is answered exactly once with the
+   key's own value, and the read-plane counters move by exactly the GETs
+   and batches sent. *)
+let test_reactor_get_batch_mixed () =
+  with_server { quiet with workers = 2; k = 2; reactors = 2 } (fun t ->
+      let c = bconnect (Server.port t) in
+      Fun.protect ~finally:(fun () -> bclose c) (fun () ->
+          let value i = if i mod 4 = 3 then None else Some (Printf.sprintf "value-%d" i) in
+          for i = 0 to 63 do
+            match value i with
+            | Some v -> (
+                match brpc c (P.Set (Printf.sprintf "g%d" i, v)) with
+                | _, P.Ok -> ()
+                | _, r -> Alcotest.failf "seed answered %s" (P.print_response r))
+            | None -> ()
+          done;
+          let b = Buffer.create 2048 in
+          let get i = P.Bin.encode_request b ~id:(Some i) (P.Get (Printf.sprintf "g%d" i)) in
+          for i = 0 to 19 do get i done;
+          P.Bin.encode_request b ~id:(Some 100) P.Ping;
+          for i = 20 to 39 do get i done;
+          P.Bin.encode_request b ~id:(Some 101) (P.Set ("s1", "x"));
+          (* Unknown opcode, intact length, id 102. *)
+          Buffer.add_string b "\xB2\x7F\x01\x00\x00\x00\x00\x66\x04junk";
+          for i = 40 to 63 do get i done;
+          P.Bin.encode_request b ~id:(Some 103) (P.Set ("s2", "y"));
+          let deltas =
+            stat_delta t [ "served_get"; "inline_reads"; "read_batches" ] (fun () ->
+                write_all c.bfd (Buffer.contents b);
+                let seen = Hashtbl.create 68 in
+                for _ = 1 to 68 do
+                  match brecv c with
+                  | Some id, _ when Hashtbl.mem seen id -> Alcotest.failf "id %d answered twice" id
+                  | Some id, r -> Hashtbl.replace seen id r
+                  | None, r -> Alcotest.failf "untagged reply %s" (P.print_response r)
+                done;
+                for i = 0 to 63 do
+                  match Hashtbl.find_opt seen i with
+                  | Some (P.Value v) when v = value i -> ()
+                  | Some r -> Alcotest.failf "GET g%d answered %s" i (P.print_response r)
+                  | None -> Alcotest.failf "GET g%d unanswered" i
+                done;
+                (match (Hashtbl.find_opt seen 100, Hashtbl.find_opt seen 101, Hashtbl.find_opt seen 103)
+                 with
+                | Some P.Pong, Some P.Ok, Some P.Ok -> ()
+                | _ -> Alcotest.fail "PING or SETs answered wrongly");
+                match Hashtbl.find_opt seen 102 with
+                | Some (P.Error _) -> ()
+                | _ -> Alcotest.fail "malformed frame not answered ERR")
+          in
+          Alcotest.(check (list (pair string int)))
+            "read-plane counters"
+            [ ("served_get", 64); ("inline_reads", 64); ("read_batches", 3) ]
+            deltas))
+
+(* Untagged text on the thread plane: inline replies keep decode order
+   even though the GETs are answered as a batch. *)
+let test_untagged_gets_keep_order () =
+  with_server { quiet with workers = 1; k = 1 } (fun t ->
+      let c = connect (Server.port t) in
+      Fun.protect ~finally:(fun () -> close c) (fun () ->
+          assert_resp "seed a" P.Ok (rpc c (P.Set ("a", "1")));
+          assert_resp "seed b" P.Ok (rpc c (P.Set ("b", "2")));
+          send_raw c
+            (String.concat ""
+               (List.map (fun r -> P.frame (P.print_request r)) [ P.Get "a"; P.Ping; P.Get "b" ]));
+          assert_resp "first" (P.Value (Some "1")) (recv c);
+          assert_resp "second" P.Pong (recv c);
+          assert_resp "third" (P.Value (Some "2")) (recv c)))
+
+(* A batch spanning all four shards answers each key from its own shard;
+   in cluster mode an unowned key answers MOVED in its own position rather
+   than the stale local copy. *)
+let test_get_batch_across_shards () =
+  with_server { quiet with workers = 1; k = 1; shards = 4; reactors = 1 } (fun t ->
+      let c = connect (Server.port t) in
+      Fun.protect ~finally:(fun () -> close c) (fun () ->
+          let keys = List.init 24 (fun i -> Printf.sprintf "key-%d" i) in
+          let shards = List.sort_uniq compare (List.map (Server.shard_of_key t) keys) in
+          Alcotest.(check (list int)) "keys span every shard" [ 0; 1; 2; 3 ] shards;
+          List.iter (fun key -> assert_resp "seed" P.Ok (rpc c (P.Set (key, "v:" ^ key)))) keys;
+          let ask keys =
+            send_raw c (String.concat "" (List.map (fun k -> P.frame (P.print_request (P.Get k))) keys));
+            List.map (fun _ -> recv c) keys
+          in
+          let batches0 = stat "read_batches" t in
+          List.iter2
+            (fun key r -> assert_resp key (P.Value (Some ("v:" ^ key))) r)
+            keys (ask keys);
+          Alcotest.(check int) "one batch" 1 (stat "read_batches" t - batches0);
+          let self = Printf.sprintf "127.0.0.1:%d" (Server.port t) in
+          Server.enable_cluster t ~node:0 ~addrs:[ self; "127.0.0.1:1" ];
+          (* Shards 0 and 2 stay here; 1 and 3 now belong to the other node. *)
+          List.iter2
+            (fun key r ->
+              match (Server.shard_of_key t key, r) with
+              | (0 | 2), P.Value (Some v) when v = "v:" ^ key -> ()
+              | ((1 | 3) as s), P.Moved (s', _, "127.0.0.1:1") when s = s' -> ()
+              | s, r -> Alcotest.failf "%s (shard %d) answered %s" key s (P.print_response r))
+            keys (ask keys)))
+
 let suite =
   [ Helpers.tc "CRUD over a socket" test_crud_over_socket;
     Helpers.tc "garbage stream dropped" test_garbage_stream_dropped;
@@ -898,6 +1011,10 @@ let suite =
     Helpers.tc "reactor: one read of 64 mutations is one dispatch" test_reactor_read_is_one_dispatch;
     Helpers.tc "reactor: refused read answers MOVED and closes clean"
       test_reactor_refused_read_closes_clean;
+    Helpers.tc "reactor: 64 binary GETs in one write, batched and exact"
+      test_reactor_get_batch_mixed;
+    Helpers.tc "untagged GET, PING, GET answer in order" test_untagged_gets_keep_order;
+    Helpers.tc "GET batch across 4 shards, MOVED in position" test_get_batch_across_shards;
     Helpers.tc_slow "reactor: GETs survive a fully wedged shard"
       test_reactor_get_survives_wedged_shard;
     Helpers.tc_slow "reactor: slow client paused then dropped, no stall, no leak"
