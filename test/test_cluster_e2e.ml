@@ -261,8 +261,89 @@ let test_kill_node_failover () =
               Alcotest.(check string) "survivor owns shard 1" addrs.(0) (List.assoc 1 owners)
           | r -> Alcotest.failf "TOPO answered %s" (P.print_response r)))
 
+(* HANDOFF as a wire frame: the connection that sent it gets OK once the
+   shard has moved, the old owner then redirects at the bumped epoch and
+   the new owner serves the migrated value.  A HANDOFF of a shard this node
+   does not own answers ERR and leaves the connection usable. *)
+let test_handoff_frame () =
+  let shards = 2 in
+  with_cluster ~cfg:{ quiet with shards; workers = 2; k = 1 } 2 (fun servers addrs ->
+      let k0 = key_for_shard ~shards 0 in
+      let c0 = connect (Server.port servers.(0)) in
+      let c1 = connect (Server.port servers.(1)) in
+      Fun.protect ~finally:(fun () -> close c0; close c1) (fun () ->
+          assert_resp "seed shard 0" P.Ok (rpc c0 (P.Set (k0, "moving")));
+          assert_resp "seed ctr" (P.Int 3) (rpc c0 (P.Update ("ctr-" ^ k0, 3)));
+          assert_resp "HANDOFF owned shard" P.Ok (rpc c0 (P.Handoff (0, addrs.(1))));
+          assert_resp "old owner redirects" (P.Moved (0, 2, addrs.(1))) (rpc c0 (P.Get k0));
+          assert_resp "new owner serves" (P.Value (Some "moving")) (rpc c1 (P.Get k0));
+          (match rpc c0 (P.Handoff (1, addrs.(1))) with
+          | P.Error _ -> ()
+          | r -> Alcotest.failf "HANDOFF of an unowned shard answered %s" (P.print_response r));
+          assert_resp "same connection still answers" P.Pong (rpc c0 P.Ping)))
+
+(* ------------------------- cluster-mode loadgen ------------------------- *)
+
+module Loadgen = Kex_service.Loadgen
+
+let cluster_load addrs ~expect_dead =
+  { Loadgen.default_config with
+    connections = 2;
+    duration_s = 1.5;
+    keys = 64;
+    mix = [ ("get", 70); ("set", 20); ("update", 10) ];
+    pipeline = 8;
+    wire = P.Binary;
+    timeout_s = 5.;
+    cluster = Array.to_list addrs;
+    expect_dead }
+
+(* Loadgen against a live migration: shard 0 moves from node 0 to node 1
+   mid-load.  The client follows the MOVED redirects and no request fails. *)
+let test_loadgen_follows_migration () =
+  with_cluster ~cfg:{ quiet with shards = 4; workers = 2; k = 2 } 2 (fun servers addrs ->
+      let result = ref (Error "handoff never ran") in
+      let mover =
+        Thread.create
+          (fun () ->
+            Thread.delay 0.6;
+            result := Server.handoff servers.(0) ~shard:0 ~addr:addrs.(1))
+          ()
+      in
+      let s = Loadgen.run (cluster_load addrs ~expect_dead:[]) in
+      Thread.join mover;
+      (match !result with Ok () -> () | Error msg -> Alcotest.failf "handoff: %s" msg);
+      Alcotest.(check int) "zero errors" 0 s.Loadgen.errors;
+      Alcotest.(check bool) "made progress" true (s.Loadgen.requests > 0);
+      Alcotest.(check bool) "followed a redirect" true (s.Loadgen.redirects >= 1))
+
+(* Loadgen against a node crash: node 1 dies mid-load.  Every error is
+   attributed to node 1 and counted as expected; node 0 sees none. *)
+let test_loadgen_attributes_dead_node () =
+  with_cluster ~cfg:{ quiet with shards = 4; workers = 2; k = 2 } 2 (fun servers addrs ->
+      let killer =
+        Thread.create
+          (fun () ->
+            Thread.delay 0.6;
+            Server.crash servers.(1))
+          ()
+      in
+      let s = Loadgen.run (cluster_load addrs ~expect_dead:[ addrs.(1) ]) in
+      Thread.join killer;
+      Alcotest.(check bool) "the crash cost requests" true (s.Loadgen.errors > 0);
+      Alcotest.(check int) "every error expected" s.Loadgen.errors s.Loadgen.expected_errors;
+      Alcotest.(check (list string)) "only node 1 erred" [ addrs.(1) ]
+        (List.map fst s.Loadgen.node_errors);
+      Alcotest.(check bool) "node 0 kept serving" true (s.Loadgen.requests > s.Loadgen.errors))
+
 let suite =
   [ Helpers.tc "cluster: TOPO, MOVED, STATS topology" test_topo_and_moved;
     Helpers.tc_slow "cluster: live migration under load, exact counter"
       test_migration_under_load_exact_counter;
-    Helpers.tc_slow "cluster: kill-node failover via adopt" test_kill_node_failover ]
+    Helpers.tc_slow "cluster: kill-node failover via adopt" test_kill_node_failover;
+    Helpers.tc "cluster: HANDOFF frame moves a shard, ERR keeps the connection"
+      test_handoff_frame;
+    Helpers.tc_slow "cluster: loadgen follows a live migration, zero errors"
+      test_loadgen_follows_migration;
+    Helpers.tc_slow "cluster: loadgen pins a node crash on the dead node"
+      test_loadgen_attributes_dead_node ]
