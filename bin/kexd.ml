@@ -316,14 +316,12 @@ let serve_cmd =
          with zero client-visible failures.  Killing k workers of one shard stalls that shard \
          (and only that shard): the paper's resilience boundary, live on the wire.  Workers \
          drain requests in batches through one admission per batch, and id-tagged (pipelined) \
-         requests get their responses coalesced per connection.  GETs are answered wait-free \
-         by connection threads from each shard's published snapshot — no admission slot, so \
-         reads stay live even on a fully wedged shard; $(b,--admission-reads) routes them \
-         through the wrapper like mutations instead.  Connections are owned by \
+         requests get their responses coalesced per connection.  Connections are owned by \
          $(b,--reactors) poll(2) event-loop domains (accept round-robins across them, worker \
          completions arrive through lock-free mailboxes, slow clients get backpressure from a \
-         bounded output buffer); $(b,--conn-threads) selects the thread-per-connection \
-         baseline instead." ]
+         bounded output buffer).  GETs are answered wait-free on the event loop from each \
+         shard's published snapshot — no admission slot, so reads stay live even on a fully \
+         wedged shard." ]
   in
   let workers_arg =
     Arg.(value & opt int 4 & info [ "workers"; "w" ] ~doc:"worker domains per shard")
@@ -355,13 +353,6 @@ let serve_cmd =
       & opt (some float) None
       & info [ "duration" ] ~docv:"S" ~doc:"stop after S seconds (default: on SIGINT/SIGTERM)")
   in
-  let admission_reads_arg =
-    Arg.(
-      value & flag
-      & info [ "admission-reads" ]
-          ~doc:"route GETs through the admission wrapper like mutations (default: answer them \
-                wait-free from the shard snapshot)")
-  in
   let cluster_arg =
     Arg.(
       value
@@ -379,26 +370,17 @@ let serve_cmd =
     Arg.(
       value & opt int 2
       & info [ "reactors"; "R" ] ~docv:"R"
-          ~doc:"event-loop domains owning the connection plane (accept round-robins across \
-                them); 0 = one systhread per connection")
+          ~doc:"event-loop domains owning the connections (accept round-robins across them); \
+                at least 1")
   in
-  let conn_threads_arg =
-    Arg.(
-      value & flag
-      & info [ "conn-threads" ]
-          ~doc:"thread-per-connection baseline: shorthand for $(b,--reactors) 0")
-  in
-  let run port workers k shards algo chaos duration admission_reads cluster node reactors
-      conn_threads quiet =
+  let run port workers k shards algo chaos duration cluster node reactors quiet =
     let log = if quiet then fun _ -> () else fun s -> print_endline s; flush stdout in
     match
       Kex_service.Server.run ?duration_s:duration
-        { Kex_service.Server.port; workers; k; shards; algo; chaos;
-          wait_free_reads = not admission_reads;
+        { Kex_service.Server.default_config with
+          port; workers; k; shards; algo; chaos;
           cluster = Option.map (fun addrs -> (node, addrs)) cluster;
-          reactors = (if conn_threads then 0 else max 0 reactors);
-          out_hwm = Kex_service.Server.default_config.Kex_service.Server.out_hwm;
-          slow_drain_s = Kex_service.Server.default_config.Kex_service.Server.slow_drain_s;
+          reactors;
           log }
     with
     | () -> 0
@@ -412,8 +394,7 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc ~man)
     Term.(
       const run $ port_arg $ workers_arg $ k_arg $ shards_arg $ algo_arg $ chaos_arg
-      $ duration_arg $ admission_reads_arg $ cluster_arg $ node_arg $ reactors_arg
-      $ conn_threads_arg $ quiet_arg)
+      $ duration_arg $ cluster_arg $ node_arg $ reactors_arg $ quiet_arg)
 
 (* ------------------------------- loadgen ---------------------------------- *)
 
@@ -428,7 +409,10 @@ let loadgen_cmd =
   in
   let host_arg = Arg.(value & opt string "127.0.0.1" & info [ "host" ] ~doc:"server address") in
   let conns_arg =
-    Arg.(value & opt int 4 & info [ "connections"; "c" ] ~doc:"client domains (one connection each)")
+    Arg.(
+      value & opt int 4
+      & info [ "connections"; "c" ]
+          ~doc:"client domains, each with $(b,--conns-per-client) connections")
   in
   let duration_arg = Arg.(value & opt float 5. & info [ "duration" ] ~docv:"S" ~doc:"seconds of load") in
   let mix_arg =
@@ -490,15 +474,15 @@ let loadgen_cmd =
     Arg.(
       value & opt int 1
       & info [ "pipeline" ] ~docv:"W"
-          ~doc:"id-tagged requests in flight per connection (1 = v1 one-at-a-time wire)")
+          ~doc:"id-tagged requests in flight per connection (1 = one at a time)")
   in
   let conns_per_client_arg =
     Arg.(
       value & opt int 1
       & info [ "conns-per-client"; "conns" ] ~docv:"N"
-          ~doc:"sockets per client domain (total connections = N x $(b,--connections)); > 1 \
-                select-multiplexes them in one domain, each with its own $(b,--pipeline) \
-                window on the id-tagged wire — the connection-scaling knob")
+          ~doc:"connections per client domain (total connections = N x $(b,--connections)), \
+                multiplexed by the domain's poll loop, each with its own $(b,--pipeline) window \
+                — the connection-scaling knob")
   in
   let phase_marks_arg =
     Arg.(
@@ -560,6 +544,9 @@ let loadgen_cmd =
           1
         end
         else 0
+    | exception Invalid_argument msg ->
+        Format.eprintf "kexd loadgen: %s@." msg;
+        2
     | exception Unix.Unix_error (e, fn, _) ->
         Format.eprintf "kexd loadgen: %s: %s@." fn (Unix.error_message e);
         1
@@ -583,23 +570,12 @@ let serve_sweep_cmd =
          $(b,--k)), kills $(b,--kills) workers (default k-1, concentrated in shard 0) halfway \
          through, drives it with the load generator at pipeline depth W, and records \
          throughput and latency percentiles.  Every cell therefore doubles as a resilience \
-         assertion: with kills <= k-1 the expected error count is zero.  After the matrix it \
-         runs a GET-heavy read-path quad at the (max S, max W) cell — GETs through admission \
-         vs. the wait-free snapshot path, healthy and with one shard's whole worker pool \
-         killed mid-run (wedged cells use a pure-GET mix; the wait-free side must finish \
-         with zero errors, while the admission side's timeouts are the measured baseline \
-         and are exempt from $(b,--fail-on-errors)).  Then it runs the wire quad: one server \
-         at the same (max S, max W) cell preloaded with $(b,--wire-keys) keys, driven with \
-         YCSB-B (get=95,set=5) over text-v1 vs binary-v2 framing, uniform vs Zipfian keys — \
-         no kills, so any error fails the gate.  Finally it runs the connection-scaling \
-         quad: the same (max S, max W) cell at C in {4, 64, 256} total connections (client \
-         domains each multiplexing C/4 sockets), thread-per-connection vs. $(b,--reactors) \
-         event-loop domains — no kills, every error fails the gate; the reactor plane is \
-         expected to hold its rate at C=256 where thread-per-connection pays a thread per \
-         socket.  Writes the kexclusion-serve/v6 record with the matrix under $(b,sweep), \
-         the read quad under $(b,read_path), the wire quad under $(b,wire), the \
-         connection-scaling cells under $(b,conn_scale) and the (max S, max W) matrix cell \
-         as the headline $(b,totals)." ]
+         assertion: with kills <= k-1 the expected error count is zero.  Then it runs the wire \
+         quad: one server at the (max S, max W) cell preloaded with $(b,--wire-keys) keys, \
+         driven with YCSB-B (get=95,set=5) over text-v1 vs binary-v2 framing, uniform vs \
+         Zipfian keys — no kills, so any error fails the gate.  Writes the kexclusion-serve/v6 \
+         record with the matrix under $(b,sweep), the wire quad under $(b,wire) and the (max \
+         S, max W) matrix cell as the headline $(b,totals)." ]
   in
   let shards_list_arg =
     Arg.(value & opt (list int) [ 1; 2; 4 ] & info [ "shards-list" ] ~doc:"shard counts to sweep")
@@ -639,12 +615,6 @@ let serve_sweep_cmd =
       & opt (some string) None
       & info [ "json" ] ~docv:"FILE" ~doc:"write the kexclusion-serve/v6 sweep record")
   in
-  let reactors_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "reactors"; "R" ]
-          ~doc:"reactor event-loop domains for the connection-scaling quad's reactor cells")
-  in
   let wire_keys_arg =
     Arg.(
       value
@@ -659,59 +629,39 @@ let serve_sweep_cmd =
           ~doc:"exit 1 if any cell saw a failed request (CI resilience assertion)")
   in
   let run shards_list pipeline_list workers k algo connections duration keys value_size seed
-      kills reactors wire_keys json fail_on_errors quiet =
+      kills wire_keys json fail_on_errors quiet =
     let kills = Option.value kills ~default:(max 0 (k - 1)) in
     let mix = [ ("get", 70); ("set", 20); ("update", 10) ] in
-    let run_cell ?(reactors = 0) ?(conns_per_client = 1) ~shards ~pipeline ~mix
-        ~wait_free_reads ~kills ~kill_at () =
+    let start_server ~shards chaos =
+      Kex_service.Server.start
+        { Kex_service.Server.default_config with port = 0; workers; k; shards; algo; chaos }
+    in
+    let run_cell ~shards ~pipeline =
       (* Untargeted kills pick the lowest-index live worker, i.e. they pile
          into shard 0 — the per-shard resilience experiment. *)
+      let kill_at = duration /. 2. in
       let chaos =
         List.init kills (fun i ->
             { Kex_service.Chaos.at_s = kill_at +. (0.05 *. float_of_int i);
               action = Kex_service.Chaos.Kill_worker; target = None })
       in
-      let server =
-        Kex_service.Server.start
-          { Kex_service.Server.port = 0; workers; k; shards; algo; chaos; wait_free_reads;
-            cluster = None; reactors;
-            out_hwm = Kex_service.Server.default_config.Kex_service.Server.out_hwm;
-            slow_drain_s = Kex_service.Server.default_config.Kex_service.Server.slow_drain_s;
-            log = (fun _ -> ()) }
-      in
+      let server = start_server ~shards chaos in
       let cfg =
-        { Kex_service.Loadgen.host = "127.0.0.1";
+        { Kex_service.Loadgen.default_config with
           port = Kex_service.Server.port server;
           connections;
           duration_s = duration;
           mix;
           keys;
-          dist = Kex_service.Keydist.Uniform;
           value_size;
-          value_size_max = 0;
-          scan_len = 16;
           seed;
           timeout_s = 5.;
           pipeline;
-          conns_per_client;
-          wire = Kex_service.Protocol.Text;
-          phase_marks = (if kills > 0 then [ kill_at ] else []);
-          cluster = [];
-          expect_dead = [] }
+          phase_marks = (if kills > 0 then [ kill_at ] else []) }
       in
       let summary = Kex_service.Loadgen.run cfg in
       Kex_service.Server.stop server;
       summary
-    in
-    (* Successful GETs per second — the read-plane comparison metric. *)
-    let get_rps (s : Kex_service.Loadgen.summary) =
-      match
-        Stdlib.List.find_opt (fun b -> b.Kex_service.Loadgen.label = "get") s.Kex_service.Loadgen.ops
-      with
-      | Some b when s.Kex_service.Loadgen.wall_s > 0. ->
-          float_of_int (b.Kex_service.Loadgen.requests - b.Kex_service.Loadgen.errors)
-          /. s.Kex_service.Loadgen.wall_s
-      | _ -> 0.
     in
     if not quiet then
       Format.printf "%-7s %-9s %9s %7s %12s %9s %9s@." "shards" "pipeline" "requests" "errors"
@@ -721,10 +671,7 @@ let serve_sweep_cmd =
         (fun shards ->
           Stdlib.List.map
             (fun pipeline ->
-              let s =
-                run_cell ~shards ~pipeline ~mix ~wait_free_reads:true ~kills
-                  ~kill_at:(duration /. 2.) ()
-              in
+              let s = run_cell ~shards ~pipeline in
               if not quiet then
                 Format.printf "%-7d %-9d %9d %7d %12.0f %9d %9d@." shards pipeline
                   s.Kex_service.Loadgen.requests s.Kex_service.Loadgen.errors
@@ -743,41 +690,8 @@ let serve_sweep_cmd =
           | _ -> Some (s, w, sum))
         None cells
     in
-    (* The read-plane quad: the same (max S, max W) cell under a GET-heavy
-       mix, with GETs routed through admission vs. the wait-free snapshot
-       path, healthy and with shard 0's whole worker pool killed a quarter
-       of the way in.  The healthy pair prices the wrapper on the read path;
-       the wedged pair is the availability claim — snapshot GETs keep
-       answering at full rate on a dead shard while admission GETs park
-       behind its queue.  Wedged cells use a pure-GET mix so the wait-free
-       side's zero errors is an assertion, not luck (any mutation routed to
-       the dead shard would stall its connection). *)
-    let read_mix = [ ("get", 95); ("set", 5) ] in
-    let wedged_mix = [ ("get", 100) ] in
     let rp_shards, rp_pipeline =
       match headline with Some (s, w, _) -> (s, w) | None -> (1, 1)
-    in
-    let read_cells =
-      Stdlib.List.map
-        (fun (label, wfr, wedged) ->
-          let mix = if wedged then wedged_mix else read_mix in
-          let kills = if wedged then workers else 0 in
-          let s =
-            run_cell ~shards:rp_shards ~pipeline:rp_pipeline ~mix ~wait_free_reads:wfr ~kills
-              ~kill_at:(duration /. 4.) ()
-          in
-          if not quiet then
-            Format.printf
-              "reads=%-17s (S=%d W=%d %s) %9d req %7d err %12.0f req/s  get %9.0f/s@." label
-              rp_shards rp_pipeline
-              (Kex_service.Loadgen.mix_to_string mix)
-              s.Kex_service.Loadgen.requests s.Kex_service.Loadgen.errors
-              s.Kex_service.Loadgen.throughput_rps (get_rps s);
-          (label, mix, kills, s))
-        [ ("admission", false, false);
-          ("wait-free", true, false);
-          ("admission-wedged", false, true);
-          ("wait-free-wedged", true, true) ]
     in
     (* The wire quad: the same (max S, max W) cell under YCSB-B (get=95,set=5)
        against one server preloaded with [wire_keys] bindings, crossing
@@ -790,14 +704,7 @@ let serve_sweep_cmd =
     let wire_cells =
       if wire_keys <= 0 then []
       else begin
-        let server =
-          Kex_service.Server.start
-            { Kex_service.Server.port = 0; workers; k; shards = rp_shards; algo; chaos = [];
-              wait_free_reads = true; cluster = None; reactors = 0;
-              out_hwm = Kex_service.Server.default_config.Kex_service.Server.out_hwm;
-              slow_drain_s = Kex_service.Server.default_config.Kex_service.Server.slow_drain_s;
-              log = (fun _ -> ()) }
-        in
+        let server = start_server ~shards:rp_shards [] in
         let value = String.make (max 1 value_size) 'v' in
         Kex_service.Server.preload server
           (Seq.init wire_keys (fun i -> (Kex_service.Keydist.key_of_index i, value)));
@@ -805,7 +712,7 @@ let serve_sweep_cmd =
           Stdlib.List.map
             (fun (wire, dist) ->
               let cfg =
-                { Kex_service.Loadgen.host = "127.0.0.1";
+                { Kex_service.Loadgen.default_config with
                   port = Kex_service.Server.port server;
                   connections;
                   duration_s = duration;
@@ -813,16 +720,10 @@ let serve_sweep_cmd =
                   keys = wire_keys;
                   dist;
                   value_size;
-                  value_size_max = 0;
-                  scan_len = 16;
                   seed;
                   timeout_s = 5.;
                   pipeline = rp_pipeline;
-                  conns_per_client = 1;
-                  wire;
-                  phase_marks = [];
-                  cluster = [];
-                  expect_dead = [] }
+                  wire }
               in
               let s = Kex_service.Loadgen.run cfg in
               if not quiet then
@@ -844,119 +745,6 @@ let serve_sweep_cmd =
         cells
       end
     in
-    (* The connection-scaling cells: the same (max S, max W) cell at C total
-       connections for C in {4, 64, 256} — the 4 client domains each
-       multiplex C/4 sockets — crossing thread-per-connection against the
-       reactor plane.  No kills: every error here fails the gate.  This is
-       the quad the reactor plane argues from: at C=4 the two are
-       interchangeable, at C=256 thread-per-connection pays a systhread per
-       socket (all serialized on the runtime lock) while the reactors
-       multiplex the same sockets on a fixed number of domains.  The cells
-       use the read-plane mix (get=95,set=5 with wait-free reads) so the
-       connection plane itself is what's priced: a mutation-heavy mix
-       bottlenecks both planes on the same shared shard admission and
-       washes the difference out.
-
-       Unlike every other cell, the server here runs OUT of process (the
-       sweep re-execs its own binary as [kexd serve]): in-process, client
-       and server domains share one runtime's stop-the-world GC barriers
-       and the planes' difference drowns in that coupling — and a child
-       process is the honest shape of the claim anyway, since the planes
-       are compared as deployed servers, not as library calls. *)
-    let algo_name =
-      match algo with
-      | Kex_runtime.Kex_lock.Naive -> "naive"
-      | Kex_runtime.Kex_lock.Inductive -> "inductive"
-      | Kex_runtime.Kex_lock.Tree -> "tree"
-      | Kex_runtime.Kex_lock.Fast_path -> "fastpath"
-      | Kex_runtime.Kex_lock.Graceful -> "graceful"
-      | Kex_runtime.Kex_lock.Dsm_fast_path -> "dsm-fastpath"
-    in
-    let run_cell_extern ~reactors ~conns_per_client ~shards ~pipeline ~mix () =
-      let start_child attempt =
-        let port = 7300 + (((Unix.getpid () * 7) + (attempt * 131)) mod 20000) in
-        let plane =
-          if reactors > 0 then [ "--reactors"; string_of_int reactors ]
-          else [ "--conn-threads" ]
-        in
-        let args =
-          [ "kexd"; "serve"; "--port"; string_of_int port; "--shards";
-            string_of_int shards; "--workers"; string_of_int workers; "-k";
-            string_of_int k; "--algo"; algo_name; "--duration";
-            (* Belt and braces: the child exits on its own even if the
-               parent dies before the SIGTERM below. *)
-            Printf.sprintf "%.0f" (duration +. 60.) ]
-          @ plane
-        in
-        let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
-        let pid =
-          Unix.create_process Sys.executable_name (Array.of_list args) devnull devnull
-            devnull
-        in
-        Unix.close devnull;
-        let deadline = Unix.gettimeofday () +. 5. in
-        (* Ready when the child's listener accepts; a dead child (port
-           clash) shows up as waitpid reaping it. *)
-        let rec ready () =
-          let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-          match Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port)) with
-          | () ->
-              Unix.close fd;
-              true
-          | exception Unix.Unix_error _ ->
-              (try Unix.close fd with Unix.Unix_error _ -> ());
-              if Unix.gettimeofday () > deadline then false
-              else if fst (Unix.waitpid [ Unix.WNOHANG ] pid) <> 0 then false
-              else begin
-                Thread.delay 0.02;
-                ready ()
-              end
-        in
-        if ready () then Some (pid, port)
-        else begin
-          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-          (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
-          None
-        end
-      in
-      let rec spawn attempt =
-        if attempt > 8 then failwith "conn-scale: could not start the child server"
-        else match start_child attempt with Some c -> c | None -> spawn (attempt + 1)
-      in
-      let pid, port = spawn 0 in
-      Fun.protect
-        ~finally:(fun () ->
-          (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-          try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-        (fun () ->
-          Kex_service.Loadgen.run
-            { Kex_service.Loadgen.host = "127.0.0.1"; port; connections;
-              duration_s = duration; mix; keys; dist = Kex_service.Keydist.Uniform;
-              value_size; value_size_max = 0; scan_len = 16; seed; timeout_s = 5.;
-              pipeline; conns_per_client; wire = Kex_service.Protocol.Text;
-              phase_marks = []; cluster = []; expect_dead = [] })
-    in
-    let conn_scale_cells =
-      Stdlib.List.concat_map
-        (fun conns ->
-          Stdlib.List.map
-            (fun (mode, r) ->
-              let conns_per_client = max 1 (conns / max 1 connections) in
-              let s =
-                run_cell_extern ~reactors:r ~conns_per_client ~shards:rp_shards
-                  ~pipeline:rp_pipeline ~mix:read_mix ()
-              in
-              if not quiet then
-                Format.printf
-                  "conns=%-4d plane=%-8s (S=%d W=%d R=%d) %9d req %7d err %12.0f req/s  p99 \
-                   %6d us@."
-                  conns mode rp_shards rp_pipeline r s.Kex_service.Loadgen.requests
-                  s.Kex_service.Loadgen.errors s.Kex_service.Loadgen.throughput_rps
-                  s.Kex_service.Loadgen.p99_us;
-              (mode, r, conns, s))
-            [ ("threads", 0); ("reactor", max 1 reactors) ])
-        [ 4; 64; 256 ]
-    in
     (match (json, headline) with
     | Some file, Some (hs, hw, hsum) ->
         let open Kex_service.Json in
@@ -972,20 +760,6 @@ let serve_sweep_cmd =
               ("p99_us", Int s.p99_us);
               ("max_us", Int s.max_us) ]
         in
-        let read_cell_json (label, mix, kills, (s : Kex_service.Loadgen.summary)) =
-          Obj
-            [ ("reads", String label);
-              ("shards", Int rp_shards);
-              ("pipeline", Int rp_pipeline);
-              ("mix", String (Kex_service.Loadgen.mix_to_string mix));
-              ("kills", Int kills);
-              ("requests", Int s.requests);
-              ("errors", Int s.errors);
-              ("throughput_rps", Float s.throughput_rps);
-              ("get_rps", Float (get_rps s));
-              ("p50_us", Int s.p50_us);
-              ("p99_us", Int s.p99_us) ]
-        in
         let wire_cell_json (wire, dist, (s : Kex_service.Loadgen.summary)) =
           Obj
             [ ("wire", String (Kex_service.Protocol.wire_name wire));
@@ -994,21 +768,6 @@ let serve_sweep_cmd =
               ("pipeline", Int rp_pipeline);
               ("keys", Int wire_keys);
               ("mix", String (Kex_service.Loadgen.mix_to_string wire_mix));
-              ("kills", Int 0);
-              ("requests", Int s.requests);
-              ("errors", Int s.errors);
-              ("throughput_rps", Float s.throughput_rps);
-              ("p50_us", Int s.p50_us);
-              ("p99_us", Int s.p99_us) ]
-        in
-        let conn_scale_json (mode, r, conns, (s : Kex_service.Loadgen.summary)) =
-          Obj
-            [ ("plane", String mode);
-              ("reactors", Int r);
-              ("conns", Int conns);
-              ("shards", Int rp_shards);
-              ("pipeline", Int rp_pipeline);
-              ("mix", String (Kex_service.Loadgen.mix_to_string read_mix));
               ("kills", Int 0);
               ("requests", Int s.requests);
               ("errors", Int s.errors);
@@ -1035,30 +794,18 @@ let serve_sweep_cmd =
                     ("value_size", Int value_size);
                     ("seed", Int seed);
                     ("kills", Int kills);
-                    ("reactors", Int reactors);
                     ("wire_keys", Int wire_keys) ] );
               ("totals", Kex_service.Loadgen.summary_json hsum);
               ("sweep", List (Stdlib.List.map cell_json cells));
-              ("read_path", List (Stdlib.List.map read_cell_json read_cells));
-              ("wire", List (Stdlib.List.map wire_cell_json wire_cells));
-              ("conn_scale", List (Stdlib.List.map conn_scale_json conn_scale_cells)) ]
+              ("wire", List (Stdlib.List.map wire_cell_json wire_cells)) ]
         in
         let oc = open_out file in
         output_string oc (to_string ~indent:2 doc);
         output_char oc '\n';
         close_out oc
     | _ -> ());
-    (* The admission-wedged cell is the deliberately degraded baseline — its
-       timeouts are the experiment, so it is exempt from the error gate.
-       The wait-free-wedged cell is NOT exempt: zero errors there is the
-       availability assertion this sweep exists to check. *)
     let all_summaries =
-      Stdlib.List.map (fun (_, _, s) -> s) cells
-      @ Stdlib.List.filter_map
-          (fun (label, _, _, s) -> if label = "admission-wedged" then None else Some s)
-          read_cells
-      @ Stdlib.List.map (fun (_, _, s) -> s) wire_cells
-      @ Stdlib.List.map (fun (_, _, _, s) -> s) conn_scale_cells
+      Stdlib.List.map (fun (_, _, s) -> s) cells @ Stdlib.List.map (fun (_, _, s) -> s) wire_cells
     in
     let total_errors =
       Stdlib.List.fold_left (fun acc s -> acc + s.Kex_service.Loadgen.errors) 0 all_summaries
@@ -1082,7 +829,7 @@ let serve_sweep_cmd =
     Term.(
       const run $ shards_list_arg $ pipeline_list_arg $ workers_arg $ k_arg $ algo_arg
       $ conns_arg $ duration_arg $ keys_arg $ value_size_arg $ seed_arg $ kills_arg
-      $ reactors_arg $ wire_keys_arg $ json_arg $ fail_on_errors_arg $ quiet_arg)
+      $ wire_keys_arg $ json_arg $ fail_on_errors_arg $ quiet_arg)
 
 (* ----------------------------- cluster-sweep ------------------------------ *)
 
@@ -1152,12 +899,8 @@ let cluster_sweep_cmd =
       let servers =
         List.init n (fun i ->
             Kex_service.Server.start
-              { Kex_service.Server.port = 0; workers; k; shards;
-                algo = Kex_runtime.Kex_lock.Fast_path; chaos = chaos i;
-                wait_free_reads = true; cluster = None; reactors = 0;
-                out_hwm = Kex_service.Server.default_config.Kex_service.Server.out_hwm;
-                slow_drain_s = Kex_service.Server.default_config.Kex_service.Server.slow_drain_s;
-                log = (fun _ -> ()) })
+              { Kex_service.Server.default_config with
+                port = 0; workers; k; shards; chaos = chaos i })
       in
       let addrs =
         List.map (fun s -> Printf.sprintf "127.0.0.1:%d" (Kex_service.Server.port s)) servers
@@ -1166,20 +909,15 @@ let cluster_sweep_cmd =
       (servers, addrs)
     in
     let lg_cfg ~addrs ~expect_dead ~marks =
-      { Kex_service.Loadgen.host = "127.0.0.1";
-        port = 0;
+      { Kex_service.Loadgen.default_config with
         connections;
         duration_s = duration;
         mix;
         keys;
-        dist = Kex_service.Keydist.Uniform;
         value_size;
-        value_size_max = 0;
-        scan_len = 16;
         seed;
         timeout_s = 5.;
         pipeline;
-        conns_per_client = 1;
         wire = Kex_service.Protocol.Binary;
         phase_marks = marks;
         cluster = addrs;

@@ -79,8 +79,7 @@ let default_manifest =
       ~wrappers:[ { wr_fn = "locked"; wr_lock = "m" } ];
     rules "lib/service/server.ml"
       ~guards:
-        [ { g_lock = "mb_m"; g_fields = [ "mb_resp" ] };
-          { g_lock = "conns_m"; g_fields = [ "conns"; "conn_threads" ] };
+        [ { g_lock = "conns_m"; g_fields = [ "conns" ] };
           { g_lock = "sh_fence_m"; g_fields = [ "sh_fenced" ] };
           { g_lock = "morgue_m"; g_fields = [ "morgue_open" ] } ];
     rules "lib/cluster/routing.ml"

@@ -80,6 +80,15 @@ let install t ~epoch ~owners =
       end
       else false)
 
+let parse_addr addr =
+  match String.rindex_opt addr ':' with
+  | None -> Error (Printf.sprintf "bad node address %S (want host:port)" addr)
+  | Some i -> (
+      let host = String.sub addr 0 i in
+      match int_of_string_opt (String.sub addr (i + 1) (String.length addr - i - 1)) with
+      | Some port when port > 0 && port < 65536 -> Ok (host, port)
+      | _ -> Error (Printf.sprintf "bad port in node address %S" addr))
+
 (* Same hash as the in-process sharded store, so "shard" means the same
    thing on every node and in every client. *)
 let shard_of_key t key =

@@ -34,6 +34,10 @@ val observe : t -> shard:int -> epoch:int -> addr:string -> bool
 val install : t -> epoch:int -> owners:(int * string) list -> bool
 (** Adopt a whole remote table iff [epoch] is strictly newer. *)
 
+val parse_addr : string -> (string * int, string) result
+(** Split a node address ["host:port"] at its last colon; the port must be
+    in 1..65535.  [Error] carries a message naming the address. *)
+
 val shard_of_key : t -> string -> int
 (** Key routing with the same FNV-1a hash as
     {!Kex_resilient.Sharded_store.shard_of_key}, so shard ids agree across

@@ -3,32 +3,35 @@
     latency, and errors, overall, per phase (so before/during/after a chaos
     kill are separable) and per op class.
 
-    With [pipeline] = W > 1 each connection keeps W id-tagged requests in
-    flight (responses match by id, any order); latency is stamped at
-    {e enqueue} — before the socket write — so in-window queueing delay is
-    charged to the request.  W = 1 is the v1 untagged one-at-a-time wire.
+    Each client domain runs one poll(2) loop over [conns_per_client]
+    connections.  Each connection keeps a window of [pipeline] = W
+    id-tagged requests in flight (responses match by id, any order; W = 1
+    is a window of one); latency is stamped at {e enqueue} — before the
+    socket write — so in-window queueing delay is charged to the request.
 
     A request that times out or loses its connection counts as an error and
     the client reconnects (with exponential backoff, 50 ms doubling to a
-    2 s cap, so a dead server yields a bounded error rate); against a
-    stalled server (k workers killed) the tool therefore terminates with
-    collapsed throughput instead of hanging.  Aggregation runs on
-    fixed-layout histograms ({!Kex_sim.Stats.Hist}), merged exactly across
-    connections.
+    2 s cap; requests routed to a node inside its backoff window fail fast,
+    so a dead server yields a bounded error rate); against a stalled server
+    (k workers killed) the tool therefore terminates with collapsed
+    throughput instead of hanging.  Errors are attributed per node
+    ([node_errors]).  Aggregation runs on fixed-layout histograms
+    ({!Kex_sim.Stats.Hist}), merged exactly across connections.
 
-    With [cluster] non-empty the client is cluster-aware: it bootstraps
-    the epoch-versioned routing table with [TOPO] from any seed node,
-    routes each key to its shard's owner, follows [MOVED] redirects
-    (adopting strictly newer epochs only, so it chases at most one
-    redirect per epoch), and refreshes the table whenever a node stops
-    answering.  Errors are attributed per node; errors on [expect_dead]
-    nodes are separately counted as expected — the kill-node experiment's
-    gate exemption. *)
+    Keys route through a {!Kex_cluster.Routing} table.  Against a single
+    server it has one entry, [host:port].  With [cluster] non-empty the
+    client is cluster-aware: it bootstraps the epoch-versioned table with
+    [TOPO] from any seed node, routes each key to its shard's owner,
+    follows [MOVED] redirects (adopting strictly newer epochs only, so it
+    chases at most one redirect per epoch), and refreshes the table
+    whenever a node stops answering.  Errors on [expect_dead] nodes are
+    separately counted as expected — the kill-node experiment's gate
+    exemption. *)
 
 type config = {
   host : string;
   port : int;
-  connections : int;  (** one client domain each *)
+  connections : int;  (** client domains *)
   duration_s : float;
   mix : (string * int) list;  (** weighted op mix, e.g. [("get",80);("set",20)] *)
   keys : int;  (** keyspace size — millions are fine *)
@@ -40,12 +43,11 @@ type config = {
   scan_len : int;  (** range length for [scan] ops *)
   seed : int;  (** per-connection PRNGs derive from this *)
   timeout_s : float;
-  pipeline : int;  (** requests in flight per connection; 1 = untagged *)
+  pipeline : int;  (** id-tagged requests in flight per connection *)
   conns_per_client : int;
-      (** sockets per client domain (total connections = [connections *
-          conns_per_client]); > 1 switches the domain to a select loop
-          multiplexing its sockets, each with its own [pipeline] window,
-          always on the id-tagged wire — the connection-scaling knob *)
+      (** connections per client domain (total connections = [connections *
+          conns_per_client]), multiplexed by the domain's poll loop — the
+          connection-scaling knob *)
   wire : Protocol.wire;  (** text v1 or binary v2 framing *)
   phase_marks : float list;  (** split points (seconds) for per-phase stats *)
   cluster : string list;
@@ -86,7 +88,7 @@ type summary = {
   max_us : int;
   phases : bucket list;
   ops : bucket list;
-  redirects : int;  (** MOVED replies followed (cluster mode) *)
+  redirects : int;  (** MOVED replies followed *)
   expected_errors : int;
       (** the subset of [errors] attributed to [expect_dead] nodes; gates
           subtract these ("surviving shards saw zero errors") *)
@@ -94,6 +96,8 @@ type summary = {
 }
 
 val run : config -> summary
+(** Raises [Invalid_argument] before any domain starts if [connections],
+    [conns_per_client], [pipeline] or [keys] is below 1. *)
 
 val summary_json : summary -> Json.t
 (** The [totals] object alone — reused by the sweep record. *)
@@ -105,7 +109,8 @@ val to_json : config -> summary -> Json.t
     attributes errors per node, and sweep records may carry [cluster]/
     [migration]/[kill] sections (the multi-node cells).  v6 over v5: the
     config block records [conns_per_client], and sweep records may carry a
-    [conn_scale] section (thread-vs-reactor connection-scaling cells).
+    [conn_scale] section (thread-vs-reactor connection-scaling cells,
+    recorded while both connection planes existed).
     [bench-report] reads any [kexclusion-serve/*] prefix. *)
 
 val emit_json : file:string -> config -> summary -> unit

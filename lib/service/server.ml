@@ -4,24 +4,23 @@
    Data path: the store is split into S shards, each an independent
    Kv_store behind its *own* Kex_lock/Assignment admission wrapper, with a
    per-shard MPMC submission ring.  The connection plane owns the sockets:
-   by default R reactor domains, each a poll(2) event loop over the
-   connections it accepted (thread-per-connection remains as a baseline).
-   Per socket read, the plane decodes every complete frame, answers
-   control requests and SCANs inline, queues the GETs, and collects the
-   mutations in per-shard pending lists in arrival order.  After the read
-   is decoded each non-empty list is dispatched as one batch: one fence
-   check, one ring lock, at most one worker wakeup.  Then the GETs are
-   resolved as one batch off the wait-free snapshots: one snapshot read per
-   shard, with the lookups walked down the tree in lockstep.  The item
+   R reactor domains, each a poll(2) event loop over the connections it
+   accepted.  Per socket read, the plane decodes every complete frame,
+   answers control requests and SCANs inline, queues the GETs, and collects
+   the mutations in per-shard pending lists in arrival order.  After the
+   read is decoded each non-empty list is dispatched as one batch: one
+   fence check, one ring lock, at most one worker wakeup.  Then the GETs
+   are resolved as one batch off the wait-free snapshots: one snapshot read
+   per shard, with the lookups walked down the tree in lockstep.  The item
    carries the connection and the request id, so a client may hold a whole
-   window of requests in flight per connection.
-   (An untagged v1 request on a connection thread is the exception: it is
-   dispatched at once and the thread blocks on a per-item mailbox.)
+   window of requests in flight per connection.  An untagged v1 request is
+   dispatched the same way; its reply keeps decode order only while the
+   client keeps one request in flight, which is the v1 contract.
 
    Worker domains have shard affinity: each drains *its* shard's ring in
    batches, enters the shard store through one (N,k)-assignment admission
-   per batch (amortizing the wrapper over the batch), executes, and
-   flushes all responses bound for the same connection as one coalesced
+   per batch (amortizing the wrapper over the batch), executes, and posts
+   all responses bound for one connection to its reactor as one coalesced
    write.  Because the ring wakes one worker per dispatched batch and
    recruits another only for a backlog, the workers contending for the
    shard's k slots track the load, not the number of requests in a read.
@@ -55,9 +54,8 @@ type config = {
   shards : int;  (* cluster mode: the *global* shard count, same everywhere *)
   algo : Kex_lock.algo;
   chaos : Chaos.event list;
-  wait_free_reads : bool;  (* GETs answered inline from the snapshot *)
   cluster : (int * string list) option;  (* (this node's index, all node addrs) *)
-  reactors : int;  (* event-loop domains owning connections; 0 = thread/conn *)
+  reactors : int;  (* event-loop domains owning the connections; >= 1 *)
   out_hwm : int;  (* reactor backpressure: unsent bytes that pause reads *)
   slow_drain_s : float;  (* reactor: paused this long with no drain = dropped *)
   log : string -> unit;
@@ -70,9 +68,8 @@ let default_config =
     shards = 1;
     algo = Kex_lock.Fast_path;
     chaos = [];
-    wait_free_reads = true;
     cluster = None;
-    reactors = 0;
+    reactors = 2;
     out_hwm = 256 * 1024;
     slow_drain_s = 5.0;
     log = (fun _ -> ()) }
@@ -82,47 +79,24 @@ let default_config =
    keeps a slot. *)
 let max_batch = 32
 
-type mailbox = {
-  mb_m : Mutex.t;
-  mb_c : Condition.t;
-  mutable mb_resp : Protocol.response option;
-}
-
-(* A connection as response target.  Two ownership regimes share this
-   record:
-
-   - thread mode ([c_rc = None]): [c_wm] serializes every write to the
-     socket (workers flush pipelined responses concurrently with the
-     connection thread's inline replies);
-   - reactor mode ([c_rc = Some rc]): the socket belongs to one reactor's
-     event loop, and a "write" is a lock-free mailbox post — the loop does
-     the actual syscall, so [c_wm] is never contended.
-
-   [c_pending] counts dispatched requests not yet answered so the closing
-   side (thread or reactor drain) can wait them out; [c_alive] stops
-   workers from writing into a closing socket. *)
+(* A connection's server-side state, the user value of its reactor
+   connection.  The socket belongs to one reactor's event loop; a worker
+   "writes" by posting into that loop's lock-free mailbox.  [c_pending]
+   counts dispatched requests not yet answered, so the reactor's drain
+   waits them out before it closes the socket. *)
 type conn = {
   c_fd : Unix.file_descr;
-  c_wm : Mutex.t;
   c_pending : int Atomic.t;
-  c_alive : bool Atomic.t;
   c_dec : Protocol.Req_decoder.t;
   (* Which framing this connection speaks — sniffed from its first byte and
-     written once by the owning thread/reactor before any request is
-     dispatched, so the ring's mutex publishes it to every worker that
-     replies here. *)
+     written once by the owning reactor before any request is dispatched,
+     so the ring's mutex publishes it to every worker that replies here. *)
   mutable c_wire : Protocol.wire;
-  (* Back-pointer into the owning reactor, set by its attach handler before
-     any byte is read — same publication argument as [c_wire]. *)
-  mutable c_rc : conn Reactor.conn option;
 }
 
-(* [Stream] carries the id to echo; [None] is an untagged v1 request on a
-   reactor connection, dispatched rather than awaited so the event loop
-   never blocks on a mailbox (the v1 one-in-flight contract keeps its
-   responses in order anyway). *)
-type reply = Sync of mailbox | Stream of conn * int option
-type item = { req : Protocol.request; reply : reply }
+(* A dispatched request: the reactor connection to answer on and the id to
+   echo ([None] for an untagged v1 request). *)
+type item = { req : Protocol.request; rc : conn Reactor.conn; tag : int option }
 
 (* One shard: its slice of the store (own admission wrapper), its ring, and
    its metrics (merged exactly at STATS time).
@@ -178,8 +152,7 @@ type t = {
   mutable chaos_thread : Thread.t option;
   conns_m : Mutex.t;
   mutable conns : conn list;
-  mutable conn_threads : Thread.t list;
-  mutable reactors : conn Reactor.t array;  (* [||] in thread mode *)
+  mutable reactors : conn Reactor.t array;
   started_at : float;
   mutable cluster : cluster option;
   crashed : bool Atomic.t;  (* kill-node chaos fired: abrupt teardown *)
@@ -204,11 +177,9 @@ let stats_pairs t =
       ("uptime_ms", int_of_float ((Unix.gettimeofday () -. t.started_at) *. 1000.)) ]
   @ [ ("ring_pushes", Array.fold_left (fun a s -> a + Wqueue.pushes s.sh_queue) 0 t.shard_ctxs);
       ("ring_wakeups", Array.fold_left (fun a s -> a + Wqueue.wakeups s.sh_queue) 0 t.shard_ctxs) ]
-  @ (if Array.length t.reactors = 0 then []
-     else
-       [ ("reactors", Array.length t.reactors);
-         ("reactor_wakeups", Array.fold_left (fun a r -> a + Reactor.wakeups r) 0 t.reactors);
-         ("reactor_posts", Array.fold_left (fun a r -> a + Reactor.posts r) 0 t.reactors) ])
+  @ [ ("reactors", Array.length t.reactors);
+      ("reactor_wakeups", Array.fold_left (fun a r -> a + Reactor.wakeups r) 0 t.reactors);
+      ("reactor_posts", Array.fold_left (fun a r -> a + Reactor.posts r) 0 t.reactors) ]
   @ Array.to_list
       (Array.map
          (fun s -> (Printf.sprintf "ops_shard_%d" s.sh_id, Kv_store.operations s.sh_store))
@@ -237,54 +208,20 @@ let stats_pairs t =
 
 let logf t fmt = Printf.ksprintf t.cfg.log fmt
 
-(* ------------------------------- mailboxes ------------------------------ *)
-
-let mailbox () = { mb_m = Mutex.create (); mb_c = Condition.create (); mb_resp = None }
-
-let deliver mb resp =
-  Sync.with_lock mb.mb_m (fun () ->
-      mb.mb_resp <- Some resp;
-      Condition.signal mb.mb_c)
-
-let await mb =
-  Sync.with_lock mb.mb_m (fun () ->
-      while mb.mb_resp = None do
-        Condition.wait mb.mb_c mb.mb_m
-      done;
-      Option.get mb.mb_resp)
-
 (* --------------------------- response delivery -------------------------- *)
 
-(* Reactor connections: a "write" is a lock-free post into the owning
-   event loop, which batches it with everything else that arrived this
-   cycle into one coalesced syscall.  Thread connections: every socket
-   write goes through the connection's write mutex so worker flushes and
-   inline (connection-thread) replies never interleave bytes.  The write
-   itself has to happen under [c_wm] — releasing before the syscall is
-   exactly the interleaving the mutex exists to prevent — so the S3
-   blocking-under-lock finding is waived here: the lock is per connection
-   and only write paths take it. *)
-let[@srclint.allow S3] write_conn conn s =
-  match conn.c_rc with
-  | Some rc -> Reactor.post_write rc s
-  | None ->
-      if Atomic.get conn.c_alive then
-        Sync.with_lock conn.c_wm (fun () ->
-            try Netio.write_all conn.c_fd s with Unix.Unix_error _ -> ())
-
-(* Deliver one finished item.  Mailbox items wake their connection thread;
-   stream items are written directly (used for the un-coalesced paths:
-   shutdown refusals and error replies).  The write is posted *before* the
-   pending-count drop so a draining reactor connection never closes with
-   this response still outside its output buffer. *)
-let deliver_item item resp =
-  match item.reply with
-  | Sync mb -> deliver mb resp
-  | Stream (conn, id) ->
-      let b = Buffer.create 64 in
-      Protocol.encode_response_wire b conn.c_wire ~id resp;
-      write_conn conn (Buffer.contents b);
-      ignore (Atomic.fetch_and_add conn.c_pending (-1))
+(* Answer one request off the event loop: post the reply into the owning
+   reactor, which coalesces it with everything else that arrived this cycle
+   into one write.  The post comes *before* the pending-count drop so a
+   draining connection never closes with this reply still outside its
+   output buffer.  (Used for the un-coalesced paths: shutdown refusals and
+   HANDOFF replies.) *)
+let post_reply rc tag resp =
+  let conn = Reactor.user rc in
+  let b = Buffer.create 64 in
+  Protocol.encode_response_wire b conn.c_wire ~id:tag resp;
+  Reactor.post_write rc (Buffer.contents b);
+  ignore (Atomic.fetch_and_add conn.c_pending (-1))
 
 (* -------------------------------- workers ------------------------------- *)
 
@@ -295,7 +232,7 @@ let op_of_req (req : Protocol.request) : Kv_store.op option =
   | Protocol.Del key -> Some (Kv_store.Delete key)
   | Protocol.Update (key, delta) -> Some (Kv_store.Fetch_add (key, delta))
   (* SCAN is cross-shard and wait-free: always served inline by the
-     connection thread off the published snapshots, never dispatched.
+     reactor off the published snapshots, never dispatched.
      Control-plane requests (TOPO/HANDOFF/MIGIMPORT) are inline too. *)
   | Protocol.Scan _ | Protocol.Ping | Protocol.Stats | Protocol.Kill _ | Protocol.Topo
   | Protocol.Handoff _ | Protocol.Mig_import _ ->
@@ -325,8 +262,8 @@ let exec_batch sh ~lpid items =
   let store_items, stray =
     List.partition (fun it -> op_of_req it.req <> None) items
   in
-  (* Routed inline by connection threads; never reaches a worker. *)
-  List.iter (fun it -> deliver_item it (Protocol.Error "not a store operation")) stray;
+  (* Routed inline by the reactors; never reaches a worker. *)
+  List.iter (fun it -> post_reply it.rc it.tag (Protocol.Error "not a store operation")) stray;
   if store_items <> [] then begin
     let ops = List.filter_map (fun it -> op_of_req it.req) store_items in
     let t0 = Metrics.now_us () in
@@ -359,27 +296,25 @@ let exec_batch sh ~lpid items =
       answered;
     (* Group responses per connection so a pipelining client gets one
        coalesced write per (batch, connection) instead of one per request. *)
-    let flushes : (conn * Buffer.t * int ref) list ref = ref [] in
+    let flushes : (conn Reactor.conn * Buffer.t * int ref) list ref = ref [] in
     List.iter2
       (fun it resp ->
-        match it.reply with
-        | Sync mb -> deliver mb resp
-        | Stream (conn, id) -> (
-            (* Serialize straight into the connection's coalescing buffer in
-               its own wire's framing — no intermediate payload string. *)
-            match List.find_opt (fun (c, _, _) -> c == conn) !flushes with
-            | Some (_, buf, count) ->
-                Protocol.encode_response_wire buf conn.c_wire ~id resp;
-                incr count
-            | None ->
-                let buf = Buffer.create 256 in
-                Protocol.encode_response_wire buf conn.c_wire ~id resp;
-                flushes := (conn, buf, ref 1) :: !flushes))
+        (* Serialize straight into the connection's coalescing buffer in its
+           own wire's framing — no intermediate payload string. *)
+        let wire = (Reactor.user it.rc).c_wire in
+        match List.find_opt (fun (rc, _, _) -> rc == it.rc) !flushes with
+        | Some (_, buf, count) ->
+            Protocol.encode_response_wire buf wire ~id:it.tag resp;
+            incr count
+        | None ->
+            let buf = Buffer.create 256 in
+            Protocol.encode_response_wire buf wire ~id:it.tag resp;
+            flushes := (it.rc, buf, ref 1) :: !flushes)
       store_items results;
     List.iter
-      (fun (conn, buf, count) ->
-        write_conn conn (Buffer.contents buf);
-        ignore (Atomic.fetch_and_add conn.c_pending (- !count)))
+      (fun (rc, buf, count) ->
+        Reactor.post_write rc (Buffer.contents buf);
+        ignore (Atomic.fetch_and_add (Reactor.user rc).c_pending (- !count)))
       !flushes
   end;
   (* Every item of this batch is answered: the migration fence's drain
@@ -459,9 +394,7 @@ let crash t =
     (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
     let conns = Sync.with_lock t.conns_m (fun () -> t.conns) in
     List.iter
-      (fun c ->
-        Atomic.set c.c_alive false;
-        try Unix.shutdown c.c_fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
+      (fun c -> try Unix.shutdown c.c_fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
       conns
   end
 
@@ -566,19 +499,10 @@ let scan_local t ~start ~count =
    by max_frame) and keeps the destination's per-admission batches sane. *)
 let mig_chunk = 1024
 
-let parse_addr addr =
-  match String.rindex_opt addr ':' with
-  | None -> Error (Printf.sprintf "bad node address %S (want host:port)" addr)
-  | Some i -> (
-      let host = String.sub addr 0 i in
-      match int_of_string_opt (String.sub addr (i + 1) (String.length addr - i - 1)) with
-      | Some port when port > 0 && port < 65536 -> Ok (host, port)
-      | _ -> Error (Printf.sprintf "bad port in node address %S" addr))
-
 (* A tiny blocking RPC client over the binary wire — the node-to-node leg
    of a migration.  One request in flight, bounded by a socket timeout. *)
 let rpc_connect ~addr ~timeout_s =
-  match parse_addr addr with
+  match Routing.parse_addr addr with
   | Error msg -> Error msg
   | Ok (host, port) -> (
       match
@@ -634,8 +558,8 @@ let fence sh on =
       sh.sh_fenced <- on;
       if not on then Condition.broadcast sh.sh_fence_c)
 
-(* Live handoff of [shard] to the node at [addr], run on the connection
-   thread that received HANDOFF.  Order of operations is the whole proof:
+(* Live handoff of [shard] to the node at [addr], run on a helper thread
+   for a HANDOFF frame.  Order of operations is the whole proof:
 
      1. bulk-ship a [read_versioned] snapshot while the shard keeps
         serving (writes landing meanwhile will be in the delta);
@@ -763,11 +687,11 @@ let adopt t ~shard =
    anywhere near [max_frame]. *)
 let max_scan = 4096
 
-(* Inline reply from the connection thread, echoing the request id when the
-   request carried one.  Framed into [out] in the connection's own wire and
-   flushed once per drained socket read, so a pipelined window of inline
-   GETs costs one write — the connection thread's counterpart of the
-   workers' coalesced flushes. *)
+(* Inline reply from the reactor, echoing the request id when the request
+   carried one.  Framed into [out] in the connection's own wire and
+   appended once per drained socket read, so a pipelined window of inline
+   GETs costs one write — the reactor's counterpart of the workers'
+   coalesced flushes. *)
 let respond_now conn out tag resp = Protocol.encode_response_wire out conn.c_wire ~id:tag resp
 
 (* What one socket read decoded that is answered only once the whole read
@@ -806,12 +730,11 @@ let resolve_gets t conn out p =
   end
 
 (* Dispatch each shard's pending mutations, in arrival order, as one batch.
-   A refused batch is answered right here: streamed requests into [out]
-   (after the GETs decoded before them), leaving their connections' pending
-   counts — the plane appends [out] after this, so the refusals and the
-   count drops land in the same append — and a mailbox request through its
-   mailbox. *)
-let flush_pending t out p =
+   A refused batch is answered right here into [out] (after the GETs
+   decoded before it), leaving the connection's pending count — the plane
+   appends [out] after this, so the refusals and the count drops land in
+   the same append. *)
+let flush_pending t conn out p =
   Array.iteri
     (fun s newest_first ->
       if newest_first <> [] then begin
@@ -820,12 +743,9 @@ let flush_pending t out p =
         let refuse resp =
           List.iter
             (fun it ->
-              match it.reply with
-              | Stream (conn, tag) ->
-                  ignore (Atomic.fetch_and_add conn.c_pending (-1));
-                  resolve_gets t conn out p;
-                  respond_now conn out tag (resp ())
-              | Sync mb -> deliver mb (resp ()))
+              ignore (Atomic.fetch_and_add conn.c_pending (-1));
+              resolve_gets t conn out p;
+              respond_now conn out it.tag (resp ()))
             items
         in
         match dispatch_items t t.shard_ctxs.(s) items with
@@ -838,7 +758,8 @@ let flush_pending t out p =
       end)
     p.muts
 
-let handle_request t conn out pending tag (req : Protocol.request) =
+let handle_request t rc out pending tag (req : Protocol.request) =
+  let conn = Reactor.user rc in
   (* A request that is not a store operation is answered right here; the
      GETs queued before it answer first, so inline replies keep decode
      order (and STATS counts them). *)
@@ -853,7 +774,7 @@ let handle_request t conn out pending tag (req : Protocol.request) =
           Metrics.incr_errors t.conn_metrics;
           respond_now conn out tag (Protocol.Error msg))
   | Protocol.Topo -> respond_now conn out tag (topo_resp t)
-  | Protocol.Handoff (shard, addr) when conn.c_rc <> None ->
+  | Protocol.Handoff (shard, addr) ->
       (* A handoff blocks for its whole fence+drain window — far too long
          for an event loop.  Run it on a helper thread and post the reply
          back through the reactor mailbox; [c_pending] keeps the
@@ -862,34 +783,20 @@ let handle_request t conn out pending tag (req : Protocol.request) =
       ignore
         (Thread.create
            (fun () ->
-             let resp =
-               match handoff t ~shard ~addr with
+             post_reply rc tag
+               (match handoff t ~shard ~addr with
                | Ok () -> Protocol.Ok
                | Error msg ->
                    Metrics.incr_errors t.conn_metrics;
-                   Protocol.Error msg
-             in
-             let b = Buffer.create 64 in
-             Protocol.encode_response_wire b conn.c_wire ~id:tag resp;
-             write_conn conn (Buffer.contents b);
-             ignore (Atomic.fetch_and_add conn.c_pending (-1)))
+                   Protocol.Error msg))
            ())
-  | Protocol.Handoff (shard, addr) -> (
-      (* Runs right here on the connection thread — bulk transfer, fence,
-         drain, delta, flip.  Other shards (and this connection's earlier
-         pipelined requests) keep being served by their workers. *)
-      match handoff t ~shard ~addr with
-      | Ok () -> respond_now conn out tag Protocol.Ok
-      | Error msg ->
-          Metrics.incr_errors t.conn_metrics;
-          respond_now conn out tag (Protocol.Error msg))
   | Protocol.Mig_import (shard, epoch, final, changes) -> (
       match mig_import t ~shard ~epoch ~final changes with
       | Ok () -> respond_now conn out tag Protocol.Ok
       | Error msg ->
           Metrics.incr_errors t.conn_metrics;
           respond_now conn out tag (Protocol.Error msg))
-  | Protocol.Get key when t.cfg.wait_free_reads ->
+  | Protocol.Get key ->
       (* The wait-free read plane: queued, and answered with the read's
          other GETs by [resolve_gets] off the shards' published snapshots.
          Publication happens before any mutation is acknowledged, so an
@@ -908,38 +815,26 @@ let handle_request t conn out pending tag (req : Protocol.request) =
       Metrics.record t.conn_metrics Metrics.C_scan ~lat_us:(Metrics.now_us () - t0);
       Metrics.incr_inline_reads t.conn_metrics;
       respond_now conn out tag (Protocol.Range pairs)
-  | req -> (
+  | req ->
+      (* A mutation: queue it for this read's batched dispatch and keep
+         going; a worker posts the response (coalesced with its
+         batch-mates).  Untagged responses stay in order because the v1
+         contract keeps one request in flight. *)
       let shard = shard_of_key t (key_of_req req) in
-      match tag with
-      | None when conn.c_rc = None ->
-          (* v1 contract: one in flight, in order — dispatch now, behind
-             this read's earlier mutations, and wait.  A refusal is
-             delivered to the mailbox like a worker's answer. *)
-          resolve_gets t conn out pending;
-          let mb = mailbox () in
-          pending.muts.(shard) <- { req; reply = Sync mb } :: pending.muts.(shard);
-          flush_pending t out pending;
-          respond_now conn out None (await mb)
-      | _ ->
-          (* Pipelined — or untagged on a reactor, where blocking on a
-             mailbox would stall every connection of the loop: queue it
-             for this read's batched dispatch and keep going; a worker
-             writes the response (coalesced with its batch-mates).
-             Untagged responses stay in order because the v1 contract
-             keeps one request in flight. *)
-          Atomic.incr conn.c_pending;
-          pending.muts.(shard) <- { req; reply = Stream (conn, tag) } :: pending.muts.(shard))
+      Atomic.incr conn.c_pending;
+      pending.muts.(shard) <- { req; rc; tag } :: pending.muts.(shard)
 
 (* Decode and handle every complete frame of the connection's input, then
    dispatch the read's mutations and resolve its GETs; the replies answered
    on the plane land in [out].  [false] means the stream is garbage and the
    connection must close. *)
-let serve_read t conn out pending =
+let serve_read t rc out pending =
+  let conn = Reactor.user rc in
   let rec drain () =
     match Protocol.Req_decoder.next conn.c_dec with
     | Protocol.Dec_more -> true
     | Protocol.Dec_frame (tag, req) ->
-        handle_request t conn out pending tag req;
+        handle_request t rc out pending tag req;
         drain ()
     | Protocol.Dec_skip (tag, msg) ->
         (* Malformed frame with intact framing: answer ERR and keep the
@@ -959,117 +854,61 @@ let serve_read t conn out pending =
         false
   in
   let keep = drain () in
-  (* Mutations first, so the workers start on them while this thread walks
+  (* Mutations first, so the workers start on them while the loop walks
      the read's GETs. *)
-  flush_pending t out pending;
+  flush_pending t conn out pending;
   resolve_gets t conn out pending;
   keep
 
-let handle_conn t conn =
-  let dec = conn.c_dec in
-  let buf = Bytes.create 8192 in
-  let out = Buffer.create 1024 in
+(* The connection plane's handlers.  All three run on the owning reactor's
+   loop domain; the only cross-thread traffic is the mailbox they answer
+   to.  [scratch] collects every inline reply produced while draining one
+   socket read (pipelined GETs, MOVED, parse errors...) and lands in the
+   connection's output buffer as one append.  The read's mutations and
+   GETs collect in [pending]; the mutations are dispatched, one batch per
+   shard, and the GETs resolved as one batch, before that append. *)
+let reactor_handlers t =
+  let scratch = Buffer.create 4096 in
   let pending = new_pending t in
-  let flush_out () =
-    if Buffer.length out > 0 then begin
-      write_conn conn (Buffer.contents out);
-      Buffer.clear out
-    end
-  in
-  let rec serve () =
-    match Netio.read conn.c_fd buf 0 (Bytes.length buf) with
-    | 0 -> ()
-    | n ->
-        Protocol.Req_decoder.feed_bytes dec buf ~off:0 ~len:n;
+  { Reactor.on_data =
+      (fun rc bytes len ->
+        let conn = Reactor.user rc in
+        let dec = conn.c_dec in
+        Protocol.Req_decoder.feed_bytes dec bytes ~off:0 ~len;
         (* The first bytes decide the wire; workers read [c_wire] only for
            requests dispatched after this point, so the plain write is
            published by the ring's mutex. *)
         (match Protocol.Req_decoder.wire dec with
         | Some w -> conn.c_wire <- w
         | None -> ());
-        let keep = serve_read t conn out pending in
-        flush_out ();
-        if keep then serve ()
-    | exception Unix.Unix_error _ -> ()
-  in
-  (try serve () with Unix.Unix_error _ -> ());
-  (* Let dispatched pipelined responses land before tearing the socket
-     down; a wedged shard can hold them forever, so the wait is bounded. *)
-  let deadline = Unix.gettimeofday () +. 5. in
-  while Atomic.get conn.c_pending > 0 && Unix.gettimeofday () < deadline do
-    Thread.delay 0.002
-  done;
-  Atomic.set conn.c_alive false;
-  (* Grab the write mutex once so no worker is mid-write at close. *)
-  Sync.with_lock conn.c_wm (fun () -> ());
-  (try Unix.close conn.c_fd with Unix.Unix_error _ -> ());
-  Sync.with_lock t.conns_m (fun () ->
-      t.conns <- List.filter (fun c -> c != conn) t.conns)
-
-(* The reactor side of the connection plane.  All four handlers run on the
-   owning reactor's loop domain; the only cross-thread traffic is the
-   mailbox they answer to.  [scratch] collects every inline reply produced
-   while draining one socket read (pipelined GETs, MOVED, parse errors...)
-   and lands in the connection's output buffer as one append — the reactor
-   counterpart of the connection thread's flush-per-drained-read.  The
-   read's mutations and GETs collect in [pending]; the mutations are
-   dispatched, one batch per shard, and the GETs resolved as one batch,
-   before that append. *)
-let reactor_handlers t =
-  let scratch = Buffer.create 4096 in
-  let pending = new_pending t in
-  { Reactor.on_attach = (fun rc -> (Reactor.user rc).c_rc <- Some rc);
-    on_data =
-      (fun rc bytes len ->
-        let conn = Reactor.user rc in
-        let dec = conn.c_dec in
-        Protocol.Req_decoder.feed_bytes dec bytes ~off:0 ~len;
-        (match Protocol.Req_decoder.wire dec with
-        | Some w -> conn.c_wire <- w
-        | None -> ());
         Buffer.clear scratch;
-        let keep = serve_read t conn scratch pending in
+        let keep = serve_read t rc scratch pending in
         if Buffer.length scratch > 0 then Reactor.append_buffer rc scratch;
         keep);
     on_drained = (fun rc -> Atomic.get (Reactor.user rc).c_pending = 0);
     on_detach =
       (fun rc ->
         let conn = Reactor.user rc in
-        Atomic.set conn.c_alive false;
         Sync.with_lock t.conns_m (fun () ->
             t.conns <- List.filter (fun c -> c != conn) t.conns)) }
 
-let new_conn fd =
-  { c_fd = fd;
-    c_wm = Mutex.create ();
-    c_pending = Atomic.make 0;
-    c_alive = Atomic.make true;
-    c_dec = Protocol.Req_decoder.create ();
-    c_wire = Protocol.Text;
-    c_rc = None }
-
 let accept_loop t =
   let next_reactor = ref 0 in
-  let nreactors = Array.length t.reactors in
   let rec loop () =
     match Unix.accept t.listen_fd with
     | fd, _ ->
         Metrics.incr_connections t.conn_metrics;
-        let conn = new_conn fd in
-        if nreactors > 0 then begin
-          (* Register first, then hand the socket over: [crash] must be
-             able to sever this connection the instant the reactor owns
-             it.  The attach handler fills [c_rc] before the first read. *)
-          Sync.with_lock t.conns_m (fun () -> t.conns <- conn :: t.conns);
-          let r = t.reactors.(!next_reactor) in
-          next_reactor := (!next_reactor + 1) mod nreactors;
-          Reactor.add r fd conn
-        end
-        else
-          Sync.with_lock t.conns_m (fun () ->
-              t.conns <- conn :: t.conns;
-              let th = Thread.create (fun () -> handle_conn t conn) () in
-              t.conn_threads <- th :: t.conn_threads);
+        let conn =
+          { c_fd = fd;
+            c_pending = Atomic.make 0;
+            c_dec = Protocol.Req_decoder.create ();
+            c_wire = Protocol.Text }
+        in
+        (* Register first, then hand the socket over: [crash] must be able
+           to sever this connection the instant the reactor owns it. *)
+        Sync.with_lock t.conns_m (fun () -> t.conns <- conn :: t.conns);
+        Reactor.add t.reactors.(!next_reactor) fd conn;
+        next_reactor := (!next_reactor + 1) mod Array.length t.reactors;
         loop ()
     | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) -> loop ()
     | exception Unix.Unix_error _ ->
@@ -1107,6 +946,7 @@ let start cfg =
   if cfg.shards < 1 then invalid_arg "Server.start: shards must be positive";
   if cfg.k < 1 || cfg.k > cfg.workers then
     invalid_arg "Server.start: need 1 <= k <= workers (per shard)";
+  if cfg.reactors < 1 then invalid_arg "Server.start: reactors must be positive";
   (* A worker death mid-write must not kill the process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -1149,7 +989,6 @@ let start cfg =
       chaos_thread = None;
       conns_m = Mutex.create ();
       conns = [];
-      conn_threads = [];
       reactors = [||];
       started_at = Unix.gettimeofday ();
       cluster = None;
@@ -1162,20 +1001,17 @@ let start cfg =
            List.init cfg.workers (fun i ->
                let gid = (s * cfg.workers) + i in
                Domain.spawn (fun () -> worker_loop t t.shard_ctxs.(s) ~lpid:i ~gid))));
-  if cfg.reactors > 0 then begin
-    t.reactors <-
-      Array.init cfg.reactors (fun i ->
-          Reactor.create ~out_hwm:cfg.out_hwm ~slow_drain_s:cfg.slow_drain_s
-            ~log:cfg.log ~id:i (reactor_handlers t));
-    Array.iter Reactor.start t.reactors
-  end;
+  t.reactors <-
+    Array.init cfg.reactors (fun i ->
+        Reactor.create ~out_hwm:cfg.out_hwm ~slow_drain_s:cfg.slow_drain_s ~log:cfg.log ~id:i
+          (reactor_handlers t));
+  Array.iter Reactor.start t.reactors;
   t.listener <- Some (Thread.create (fun () -> accept_loop t) ());
   if cfg.chaos <> [] then t.chaos_thread <- Some (Thread.create (fun () -> chaos_loop t cfg.chaos) ());
   logf t
-    "kexd serve: listening on 127.0.0.1:%d (shards=%d workers=%d/shard k=%d %s algo in force)"
-    actual_port cfg.shards cfg.workers cfg.k
-    (if cfg.reactors > 0 then Printf.sprintf "reactors=%d" cfg.reactors
-     else "thread-per-conn");
+    "kexd serve: listening on 127.0.0.1:%d (shards=%d workers=%d/shard k=%d reactors=%d algo in \
+     force)"
+    actual_port cfg.shards cfg.workers cfg.k cfg.reactors;
   t
 
 let stop ?(drain_timeout_s = 5.) t =
@@ -1201,23 +1037,16 @@ let stop ?(drain_timeout_s = 5.) t =
     (fun s ->
       let leftovers = Wqueue.close s.sh_queue in
       ignore (Atomic.fetch_and_add s.sh_inflight (-(List.length leftovers)));
-      List.iter (fun item -> deliver_item item (Protocol.Error "server shutting down")) leftovers)
+      List.iter
+        (fun it -> post_reply it.rc it.tag (Protocol.Error "server shutting down"))
+        leftovers)
     t.shard_ctxs;
   (* 5. Join workers, then retire the connection plane.  Workers go first:
      their final flushes post into reactor mailboxes, and the reactors'
-     graceful stop (drain each connection's output, bounded) needs those
-     posts already queued.  Reactor detach handlers empty their share of
-     [t.conns]; whatever remains is thread-mode, severed so its thread
-     exits. *)
+     graceful stop (drain each connection's output, bounded, then close
+     it) needs those posts already queued. *)
   List.iter Domain.join t.worker_domains;
   Array.iter (fun r -> Reactor.stop ~grace_s:drain_timeout_s r) t.reactors;
-  let conns, conn_threads =
-    Sync.with_lock t.conns_m (fun () -> (t.conns, t.conn_threads))
-  in
-  List.iter
-    (fun c -> try Unix.shutdown c.c_fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-    conns;
-  List.iter Thread.join conn_threads;
   Option.iter Thread.join t.listener;
   Option.iter Thread.join t.chaos_thread;
   let m = all_metrics t in

@@ -7,15 +7,21 @@
     route to shards by hash, so per-shard contention stays <= [k] while
     aggregate mutator parallelism is [shards * k].
 
-    The connection plane dispatches per socket read: the mutations decoded
-    from one read enter each shard's ring as one list, under one lock and
-    with at most one worker wakeup; a second worker is woken only when the
-    first leaves a backlog.  Workers drain their shard's ring in batches
-    and enter the store through one admission per batch, amortizing the
-    wrapper; responses to pipelined
-    (id-tagged) requests bound for the same connection are flushed as one
-    coalesced write.  Untagged requests keep the v1 contract: the connection
-    thread blocks on a mailbox and answers in order.
+    Connections are owned by [reactors] {!Reactor} event-loop domains:
+    accept round-robins across them and each loop multiplexes its
+    connections with poll(2).  The plane dispatches per socket read: the
+    mutations decoded from one read enter each shard's ring as one list,
+    under one lock and with at most one worker wakeup; a second worker is
+    woken only when the first leaves a backlog.  Workers drain their
+    shard's ring in batches and enter the store through one admission per
+    batch, amortizing the wrapper, and deliver the responses bound for one
+    connection through the reactor's lock-free mailbox as one coalesced
+    write, with one deduplicated wakeup per drained batch.  Slow clients
+    are backpressured by a bounded output buffer
+    ([out_hwm]/[slow_drain_s]) instead of growing the heap.  Requests may
+    carry an id and be pipelined; an untagged (v1) request is answered in
+    order as long as the client keeps one request in flight, which is the
+    v1 contract.
 
     Up to [k-1] workers {e of one shard} may crash (chaos schedule or the
     [KILL] admin command) without a single client-visible failure — their
@@ -24,27 +30,15 @@
     that shard (and only that shard), which is exactly the paper's
     resilience boundary.
 
-    GETs take a separate, wait-free read plane by default: the connection
-    thread answers straight from the owning shard's published snapshot
-    (seqlock-versioned, refreshed before any mutation is acknowledged) —
-    no ring, no worker, no admission slot.  Reads therefore stay live even
-    on a fully wedged shard; only mutations pay the admission path.  Set
-    [wait_free_reads = false] to route GETs through admission like any
-    other op (the measurement baseline).
-
-    The connection plane has two modes.  With [reactors = 0], every
-    accepted socket gets its own systhread (the baseline path).  With
-    [reactors > 0], sockets are owned by [reactors] {!Reactor} event-loop
-    domains — accept round-robins across them, each loop multiplexes its
-    connections with poll(2), inline replies (wait-free GETs, SCAN,
-    control plane) are answered on the loop, and workers deliver
-    completions through a lock-free mailbox with one deduplicated wakeup
-    per drained batch.  Slow clients are backpressured by a bounded
-    output buffer ([out_hwm]/[slow_drain_s]) instead of growing the heap.
-    In both modes sockets are never owned by workers, so a worker death
-    cannot sever a connection.  Crashes are cooperative (OCaml domains
-    cannot be hard-killed): a killed worker parks forever holding its
-    slot and is only reaped at shutdown.
+    GETs take a separate, wait-free read plane: the reactor answers them
+    straight from the owning shard's published snapshot (seqlock-versioned,
+    refreshed before any mutation is acknowledged) — no ring, no worker, no
+    admission slot.  Reads therefore stay live even on a fully wedged
+    shard; only mutations pay the admission path.  SCAN and the control
+    plane are answered on the loop too.  Sockets are never owned by
+    workers, so a worker death cannot sever a connection.  Crashes are
+    cooperative (OCaml domains cannot be hard-killed): a killed worker
+    parks forever holding its slot and is only reaped at shutdown.
 
     {b Cluster mode} ([cluster] in the config, or {!enable_cluster}): N
     nodes form a shared-nothing cluster over the same [shards] global
@@ -64,20 +58,13 @@ type config = {
   shards : int;  (** independent admission domains; keys route by hash *)
   algo : Kex_runtime.Kex_lock.algo;
   chaos : Chaos.event list;
-  wait_free_reads : bool;
-      (** [true]: GETs are answered inline by connection threads from the
-          shard's published snapshot (wait-free, admission-free).  [false]:
-          GETs queue through the submission ring and admission wrapper like
-          mutations — the baseline for measuring the read plane. *)
   cluster : (int * string list) option;
       (** [Some (node, addrs)]: join a cluster as [addrs]'s [node]-th
           member ([addrs] are "host:port", identical on every node, with
           [shards] then the {e global} shard count).  Only usable when
           ports are fixed up front; tests on ephemeral ports use
           {!enable_cluster} after {!start} instead. *)
-  reactors : int;
-      (** Event-loop domains owning the connection plane; [0] keeps the
-          thread-per-connection baseline. *)
+  reactors : int;  (** event-loop domains owning the connections; at least 1 *)
   out_hwm : int;
       (** Reactor backpressure: unsent output bytes past which a
           connection leaves the read set until it drains. *)
@@ -88,15 +75,16 @@ type config = {
 }
 
 val default_config : config
-(** port 7070, 1 shard, 4 workers, k=2, [Fast_path], no chaos, wait-free
-    reads on, no cluster, thread-per-connection (reactors 0, 256 KiB
-    watermark, 5s slow-drain), silent. *)
+(** port 7070, 1 shard, 4 workers, k=2, [Fast_path], no chaos, no cluster,
+    2 reactors (256 KiB watermark, 5s slow-drain), silent. *)
 
 type t
 
 val start : config -> t
-(** Bind, spawn the listener and per-shard worker domains (and the chaos
-    thread if a schedule was given), and return immediately. *)
+(** Bind, spawn the listener, the reactor domains and the per-shard worker
+    domains (and the chaos thread if a schedule was given), and return
+    immediately.  Raises [Invalid_argument] on a config with [workers],
+    [shards] or [reactors] below 1, or [k] outside [1..workers]. *)
 
 val port : t -> int
 

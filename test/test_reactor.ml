@@ -88,8 +88,7 @@ let read_line_client fd buf rem =
 let run_echo_interleaving n seed =
   let rng = Random.State.make [| seed |] in
   let handlers =
-    { Reactor.on_attach = (fun _ -> ());
-      on_data =
+    { Reactor.on_data =
         (fun c bytes len ->
           let u = Reactor.user c in
           Buffer.add_subbytes u.acc bytes 0 len;
@@ -164,8 +163,10 @@ let prop_echo_interleaving =
 let test_post_after_close () =
   let captured = ref None in
   let handlers =
-    { Reactor.on_attach = (fun c -> captured := Some c);
-      on_data = (fun _ _ _ -> false);  (* hang up on first bytes *)
+    { Reactor.on_data =
+        (fun c _ _ ->
+          captured := Some c;
+          false (* hang up on first bytes *));
       on_drained = (fun _ -> true);
       on_detach = (fun _ -> ()) }
   in
@@ -186,7 +187,7 @@ let test_post_after_close () =
       | _ -> Alcotest.fail "expected the reactor to hang up"
       | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ());
       match !captured with
-      | None -> Alcotest.fail "on_attach never ran"
+      | None -> Alcotest.fail "on_data never ran"
       | Some c ->
           (* Both producer entry points must be no-ops now. *)
           Reactor.post_write c "ghost";

@@ -193,8 +193,8 @@ let test_kill_k_stalls_but_stops () =
     Thread.delay 0.02
   done;
   Alcotest.(check int) "k deaths" k (stat "deaths" t);
-  (* PING and STATS are served inline by the connection thread, so the
-     control plane outlives the stalled data plane. *)
+  (* PING and STATS are served inline by the reactor, so the control plane
+     outlives the stalled data plane. *)
   Unix.setsockopt_float c.fd Unix.SO_RCVTIMEO 0.;
   let admin = connect (Server.port t) in
   assert_resp "ping during stall" P.Pong (rpc admin P.Ping);
@@ -293,8 +293,9 @@ let test_shard_kill_isolated () =
               | r -> Alcotest.failf "wedged shard answered %s" (P.print_response r))
           | r -> Alcotest.failf "wedged shard answered %s" (P.print_response r));
           (* Shard 1 never notices: a fresh connection serves its key with
-             exact counts.  (Fresh because c's conn thread is parked on the
-             stalled shard-0 request.) *)
+             exact counts.  (Fresh because c still owes the stalled shard-0
+             reply, and an untagged reply arriving late would answer the
+             wrong request.) *)
           let admin = connect (Server.port t) in
           Fun.protect ~finally:(fun () -> close admin) (fun () ->
               for _ = 1 to 20 do
@@ -307,8 +308,8 @@ let test_shard_kill_isolated () =
 
 (* The headline of the wait-free read plane, on the wire: kill ALL k workers
    so every admission slot is wedged and mutations time out — yet GETs keep
-   answering, exactly, because the connection thread serves them from the
-   shard's published snapshot without entering admission. *)
+   answering, exactly, because the reactor serves them from the shard's
+   published snapshot without entering admission. *)
 let test_get_survives_wedged_shard () =
   let workers = 2 and k = 2 in
   with_server { quiet with workers; k } (fun t ->
@@ -335,7 +336,7 @@ let test_get_survives_wedged_shard () =
         Thread.delay 0.02
       done;
       Alcotest.(check int) "all k workers dead" k (stat "deaths" t);
-      (* Fresh connection (c's thread is parked on the stalled update): GETs
+      (* Fresh connection (c still owes the stalled update's reply): GETs
          must answer, with the exact acknowledged values, 50 times in a row. *)
       let reader = connect (Server.port t) in
       Fun.protect ~finally:(fun () -> close reader) (fun () ->
@@ -356,17 +357,6 @@ let test_get_survives_wedged_shard () =
           | exception Timeout -> ()
           | r -> Alcotest.failf "wedged SET answered %s" (P.print_response r));
       close c)
-
-(* The measurement baseline: with wait_free_reads off, GETs go through the
-   admission wrapper like any mutation and the inline counter stays zero. *)
-let test_admission_reads_baseline () =
-  with_server { quiet with workers = 1; k = 1; wait_free_reads = false } (fun t ->
-      let c = connect (Server.port t) in
-      Fun.protect ~finally:(fun () -> close c) (fun () ->
-          assert_resp "set" P.Ok (rpc c (P.Set ("a", "1")));
-          assert_resp "get through admission" (P.Value (Some "1")) (rpc c (P.Get "a"));
-          assert_resp "get missing" (P.Value None) (rpc c (P.Get "z"));
-          Alcotest.(check int) "no inline reads" 0 (stat "inline_reads" t)))
 
 (* Enqueue-time latency accounting (not send-time): with a window of 16 a
    request spends time queued behind its window-mates, so its measured p50
@@ -630,11 +620,10 @@ let test_preload () =
 
 (* ----------------------------- reactor plane ---------------------------- *)
 
-(* The same wire contract over the reactor connection plane: CRUD, errors,
-   and the untagged v1 exchange all behave identically to the
-   thread-per-connection baseline. *)
+(* The wire contract over the reactor connection plane: CRUD, errors, the
+   untagged v1 exchange, and the reactor counters in STATS. *)
 let test_reactor_crud () =
-  with_server { quiet with workers = 2; k = 1; reactors = 2 } (fun t ->
+  with_server { quiet with workers = 2; k = 1 } (fun t ->
       let c = connect (Server.port t) in
       Fun.protect ~finally:(fun () -> close c) (fun () ->
           assert_resp "ping" P.Pong (rpc c P.Ping);
@@ -658,7 +647,7 @@ let test_reactor_crud () =
           | r -> Alcotest.failf "STATS answered %s" (P.print_response r)))
 
 let test_reactor_pipelined_window () =
-  with_server { quiet with workers = 2; k = 2; shards = 2; reactors = 2 } (fun t ->
+  with_server { quiet with workers = 2; k = 2; shards = 2 } (fun t ->
       let c = connect (Server.port t) in
       Fun.protect ~finally:(fun () -> close c) (fun () ->
           let w = 32 in
@@ -683,7 +672,7 @@ let test_reactor_pipelined_window () =
           done;
           assert_resp "untagged after pipelined" P.Pong (rpc c P.Ping)))
 
-(* The wedged-shard availability headline must survive the plane swap: all k
+(* The wedged-shard availability headline on a single reactor: all k
    workers dead, mutations time out, and reactor-inline GETs keep answering
    the exact acknowledged values. *)
 let test_reactor_get_survives_wedged_shard () =
@@ -709,9 +698,9 @@ let test_reactor_get_survives_wedged_shard () =
             Thread.delay 0.02
           done;
           Alcotest.(check int) "all k workers dead" k (stat "deaths" t);
-          (* Unlike the thread plane, the same connection stays usable: the
-             reactor loop never blocked on the wedged update (it was
-             dispatched, not awaited), so GETs answer right here. *)
+          (* The reactor loop never blocked on the wedged update (it was
+             dispatched, not awaited), so the loop's other connections keep
+             being answered. *)
           let reader = connect (Server.port t) in
           Fun.protect ~finally:(fun () -> close reader) (fun () ->
               for i = 1 to 50 do
@@ -786,7 +775,7 @@ let test_reactor_chaos_kill_c128 () =
   let chaos =
     [ { Kex_service.Chaos.at_s = 0.4; action = Kex_service.Chaos.Kill_worker; target = None } ]
   in
-  with_server { quiet with workers = 2; k = 2; shards = 2; reactors = 2; chaos } (fun t ->
+  with_server { quiet with workers = 2; k = 2; shards = 2; chaos } (fun t ->
       let cfg =
         { Kex_service.Loadgen.default_config with
           port = Server.port t;
@@ -820,7 +809,7 @@ let send_updates c ~n key =
    one wakeup, so a worker sweeps them in a few full batches instead of the
    read being split across every worker of the shard. *)
 let test_reactor_read_is_one_dispatch () =
-  with_server { quiet with workers = 4; k = 2; reactors = 2 } (fun t ->
+  with_server { quiet with workers = 4; k = 2 } (fun t ->
       let c = connect (Server.port t) in
       Fun.protect ~finally:(fun () -> close c) (fun () ->
           Unix.setsockopt_float c.fd Unix.SO_RCVTIMEO 5.0;
@@ -845,7 +834,7 @@ let test_reactor_read_is_one_dispatch () =
    count: the connection still closes at once when the client hangs up,
    instead of waiting out the reactor's drain grace. *)
 let test_reactor_refused_read_closes_clean () =
-  with_server { quiet with workers = 2; k = 1; shards = 2; reactors = 2 } (fun t ->
+  with_server { quiet with workers = 2; k = 1; shards = 2 } (fun t ->
       let self = Printf.sprintf "127.0.0.1:%d" (Server.port t) in
       Server.enable_cluster t ~node:0 ~addrs:[ self; "127.0.0.1:1" ];
       let rec key_in_shard i =
@@ -891,7 +880,7 @@ let stat_delta t names f =
    key's own value, and the read-plane counters move by exactly the GETs
    and batches sent. *)
 let test_reactor_get_batch_mixed () =
-  with_server { quiet with workers = 2; k = 2; reactors = 2 } (fun t ->
+  with_server { quiet with workers = 2; k = 2 } (fun t ->
       let c = bconnect (Server.port t) in
       Fun.protect ~finally:(fun () -> bclose c) (fun () ->
           let value i = if i mod 4 = 3 then None else Some (Printf.sprintf "value-%d" i) in
@@ -942,8 +931,8 @@ let test_reactor_get_batch_mixed () =
             [ ("served_get", 64); ("inline_reads", 64); ("read_batches", 3) ]
             deltas))
 
-(* Untagged text on the thread plane: inline replies keep decode order
-   even though the GETs are answered as a batch. *)
+(* Untagged text: inline replies keep decode order even though the GETs
+   are answered as a batch. *)
 let test_untagged_gets_keep_order () =
   with_server { quiet with workers = 1; k = 1 } (fun t ->
       let c = connect (Server.port t) in
@@ -988,8 +977,33 @@ let test_get_batch_across_shards () =
               | s, r -> Alcotest.failf "%s (shard %d) answered %s" key s (P.print_response r))
             keys (ask keys)))
 
+(* Bad configs are refused with Invalid_argument before anything starts:
+   no socket is bound and no domain spawned. *)
+let test_bad_configs_rejected () =
+  let refused what f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun reactors ->
+      refused
+        (Printf.sprintf "Server.start reactors = %d" reactors)
+        (fun () -> ignore (Server.start { quiet with reactors })))
+    [ 0; -1 ];
+  let lg = { Kex_service.Loadgen.default_config with port = 1; duration_s = 0.1 } in
+  List.iter
+    (fun (what, cfg) ->
+      refused ("Loadgen.run " ^ what) (fun () -> ignore (Kex_service.Loadgen.run cfg)))
+    [ ("connections = 0", { lg with connections = 0 });
+      ("conns_per_client = 0", { lg with conns_per_client = 0 });
+      ("pipeline = 0", { lg with pipeline = 0 });
+      ("keys = 0", { lg with keys = 0 }) ]
+
 let suite =
   [ Helpers.tc "CRUD over a socket" test_crud_over_socket;
+    Helpers.tc "bad server and loadgen configs raise Invalid_argument"
+      test_bad_configs_rejected;
     Helpers.tc "garbage stream dropped" test_garbage_stream_dropped;
     Helpers.tc "pipelined window, out-of-order by id" test_pipelined_window;
     Helpers.tc_slow "kill k-1 workers: zero client-visible failures"
@@ -998,8 +1012,6 @@ let suite =
     Helpers.tc_slow "shard kill isolation: wedged shard, live neighbours"
       test_shard_kill_isolated;
     Helpers.tc_slow "GETs survive a fully wedged shard" test_get_survives_wedged_shard;
-    Helpers.tc "admission-reads baseline serves GETs via workers"
-      test_admission_reads_baseline;
     Helpers.tc_slow "pipelined latency stamped at enqueue" test_pipelined_latency_honest;
     Helpers.tc "binary wire e2e: CRUD, SCAN, skip and break" test_binary_wire_e2e;
     Helpers.tc "oversized frames rejected on both wires" test_oversized_frame_rejected;
