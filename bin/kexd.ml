@@ -6,7 +6,6 @@
      kexd verify --figure fig2 --n 3 --crashes 2
      kexd serve  --port 7070 --workers 4 --k 2 --chaos kill-worker@5s
      kexd loadgen --port 7070 --connections 4 --duration 5 --mix get=80,set=20
-     kexd bench-report BENCH_serve.json
 
    See DESIGN.md for the experiment catalogue these commands back. *)
 
@@ -558,542 +557,6 @@ let loadgen_cmd =
       $ timeout_arg $ pipeline_arg $ conns_per_client_arg $ phase_marks_arg $ json_arg
       $ cluster_arg $ expect_dead_arg $ fail_on_errors_arg $ quiet_arg)
 
-(* ------------------------------ serve-sweep ------------------------------- *)
-
-let serve_sweep_cmd =
-  let doc = "measure a shards x pipeline throughput/latency matrix (in-process server per cell)" in
-  let man =
-    [ `S Manpage.s_description;
-      `P
-        "For every (S, W) in $(b,--shards-list) x $(b,--pipeline-list), starts an in-process \
-         kexd server with S shards (each with $(b,--workers) domains and admission bound \
-         $(b,--k)), kills $(b,--kills) workers (default k-1, concentrated in shard 0) halfway \
-         through, drives it with the load generator at pipeline depth W, and records \
-         throughput and latency percentiles.  Every cell therefore doubles as a resilience \
-         assertion: with kills <= k-1 the expected error count is zero.  Then it runs the wire \
-         quad: one server at the (max S, max W) cell preloaded with $(b,--wire-keys) keys, \
-         driven with YCSB-B (get=95,set=5) over text-v1 vs binary-v2 framing, uniform vs \
-         Zipfian keys — no kills, so any error fails the gate.  Writes the kexclusion-serve/v6 \
-         record with the matrix under $(b,sweep), the wire quad under $(b,wire) and the (max \
-         S, max W) matrix cell as the headline $(b,totals)." ]
-  in
-  let shards_list_arg =
-    Arg.(value & opt (list int) [ 1; 2; 4 ] & info [ "shards-list" ] ~doc:"shard counts to sweep")
-  in
-  let pipeline_list_arg =
-    Arg.(
-      value & opt (list int) [ 1; 4; 16 ] & info [ "pipeline-list" ] ~doc:"pipeline depths to sweep")
-  in
-  let workers_arg =
-    Arg.(value & opt int 2 & info [ "workers"; "w" ] ~doc:"worker domains per shard")
-  in
-  let k_arg =
-    Arg.(value & opt int 2 & info [ "k"; "degree" ] ~doc:"per-shard admission bound (k <= workers)")
-  in
-  let algo_arg =
-    Arg.(
-      value
-      & opt runtime_algo_conv Kex_runtime.Kex_lock.Fast_path
-      & info [ "algo" ] ~doc:"naive | inductive | tree | fastpath | graceful | dsm-fastpath")
-  in
-  let conns_arg = Arg.(value & opt int 4 & info [ "connections"; "c" ] ~doc:"client domains") in
-  let duration_arg =
-    Arg.(value & opt float 2. & info [ "duration" ] ~docv:"S" ~doc:"seconds of load per cell")
-  in
-  let keys_arg = Arg.(value & opt int 64 & info [ "keys" ] ~doc:"keyspace size") in
-  let value_size_arg = Arg.(value & opt int 16 & info [ "value-size" ] ~doc:"SET payload bytes") in
-  let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"PRNG seed") in
-  let kills_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "kills" ] ~doc:"workers killed mid-cell (default k-1; 0 disables chaos)")
-  in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE" ~doc:"write the kexclusion-serve/v6 sweep record")
-  in
-  let wire_keys_arg =
-    Arg.(
-      value
-      & opt int 1_000_000
-      & info [ "wire-keys" ]
-          ~doc:"preloaded keyspace for the text-vs-binary wire quad (0 skips the quad)")
-  in
-  let fail_on_errors_arg =
-    Arg.(
-      value & flag
-      & info [ "fail-on-errors" ]
-          ~doc:"exit 1 if any cell saw a failed request (CI resilience assertion)")
-  in
-  let run shards_list pipeline_list workers k algo connections duration keys value_size seed
-      kills wire_keys json fail_on_errors quiet =
-    let kills = Option.value kills ~default:(max 0 (k - 1)) in
-    let mix = [ ("get", 70); ("set", 20); ("update", 10) ] in
-    let start_server ~shards chaos =
-      Kex_service.Server.start
-        { Kex_service.Server.default_config with port = 0; workers; k; shards; algo; chaos }
-    in
-    let run_cell ~shards ~pipeline =
-      (* Untargeted kills pick the lowest-index live worker, i.e. they pile
-         into shard 0 — the per-shard resilience experiment. *)
-      let kill_at = duration /. 2. in
-      let chaos =
-        List.init kills (fun i ->
-            { Kex_service.Chaos.at_s = kill_at +. (0.05 *. float_of_int i);
-              action = Kex_service.Chaos.Kill_worker; target = None })
-      in
-      let server = start_server ~shards chaos in
-      let cfg =
-        { Kex_service.Loadgen.default_config with
-          port = Kex_service.Server.port server;
-          connections;
-          duration_s = duration;
-          mix;
-          keys;
-          value_size;
-          seed;
-          timeout_s = 5.;
-          pipeline;
-          phase_marks = (if kills > 0 then [ kill_at ] else []) }
-      in
-      let summary = Kex_service.Loadgen.run cfg in
-      Kex_service.Server.stop server;
-      summary
-    in
-    if not quiet then
-      Format.printf "%-7s %-9s %9s %7s %12s %9s %9s@." "shards" "pipeline" "requests" "errors"
-        "req/s" "p50_us" "p99_us";
-    let cells =
-      Stdlib.List.concat_map
-        (fun shards ->
-          Stdlib.List.map
-            (fun pipeline ->
-              let s = run_cell ~shards ~pipeline in
-              if not quiet then
-                Format.printf "%-7d %-9d %9d %7d %12.0f %9d %9d@." shards pipeline
-                  s.Kex_service.Loadgen.requests s.Kex_service.Loadgen.errors
-                  s.Kex_service.Loadgen.throughput_rps s.Kex_service.Loadgen.p50_us
-                  s.Kex_service.Loadgen.p99_us;
-              (shards, pipeline, s))
-            pipeline_list)
-        shards_list
-    in
-    let headline =
-      (* The (max S, max W) cell is the configuration the sweep argues for. *)
-      Stdlib.List.fold_left
-        (fun acc (s, w, sum) ->
-          match acc with
-          | Some (s', w', _) when (s', w') >= (s, w) -> acc
-          | _ -> Some (s, w, sum))
-        None cells
-    in
-    let rp_shards, rp_pipeline =
-      match headline with Some (s, w, _) -> (s, w) | None -> (1, 1)
-    in
-    (* The wire quad: the same (max S, max W) cell under YCSB-B (get=95,set=5)
-       against one server preloaded with [wire_keys] bindings, crossing
-       text-v1 vs binary-v2 framing with uniform vs Zipfian key choice.  No
-       kills — the quad prices the codec, not the resilience, so every error
-       here fails the gate.  One shared server keeps the million-key preload
-       out of the per-cell cost and means all four cells read the same
-       store. *)
-    let wire_mix = [ ("get", 95); ("set", 5) ] in
-    let wire_cells =
-      if wire_keys <= 0 then []
-      else begin
-        let server = start_server ~shards:rp_shards [] in
-        let value = String.make (max 1 value_size) 'v' in
-        Kex_service.Server.preload server
-          (Seq.init wire_keys (fun i -> (Kex_service.Keydist.key_of_index i, value)));
-        let cells =
-          Stdlib.List.map
-            (fun (wire, dist) ->
-              let cfg =
-                { Kex_service.Loadgen.default_config with
-                  port = Kex_service.Server.port server;
-                  connections;
-                  duration_s = duration;
-                  mix = wire_mix;
-                  keys = wire_keys;
-                  dist;
-                  value_size;
-                  seed;
-                  timeout_s = 5.;
-                  pipeline = rp_pipeline;
-                  wire }
-              in
-              let s = Kex_service.Loadgen.run cfg in
-              if not quiet then
-                Format.printf
-                  "wire=%-6s dist=%-8s (S=%d W=%d keys=%d) %9d req %7d err %12.0f req/s  p99 \
-                   %6d us@."
-                  (Kex_service.Protocol.wire_name wire)
-                  (Kex_service.Keydist.dist_name dist)
-                  rp_shards rp_pipeline wire_keys s.Kex_service.Loadgen.requests
-                  s.Kex_service.Loadgen.errors s.Kex_service.Loadgen.throughput_rps
-                  s.Kex_service.Loadgen.p99_us;
-              (wire, dist, s))
-            [ (Kex_service.Protocol.Text, Kex_service.Keydist.Uniform);
-              (Kex_service.Protocol.Text, Kex_service.Keydist.Zipfian);
-              (Kex_service.Protocol.Binary, Kex_service.Keydist.Uniform);
-              (Kex_service.Protocol.Binary, Kex_service.Keydist.Zipfian) ]
-        in
-        Kex_service.Server.stop server;
-        cells
-      end
-    in
-    (match (json, headline) with
-    | Some file, Some (hs, hw, hsum) ->
-        let open Kex_service.Json in
-        let cell_json (shards, pipeline, (s : Kex_service.Loadgen.summary)) =
-          Obj
-            [ ("shards", Int shards);
-              ("pipeline", Int pipeline);
-              ("kills", Int kills);
-              ("requests", Int s.requests);
-              ("errors", Int s.errors);
-              ("throughput_rps", Float s.throughput_rps);
-              ("p50_us", Int s.p50_us);
-              ("p99_us", Int s.p99_us);
-              ("max_us", Int s.max_us) ]
-        in
-        let wire_cell_json (wire, dist, (s : Kex_service.Loadgen.summary)) =
-          Obj
-            [ ("wire", String (Kex_service.Protocol.wire_name wire));
-              ("dist", String (Kex_service.Keydist.dist_name dist));
-              ("shards", Int rp_shards);
-              ("pipeline", Int rp_pipeline);
-              ("keys", Int wire_keys);
-              ("mix", String (Kex_service.Loadgen.mix_to_string wire_mix));
-              ("kills", Int 0);
-              ("requests", Int s.requests);
-              ("errors", Int s.errors);
-              ("throughput_rps", Float s.throughput_rps);
-              ("p50_us", Int s.p50_us);
-              ("p99_us", Int s.p99_us) ]
-        in
-        let doc =
-          Obj
-            [ ("schema", String "kexclusion-serve/v6");
-              ("git_rev", String (Kex_service.Provenance.git_rev ()));
-              ("hostname", String (Kex_service.Provenance.hostname ()));
-              ("ocaml", String Sys.ocaml_version);
-              ( "config",
-                Obj
-                  [ ("workers", Int workers);
-                    ("k", Int k);
-                    ("shards", Int hs);
-                    ("pipeline", Int hw);
-                    ("connections", Int connections);
-                    ("duration_s", Float duration);
-                    ("mix", String (Kex_service.Loadgen.mix_to_string mix));
-                    ("keys", Int keys);
-                    ("value_size", Int value_size);
-                    ("seed", Int seed);
-                    ("kills", Int kills);
-                    ("wire_keys", Int wire_keys) ] );
-              ("totals", Kex_service.Loadgen.summary_json hsum);
-              ("sweep", List (Stdlib.List.map cell_json cells));
-              ("wire", List (Stdlib.List.map wire_cell_json wire_cells)) ]
-        in
-        let oc = open_out file in
-        output_string oc (to_string ~indent:2 doc);
-        output_char oc '\n';
-        close_out oc
-    | _ -> ());
-    let all_summaries =
-      Stdlib.List.map (fun (_, _, s) -> s) cells @ Stdlib.List.map (fun (_, _, s) -> s) wire_cells
-    in
-    let total_errors =
-      Stdlib.List.fold_left (fun acc s -> acc + s.Kex_service.Loadgen.errors) 0 all_summaries
-    in
-    let no_successes =
-      Stdlib.List.exists
-        (fun s -> s.Kex_service.Loadgen.requests <= s.Kex_service.Loadgen.errors)
-        all_summaries
-    in
-    if no_successes then begin
-      Format.eprintf "kexd serve-sweep: a cell had no successful request@.";
-      1
-    end
-    else if fail_on_errors && total_errors > 0 then begin
-      Format.eprintf "kexd serve-sweep: %d failed requests across the matrix@." total_errors;
-      1
-    end
-    else 0
-  in
-  Cmd.v (Cmd.info "serve-sweep" ~doc ~man)
-    Term.(
-      const run $ shards_list_arg $ pipeline_list_arg $ workers_arg $ k_arg $ algo_arg
-      $ conns_arg $ duration_arg $ keys_arg $ value_size_arg $ seed_arg $ kills_arg
-      $ wire_keys_arg $ json_arg $ fail_on_errors_arg $ quiet_arg)
-
-(* ----------------------------- cluster-sweep ------------------------------ *)
-
-let cluster_sweep_cmd =
-  let doc = "measure the multi-node cluster: node-count scaling, live migration, node kill" in
-  let man =
-    [ `S Manpage.s_description;
-      `P
-        "For every N in $(b,--nodes-list), stands up an in-process shared-nothing cluster of \
-         N kexd nodes over $(b,--shards) global shards (shard s starts on node s mod N, \
-         epoch 1) and drives it with the cluster-aware load generator — clients bootstrap \
-         the routing table with TOPO, route keys to shard owners and follow MOVED \
-         redirects — at pipeline depth $(b,--pipeline) over the binary wire.  Then two \
-         2-node resilience cells: $(b,migration), where shard 0 is handed off live between \
-         nodes halfway through (bulk snapshot, fence + drain, delta + epoch bump) and zero \
-         client-visible errors asserts that no acknowledged write was lost; and $(b,kill), \
-         where one node is crashed abruptly mid-run (kill-node chaos) and its shards are \
-         reassigned to the survivor shortly after — errors on the dead node are expected \
-         and separately counted, while a single error on a surviving shard fails \
-         $(b,--fail-on-errors).  Writes the kexclusion-serve/v5 record with the scaling \
-         cells under $(b,cluster), the resilience cells under $(b,migration)/$(b,kill) and \
-         the max-N scaling cell as the headline $(b,totals)." ]
-  in
-  let nodes_list_arg =
-    Arg.(value & opt (list int) [ 1; 2; 4 ] & info [ "nodes-list" ] ~doc:"cluster sizes to sweep")
-  in
-  let workers_arg =
-    Arg.(value & opt int 2 & info [ "workers"; "w" ] ~doc:"worker domains per shard per node")
-  in
-  let k_arg =
-    Arg.(value & opt int 2 & info [ "k"; "degree" ] ~doc:"per-shard admission bound (k <= workers)")
-  in
-  let shards_arg =
-    Arg.(value & opt int 4 & info [ "shards"; "s" ] ~doc:"global shard count (spread over nodes)")
-  in
-  let pipeline_arg =
-    Arg.(value & opt int 16 & info [ "pipeline" ] ~docv:"W" ~doc:"requests in flight per client")
-  in
-  let conns_arg = Arg.(value & opt int 4 & info [ "connections"; "c" ] ~doc:"client domains") in
-  let duration_arg =
-    Arg.(value & opt float 2. & info [ "duration" ] ~docv:"S" ~doc:"seconds of load per cell")
-  in
-  let keys_arg = Arg.(value & opt int 64 & info [ "keys" ] ~doc:"keyspace size") in
-  let value_size_arg = Arg.(value & opt int 16 & info [ "value-size" ] ~doc:"SET payload bytes") in
-  let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"PRNG seed") in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE" ~doc:"write the kexclusion-serve/v5 sweep record")
-  in
-  let fail_on_errors_arg =
-    Arg.(
-      value & flag
-      & info [ "fail-on-errors" ]
-          ~doc:"exit 1 if any surviving-shard cell saw a failed request (CI resilience \
-                assertion); the kill cell's dead-node errors are expected and exempt")
-  in
-  let run nodes_list workers k shards pipeline connections duration keys value_size seed json
-      fail_on_errors quiet =
-    let mix = [ ("get", 70); ("set", 20); ("update", 10) ] in
-    (* An in-process N-node cluster on ephemeral ports: start every node
-       cluster-less, read the ports back, then hand every node the shared
-       address list — the same deterministic bootstrap real deployments
-       compute from a fixed --cluster flag. *)
-    let start_cluster ?(chaos = fun _ -> []) n =
-      let servers =
-        List.init n (fun i ->
-            Kex_service.Server.start
-              { Kex_service.Server.default_config with
-                port = 0; workers; k; shards; chaos = chaos i })
-      in
-      let addrs =
-        List.map (fun s -> Printf.sprintf "127.0.0.1:%d" (Kex_service.Server.port s)) servers
-      in
-      List.iteri (fun i s -> Kex_service.Server.enable_cluster s ~node:i ~addrs) servers;
-      (servers, addrs)
-    in
-    let lg_cfg ~addrs ~expect_dead ~marks =
-      { Kex_service.Loadgen.default_config with
-        connections;
-        duration_s = duration;
-        mix;
-        keys;
-        value_size;
-        seed;
-        timeout_s = 5.;
-        pipeline;
-        wire = Kex_service.Protocol.Binary;
-        phase_marks = marks;
-        cluster = addrs;
-        expect_dead }
-    in
-    let print_cell label (s : Kex_service.Loadgen.summary) =
-      if not quiet then
-        Format.printf
-          "%-12s (S=%d W=%d) %9d req %6d err (%d expected) %6d redirects %12.0f req/s  p99 %6d \
-           us@."
-          label shards pipeline s.Kex_service.Loadgen.requests s.Kex_service.Loadgen.errors
-          s.Kex_service.Loadgen.expected_errors s.Kex_service.Loadgen.redirects
-          s.Kex_service.Loadgen.throughput_rps s.Kex_service.Loadgen.p99_us
-    in
-    (* Node-count scaling cells. *)
-    let cells =
-      Stdlib.List.map
-        (fun n ->
-          let servers, addrs = start_cluster n in
-          let s = Kex_service.Loadgen.run (lg_cfg ~addrs ~expect_dead:[] ~marks:[]) in
-          Stdlib.List.iter Kex_service.Server.stop servers;
-          print_cell (Printf.sprintf "nodes=%d" n) s;
-          (n, s))
-        nodes_list
-    in
-    (* Migration under load: shard 0 moves from node 0 to node 1 halfway
-       through.  Zero client-visible errors here is the zero-lost-acks
-       assertion: every write acknowledged before the fence is in the bulk
-       or delta shipment, none is acknowledged during it, and blocked
-       clients wake to a MOVED naming the new owner. *)
-    let migration_cell =
-      let servers, addrs = start_cluster 2 in
-      let src = Stdlib.List.nth servers 0 and dst_addr = Stdlib.List.nth addrs 1 in
-      let mig_result = ref (Error "migration thread never ran") in
-      let mig_thread =
-        Thread.create
-          (fun () ->
-            Thread.delay (duration /. 2.);
-            mig_result := Kex_service.Server.handoff src ~shard:0 ~addr:dst_addr)
-          ()
-      in
-      let s = Kex_service.Loadgen.run (lg_cfg ~addrs ~expect_dead:[] ~marks:[ duration /. 2. ]) in
-      Thread.join mig_thread;
-      Stdlib.List.iter Kex_service.Server.stop servers;
-      print_cell "migration" s;
-      (match !mig_result with
-      | Ok () -> ()
-      | Error msg -> Format.eprintf "kexd cluster-sweep: migration failed: %s@." msg);
-      (s, !mig_result)
-    in
-    (* Node kill + failover: node 1 crashes abruptly mid-run (kill-node
-       chaos); its shards fail fast at clients — expected errors — until
-       the survivor adopts them at a successor epoch and routing converges
-       back to full coverage.  Surviving shards must not see one error. *)
-    let kill_cell =
-      let kill_at = duration /. 2. and adopt_at = duration *. 0.65 in
-      let chaos i =
-        if i = 1 then
-          [ { Kex_service.Chaos.at_s = kill_at; action = Kex_service.Chaos.Kill_node;
-              target = None } ]
-        else []
-      in
-      let servers, addrs = start_cluster ~chaos 2 in
-      let survivor = Stdlib.List.nth servers 0 and dead_addr = Stdlib.List.nth addrs 1 in
-      let adopt_thread =
-        Thread.create
-          (fun () ->
-            Thread.delay adopt_at;
-            for shard = 0 to shards - 1 do
-              if shard mod 2 = 1 then
-                match Kex_service.Server.adopt survivor ~shard with
-                | Ok () -> ()
-                | Error msg ->
-                    Format.eprintf "kexd cluster-sweep: adopt shard %d: %s@." shard msg
-            done)
-          ()
-      in
-      let s =
-        Kex_service.Loadgen.run
-          (lg_cfg ~addrs ~expect_dead:[ dead_addr ] ~marks:[ kill_at; adopt_at ])
-      in
-      Thread.join adopt_thread;
-      Stdlib.List.iter Kex_service.Server.stop servers;
-      print_cell "kill-node" s;
-      (s, dead_addr)
-    in
-    let headline =
-      Stdlib.List.fold_left
-        (fun acc (n, s) -> match acc with Some (n', _) when n' >= n -> acc | _ -> Some (n, s))
-        None cells
-    in
-    (match (json, headline) with
-    | Some file, Some (hn, hsum) ->
-        let open Kex_service.Json in
-        let base (s : Kex_service.Loadgen.summary) =
-          [ ("shards", Int shards);
-            ("pipeline", Int pipeline);
-            ("requests", Int s.requests);
-            ("errors", Int s.errors);
-            ("expected_errors", Int s.expected_errors);
-            ("redirects", Int s.redirects);
-            ("throughput_rps", Float s.throughput_rps);
-            ("p50_us", Int s.p50_us);
-            ("p99_us", Int s.p99_us) ]
-        in
-        let mig_sum, mig_result = migration_cell in
-        let kill_sum, dead_addr = kill_cell in
-        let doc =
-          Obj
-            [ ("schema", String "kexclusion-serve/v5");
-              ("git_rev", String (Kex_service.Provenance.git_rev ()));
-              ("hostname", String (Kex_service.Provenance.hostname ()));
-              ("ocaml", String Sys.ocaml_version);
-              ( "config",
-                Obj
-                  [ ("workers", Int workers);
-                    ("k", Int k);
-                    ("shards", Int shards);
-                    ("pipeline", Int pipeline);
-                    ("nodes", Int hn);
-                    ("connections", Int connections);
-                    ("duration_s", Float duration);
-                    ("mix", String (Kex_service.Loadgen.mix_to_string mix));
-                    ("keys", Int keys);
-                    ("value_size", Int value_size);
-                    ("seed", Int seed) ] );
-              ("totals", Kex_service.Loadgen.summary_json hsum);
-              ( "cluster",
-                List
-                  (Stdlib.List.map
-                     (fun (n, s) -> Obj (("nodes", Int n) :: base s))
-                     cells) );
-              ( "migration",
-                Obj
-                  (("nodes", Int 2) :: ("shard", Int 0)
-                  :: ("ok", Int (match mig_result with Ok () -> 1 | Error _ -> 0))
-                  :: base mig_sum) );
-              ( "kill",
-                Obj (("nodes", Int 2) :: ("dead", String dead_addr) :: base kill_sum) ) ]
-        in
-        let oc = open_out file in
-        output_string oc (to_string ~indent:2 doc);
-        output_char oc '\n';
-        close_out oc
-    | _ -> ());
-    let mig_sum, mig_result = migration_cell in
-    let kill_sum, _ = kill_cell in
-    let all_summaries = Stdlib.List.map snd cells @ [ mig_sum; kill_sum ] in
-    let no_successes =
-      Stdlib.List.exists
-        (fun (s : Kex_service.Loadgen.summary) -> s.requests <= s.errors)
-        all_summaries
-    in
-    let unexpected =
-      Stdlib.List.fold_left
-        (fun acc (s : Kex_service.Loadgen.summary) -> acc + s.errors - s.expected_errors)
-        0 all_summaries
-    in
-    if no_successes then begin
-      Format.eprintf "kexd cluster-sweep: a cell had no successful request@.";
-      1
-    end
-    else if mig_result <> Ok () then 1
-    else if fail_on_errors && unexpected > 0 then begin
-      Format.eprintf "kexd cluster-sweep: %d unexpected failed requests across the cells@."
-        unexpected;
-      1
-    end
-    else 0
-  in
-  Cmd.v (Cmd.info "cluster-sweep" ~doc ~man)
-    Term.(
-      const run $ nodes_list_arg $ workers_arg $ k_arg $ shards_arg $ pipeline_arg $ conns_arg
-      $ duration_arg $ keys_arg $ value_size_arg $ seed_arg $ json_arg $ fail_on_errors_arg
-      $ quiet_arg)
-
 (* -------------------------------- lint ----------------------------------- *)
 
 let lint_cmd =
@@ -1385,219 +848,6 @@ let srclint_cmd =
       const run $ root_arg $ file_opt_arg $ json_arg $ require_clean_arg $ mutant_arg
       $ mutants_arg $ verbose_arg)
 
-(* ----------------------------- bench-report ------------------------------- *)
-
-let bench_report_cmd =
-  let doc = "summarize a BENCH_*.json run record (bench v1/v2, serve v1-v6, sweep schemas)" in
-  let file_arg = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
-  let require_zero_errors_arg =
-    Arg.(value & flag & info [ "require-zero-errors" ] ~doc:"exit 1 unless the record has 0 errors")
-  in
-  let compare_arg =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "compare" ] ~docv:"BASELINE"
-          ~doc:"serve-schema baseline record; exit 1 if FILE's headline throughput regresses \
-                more than the tolerance below the baseline's")
-  in
-  let tolerance_arg =
-    Arg.(
-      value & opt float 0.2
-      & info [ "tolerance" ] ~doc:"allowed fractional throughput regression for --compare")
-  in
-  let load_json file =
-    let ic = open_in_bin file in
-    let len = in_channel_length ic in
-    let raw = really_input_string ic len in
-    close_in ic;
-    Kex_service.Json.parse raw
-  in
-  let is_serve_schema schema =
-    String.length schema >= 16 && String.sub schema 0 16 = "kexclusion-serve"
-  in
-  let serve_throughput doc =
-    let open Kex_service.Json in
-    match member_str "schema" doc with
-    | Some schema when is_serve_schema schema ->
-        Option.bind (member "totals" doc) (member_number "throughput_rps")
-    | _ -> None
-  in
-  let run file require_zero_errors compare tolerance =
-    let open Kex_service.Json in
-    match load_json file with
-    | Error msg ->
-        Format.eprintf "%s: not valid JSON: %s@." file msg;
-        2
-    | Ok doc ->
-        let str k = Option.value (member_str k doc) ~default:"-" in
-        let schema = str "schema" in
-        Format.printf "file     : %s@." file;
-        Format.printf "schema   : %s@." schema;
-        (* v1 records lack provenance; the reader stays tolerant. *)
-        Format.printf "git_rev  : %s@." (str "git_rev");
-        Format.printf "hostname : %s@." (str "hostname");
-        Format.printf "ocaml    : %s@." (str "ocaml");
-        let errors =
-          if is_serve_schema schema then begin
-            let totals = Option.value (member "totals" doc) ~default:(Obj []) in
-            let num k = Option.value (member_number k totals) ~default:0. in
-            let lat = Option.value (member "latency_us" totals) ~default:(Obj []) in
-            let lat_i k = Option.value (member_int k lat) ~default:0 in
-            Format.printf "requests : %.0f (%.0f req/s)@." (num "requests")
-              (num "throughput_rps");
-            Format.printf "latency  : p50 %d us, p99 %d us, max %d us@." (lat_i "p50")
-              (lat_i "p99") (lat_i "max");
-            let errors = int_of_float (num "errors") in
-            Format.printf "errors   : %d@." errors;
-            List.iter
-              (fun ph ->
-                Format.printf "  phase %-10s %6d req %5d err  p50 %6d  p99 %6d us@."
-                  (Option.value (member_str "label" ph) ~default:"?")
-                  (Option.value (member_int "requests" ph) ~default:0)
-                  (Option.value (member_int "errors" ph) ~default:0)
-                  (Option.value (member_int "p50_us" ph) ~default:0)
-                  (Option.value (member_int "p99_us" ph) ~default:0))
-              (member_list "phases" doc);
-            (* v2 sweep matrix; absent from v1 records and plain runs. *)
-            List.iter
-              (fun cell ->
-                Format.printf "  cell S=%d W=%d  %8d req %5d err  %9.0f req/s  p50 %6d  p99 %6d us@."
-                  (Option.value (member_int "shards" cell) ~default:0)
-                  (Option.value (member_int "pipeline" cell) ~default:0)
-                  (Option.value (member_int "requests" cell) ~default:0)
-                  (Option.value (member_int "errors" cell) ~default:0)
-                  (Option.value (member_number "throughput_rps" cell) ~default:0.)
-                  (Option.value (member_int "p50_us" cell) ~default:0)
-                  (Option.value (member_int "p99_us" cell) ~default:0))
-              (member_list "sweep" doc);
-            (* v3 read-plane pair; absent from v1/v2 records. *)
-            List.iter
-              (fun cell ->
-                Format.printf
-                  "  reads %-10s S=%d W=%d  %8d req %5d err  %9.0f req/s  get %9.0f/s  p99 %6d us@."
-                  (Option.value (member_str "reads" cell) ~default:"?")
-                  (Option.value (member_int "shards" cell) ~default:0)
-                  (Option.value (member_int "pipeline" cell) ~default:0)
-                  (Option.value (member_int "requests" cell) ~default:0)
-                  (Option.value (member_int "errors" cell) ~default:0)
-                  (Option.value (member_number "throughput_rps" cell) ~default:0.)
-                  (Option.value (member_number "get_rps" cell) ~default:0.)
-                  (Option.value (member_int "p99_us" cell) ~default:0))
-              (member_list "read_path" doc);
-            (* v4 wire quad (text vs binary x uniform vs zipfian); absent
-               from v1-v3 records. *)
-            List.iter
-              (fun cell ->
-                Format.printf
-                  "  wire %-6s %-8s keys=%-8d  %8d req %5d err  %9.0f req/s  p50 %6d  p99 %6d \
-                   us@."
-                  (Option.value (member_str "wire" cell) ~default:"?")
-                  (Option.value (member_str "dist" cell) ~default:"?")
-                  (Option.value (member_int "keys" cell) ~default:0)
-                  (Option.value (member_int "requests" cell) ~default:0)
-                  (Option.value (member_int "errors" cell) ~default:0)
-                  (Option.value (member_number "throughput_rps" cell) ~default:0.)
-                  (Option.value (member_int "p50_us" cell) ~default:0)
-                  (Option.value (member_int "p99_us" cell) ~default:0))
-              (member_list "wire" doc);
-            (* v5 cluster cells (node-count scaling + migration + kill);
-               absent from v1-v4 records. *)
-            let pp_cluster_cell label cell =
-              Format.printf
-                "  %-11s S=%d W=%d  %8d req %5d err (%d expected) %5d redirects  %9.0f req/s  \
-                 p99 %6d us@."
-                label
-                (Option.value (member_int "shards" cell) ~default:0)
-                (Option.value (member_int "pipeline" cell) ~default:0)
-                (Option.value (member_int "requests" cell) ~default:0)
-                (Option.value (member_int "errors" cell) ~default:0)
-                (Option.value (member_int "expected_errors" cell) ~default:0)
-                (Option.value (member_int "redirects" cell) ~default:0)
-                (Option.value (member_number "throughput_rps" cell) ~default:0.)
-                (Option.value (member_int "p99_us" cell) ~default:0)
-            in
-            List.iter
-              (fun cell ->
-                pp_cluster_cell
-                  (Printf.sprintf "nodes=%d" (Option.value (member_int "nodes" cell) ~default:0))
-                  cell)
-              (member_list "cluster" doc);
-            Option.iter
-              (fun cell ->
-                pp_cluster_cell
-                  (if Option.value (member_int "ok" cell) ~default:0 = 1 then "migration"
-                   else "migration!?")
-                  cell)
-              (member "migration" doc);
-            Option.iter (fun cell -> pp_cluster_cell "kill-node" cell) (member "kill" doc);
-            (* v6 connection-scaling quad (thread plane vs reactor plane at
-               rising connection counts); absent from v1-v5 records. *)
-            List.iter
-              (fun cell ->
-                Format.printf
-                  "  conns=%-4d %-8s R=%d  %8d req %5d err  %9.0f req/s  p50 %6d  p99 %6d us@."
-                  (Option.value (member_int "conns" cell) ~default:0)
-                  (Option.value (member_str "plane" cell) ~default:"?")
-                  (Option.value (member_int "reactors" cell) ~default:0)
-                  (Option.value (member_int "requests" cell) ~default:0)
-                  (Option.value (member_int "errors" cell) ~default:0)
-                  (Option.value (member_number "throughput_rps" cell) ~default:0.)
-                  (Option.value (member_int "p50_us" cell) ~default:0)
-                  (Option.value (member_int "p99_us" cell) ~default:0))
-              (member_list "conn_scale" doc);
-            errors
-          end
-          else begin
-            (match member "total" doc with
-            | Some total ->
-                Format.printf "total    : %.3f s wall, %d steps (%.0f steps/s)@."
-                  (Option.value (member_number "wall_s" total) ~default:0.)
-                  (Option.value (member_int "steps" total) ~default:0)
-                  (Option.value (member_number "steps_per_sec" total) ~default:0.)
-            | None -> ());
-            Format.printf "entries  : %d experiments, %d points@."
-              (Stdlib.List.length (member_list "experiments" doc))
-              (Stdlib.List.length (member_list "points" doc));
-            0
-          end
-        in
-        let compared =
-          match compare with
-          | None -> 0
-          | Some baseline -> (
-              match load_json baseline with
-              | Error msg ->
-                  Format.eprintf "%s: not valid JSON: %s@." baseline msg;
-                  2
-              | Ok base -> (
-                  match (serve_throughput doc, serve_throughput base) with
-                  | Some now, Some before ->
-                      let floor = before *. (1. -. tolerance) in
-                      Format.printf "compare  : %.0f req/s vs baseline %.0f (floor %.0f)@." now
-                        before floor;
-                      if now < floor then begin
-                        Format.eprintf
-                          "%s: throughput %.0f req/s regressed >%.0f%% below baseline %.0f@."
-                          file now (tolerance *. 100.) before;
-                        1
-                      end
-                      else 0
-                  | _ ->
-                      Format.eprintf "--compare needs serve-schema records with totals on both \
-                                      sides@.";
-                      2))
-        in
-        if compared <> 0 then compared
-        else if require_zero_errors && errors > 0 then begin
-          Format.eprintf "%s: %d errors (required zero)@." file errors;
-          1
-        end
-        else 0
-  in
-  Cmd.v (Cmd.info "bench-report" ~doc)
-    Term.(const run $ file_arg $ require_zero_errors_arg $ compare_arg $ tolerance_arg)
-
 (* -------------------------------- main ----------------------------------- *)
 
 let () =
@@ -1610,4 +860,4 @@ let () =
     (Cmd.eval'
        (Cmd.group info
           [ run_cmd; sweep_cmd; verify_cmd; hunt_cmd; lint_cmd; srclint_cmd; serve_cmd;
-            loadgen_cmd; serve_sweep_cmd; cluster_sweep_cmd; bench_report_cmd ]))
+            loadgen_cmd ]))

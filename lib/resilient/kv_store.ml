@@ -93,8 +93,8 @@ let fetch_add t ~pid ~key delta =
 let perform_batch t ~pid ops = Resilient.perform_batch t ~pid ops
 
 (* Bulk import for shard migration: apply (key, value option) changes in
-   order, <= 512 linearized ops per admission entry (same batching as the
-   service's preload).  [Some v] sets, [None] deletes. *)
+   order, <= 512 linearized ops per admission entry.  [Some v] sets, [None]
+   deletes. *)
 let apply_changes t ~pid changes =
   let to_op (key, v) = match v with Some v -> Set (key, v) | None -> Delete key in
   let rec go = function

@@ -70,10 +70,10 @@ val perform_batch : t -> pid:int -> op list -> result list
 
 val apply_changes : t -> pid:int -> (string * string option) list -> unit
 (** Bulk import for shard migration: apply changes in order ([Some v] =
-    set, [None] = delete), batched <= 512 ops per admission entry.  Like
-    [Server.preload], borrowing [pid] is only safe while no other traffic
-    uses it — migration destinations satisfy this because an unowned shard
-    receives no client mutations. *)
+    set, [None] = delete), batched <= 512 ops per admission entry.
+    Borrowing [pid] is only safe while no other traffic uses it — migration
+    destinations satisfy this because an unowned shard receives no client
+    mutations. *)
 
 val size : t -> int
 (** Keys in the committed state; O(1), the count is kept by every write. *)

@@ -1,7 +1,8 @@
-(** A minimal JSON tree, printer and parser — just enough for the service's
-    machine-readable records ([BENCH_serve.json], sweep output) and the
-    [kexd bench-report] reader.  Self-contained so the repo needs no JSON
-    dependency; integers round-trip exactly (they carry the measurements). *)
+(** A minimal JSON tree, printer and parser — just enough for the repo's
+    machine-readable records (kexd's [--json] outputs, kexbench's records)
+    and kexbench's [BENCHMARK.json] reader.  Self-contained so the repo
+    needs no JSON dependency; integers round-trip exactly (they carry the
+    measurements). *)
 
 type t =
   | Null

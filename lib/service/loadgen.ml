@@ -5,13 +5,16 @@
    repo's own histogram machinery (Kex_sim.Stats.Hist).  Requests that
    time out or hit a dropped connection count as errors and the client
    reconnects — so a stalled server (k workers killed) shows up as errors
-   and collapsed throughput rather than a hung tool.
+   and collapsed throughput rather than a hung tool.  A dead node's
+   requests fail fast at a bounded rate (at most [pipeline] per connection
+   per poll round while any node answers) and never throttle the traffic
+   to live nodes.
 
    Each client domain runs one poll(2) loop over [conns_per_client] = N
    connections, each keeping a window of [pipeline] = W id-tagged requests
    in flight and matching responses by id (they may return out of order);
    W = 1 is a window of one.  N is the connection-scaling knob: C total
-   connections cost only C/N domains, so a sweep can push C to 256 without
+   connections cost only C/N domains, so one run can push C to 256 without
    256 domains.  Latency is stamped at *enqueue* — the moment the request
    joins the window, before any socket write — so queueing delay inside
    the window is charged to the request, not hidden.  Keys route through a
@@ -255,12 +258,17 @@ let pick_op cfg g =
    A socket that closes, desyncs, or has requests in flight and no bytes
    for [timeout_s] fails every request in flight there, and that node's
    reconnect backoff window opens.  Requests routed to a node inside its
-   window fail fast instead of re-attempting the refused connect, and the
-   loop paces itself, so a dead node yields a bounded error rate.  Errors
-   are attributed to the node they were routed to; errors on nodes listed
-   in [expect_dead] are also counted as expected — the kill-node
-   experiment's way of asserting "dead shards may time out, but surviving
-   shards must not fail". *)
+   window fail fast instead of re-attempting the refused connect.  Fast
+   failures take no window space, so traffic to live nodes keeps its full
+   window, and the error rate stays bounded: each round charges a slot at
+   most [pipeline] fast failures, a round with requests in flight waits
+   for a response (at most 20 ms), and a round that leaves nothing in
+   flight sleeps 50 ms.  While any node answers, a dead node thus costs at
+   most [pipeline] errors per slot per round; when none does, per slot per
+   50 ms.  Errors are attributed to the node they were routed to; errors
+   on nodes listed in [expect_dead] are also counted as expected — the
+   kill-node experiment's way of asserting "dead shards may time out, but
+   surviving shards must not fail". *)
 
 module Routing = Kex_cluster.Routing
 
@@ -438,10 +446,7 @@ let client_loop cfg ~t0 ~conn_id samples cs =
     l.l_slot.s_inflight <- l.l_slot.s_inflight + 1;
     Protocol.encode_request_wire l.l_out cfg.wire ~id:(Some id) e.e_req
   in
-  (* Ops that fail fast against a backoff window (or with no topology at
-     all) this round: they hold a window slot for the round, so a dead node
-     errors at a bounded rate. *)
-  let fast_fails = ref 0 in
+  (* Set when a dispatch finds no topology at all: the round stops filling. *)
   let stalled = ref false in
   (* Route [e] to its shard's owner; [false] = failed fast. *)
   let dispatch sl e =
@@ -497,19 +502,22 @@ let client_loop cfg ~t0 ~conn_id samples cs =
       e_rmw = op.g_rmw;
       e_redirects = 0 }
   in
-  (* Top the slot's window up, re-routes and write legs first; [fresh]
-     false only re-dispatches what is already owed. *)
+  (* Top the slot's window up to [pipeline] requests sent, re-routes and
+     write legs first; [fresh] false only re-dispatches what is already
+     owed.  Fast failures do not hold window space, so a dead node cannot
+     starve a live one's traffic, but a slot is charged at most [pipeline]
+     of them per round. *)
   let fill ~fresh sl =
     let failed = ref 0 in
     while
-      sl.s_inflight + !failed < cfg.pipeline
+      sl.s_inflight < cfg.pipeline
+      && !failed < cfg.pipeline
       && (not !stalled)
       && (fresh || not (Queue.is_empty sl.s_pending))
     do
       let e = match Queue.take_opt sl.s_pending with Some e -> e | None -> fresh_entry () in
       if not (dispatch sl e) then incr failed
-    done;
-    fast_fails := !fast_fails + !failed
+    done
   in
   let flush_writes () =
     List.iter
@@ -604,15 +612,16 @@ let client_loop cfg ~t0 ~conn_id samples cs =
   done;
   while Unix.gettimeofday () < deadline do
     stalled := false;
-    fast_fails := 0;
     Array.iter (fill ~fresh:true) slots;
     flush_writes ();
+    (* Decided before [read_phase] drains the window: with anything in
+       flight, waiting on its responses paces the round.  A round that
+       leaves nothing in flight (every send failed fast, or there is no
+       topology) sleeps instead, so outage errors accrue at most [pipeline]
+       per slot per 50 ms, like the timeouts they stand for. *)
+    let idle = !stalled || in_flight () = 0 in
     read_phase ~timeout:0.02;
-    (* Nothing useful in flight and this round only produced fast failures
-       (or there is no topology at all): pace the loop so outage errors
-       accrue at a bounded rate, like the timeouts they stand for.  With
-       live traffic in flight, [read_phase] is pacing enough. *)
-    if !stalled || (!fast_fails > 0 && in_flight () = 0) then Thread.delay 0.05
+    if idle then Thread.delay 0.05
   done;
   (* Deadline: give responses already on the wire (and the re-routes and
      write legs they owe) one timeout to land, then charge whatever never
@@ -791,19 +800,6 @@ let bucket_json b =
       ("p99_us", Json.Int b.p99_us);
       ("max_us", Json.Int b.max_us) ]
 
-let summary_json s =
-  Json.Obj
-    [ ("requests", Json.Int s.requests);
-      ("errors", Json.Int s.errors);
-      ("expected_errors", Json.Int s.expected_errors);
-      ("redirects", Json.Int s.redirects);
-      ("wall_s", Json.Float s.wall_s);
-      ("throughput_rps", Json.Float s.throughput_rps);
-      ( "latency_us",
-        Json.Obj
-          [ ("p50", Json.Int s.p50_us); ("p99", Json.Int s.p99_us);
-            ("max", Json.Int s.max_us) ] ) ]
-
 let to_json cfg s =
   Json.Obj
     [ ("schema", Json.String "kexclusion-serve/v6");
@@ -828,7 +824,18 @@ let to_json cfg s =
             ("conns_per_client", Json.Int cfg.conns_per_client);
             ("cluster", Json.List (List.map (fun a -> Json.String a) cfg.cluster));
             ("expect_dead", Json.List (List.map (fun a -> Json.String a) cfg.expect_dead)) ] );
-      ("totals", summary_json s);
+      ( "totals",
+        Json.Obj
+          [ ("requests", Json.Int s.requests);
+            ("errors", Json.Int s.errors);
+            ("expected_errors", Json.Int s.expected_errors);
+            ("redirects", Json.Int s.redirects);
+            ("wall_s", Json.Float s.wall_s);
+            ("throughput_rps", Json.Float s.throughput_rps);
+            ( "latency_us",
+              Json.Obj
+                [ ("p50", Json.Int s.p50_us); ("p99", Json.Int s.p99_us);
+                  ("max", Json.Int s.max_us) ] ) ] );
       ("phases", Json.List (List.map bucket_json s.phases));
       ("ops", Json.List (List.map bucket_json s.ops));
       ( "node_errors",

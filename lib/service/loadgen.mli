@@ -12,7 +12,9 @@
     A request that times out or loses its connection counts as an error and
     the client reconnects (with exponential backoff, 50 ms doubling to a
     2 s cap; requests routed to a node inside its backoff window fail fast,
-    so a dead server yields a bounded error rate); against a stalled server
+    at most [pipeline] per connection per poll round while any node
+    answers and per 50 ms when none does, without throttling the traffic
+    to live nodes); against a stalled server
     (k workers killed) the tool therefore terminates with collapsed
     throughput instead of hanging.  Errors are attributed per node
     ([node_errors]).  Aggregation runs on fixed-layout histograms
@@ -99,19 +101,11 @@ val run : config -> summary
 (** Raises [Invalid_argument] before any domain starts if [connections],
     [conns_per_client], [pipeline] or [keys] is below 1. *)
 
-val summary_json : summary -> Json.t
-(** The [totals] object alone — reused by the sweep record. *)
-
-val to_json : config -> summary -> Json.t
-(** Schema [kexclusion-serve/v6], provenance-stamped (git_rev, hostname).
-    v5 over v4: totals carry [redirects]/[expected_errors], the config
-    block records [cluster]/[expect_dead], a [node_errors] section
-    attributes errors per node, and sweep records may carry [cluster]/
-    [migration]/[kill] sections (the multi-node cells).  v6 over v5: the
-    config block records [conns_per_client], and sweep records may carry a
-    [conn_scale] section (thread-vs-reactor connection-scaling cells,
-    recorded while both connection planes existed).
-    [bench-report] reads any [kexclusion-serve/*] prefix. *)
-
 val emit_json : file:string -> config -> summary -> unit
+(** Write the run record: schema [kexclusion-serve/v6], provenance-stamped
+    (git_rev, hostname), with the [config] block, the [totals] object
+    (requests, errors, expected_errors, redirects, wall_s, throughput_rps,
+    latency_us), per-[phases] and per-[ops] buckets, and [node_errors]
+    attributing errors per node. *)
+
 val pp_summary : Format.formatter -> summary -> unit

@@ -644,7 +644,7 @@ let handoff t ~shard ~addr =
    shard, and on the final chunk take ownership at the sender's epoch.
    Borrowing the shard's pid 0 is safe exactly because the shard is unowned:
    no client mutation is dispatched to it, and its workers idle on an empty
-   ring (same argument as [preload]). *)
+   ring without touching admission. *)
 let mig_import t ~shard ~epoch ~final changes =
   match t.cluster with
   | None -> Error "not in cluster mode"
@@ -1053,33 +1053,6 @@ let stop ?(drain_timeout_s = 5.) t =
   logf t "kexd serve: stopped (%d ops served, %d worker deaths)"
     (List.fold_left (fun acc x -> acc + Metrics.served x) 0 m)
     (List.fold_left (fun acc x -> acc + Metrics.deaths x) 0 m)
-
-(* Bulk-load bindings before opening traffic, batched per shard through one
-   admission per <= 512 ops so preloading a million-key key space takes
-   seconds, not minutes.  Uses each shard's pid 0, which is safe only while
-   no requests are in flight (idle workers block on their rings without
-   touching admission) — i.e. right after [start], before clients arrive. *)
-let preload t seq =
-  let nshards = Sharded.shard_count t.store in
-  let bufs = Array.make nshards [] in
-  let counts = Array.make nshards 0 in
-  let flush i =
-    if counts.(i) > 0 then begin
-      ignore (Kv_store.perform_batch (Sharded.shard t.store i) ~pid:0 (List.rev bufs.(i)));
-      bufs.(i) <- [];
-      counts.(i) <- 0
-    end
-  in
-  Seq.iter
-    (fun (key, v) ->
-      let i = Sharded.shard_of_key t.store key in
-      bufs.(i) <- Kv_store.Set (key, v) :: bufs.(i);
-      counts.(i) <- counts.(i) + 1;
-      if counts.(i) >= 512 then flush i)
-    seq;
-  for i = 0 to nshards - 1 do
-    flush i
-  done
 
 let run ?duration_s cfg =
   let t = start cfg in

@@ -127,13 +127,6 @@ val stats_pairs : t -> (string * int) list
 (** The [STATS] reply: metrics counters (merged exactly across shards) plus
     store/admission state and per-shard op counts. *)
 
-val preload : t -> (string * string) Seq.t -> unit
-(** Bulk-load bindings {e before} opening traffic to clients, batched
-    through one admission per <= 512 ops per shard.  Only safe while no
-    requests are in flight (it borrows each shard's pid 0): call it right
-    after {!start}.  Benchmarks use it to stand up million-key key spaces
-    in seconds. *)
-
 val stop : ?drain_timeout_s:float -> t -> unit
 (** Graceful shutdown: stop accepting, drain in-flight requests (bounded
     wait), reap crashed workers so their slots release, refuse undispatched

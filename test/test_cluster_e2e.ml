@@ -1,7 +1,7 @@
-(* End-to-end cluster tests: two real kexd nodes (in-process, ephemeral
-   ports) forming a shared-nothing cluster.  What must hold on the wire:
-   MOVED/TOPO routing, live shard migration under load with zero lost
-   acks (the exact-counter check), and kill-node failover — surviving
+(* End-to-end cluster tests: two (or four) real kexd nodes (in-process,
+   ephemeral ports) forming a shared-nothing cluster.  What must hold on
+   the wire: MOVED/TOPO routing, live shard migration under load with zero
+   lost acks (the exact-counter check), and kill-node failover — surviving
    shards answer with zero errors, dead shards fail until reassigned. *)
 
 module Server = Kex_service.Server
@@ -298,10 +298,11 @@ let cluster_load addrs ~expect_dead =
     cluster = Array.to_list addrs;
     expect_dead }
 
-(* Loadgen against a live migration: shard 0 moves from node 0 to node 1
-   mid-load.  The client follows the MOVED redirects and no request fails. *)
-let test_loadgen_follows_migration () =
-  with_cluster ~cfg:{ quiet with shards = 4; workers = 2; k = 2 } 2 (fun servers addrs ->
+(* Loadgen against a live migration on an [nodes]-node cluster: shard 0
+   moves from node 0 to node 1 mid-load.  The client follows the MOVED
+   redirects and no request fails. *)
+let test_loadgen_follows_migration nodes () =
+  with_cluster ~cfg:{ quiet with shards = 4; workers = 2; k = 2 } nodes (fun servers addrs ->
       let result = ref (Error "handoff never ran") in
       let mover =
         Thread.create
@@ -317,24 +318,46 @@ let test_loadgen_follows_migration () =
       Alcotest.(check bool) "made progress" true (s.Loadgen.requests > 0);
       Alcotest.(check bool) "followed a redirect" true (s.Loadgen.redirects >= 1))
 
-(* Loadgen against a node crash: node 1 dies mid-load.  Every error is
-   attributed to node 1 and counted as expected; node 0 sees none. *)
+(* Loadgen against a node crash and its failover: node 1 dies at 0.6 s and
+   node 0 adopts node 1's shards (1 and 3) at 1.0 s.  Every error is
+   attributed to node 1 and counted as expected; node 0 sees none.  The dead
+   node must not throttle the live one: between the crash and the adopt,
+   successes per second stay at least a tenth of the pre-crash rate. *)
 let test_loadgen_attributes_dead_node () =
   with_cluster ~cfg:{ quiet with shards = 4; workers = 2; k = 2 } 2 (fun servers addrs ->
+      let adopts = ref [] in
       let killer =
         Thread.create
           (fun () ->
             Thread.delay 0.6;
-            Server.crash servers.(1))
+            Server.crash servers.(1);
+            Thread.delay 0.4;
+            adopts := List.map (fun shard -> (shard, Server.adopt servers.(0) ~shard)) [ 1; 3 ])
           ()
       in
-      let s = Loadgen.run (cluster_load addrs ~expect_dead:[ addrs.(1) ]) in
+      let s =
+        Loadgen.run
+          { (cluster_load addrs ~expect_dead:[ addrs.(1) ]) with phase_marks = [ 0.6; 1.0 ] }
+      in
       Thread.join killer;
+      Alcotest.(check (list int)) "both adopts ran" [ 1; 3 ] (List.map fst !adopts);
+      List.iter
+        (fun (shard, r) ->
+          match r with Ok () -> () | Error msg -> Alcotest.failf "adopt shard %d: %s" shard msg)
+        !adopts;
       Alcotest.(check bool) "the crash cost requests" true (s.Loadgen.errors > 0);
       Alcotest.(check int) "every error expected" s.Loadgen.errors s.Loadgen.expected_errors;
       Alcotest.(check (list string)) "only node 1 erred" [ addrs.(1) ]
         (List.map fst s.Loadgen.node_errors);
-      Alcotest.(check bool) "node 0 kept serving" true (s.Loadgen.requests > s.Loadgen.errors))
+      Alcotest.(check bool) "node 0 kept serving" true (s.Loadgen.requests > s.Loadgen.errors);
+      let ok_rate (b : Loadgen.bucket) = float_of_int (b.requests - b.errors) /. b.window_s in
+      match s.Loadgen.phases with
+      | [ before; outage; _ ] ->
+          if ok_rate outage < ok_rate before /. 10. then
+            Alcotest.failf
+              "dead node throttled the live one: %.0f ok/s after the crash, %.0f before"
+              (ok_rate outage) (ok_rate before)
+      | ph -> Alcotest.failf "expected 3 phases, got %d" (List.length ph))
 
 let suite =
   [ Helpers.tc "cluster: TOPO, MOVED, STATS topology" test_topo_and_moved;
@@ -343,7 +366,9 @@ let suite =
     Helpers.tc_slow "cluster: kill-node failover via adopt" test_kill_node_failover;
     Helpers.tc "cluster: HANDOFF frame moves a shard, ERR keeps the connection"
       test_handoff_frame;
-    Helpers.tc_slow "cluster: loadgen follows a live migration, zero errors"
-      test_loadgen_follows_migration;
-    Helpers.tc_slow "cluster: loadgen pins a node crash on the dead node"
+    Helpers.tc_slow "cluster: loadgen follows a live migration, 2 nodes, zero errors"
+      (test_loadgen_follows_migration 2);
+    Helpers.tc_slow "cluster: loadgen follows a live migration, 4 nodes, zero errors"
+      (test_loadgen_follows_migration 4);
+    Helpers.tc_slow "cluster: loadgen pins a node crash on the dead node, then adopt"
       test_loadgen_attributes_dead_node ]

@@ -600,23 +600,47 @@ let test_loadgen_binary_ycsb () =
           | None -> Alcotest.failf "no %s bucket" kind)
         [ "get"; "set"; "rmw"; "scan" ])
 
-(* Server.preload: bulk bindings are visible to GET and SCAN on both wires. *)
-let test_preload () =
+(* [kexd loadgen --json]'s run record: schema v6, and the [totals] fields
+   CI's floor (.github/serve-floor.jq) reads carry the summary exactly. *)
+let test_loadgen_run_record () =
   with_server { quiet with workers = 2; k = 2; shards = 2 } (fun t ->
-      let n = 5_000 in
-      Server.preload t
-        (Seq.init n (fun i -> (Kex_service.Keydist.key_of_index i, string_of_int i)));
-      let c = connect (Server.port t) in
-      Fun.protect ~finally:(fun () -> close c) (fun () ->
-          assert_resp "preloaded get" (P.Value (Some "4321"))
-            (rpc c (P.Get (Kex_service.Keydist.key_of_index 4321)));
-          match rpc c (P.Scan (Kex_service.Keydist.key_of_index 100, 3)) with
-          | P.Range kvs ->
-              Alcotest.(check (list (pair string string)))
-                "preloaded scan"
-                (List.init 3 (fun i -> (Kex_service.Keydist.key_of_index (100 + i), string_of_int (100 + i))))
-                kvs
-          | r -> Alcotest.failf "preloaded SCAN answered %s" (P.print_response r)))
+      let module L = Kex_service.Loadgen in
+      let module J = Kex_service.Json in
+      let cfg =
+        { L.default_config with
+          port = Server.port t;
+          connections = 1;
+          duration_s = 0.3;
+          keys = 100;
+          pipeline = 4;
+          phase_marks = [ 0.15 ];
+          seed = 7 }
+      in
+      let s = L.run cfg in
+      let file = Filename.temp_file "kexd-loadgen" ".json" in
+      Fun.protect ~finally:(fun () -> Sys.remove file) (fun () ->
+          L.emit_json ~file cfg s;
+          let text = In_channel.with_open_bin file In_channel.input_all in
+          let doc =
+            match J.parse text with Ok d -> d | Error e -> Alcotest.failf "record: %s" e
+          in
+          Alcotest.(check (option string)) "schema" (Some "kexclusion-serve/v6")
+            (J.member_str "schema" doc);
+          let totals =
+            match J.member "totals" doc with Some o -> o | None -> Alcotest.fail "no totals"
+          in
+          let int name = J.member_int name totals in
+          Alcotest.(check (option int)) "requests" (Some s.L.requests) (int "requests");
+          Alcotest.(check (option int)) "errors" (Some s.L.errors) (int "errors");
+          Alcotest.(check (option int)) "expected_errors" (Some s.L.expected_errors)
+            (int "expected_errors");
+          Alcotest.(check (option (float 1e-9))) "wall_s" (Some s.L.wall_s)
+            (J.member_number "wall_s" totals);
+          Alcotest.(check bool) "made progress" true (s.L.requests > s.L.errors);
+          Alcotest.(check int) "one bucket per phase" (List.length s.L.phases)
+            (List.length (J.member_list "phases" doc));
+          Alcotest.(check (option int)) "config conns_per_client" (Some cfg.L.conns_per_client)
+            (Option.bind (J.member "config" doc) (J.member_int "conns_per_client"))))
 
 (* ----------------------------- reactor plane ---------------------------- *)
 
@@ -1017,7 +1041,7 @@ let suite =
     Helpers.tc "oversized frames rejected on both wires" test_oversized_frame_rejected;
     Helpers.tc_slow "SCAN survives a fully wedged shard" test_scan_survives_wedged_shard;
     Helpers.tc_slow "loadgen YCSB mix on the binary wire" test_loadgen_binary_ycsb;
-    Helpers.tc "preload feeds GET and SCAN" test_preload;
+    Helpers.tc "loadgen --json run record carries the floor's totals" test_loadgen_run_record;
     Helpers.tc "reactor: CRUD and stats over the event loop" test_reactor_crud;
     Helpers.tc "reactor: pipelined window, out-of-order by id" test_reactor_pipelined_window;
     Helpers.tc "reactor: one read of 64 mutations is one dispatch" test_reactor_read_is_one_dispatch;
