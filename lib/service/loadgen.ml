@@ -131,52 +131,12 @@ let samples_push s ~t_off_ms ~lat_us ~kind ~ok =
 
 exception Req_failed of string
 
-let connect_to cfg ~host ~port =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  match
-    (try
-       Unix.setsockopt_float fd Unix.SO_RCVTIMEO cfg.timeout_s;
-       Unix.setsockopt fd Unix.TCP_NODELAY true
-     with Unix.Unix_error _ -> ());
-    let addr = Unix.ADDR_INET (Unix.inet_addr_of_string host, port) in
-    Unix.connect fd addr
-  with
-  | () -> fd
-  | exception e ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      raise e
-
 (* Reconnect backoff: a refused connect (server down) fails instantly, so
    without a pause a dead server turns the client into a busy loop of
    errors.  The delay starts at 50 ms and doubles to a 2 s cap; any
    successful connect resets it. *)
 let backoff_init = 0.05
 let backoff_cap = 2.0
-
-(* Send one framed request and block for its framed response — the TOPO
-   bootstrap's exchange. *)
-let roundtrip cfg fd (dec : Protocol.Resp_decoder.t) out req =
-  Buffer.clear out;
-  Protocol.encode_request_wire out cfg.wire ~id:None req;
-  Netio.write_all fd (Buffer.contents out);
-  let buf = Bytes.create 8192 in
-  let rec await () =
-    match Protocol.Resp_decoder.next dec with
-    | Protocol.Dec_frame (_, resp) -> resp
-    | Protocol.Dec_skip (_, msg) -> raise (Req_failed ("bad response: " ^ msg))
-    | Protocol.Dec_broken msg -> raise (Req_failed ("bad frame: " ^ msg))
-    | Protocol.Dec_more -> (
-        match Unix.read fd buf 0 (Bytes.length buf) with
-        | 0 -> raise (Req_failed "connection closed")
-        | n ->
-            Protocol.Resp_decoder.feed_bytes dec buf ~off:0 ~len:n;
-            await ()
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> await ()
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-            raise (Req_failed "timeout")
-        | exception Unix.Unix_error (e, _, _) -> raise (Req_failed (Unix.error_message e)))
-  in
-  await ()
 
 let kind_index k =
   match k with
@@ -282,28 +242,20 @@ type client_stats = {
    pipelined stream would need its own id bookkeeping for no benefit).
    Returns the table iff the node answered with a complete one. *)
 let fetch_topo cfg addr =
-  match Routing.parse_addr addr with
+  match Netio.connect ~wire:cfg.wire ~timeout_s:cfg.timeout_s addr with
   | Error _ -> None
-  | Ok (host, port) -> (
-      match connect_to cfg ~host ~port with
-      | exception (Unix.Unix_error _ | Failure _) -> None
-      | fd ->
-          let dec = Protocol.Resp_decoder.create cfg.wire in
-          let out = Buffer.create 64 in
-          let res =
-            match roundtrip cfg fd dec out Protocol.Topo with
-            | Protocol.Topo_reply (epoch, entries) when entries <> [] ->
-                let shards = List.length entries in
-                let owners = Array.make shards "" in
-                List.iter
-                  (fun (s, a) -> if s >= 0 && s < shards then owners.(s) <- a)
-                  entries;
-                if Array.exists (fun a -> a = "") owners then None else Some (epoch, entries, owners)
-            | _ -> None
-            | exception (Req_failed _ | Unix.Unix_error _) -> None
-          in
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          res)
+  | Ok p ->
+      let res =
+        match Netio.call p Protocol.Topo with
+        | Ok (Protocol.Topo_reply (epoch, entries)) when entries <> [] ->
+            let shards = List.length entries in
+            let owners = Array.make shards "" in
+            List.iter (fun (s, a) -> if s >= 0 && s < shards then owners.(s) <- a) entries;
+            if Array.exists (fun a -> a = "") owners then None else Some (epoch, entries, owners)
+        | _ -> None
+      in
+      Netio.close p;
+      res
 
 (* An in-flight (or re-dispatchable) request: enough to re-route it after a
    MOVED and to launch the RMW write leg under the original enqueue stamp,
@@ -468,17 +420,13 @@ let client_loop cfg ~t0 ~conn_id samples cs =
             record_err addr e;
             false
         | None -> (
-            match
-              match Routing.parse_addr addr with
-              | Ok (host, port) -> connect_to cfg ~host ~port
-              | Error msg -> failwith msg
-            with
-            | fd ->
-                l.l_sock <- Some (fd, Protocol.Resp_decoder.create cfg.wire);
+            match Netio.connect ~wire:cfg.wire ~timeout_s:cfg.timeout_s addr with
+            | Ok p ->
+                l.l_sock <- Some (p.fd, p.dec);
                 l.l_backoff <- backoff_init;
                 send l e;
                 true
-            | exception (Unix.Unix_error _ | Failure _) ->
+            | Error _ ->
                 l.l_retry_at <- now +. l.l_backoff;
                 l.l_backoff <- Float.min (l.l_backoff *. 2.) backoff_cap;
                 record_err addr e;

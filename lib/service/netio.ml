@@ -52,6 +52,67 @@ let rec read ?deadline fd buf off len =
       | Unix.Unix_error (Unix.EINTR, _, _) -> ());
       read ?deadline fd buf off len
 
+(* A blocking request/response connection: the load generator's TOPO
+   bootstrap and the migration leg between nodes.  The receive timeout
+   bounds each read, TCP_NODELAY keeps one small frame from waiting on
+   Nagle, and [dec] holds whatever the peer sends past one response. *)
+type peer = {
+  fd : Unix.file_descr;
+  wire : Protocol.wire;
+  dec : Protocol.Resp_decoder.t;
+  timeout_s : float;
+}
+
+let connect ~wire ~timeout_s addr =
+  match Kex_cluster.Routing.parse_addr addr with
+  | Error _ as e -> e
+  | Ok (host, port) -> (
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      let refused why =
+        (try Unix.close fd with Unix.Unix_error _ -> ());
+        Error (Printf.sprintf "connect %s: %s" addr why)
+      in
+      match
+        (try
+           Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout_s;
+           Unix.setsockopt fd Unix.TCP_NODELAY true
+         with Unix.Unix_error _ -> ());
+        Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
+      with
+      | () -> Ok { fd; wire; dec = Protocol.Resp_decoder.create wire; timeout_s }
+      | exception Unix.Unix_error (e, _, _) -> refused (Unix.error_message e)
+      | exception Failure msg -> refused msg (* a host that is not an IP address *))
+
+let close p = try Unix.close p.fd with Unix.Unix_error _ -> ()
+
+(* Send one untagged request and block for its response.  Reads go through
+   [read ~deadline], so EINTR retries and a silent peer is an [Error] once
+   [timeout_s] has passed. *)
+let call p req =
+  let out = Buffer.create 64 in
+  Protocol.encode_request_wire out p.wire ~id:None req;
+  let deadline = Unix.gettimeofday () +. p.timeout_s in
+  let buf = Bytes.create 8192 in
+  let rec await () =
+    match Protocol.Resp_decoder.next p.dec with
+    | Protocol.Dec_frame (_, resp) -> Ok resp
+    | Protocol.Dec_skip (_, msg) -> Error ("bad response: " ^ msg)
+    | Protocol.Dec_broken msg -> Error ("bad frame: " ^ msg)
+    | Protocol.Dec_more -> (
+        match read ~deadline p.fd buf 0 (Bytes.length buf) with
+        | 0 -> Error "connection closed"
+        | n ->
+            Protocol.Resp_decoder.feed_bytes p.dec buf ~off:0 ~len:n;
+            await ())
+  in
+  match
+    write_all p.fd (Buffer.contents out);
+    await ()
+  with
+  | r -> r
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> Error "timeout"
+  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+
 (* Nonblocking single-shot variants for reactor loops: readiness is the
    event loop's job, so would-block returns instead of waiting. *)
 let rec read_nb fd buf off len =

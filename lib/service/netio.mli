@@ -17,6 +17,31 @@ val read : ?deadline:float -> Unix.file_descr -> Bytes.t -> int -> int -> int
     it passes, the would-block error is re-raised instead of waiting, so
     callers get a bounded read without per-fd timeout plumbing. *)
 
+(** {2 Blocking request/response}
+
+    One connection, one untagged request in flight: the load generator's
+    TOPO bootstrap and the node-to-node migration leg. *)
+
+type peer = {
+  fd : Unix.file_descr;
+  wire : Protocol.wire;
+  dec : Protocol.Resp_decoder.t;  (** responses on [wire] *)
+  timeout_s : float;
+}
+
+val connect : wire:Protocol.wire -> timeout_s:float -> string -> (peer, string) result
+(** [connect ~wire ~timeout_s "host:port"] opens a TCP connection with
+    [SO_RCVTIMEO] [timeout_s] and [TCP_NODELAY].  A bad address or a
+    refused connect is an [Error]. *)
+
+val call : peer -> Protocol.request -> (Protocol.response, string) result
+(** Send one untagged request with {!write_all} and block for its
+    response, reading through {!read} with a deadline [timeout_s] away:
+    [EINTR] retries, and a silent peer, a closed connection, a malformed
+    response or a socket error is an [Error]. *)
+
+val close : peer -> unit
+
 val read_nb :
   Unix.file_descr -> Bytes.t -> int -> int -> [ `Data of int | `Eof | `Would_block ]
 (** Single nonblocking read attempt ([EINTR] retried): [`Data n] for [n]

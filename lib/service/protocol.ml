@@ -1,30 +1,45 @@
-(* The kexd wire protocol: two framings over one request/response alphabet,
-   selected per connection by sniffing the first byte, with a codec that is
-   pure — parse/print work on strings and buffers, framing on incremental
-   decoders — so the whole thing unit- and property-tests without a socket.
+(* The kexd wire protocol: one request/response grammar over two framings,
+   selected per connection by sniffing the first byte.  The codec is pure —
+   encoders append to a buffer, decoders deframe fed byte chunks — so the
+   whole thing unit- and property-tests without a socket.
 
-   v1 (text), kept for compatibility:
-
-   Frame      := <payload-length in decimal> '\n' <payload>
-   Payload    := one request or response line
-   String arg := <length>:<bytes>   (netstring-style, so keys and values may
-                                     contain spaces, newlines, colons, ...)
+   The grammar names each message's segments once, in wire order:
 
    Requests:   PING | STATS | KILL <int> | TOPO
                GET <s> | SET <s> <s> | DEL <s> | UPDATE <s> <int>
                SCAN <s> <int>
                HANDOFF <int> <s>
-               MIGIMPORT <int> <int> 0|1 <count> { <s> (1 <s> | 0) }
-   Responses:  PONG | OK | NIL | VAL <s> | DELETED 0|1 | INT <int>
+               MIGIMPORT <int> <int> <flag> <count> { <s> <flag> [<s> if 1] }
+   Responses:  PONG | OK | NIL | VAL <s> | DELETED <flag> | INT <int>
                STATS <count> { <s> <int> } | ERR <s>
                RANGE <count> { <s> <s> }
                MOVED <int> <int> <s>
                TOPO <int> <count> { <int> <s> }
 
-   v2 (binary), the hot-path wire — see the [Bin] module below for the
-   frame layout.  A text frame always starts with a decimal digit and a
-   binary frame with the magic byte 0xB2, so the first byte of a connection
-   decides its wire once and for all. *)
+   A wire supplies only how one segment is spelled and the frame around the
+   body.
+
+   v1 (text), kept for compatibility:
+
+   Frame      := <payload-length in decimal> '\n' <payload>
+   Payload    := [ '@' <id> ' ' ] <KEYWORD> <body>
+   Segment    := ' ' then a decimal integer (flags are 0 or 1), or a string
+                 <length>:<bytes> (netstring-style, so keys and values may
+                 contain spaces, newlines, colons, ...)
+
+   v2 (binary), the hot-path wire (all multi-byte fields big-endian):
+
+     byte 0      magic 0xB2      (never a decimal digit, so sniffable)
+     byte 1      opcode          (request 0x01-0x0B, response 0x81-0x8B)
+     byte 2      flags           (bit0: request id present; others ignored)
+     byte 3      reserved        (must be 0)
+     bytes 4-7   request id      (uint32, 0 when untagged)
+     varint      body length     (LEB128, <= max_frame)
+     body        segments: integers are zigzag LEB128 varints, strings
+                 varint-length-prefixed bytes, flags one byte 0 or 1
+
+   The body length makes every binary frame skippable: a malformed body is
+   consumed and answered with ERR without losing framing. *)
 
 type request =
   | Ping
@@ -59,376 +74,421 @@ type wire = Text | Binary
 
 let wire_name = function Text -> "text" | Binary -> "binary"
 
-(* ------------------------------- printing ------------------------------- *)
+let max_frame = 16 * 1024 * 1024
+let magic = 0xB2
 
-let str_arg b s =
-  Buffer.add_string b (string_of_int (String.length s));
-  Buffer.add_char b ':';
-  Buffer.add_string b s
+(* ------------------------------- writing -------------------------------- *)
 
-let print_request r =
-  let b = Buffer.create 32 in
-  (match r with
-  | Ping -> Buffer.add_string b "PING"
-  | Stats -> Buffer.add_string b "STATS"
-  | Kill w -> Buffer.add_string b (Printf.sprintf "KILL %d" w)
-  | Get key ->
-      Buffer.add_string b "GET ";
-      str_arg b key
-  | Set (key, v) ->
-      Buffer.add_string b "SET ";
-      str_arg b key;
+(* Decimal digits straight into the buffer, built on the non-positive
+   magnitude so [min_int] needs no special case. *)
+let rec add_neg_digits b n =
+  if n <= -10 then add_neg_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 - (n mod 10)))
+
+let add_decimal b n =
+  if n < 0 then begin
+    Buffer.add_char b '-';
+    add_neg_digits b n
+  end
+  else add_neg_digits b (-n)
+
+let decimal_size n =
+  let rec go n acc = if n <= -10 then go (n / 10) (acc + 1) else acc in
+  if n < 0 then go n 2 else go (-n) 1
+
+(* LEB128 varints over OCaml's 63-bit ints; signed values go through
+   zigzag so small magnitudes stay small on the wire. *)
+let zigzag n = (n lsl 1) lxor (n asr 62)
+let unzigzag v = (v lsr 1) lxor (-(v land 1))
+
+let varint_size n =
+  let rec go n acc = if n < 0x80 then acc else go (n lsr 7) (acc + 1) in
+  go n 1
+
+let rec add_varint b n =
+  if n < 0x80 then Buffer.add_char b (Char.unsafe_chr n)
+  else begin
+    Buffer.add_char b (Char.unsafe_chr (0x80 lor (n land 0x7f)));
+    add_varint b (n lsr 7)
+  end
+
+(* Where a body writer's segments go.  An encode runs the writer twice:
+   with [out = None] it only counts the bytes ([size]), so the frame header
+   can carry the body length; then it appends them to the output buffer. *)
+type sink = { wire : wire; mutable out : Buffer.t option; mutable size : int }
+
+let put_int k n =
+  match (k.out, k.wire) with
+  | None, Text -> k.size <- k.size + 1 + decimal_size n
+  | None, Binary -> k.size <- k.size + varint_size (zigzag n)
+  | Some b, Text ->
       Buffer.add_char b ' ';
-      str_arg b v
-  | Del key ->
-      Buffer.add_string b "DEL ";
-      str_arg b key
-  | Update (key, delta) ->
-      Buffer.add_string b "UPDATE ";
-      str_arg b key;
-      Buffer.add_string b (Printf.sprintf " %d" delta)
-  | Scan (start, count) ->
-      Buffer.add_string b "SCAN ";
-      str_arg b start;
-      Buffer.add_string b (Printf.sprintf " %d" count)
-  | Topo -> Buffer.add_string b "TOPO"
-  | Handoff (shard, addr) ->
-      Buffer.add_string b (Printf.sprintf "HANDOFF %d " shard);
-      str_arg b addr
-  | Mig_import (shard, epoch, final, changes) ->
-      Buffer.add_string b
-        (Printf.sprintf "MIGIMPORT %d %d %d %d" shard epoch
-           (if final then 1 else 0)
-           (List.length changes));
-      List.iter
-        (fun (key, v) ->
-          Buffer.add_char b ' ';
-          str_arg b key;
-          match v with
-          | Some v ->
-              Buffer.add_string b " 1 ";
-              str_arg b v
-          | None -> Buffer.add_string b " 0")
-        changes);
-  Buffer.contents b
+      add_decimal b n
+  | Some b, Binary -> add_varint b (zigzag n)
 
-let print_response r =
-  let b = Buffer.create 32 in
-  (match r with
-  | Pong -> Buffer.add_string b "PONG"
-  | Ok -> Buffer.add_string b "OK"
-  | Value None -> Buffer.add_string b "NIL"
-  | Value (Some v) ->
-      Buffer.add_string b "VAL ";
-      str_arg b v
-  | Deleted existed -> Buffer.add_string b (if existed then "DELETED 1" else "DELETED 0")
-  | Int n -> Buffer.add_string b (Printf.sprintf "INT %d" n)
-  | Stats_reply pairs ->
-      Buffer.add_string b (Printf.sprintf "STATS %d" (List.length pairs));
-      List.iter
-        (fun (name, v) ->
-          Buffer.add_char b ' ';
-          str_arg b name;
-          Buffer.add_string b (Printf.sprintf " %d" v))
-        pairs
-  | Range pairs ->
-      Buffer.add_string b (Printf.sprintf "RANGE %d" (List.length pairs));
-      List.iter
-        (fun (key, v) ->
-          Buffer.add_char b ' ';
-          str_arg b key;
-          Buffer.add_char b ' ';
-          str_arg b v)
-        pairs
-  | Error msg ->
-      Buffer.add_string b "ERR ";
-      str_arg b msg
-  | Moved (shard, epoch, addr) ->
-      Buffer.add_string b (Printf.sprintf "MOVED %d %d " shard epoch);
-      str_arg b addr
-  | Topo_reply (epoch, owners) ->
-      Buffer.add_string b (Printf.sprintf "TOPO %d %d" epoch (List.length owners));
-      List.iter
-        (fun (shard, addr) ->
-          Buffer.add_string b (Printf.sprintf " %d " shard);
-          str_arg b addr)
-        owners);
-  Buffer.contents b
+let put_str k s =
+  let n = String.length s in
+  match (k.out, k.wire) with
+  | None, Text -> k.size <- k.size + 2 + decimal_size n + n
+  | None, Binary -> k.size <- k.size + varint_size n + n
+  | Some b, Text ->
+      Buffer.add_char b ' ';
+      add_decimal b n;
+      Buffer.add_char b ':';
+      Buffer.add_string b s
+  | Some b, Binary ->
+      add_varint b n;
+      Buffer.add_string b s
 
-(* ------------------------------- parsing -------------------------------- *)
+let put_flag k f =
+  match (k.out, k.wire) with
+  | _, Text -> put_int k (Bool.to_int f)
+  | None, Binary -> k.size <- k.size + 1
+  | Some b, Binary -> Buffer.add_char b (if f then '\001' else '\000')
+
+(* ------------------------------- reading -------------------------------- *)
 
 exception Fail of string
 
-(* A tiny cursor over the payload string. *)
-type cursor = { s : string; mutable pos : int }
-
 let fail fmt = Printf.ksprintf (fun msg -> raise (Fail msg)) fmt
 
-let eat_space c =
-  if c.pos < String.length c.s && c.s.[c.pos] = ' ' then c.pos <- c.pos + 1
-  else fail "expected ' ' at offset %d" c.pos
+(* A cursor over one body, in place in a decoder's buffer (or over a
+   payload string): bytes [p, stop).  Text error offsets count from [base],
+   the start of the untagged payload.  Parse errors raise [Fail]. *)
+type cursor = { cw : wire; b : Bytes.t; mutable p : int; stop : int; base : int }
 
-let int_tok c =
-  let start = c.pos in
-  if c.pos < String.length c.s && (c.s.[c.pos] = '-' || c.s.[c.pos] = '+') then c.pos <- c.pos + 1;
-  while c.pos < String.length c.s && c.s.[c.pos] >= '0' && c.s.[c.pos] <= '9' do
-    c.pos <- c.pos + 1
+let byte c =
+  if c.p >= c.stop then fail "body truncated";
+  let v = Bytes.get_uint8 c.b c.p in
+  c.p <- c.p + 1;
+  v
+
+let uvarint c =
+  let rec go shift acc =
+    if shift > 62 then fail "varint too long";
+    let v = byte c in
+    let acc = acc lor ((v land 0x7f) lsl shift) in
+    if v land 0x80 = 0 then acc else go (shift + 7) acc
+  in
+  go 0 0
+
+let space c =
+  if c.p < c.stop && Bytes.get c.b c.p = ' ' then c.p <- c.p + 1
+  else fail "expected ' ' at offset %d" (c.p - c.base)
+
+let is_digit c = c.p < c.stop && Bytes.get c.b c.p >= '0' && Bytes.get c.b c.p <= '9'
+
+(* [+-]?[0-9]+, range-checked as [int_of_string] does; accumulated as a
+   non-positive number so [min_int] fits. *)
+let decimal c =
+  let start = c.p in
+  let neg = c.p < c.stop && Bytes.get c.b c.p = '-' in
+  if neg || (c.p < c.stop && Bytes.get c.b c.p = '+') then c.p <- c.p + 1;
+  let digits = c.p and acc = ref 0 and ok = ref true in
+  while is_digit c do
+    let d = Char.code (Bytes.get c.b c.p) - 48 in
+    if !acc < (min_int + d) / 10 then ok := false;
+    acc := (!acc * 10) - d;
+    c.p <- c.p + 1
   done;
-  match int_of_string_opt (String.sub c.s start (c.pos - start)) with
-  | Some n -> n
-  | None -> fail "expected integer at offset %d" start
+  if c.p = digits || (not !ok) || (!acc = min_int && not neg) then
+    fail "expected integer at offset %d" (start - c.base);
+  if neg then !acc else - !acc
 
-let str_tok c =
-  let len = int_tok c in
-  if len < 0 then fail "negative string length";
-  if c.pos >= String.length c.s || c.s.[c.pos] <> ':' then fail "expected ':' at offset %d" c.pos;
-  c.pos <- c.pos + 1;
-  if c.pos + len > String.length c.s then fail "string extends past payload";
-  let s = String.sub c.s c.pos len in
-  c.pos <- c.pos + len;
+let get_int c =
+  match c.cw with
+  | Text ->
+      space c;
+      decimal c
+  | Binary -> unzigzag (uvarint c)
+
+let get_str c =
+  let len =
+    match c.cw with
+    | Text ->
+        space c;
+        let len = decimal c in
+        if len < 0 then fail "negative string length";
+        if c.p >= c.stop || Bytes.get c.b c.p <> ':' then
+          fail "expected ':' at offset %d" (c.p - c.base);
+        c.p <- c.p + 1;
+        if len > c.stop - c.p then fail "string extends past payload";
+        len
+    | Binary ->
+        let len = uvarint c in
+        if len < 0 || len > c.stop - c.p then fail "string extends past body";
+        len
+  in
+  let s = Bytes.sub_string c.b c.p len in
+  c.p <- c.p + len;
   s
 
-let eof c = if c.pos <> String.length c.s then fail "trailing bytes at offset %d" c.pos
+let get_flag c what =
+  match (match c.cw with Text -> get_int c | Binary -> byte c) with
+  | 0 -> false
+  | 1 -> true
+  | n -> fail "%s expects 0 or 1, got %d" what n
 
-let keyword c =
-  let start = c.pos in
-  while c.pos < String.length c.s && c.s.[c.pos] <> ' ' do
-    c.pos <- c.pos + 1
+let get_nat c what =
+  let n = get_int c in
+  if n < 0 then fail "negative %s" what;
+  n
+
+(* ------------------------------- grammar -------------------------------- *)
+
+(* Opcode [first + i] is spelled [keywords.(i)] on the text wire. *)
+let req_keywords =
+  [| "PING"; "STATS"; "KILL"; "GET"; "SET"; "DEL"; "UPDATE"; "SCAN"; "TOPO"; "HANDOFF";
+     "MIGIMPORT" |]
+
+let req_opcode = function
+  | Ping -> 0x01
+  | Stats -> 0x02
+  | Kill _ -> 0x03
+  | Get _ -> 0x04
+  | Set _ -> 0x05
+  | Del _ -> 0x06
+  | Update _ -> 0x07
+  | Scan _ -> 0x08
+  | Topo -> 0x09
+  | Handoff _ -> 0x0A
+  | Mig_import _ -> 0x0B
+
+let write_request k = function
+  | Ping | Stats | Topo -> ()
+  | Kill w -> put_int k w
+  | Get key | Del key -> put_str k key
+  | Set (key, v) ->
+      put_str k key;
+      put_str k v
+  | Update (key, n) | Scan (key, n) ->
+      put_str k key;
+      put_int k n
+  | Handoff (shard, addr) ->
+      put_int k shard;
+      put_str k addr
+  | Mig_import (shard, epoch, final, changes) ->
+      put_int k shard;
+      put_int k epoch;
+      put_flag k final;
+      put_int k (List.length changes);
+      List.iter
+        (fun (key, v) ->
+          put_str k key;
+          put_flag k (Option.is_some v);
+          Option.iter (put_str k) v)
+        changes
+
+let read_request c = function
+  | 0x01 -> Ping
+  | 0x02 -> Stats
+  | 0x03 -> Kill (get_int c)
+  | 0x04 -> Get (get_str c)
+  | 0x05 ->
+      let key = get_str c in
+      Set (key, get_str c)
+  | 0x06 -> Del (get_str c)
+  | 0x07 ->
+      let key = get_str c in
+      Update (key, get_int c)
+  | 0x08 ->
+      let start = get_str c in
+      Scan (start, get_nat c "SCAN count")
+  | 0x09 -> Topo
+  | 0x0A ->
+      let shard = get_nat c "HANDOFF shard" in
+      Handoff (shard, get_str c)
+  | 0x0B ->
+      let shard = get_nat c "MIGIMPORT shard" in
+      let epoch = get_nat c "MIGIMPORT epoch" in
+      let final = get_flag c "MIGIMPORT final" in
+      let count = get_nat c "MIGIMPORT count" in
+      Mig_import
+        ( shard, epoch, final,
+          List.init count (fun _ ->
+              let key = get_str c in
+              if get_flag c "MIGIMPORT change tag" then (key, Some (get_str c)) else (key, None)) )
+  | op -> fail "unknown request opcode 0x%02x" op
+
+let resp_keywords =
+  [| "PONG"; "OK"; "NIL"; "VAL"; "DELETED"; "INT"; "STATS"; "ERR"; "RANGE"; "MOVED"; "TOPO" |]
+
+let resp_opcode = function
+  | Pong -> 0x81
+  | Ok -> 0x82
+  | Value None -> 0x83
+  | Value (Some _) -> 0x84
+  | Deleted _ -> 0x85
+  | Int _ -> 0x86
+  | Stats_reply _ -> 0x87
+  | Error _ -> 0x88
+  | Range _ -> 0x89
+  | Moved _ -> 0x8A
+  | Topo_reply _ -> 0x8B
+
+let write_response k = function
+  | Pong | Ok | Value None -> ()
+  | Value (Some s) | Error s -> put_str k s
+  | Deleted existed -> put_flag k existed
+  | Int n -> put_int k n
+  | Stats_reply pairs ->
+      put_int k (List.length pairs);
+      List.iter
+        (fun (name, v) ->
+          put_str k name;
+          put_int k v)
+        pairs
+  | Range pairs ->
+      put_int k (List.length pairs);
+      List.iter
+        (fun (key, v) ->
+          put_str k key;
+          put_str k v)
+        pairs
+  | Moved (shard, epoch, addr) ->
+      put_int k shard;
+      put_int k epoch;
+      put_str k addr
+  | Topo_reply (epoch, owners) ->
+      put_int k epoch;
+      put_int k (List.length owners);
+      List.iter
+        (fun (shard, addr) ->
+          put_int k shard;
+          put_str k addr)
+        owners
+
+let read_response c = function
+  | 0x81 -> Pong
+  | 0x82 -> Ok
+  | 0x83 -> Value None
+  | 0x84 -> Value (Some (get_str c))
+  | 0x85 -> Deleted (get_flag c "DELETED")
+  | 0x86 -> Int (get_int c)
+  | 0x87 ->
+      let count = get_nat c "STATS count" in
+      Stats_reply
+        (List.init count (fun _ ->
+             let name = get_str c in
+             (name, get_int c)))
+  | 0x88 -> Error (get_str c)
+  | 0x89 ->
+      let count = get_nat c "RANGE count" in
+      Range
+        (List.init count (fun _ ->
+             let key = get_str c in
+             (key, get_str c)))
+  | 0x8A ->
+      let shard = get_nat c "MOVED shard" in
+      let epoch = get_nat c "MOVED epoch" in
+      Moved (shard, epoch, get_str c)
+  | 0x8B ->
+      let epoch = get_nat c "TOPO epoch" in
+      let count = get_nat c "TOPO count" in
+      Topo_reply
+        ( epoch,
+          List.init count (fun _ ->
+              let shard = get_nat c "TOPO shard" in
+              (shard, get_str c)) )
+  | op -> fail "unknown response opcode 0x%02x" op
+
+type 'a grammar = {
+  what : string;
+  first : int;
+  keywords : string array;
+  opcode : 'a -> int;
+  write : sink -> 'a -> unit;
+  read : cursor -> int -> 'a;
+}
+
+let requests =
+  { what = "request"; first = 0x01; keywords = req_keywords; opcode = req_opcode;
+    write = write_request; read = read_request }
+
+let responses =
+  { what = "response"; first = 0x81; keywords = resp_keywords; opcode = resp_opcode;
+    write = write_response; read = read_response }
+
+(* ------------------------------- framing -------------------------------- *)
+
+let encode g b wire ~id msg =
+  let k = { wire; out = None; size = 0 } in
+  g.write k msg;
+  let op = g.opcode msg in
+  (match wire with
+  | Binary ->
+      let flags, idv = match id with None -> (0, 0) | Some i -> (1, i land 0xFFFFFFFF) in
+      Buffer.add_char b (Char.unsafe_chr magic);
+      Buffer.add_char b (Char.unsafe_chr op);
+      Buffer.add_char b (Char.unsafe_chr flags);
+      Buffer.add_char b '\000';
+      Buffer.add_uint16_be b (idv lsr 16);
+      Buffer.add_uint16_be b (idv land 0xFFFF);
+      add_varint b k.size
+  | Text -> (
+      let kw = g.keywords.(op - g.first) in
+      let tag = match id with None -> 0 | Some i -> 2 + decimal_size i in
+      add_decimal b (tag + String.length kw + k.size);
+      Buffer.add_char b '\n';
+      (match id with
+      | None -> ()
+      | Some i ->
+          Buffer.add_char b '@';
+          add_decimal b i;
+          Buffer.add_char b ' ');
+      Buffer.add_string b kw));
+  k.out <- Some b;
+  g.write k msg
+
+let encode_request_wire b wire ~id r = encode requests b wire ~id r
+let encode_response_wire b wire ~id r = encode responses b wire ~id r
+
+(* The text keyword at the cursor, as an opcode. *)
+let keyword g c =
+  let start = c.p in
+  while c.p < c.stop && Bytes.get c.b c.p <> ' ' do
+    c.p <- c.p + 1
   done;
-  String.sub c.s start (c.pos - start)
+  let len = c.p - start in
+  let rec same kw i = i = len || (kw.[i] = Bytes.get c.b (start + i) && same kw (i + 1)) in
+  let rec find i =
+    if i = Array.length g.keywords then
+      fail "unknown %s %S" g.what (Bytes.sub_string c.b start len)
+    else if String.length g.keywords.(i) = len && same g.keywords.(i) 0 then g.first + i
+    else find (i + 1)
+  in
+  find 0
 
-let wrap f s =
-  let c = { s; pos = 0 } in
+(* One whole body; a binary body's opcode came in its header, a text body
+   opens with its keyword. *)
+let read_body g c ~opcode =
   match
-    let v = f c in
-    eof c;
+    let op = match c.cw with Binary -> opcode | Text -> keyword g c in
+    let v = g.read c op in
+    if c.p <> c.stop then
+      (match c.cw with
+      | Text -> fail "trailing bytes at offset %d" (c.p - c.base)
+      | Binary -> fail "trailing bytes in body");
     v
   with
   | v -> Stdlib.Ok v
   | exception Fail msg -> Stdlib.Error msg
 
-let parse_request =
-  wrap (fun c ->
-      match keyword c with
-      | "PING" -> Ping
-      | "STATS" -> Stats
-      | "KILL" ->
-          eat_space c;
-          Kill (int_tok c)
-      | "GET" ->
-          eat_space c;
-          Get (str_tok c)
-      | "SET" ->
-          eat_space c;
-          let key = str_tok c in
-          eat_space c;
-          Set (key, str_tok c)
-      | "DEL" ->
-          eat_space c;
-          Del (str_tok c)
-      | "UPDATE" ->
-          eat_space c;
-          let key = str_tok c in
-          eat_space c;
-          Update (key, int_tok c)
-      | "SCAN" ->
-          eat_space c;
-          let start = str_tok c in
-          eat_space c;
-          let count = int_tok c in
-          if count < 0 then fail "negative SCAN count";
-          Scan (start, count)
-      | "TOPO" -> Topo
-      | "HANDOFF" ->
-          eat_space c;
-          let shard = int_tok c in
-          if shard < 0 then fail "negative HANDOFF shard";
-          eat_space c;
-          Handoff (shard, str_tok c)
-      | "MIGIMPORT" ->
-          eat_space c;
-          let shard = int_tok c in
-          if shard < 0 then fail "negative MIGIMPORT shard";
-          eat_space c;
-          let epoch = int_tok c in
-          if epoch < 0 then fail "negative MIGIMPORT epoch";
-          eat_space c;
-          let final =
-            match int_tok c with
-            | 0 -> false
-            | 1 -> true
-            | n -> fail "MIGIMPORT final expects 0 or 1, got %d" n
-          in
-          eat_space c;
-          let count = int_tok c in
-          if count < 0 then fail "negative MIGIMPORT count";
-          let changes =
-            List.init count (fun _ ->
-                eat_space c;
-                let key = str_tok c in
-                eat_space c;
-                match int_tok c with
-                | 0 -> (key, None)
-                | 1 ->
-                    eat_space c;
-                    (key, Some (str_tok c))
-                | n -> fail "MIGIMPORT change tag expects 0 or 1, got %d" n)
-          in
-          Mig_import (shard, epoch, final, changes)
-      | kw -> fail "unknown request %S" kw)
+let parse g s =
+  read_body g
+    { cw = Text; b = Bytes.unsafe_of_string s; p = 0; stop = String.length s; base = 0 }
+    ~opcode:0
 
-let parse_response =
-  wrap (fun c ->
-      match keyword c with
-      | "PONG" -> Pong
-      | "OK" -> Ok
-      | "NIL" -> Value None
-      | "VAL" ->
-          eat_space c;
-          Value (Some (str_tok c))
-      | "DELETED" ->
-          eat_space c;
-          (match int_tok c with
-          | 0 -> Deleted false
-          | 1 -> Deleted true
-          | n -> fail "DELETED expects 0 or 1, got %d" n)
-      | "INT" ->
-          eat_space c;
-          Int (int_tok c)
-      | "STATS" ->
-          eat_space c;
-          let count = int_tok c in
-          if count < 0 then fail "negative STATS count";
-          let pairs =
-            List.init count (fun _ ->
-                eat_space c;
-                let name = str_tok c in
-                eat_space c;
-                (name, int_tok c))
-          in
-          Stats_reply pairs
-      | "RANGE" ->
-          eat_space c;
-          let count = int_tok c in
-          if count < 0 then fail "negative RANGE count";
-          let pairs =
-            List.init count (fun _ ->
-                eat_space c;
-                let key = str_tok c in
-                eat_space c;
-                (key, str_tok c))
-          in
-          Range pairs
-      | "ERR" ->
-          eat_space c;
-          Error (str_tok c)
-      | "MOVED" ->
-          eat_space c;
-          let shard = int_tok c in
-          if shard < 0 then fail "negative MOVED shard";
-          eat_space c;
-          let epoch = int_tok c in
-          if epoch < 0 then fail "negative MOVED epoch";
-          eat_space c;
-          Moved (shard, epoch, str_tok c)
-      | "TOPO" ->
-          eat_space c;
-          let epoch = int_tok c in
-          if epoch < 0 then fail "negative TOPO epoch";
-          eat_space c;
-          let count = int_tok c in
-          if count < 0 then fail "negative TOPO count";
-          let owners =
-            List.init count (fun _ ->
-                eat_space c;
-                let shard = int_tok c in
-                if shard < 0 then fail "negative TOPO shard";
-                eat_space c;
-                (shard, str_tok c))
-          in
-          Topo_reply (epoch, owners)
-      | kw -> fail "unknown response %S" kw)
+let print g msg =
+  let b = Buffer.create 32 in
+  Buffer.add_string b g.keywords.(g.opcode msg - g.first);
+  g.write { wire = Text; out = Some b; size = 0 } msg;
+  Buffer.contents b
 
-(* ----------------------------- request ids ------------------------------ *)
-
-(* Pipelining: a client may tag a request payload with an id ("@<id> " in
-   front of the normal payload) and keep a window of tagged requests in
-   flight on one connection.  The server echoes the id on the response,
-   which may come back in any order.  Untagged payloads keep the original
-   one-at-a-time, in-order contract, so v1 clients work unchanged. *)
-
-let tag id payload = "@" ^ string_of_int id ^ " " ^ payload
-
-let split_tag payload =
-  if String.length payload = 0 || payload.[0] <> '@' then Stdlib.Ok (None, payload)
-  else
-    match String.index_opt payload ' ' with
-    | None -> Stdlib.Error "tagged payload has no ' ' after the id"
-    | Some sp -> (
-        match int_of_string_opt (String.sub payload 1 (sp - 1)) with
-        | Some id when id >= 0 ->
-            Stdlib.Ok (Some id, String.sub payload (sp + 1) (String.length payload - sp - 1))
-        | _ -> Stdlib.Error (Printf.sprintf "bad request id %S" (String.sub payload 0 sp)))
-
-let print_request_tagged ~id r = tag id (print_request r)
-let print_response_tagged ~id r = tag id (print_response r)
-
-let parse_request_tagged s =
-  Result.bind (split_tag s) (fun (id, rest) ->
-      Result.map (fun r -> (id, r)) (parse_request rest))
-
-let parse_response_tagged s =
-  Result.bind (split_tag s) (fun (id, rest) ->
-      Result.map (fun r -> (id, r)) (parse_response rest))
-
-(* ------------------------------- framing -------------------------------- *)
-
-let max_frame = 16 * 1024 * 1024
-
-let frame payload = string_of_int (String.length payload) ^ "\n" ^ payload
-
-module Decoder = struct
-  type t = { buf : Buffer.t; mutable scan : int }
-  (* [buf] accumulates unconsumed bytes; [scan] is a consumed prefix that is
-     compacted away lazily so feeding many small chunks stays O(bytes). *)
-
-  let create () = { buf = Buffer.create 256; scan = 0 }
-
-  let feed t s = Buffer.add_string t.buf s
-  let feed_bytes t b ~off ~len = Buffer.add_subbytes t.buf b off len
-
-  let compact t =
-    if t.scan > 0 then begin
-      let rest = Buffer.sub t.buf t.scan (Buffer.length t.buf - t.scan) in
-      Buffer.clear t.buf;
-      Buffer.add_string t.buf rest;
-      t.scan <- 0
-    end
-
-  let next t =
-    compact t;
-    let len = Buffer.length t.buf in
-    (* Find the '\n' terminating the length header. *)
-    let rec find i =
-      if i >= len then None else if Buffer.nth t.buf i = '\n' then Some i else find (i + 1)
-    in
-    match find 0 with
-    | None ->
-        if len > 20 then Stdlib.Error "frame header too long (no newline)" else Stdlib.Ok None
-    | Some nl -> (
-        let header = Buffer.sub t.buf 0 nl in
-        match int_of_string_opt header with
-        | None -> Stdlib.Error (Printf.sprintf "bad frame header %S" header)
-        | Some payload_len when payload_len < 0 || payload_len > max_frame ->
-            Stdlib.Error (Printf.sprintf "frame length %d out of range" payload_len)
-        | Some payload_len ->
-            if len - (nl + 1) < payload_len then Stdlib.Ok None
-            else begin
-              let payload = Buffer.sub t.buf (nl + 1) payload_len in
-              t.scan <- nl + 1 + payload_len;
-              Stdlib.Ok (Some payload)
-            end)
-end
+let print_request r = print requests r
+let parse_request s = parse requests s
+let print_response r = print responses r
+let parse_response s = parse responses s
 
 (* --------------------------- decoded events ----------------------------- *)
 
@@ -444,528 +504,151 @@ type 'a decoded =
   | Dec_more
   | Dec_broken of string
 
-(* --------------------------- binary v2 frames --------------------------- *)
+(* One grow-only input buffer per connection, for either wire: bytes
+   [pos, len) are live and frames are parsed where they lie.  A feed that
+   needs room first slides the live bytes down, and only then doubles the
+   backing [buf], so there is no per-frame copy or allocation.  [wire] is
+   [None] until the first byte arrives. *)
+type decoder = {
+  mutable wire : wire option;
+  mutable buf : Bytes.t;
+  mutable len : int;
+  mutable pos : int;
+}
 
-(* Frame layout (all multi-byte fields big-endian):
+let create wire = { wire; buf = Bytes.create 4096; len = 0; pos = 0 }
 
-     byte 0      magic 0xB2      (never a decimal digit, so sniffable)
-     byte 1      opcode          (request 0x01-0x0B, response 0x81-0x8B)
-     byte 2      flags           (bit0: request id present; others ignored)
-     byte 3      reserved        (must be 0)
-     bytes 4-7   request id      (uint32, 0 when untagged)
-     varint      body length     (LEB128, <= max_frame)
-     body        opcode-specific segments
-
-   Segments: strings are varint-length-prefixed bytes; integers are
-   zigzag-encoded LEB128 varints.  The body length makes every frame
-   skippable: a malformed body is consumed and answered with ERR without
-   losing framing. *)
-module Bin = struct
-  let magic = 0xB2
-
-  let req_opcode = function
-    | Ping -> 0x01
-    | Stats -> 0x02
-    | Kill _ -> 0x03
-    | Get _ -> 0x04
-    | Set _ -> 0x05
-    | Del _ -> 0x06
-    | Update _ -> 0x07
-    | Scan _ -> 0x08
-    | Topo -> 0x09
-    | Handoff _ -> 0x0A
-    | Mig_import _ -> 0x0B
-
-  let resp_opcode = function
-    | Pong -> 0x81
-    | Ok -> 0x82
-    | Value None -> 0x83
-    | Value (Some _) -> 0x84
-    | Deleted _ -> 0x85
-    | Int _ -> 0x86
-    | Stats_reply _ -> 0x87
-    | Error _ -> 0x88
-    | Range _ -> 0x89
-    | Moved _ -> 0x8A
-    | Topo_reply _ -> 0x8B
-
-  (* LEB128 varints over OCaml's 63-bit ints; signed values go through
-     zigzag so small magnitudes stay small on the wire. *)
-  let zigzag n = (n lsl 1) lxor (n asr 62)
-  let unzigzag v = (v lsr 1) lxor (-(v land 1))
-
-  let varint_size n =
-    let rec go n acc = if n < 0x80 then acc else go (n lsr 7) (acc + 1) in
-    go n 1
-
-  let add_varint b n =
-    let rec go n =
-      if n < 0x80 then Buffer.add_char b (Char.unsafe_chr n)
-      else begin
-        Buffer.add_char b (Char.unsafe_chr (0x80 lor (n land 0x7f)));
-        go (n lsr 7)
-      end
-    in
-    go n
-
-  let add_int b n = add_varint b (zigzag n)
-  let int_size n = varint_size (zigzag n)
-
-  let add_str b s =
-    add_varint b (String.length s);
-    Buffer.add_string b s
-
-  let str_size s = varint_size (String.length s) + String.length s
-
-  let add_header b ~opcode ~id ~body_len =
-    Buffer.add_char b (Char.unsafe_chr magic);
-    Buffer.add_char b (Char.unsafe_chr opcode);
-    let flags, idv = match id with None -> (0, 0) | Some i -> (1, i land 0xFFFFFFFF) in
-    Buffer.add_char b (Char.unsafe_chr flags);
-    Buffer.add_char b '\000';
-    Buffer.add_char b (Char.unsafe_chr ((idv lsr 24) land 0xff));
-    Buffer.add_char b (Char.unsafe_chr ((idv lsr 16) land 0xff));
-    Buffer.add_char b (Char.unsafe_chr ((idv lsr 8) land 0xff));
-    Buffer.add_char b (Char.unsafe_chr (idv land 0xff));
-    add_varint b body_len
-
-  let req_body_size = function
-    | Ping | Stats -> 0
-    | Kill w -> int_size w
-    | Get key | Del key -> str_size key
-    | Set (key, v) -> str_size key + str_size v
-    | Update (key, delta) -> str_size key + int_size delta
-    | Scan (start, count) -> str_size start + int_size count
-    | Topo -> 0
-    | Handoff (shard, addr) -> int_size shard + str_size addr
-    | Mig_import (shard, epoch, _, changes) ->
-        List.fold_left
-          (fun acc (key, v) ->
-            acc + str_size key + 1 + match v with Some v -> str_size v | None -> 0)
-          (int_size shard + int_size epoch + 1 + int_size (List.length changes))
-          changes
-
-  let resp_body_size = function
-    | Pong | Ok | Value None -> 0
-    | Value (Some v) -> str_size v
-    | Deleted _ -> 1
-    | Int n -> int_size n
-    | Stats_reply pairs ->
-        List.fold_left
-          (fun acc (name, v) -> acc + str_size name + int_size v)
-          (int_size (List.length pairs))
-          pairs
-    | Range pairs ->
-        List.fold_left
-          (fun acc (key, v) -> acc + str_size key + str_size v)
-          (int_size (List.length pairs))
-          pairs
-    | Error msg -> str_size msg
-    | Moved (shard, epoch, addr) -> int_size shard + int_size epoch + str_size addr
-    | Topo_reply (epoch, owners) ->
-        List.fold_left
-          (fun acc (shard, addr) -> acc + int_size shard + str_size addr)
-          (int_size epoch + int_size (List.length owners))
-          owners
-
-  let encode_request b ~id r =
-    add_header b ~opcode:(req_opcode r) ~id ~body_len:(req_body_size r);
-    match r with
-    | Ping | Stats -> ()
-    | Kill w -> add_int b w
-    | Get key | Del key -> add_str b key
-    | Set (key, v) ->
-        add_str b key;
-        add_str b v
-    | Update (key, delta) ->
-        add_str b key;
-        add_int b delta
-    | Scan (start, count) ->
-        add_str b start;
-        add_int b count
-    | Topo -> ()
-    | Handoff (shard, addr) ->
-        add_int b shard;
-        add_str b addr
-    | Mig_import (shard, epoch, final, changes) ->
-        add_int b shard;
-        add_int b epoch;
-        Buffer.add_char b (if final then '\001' else '\000');
-        add_int b (List.length changes);
-        List.iter
-          (fun (key, v) ->
-            add_str b key;
-            match v with
-            | Some v ->
-                Buffer.add_char b '\001';
-                add_str b v
-            | None -> Buffer.add_char b '\000')
-          changes
-
-  let encode_response b ~id r =
-    add_header b ~opcode:(resp_opcode r) ~id ~body_len:(resp_body_size r);
-    match r with
-    | Pong | Ok | Value None -> ()
-    | Value (Some v) -> add_str b v
-    | Deleted existed -> Buffer.add_char b (if existed then '\001' else '\000')
-    | Int n -> add_int b n
-    | Stats_reply pairs ->
-        add_int b (List.length pairs);
-        List.iter
-          (fun (name, v) ->
-            add_str b name;
-            add_int b v)
-          pairs
-    | Range pairs ->
-        add_int b (List.length pairs);
-        List.iter
-          (fun (key, v) ->
-            add_str b key;
-            add_str b v)
-          pairs
-    | Error msg -> add_str b msg
-    | Moved (shard, epoch, addr) ->
-        add_int b shard;
-        add_int b epoch;
-        add_str b addr
-    | Topo_reply (epoch, owners) ->
-        add_int b epoch;
-        add_int b (List.length owners);
-        List.iter
-          (fun (shard, addr) ->
-            add_int b shard;
-            add_str b addr)
-          owners
-
-  (* ------------------------- body parsing -------------------------------- *)
-
-  (* A cursor over the decoder's scratch bytes; parse errors raise [Fail]
-     and become [Dec_skip] (the frame was already consumed by length). *)
-  type bcur = { b : Bytes.t; mutable p : int; stop : int }
-
-  let b_byte c =
-    if c.p >= c.stop then fail "body truncated";
-    let v = Bytes.get_uint8 c.b c.p in
-    c.p <- c.p + 1;
-    v
-
-  let b_uvarint c =
-    let rec go shift acc =
-      if shift > 62 then fail "varint too long";
-      let byte = b_byte c in
-      let acc = acc lor ((byte land 0x7f) lsl shift) in
-      if byte land 0x80 = 0 then acc else go (shift + 7) acc
-    in
-    go 0 0
-
-  let b_int c = unzigzag (b_uvarint c)
-
-  let b_str c =
-    let len = b_uvarint c in
-    if len < 0 || c.p + len > c.stop then fail "string extends past body";
-    let s = Bytes.sub_string c.b c.p len in
-    c.p <- c.p + len;
-    s
-
-  let b_eof c = if c.p <> c.stop then fail "trailing bytes in body"
-
-  let parse_req_body ~opcode buf ~off ~len =
-    let c = { b = buf; p = off; stop = off + len } in
-    match
-      let r =
-        match opcode with
-        | 0x01 -> Ping
-        | 0x02 -> Stats
-        | 0x03 -> Kill (b_int c)
-        | 0x04 -> Get (b_str c)
-        | 0x05 ->
-            let key = b_str c in
-            Set (key, b_str c)
-        | 0x06 -> Del (b_str c)
-        | 0x07 ->
-            let key = b_str c in
-            Update (key, b_int c)
-        | 0x08 ->
-            let start = b_str c in
-            let count = b_int c in
-            if count < 0 then fail "negative SCAN count";
-            Scan (start, count)
-        | 0x09 -> Topo
-        | 0x0A ->
-            let shard = b_int c in
-            if shard < 0 then fail "negative HANDOFF shard";
-            Handoff (shard, b_str c)
-        | 0x0B ->
-            let shard = b_int c in
-            if shard < 0 then fail "negative MIGIMPORT shard";
-            let epoch = b_int c in
-            if epoch < 0 then fail "negative MIGIMPORT epoch";
-            let final =
-              match b_byte c with
-              | 0 -> false
-              | 1 -> true
-              | n -> fail "MIGIMPORT final expects 0 or 1, got %d" n
-            in
-            let count = b_int c in
-            if count < 0 then fail "negative MIGIMPORT count";
-            Mig_import
-              ( shard, epoch, final,
-                List.init count (fun _ ->
-                    let key = b_str c in
-                    match b_byte c with
-                    | 0 -> (key, None)
-                    | 1 -> (key, Some (b_str c))
-                    | n -> fail "MIGIMPORT change tag expects 0 or 1, got %d" n) )
-        | op -> fail "unknown request opcode 0x%02x" op
-      in
-      b_eof c;
-      r
-    with
-    | r -> Stdlib.Ok r
-    | exception Fail msg -> Stdlib.Error msg
-
-  let parse_resp_body ~opcode buf ~off ~len =
-    let c = { b = buf; p = off; stop = off + len } in
-    match
-      let r =
-        match opcode with
-        | 0x81 -> Pong
-        | 0x82 -> Ok
-        | 0x83 -> Value None
-        | 0x84 -> Value (Some (b_str c))
-        | 0x85 -> (
-            match b_byte c with
-            | 0 -> Deleted false
-            | 1 -> Deleted true
-            | n -> fail "DELETED expects 0 or 1, got %d" n)
-        | 0x86 -> Int (b_int c)
-        | 0x87 ->
-            let count = b_int c in
-            if count < 0 then fail "negative STATS count";
-            Stats_reply
-              (List.init count (fun _ ->
-                   let name = b_str c in
-                   (name, b_int c)))
-        | 0x88 -> Error (b_str c)
-        | 0x89 ->
-            let count = b_int c in
-            if count < 0 then fail "negative RANGE count";
-            Range
-              (List.init count (fun _ ->
-                   let key = b_str c in
-                   (key, b_str c)))
-        | 0x8A ->
-            let shard = b_int c in
-            if shard < 0 then fail "negative MOVED shard";
-            let epoch = b_int c in
-            if epoch < 0 then fail "negative MOVED epoch";
-            Moved (shard, epoch, b_str c)
-        | 0x8B ->
-            let epoch = b_int c in
-            if epoch < 0 then fail "negative TOPO epoch";
-            let count = b_int c in
-            if count < 0 then fail "negative TOPO count";
-            Topo_reply
-              ( epoch,
-                List.init count (fun _ ->
-                    let shard = b_int c in
-                    if shard < 0 then fail "negative TOPO shard";
-                    (shard, b_str c)) )
-        | op -> fail "unknown response opcode 0x%02x" op
-      in
-      b_eof c;
-      r
-    with
-    | r -> Stdlib.Ok r
-    | exception Fail msg -> Stdlib.Error msg
-
-  (* ------------------------- incremental decoder ------------------------- *)
-
-  module Decoder = struct
-    type t = { mutable buf : Bytes.t; mutable len : int; mutable pos : int }
-    (* One grow-only scratch buffer per connection: bytes [pos, len) are
-       live, [compact] slides them down instead of reallocating, and the
-       backing [buf] only ever grows (doubling) — no per-frame churn. *)
-
-    let create () = { buf = Bytes.create 4096; len = 0; pos = 0 }
-
-    let compact t =
-      if t.pos > 0 then begin
-        let live = t.len - t.pos in
-        if live > 0 then Bytes.blit t.buf t.pos t.buf 0 live;
-        t.len <- live;
-        t.pos <- 0
-      end
-
-    let reserve t n =
-      if t.len + n > Bytes.length t.buf then begin
-        compact t;
-        if t.len + n > Bytes.length t.buf then begin
-          let cap = ref (Bytes.length t.buf) in
-          while t.len + n > !cap do
-            cap := !cap * 2
-          done;
-          let nb = Bytes.create !cap in
-          Bytes.blit t.buf 0 nb 0 t.len;
-          t.buf <- nb
-        end
-      end
-
-    let feed_bytes t b ~off ~len =
-      reserve t len;
-      Bytes.blit b off t.buf t.len len;
-      t.len <- t.len + len
-
-    let feed t s =
-      reserve t (String.length s);
-      Bytes.blit_string s 0 t.buf t.len (String.length s);
-      t.len <- t.len + String.length s
-
-    (* Read the body-length varint at [pos]; bounded at 9 bytes. *)
-    let read_varint t ~pos =
-      let rec go p shift acc =
-        if p >= t.len then `More
-        else if shift > 62 then `Bad
-        else
-          let byte = Bytes.get_uint8 t.buf p in
-          let acc = acc lor ((byte land 0x7f) lsl shift) in
-          if byte land 0x80 = 0 then `Done (acc, p + 1) else go (p + 1) (shift + 7) acc
-      in
-      go pos 0 0
-
-    let next t ~parse_body =
-      let avail = t.len - t.pos in
-      if avail = 0 then Dec_more
-      else
-        let b0 = Bytes.get_uint8 t.buf t.pos in
-        if b0 <> magic then Dec_broken (Printf.sprintf "bad magic byte 0x%02x" b0)
-        else if avail < 8 then Dec_more
-        else begin
-          let opcode = Bytes.get_uint8 t.buf (t.pos + 1) in
-          let flags = Bytes.get_uint8 t.buf (t.pos + 2) in
-          let reserved = Bytes.get_uint8 t.buf (t.pos + 3) in
-          let idv =
-            (Bytes.get_uint8 t.buf (t.pos + 4) lsl 24)
-            lor (Bytes.get_uint8 t.buf (t.pos + 5) lsl 16)
-            lor (Bytes.get_uint8 t.buf (t.pos + 6) lsl 8)
-            lor Bytes.get_uint8 t.buf (t.pos + 7)
-          in
-          let id = if flags land 1 = 1 then Some idv else None in
-          match read_varint t ~pos:(t.pos + 8) with
-          | `More -> Dec_more
-          | `Bad -> Dec_broken "bad body-length varint"
-          | `Done (body_len, body_off) ->
-              if body_len < 0 || body_len > max_frame then
-                Dec_broken (Printf.sprintf "frame body length %d out of range" body_len)
-              else if body_off + body_len > t.len then Dec_more
-              else begin
-                t.pos <- body_off + body_len;
-                if reserved <> 0 then
-                  Dec_skip (id, Printf.sprintf "nonzero reserved byte 0x%02x" reserved)
-                else
-                  match parse_body ~opcode t.buf ~off:body_off ~len:body_len with
-                  | Stdlib.Ok v -> Dec_frame (id, v)
-                  | Stdlib.Error msg -> Dec_skip (id, msg)
-              end
-        end
-
-    let next_request t = next t ~parse_body:parse_req_body
-    let next_response t = next t ~parse_body:parse_resp_body
+let reserve t n =
+  if t.len + n > Bytes.length t.buf then begin
+    let live = t.len - t.pos in
+    if t.pos > 0 then begin
+      Bytes.blit t.buf t.pos t.buf 0 live;
+      t.len <- live;
+      t.pos <- 0
+    end;
+    if live + n > Bytes.length t.buf then begin
+      let cap = ref (Bytes.length t.buf) in
+      while live + n > !cap do
+        cap := !cap * 2
+      done;
+      let nb = Bytes.create !cap in
+      Bytes.blit t.buf 0 nb 0 live;
+      t.buf <- nb
+    end
   end
-end
 
-(* --------------------------- wire dispatch ------------------------------ *)
-
-let frame_into b payload =
-  Buffer.add_string b (string_of_int (String.length payload));
-  Buffer.add_char b '\n';
-  Buffer.add_string b payload
-
-let encode_request_wire b wire ~id r =
-  match wire with
-  | Binary -> Bin.encode_request b ~id r
-  | Text ->
-      let payload = print_request r in
-      frame_into b (match id with None -> payload | Some i -> tag i payload)
-
-let encode_response_wire b wire ~id r =
-  match wire with
-  | Binary -> Bin.encode_response b ~id r
-  | Text ->
-      let payload = print_response r in
-      frame_into b (match id with None -> payload | Some i -> tag i payload)
-
-(* A decoder that sniffs the wire from the connection's first byte: text
-   frames open with a decimal digit (the length header), binary frames
-   with the 0xB2 magic.  Anything else is routed to the text decoder whose
-   header check reports it as a broken stream. *)
-module Req_decoder = struct
-  type t = {
-    mutable wire : wire option;
-    text : Decoder.t;
-    bin : Bin.Decoder.t;
-  }
-
-  let create () = { wire = None; text = Decoder.create (); bin = Bin.Decoder.create () }
-  let wire t = t.wire
-
-  let sniff t byte =
+(* The first byte decides the wire: text frames open with a decimal digit
+   (the length header), binary frames with the 0xB2 magic.  Anything else
+   goes to the text deframer, whose header check reports it broken. *)
+let feed_bytes t b ~off ~len =
+  if len > 0 then begin
     if t.wire = None then
-      t.wire <- Some (if byte = Bin.magic then Binary else Text)
+      t.wire <- Some (if Bytes.get_uint8 b off = magic then Binary else Text);
+    reserve t len;
+    Bytes.blit b off t.buf t.len len;
+    t.len <- t.len + len
+  end
 
-  let feed_bytes t b ~off ~len =
-    if len > 0 then begin
-      sniff t (Bytes.get_uint8 b off);
-      match t.wire with
-      | Some Binary -> Bin.Decoder.feed_bytes t.bin b ~off ~len
-      | _ -> Decoder.feed_bytes t.text b ~off ~len
-    end
+let feed t s = feed_bytes t (Bytes.unsafe_of_string s) ~off:0 ~len:(String.length s)
 
-  let feed t s =
-    if String.length s > 0 then begin
-      sniff t (Char.code s.[0]);
-      match t.wire with
-      | Some Binary -> Bin.Decoder.feed t.bin s
-      | _ -> Decoder.feed t.text s
-    end
+let event id = function Stdlib.Ok v -> Dec_frame (id, v) | Stdlib.Error msg -> Dec_skip (id, msg)
 
-  let next_text dec ~parse =
-    match Decoder.next dec with
-    | Stdlib.Error msg -> Dec_broken msg
-    | Stdlib.Ok None -> Dec_more
-    | Stdlib.Ok (Some payload) -> (
-        match split_tag payload with
-        | Stdlib.Error msg -> Dec_skip (None, msg)
-        | Stdlib.Ok (id, rest) -> (
-            match parse rest with
-            | Stdlib.Ok r -> Dec_frame (id, r)
-            | Stdlib.Error msg -> Dec_skip (id, msg)))
+let next_binary g t =
+  let p0 = t.pos in
+  if t.len = p0 then Dec_more
+  else if Bytes.get_uint8 t.buf p0 <> magic then
+    Dec_broken (Printf.sprintf "bad magic byte 0x%02x" (Bytes.get_uint8 t.buf p0))
+  else if t.len - p0 < 8 then Dec_more
+  else begin
+    let reserved = Bytes.get_uint8 t.buf (p0 + 3) in
+    let id =
+      if Bytes.get_uint8 t.buf (p0 + 2) land 1 = 0 then None
+      else
+        Some ((Bytes.get_uint16_be t.buf (p0 + 4) lsl 16) lor Bytes.get_uint16_be t.buf (p0 + 6))
+    in
+    (* The body-length varint, bounded at 9 bytes. *)
+    let rec body_len p shift acc =
+      if p >= t.len then Dec_more
+      else if shift > 62 then Dec_broken "bad body-length varint"
+      else
+        let v = Bytes.get_uint8 t.buf p in
+        let acc = acc lor ((v land 0x7f) lsl shift) in
+        if v land 0x80 <> 0 then body_len (p + 1) (shift + 7) acc
+        else if acc < 0 || acc > max_frame then
+          Dec_broken (Printf.sprintf "frame body length %d out of range" acc)
+        else if p + 1 + acc > t.len then Dec_more
+        else begin
+          t.pos <- p + 1 + acc;
+          if reserved <> 0 then
+            Dec_skip (id, Printf.sprintf "nonzero reserved byte 0x%02x" reserved)
+          else
+            event id
+              (read_body g
+                 { cw = Binary; b = t.buf; p = p + 1; stop = p + 1 + acc; base = p + 1 }
+                 ~opcode:(Bytes.get_uint8 t.buf (p0 + 1)))
+        end
+    in
+    body_len (p0 + 8) 0 0
+  end
 
-  let next t =
-    match t.wire with
-    | None -> Dec_more
-    | Some Binary -> Bin.Decoder.next_request t.bin
-    | Some Text -> next_text t.text ~parse:parse_request
+(* The first [c] in [b] at or after [i], or [stop] if none comes before. *)
+let rec index_from b c i stop =
+  if i >= stop || Bytes.get b i = c then i else index_from b c (i + 1) stop
+
+(* A text payload may open with a client-chosen id ("@<id> "): tagged
+   requests form a pipeline whose responses echo the id and may return in
+   any order.  Untagged payloads keep the v1 one-at-a-time, in-order
+   contract. *)
+let next_text g t =
+  let nl = index_from t.buf '\n' t.pos t.len in
+  if nl = t.len then
+    if t.len - t.pos > 20 then Dec_broken "frame header too long (no newline)" else Dec_more
+  else
+    let header = Bytes.sub_string t.buf t.pos (nl - t.pos) in
+    match int_of_string_opt header with
+    | None -> Dec_broken (Printf.sprintf "bad frame header %S" header)
+    | Some n when n < 0 || n > max_frame ->
+        Dec_broken (Printf.sprintf "frame length %d out of range" n)
+    | Some n when t.len - (nl + 1) < n -> Dec_more
+    | Some n ->
+        let p = nl + 1 and stop = nl + 1 + n in
+        t.pos <- stop;
+        let body id p =
+          event id (read_body g { cw = Text; b = t.buf; p; stop; base = p } ~opcode:0)
+        in
+        if n = 0 || Bytes.get t.buf p <> '@' then body None p
+        else
+          let sp = index_from t.buf ' ' p stop in
+          if sp = stop then Dec_skip (None, "tagged payload has no ' ' after the id")
+          else (
+            match int_of_string_opt (Bytes.sub_string t.buf (p + 1) (sp - p - 1)) with
+            | Some id when id >= 0 -> body (Some id) (sp + 1)
+            | _ ->
+                Dec_skip
+                  (None, Printf.sprintf "bad request id %S" (Bytes.sub_string t.buf p (sp - p))))
+
+let next g t =
+  match t.wire with
+  | None -> Dec_more
+  | Some Binary -> next_binary g t
+  | Some Text -> next_text g t
+
+module Req_decoder = struct
+  type t = decoder
+
+  let create () = create None
+  let wire t = t.wire
+  let feed = feed
+  let feed_bytes = feed_bytes
+  let next t = next requests t
 end
 
 (* The client side knows which wire it opened, so no sniffing. *)
 module Resp_decoder = struct
-  type t = { wire : wire; text : Decoder.t; bin : Bin.Decoder.t }
+  type t = decoder
 
-  let create wire = { wire; text = Decoder.create (); bin = Bin.Decoder.create () }
-
-  let feed_bytes t b ~off ~len =
-    match t.wire with
-    | Binary -> Bin.Decoder.feed_bytes t.bin b ~off ~len
-    | Text -> Decoder.feed_bytes t.text b ~off ~len
-
-  let feed t s =
-    match t.wire with
-    | Binary -> Bin.Decoder.feed t.bin s
-    | Text -> Decoder.feed t.text s
-
-  let next t =
-    match t.wire with
-    | Binary -> Bin.Decoder.next_response t.bin
-    | Text -> Req_decoder.next_text t.text ~parse:parse_response
+  let create wire = create (Some wire)
+  let feed = feed
+  let feed_bytes = feed_bytes
+  let next t = next responses t
 end

@@ -1,16 +1,38 @@
-(** The kexd wire protocol — two framings over one request/response
-    alphabet, with a pure codec: parse/print round-trip on strings and
-    buffers, framing is an incremental decoder over fed byte chunks, so
-    everything here is testable without sockets.
+(** The kexd wire protocol — one request/response grammar over two
+    framings, with a pure codec: encoders append to a buffer and decoders
+    deframe fed byte chunks, so everything here is testable without
+    sockets.  Each message's segments (strings, integers, 0/1 flags) are
+    stated once; a wire supplies only how a segment is spelled and the
+    frame around the body.
 
-    {b v1 (text)}: frame is [<payload length in decimal>'\n'<payload>].
-    String arguments are netstring-style ([<len>:<bytes>]), so keys and
-    values may contain any byte, including spaces and newlines.
+    {b v1 (text)}: frame is [<payload length in decimal>'\n'<payload>],
+    payload [KEYWORD] then each segment after a space: integers in
+    decimal, strings netstring-style ([<len>:<bytes>]), so keys and values
+    may contain any byte, including spaces and newlines.
 
-    {b v2 (binary)}: length-prefixed binary frame with a fixed 8-byte
-    header — see {!Bin}.  A text frame always opens with a decimal digit
-    and a binary frame with the magic byte [0xB2], so the first byte of a
-    connection selects its wire ({!Req_decoder} sniffs it). *)
+    {b v2 (binary)}: length-prefixed frame (multi-byte fields big-endian):
+    {v
+      byte 0     magic 0xB2     (never a decimal digit, so sniffable)
+      byte 1     opcode         (request 0x01-0x0B, response 0x81-0x8B)
+      byte 2     flags          (bit 0: request id present)
+      byte 3     reserved       (must be 0)
+      bytes 4-7  request id     (uint32, 0 when untagged)
+      varint     body length    (LEB128, <= max_frame)
+      body       segments: zigzag LEB128 integers, varint-length-prefixed
+                 strings, one-byte flags
+    v}
+    The body length makes every binary frame skippable: a malformed body
+    is consumed whole and answered with [ERR] without losing framing.  A
+    text frame always opens with a decimal digit and a binary frame with
+    [0xB2], so the first byte of a connection selects its wire
+    ({!Req_decoder} sniffs it).
+
+    {b Request ids (pipelining).}  A request may carry a client-chosen id:
+    ["@<id> "] in front of a text payload, the header's id field on the
+    binary wire.  Tagged requests form a pipeline: the client keeps a
+    window of them in flight on one connection, the server echoes each id
+    on its response, and responses may return in any order.  Untagged
+    requests keep the v1 one-at-a-time, in-order contract. *)
 
 type request =
   | Ping
@@ -67,58 +89,16 @@ type wire = Text | Binary
 val wire_name : wire -> string
 
 val print_request : request -> string
+(** The text wire's payload for a request, untagged and unframed. *)
+
 val parse_request : string -> (request, string) result
+(** Parse one untagged text payload. *)
+
 val print_response : response -> string
 val parse_response : string -> (response, string) result
 
-(** {2 Request ids (pipelining)}
-
-    A payload may carry a client-chosen id prefix (["@<id> <payload>"]).
-    Tagged requests form a pipeline: the client keeps a window of them in
-    flight on one connection, the server echoes each id on its response, and
-    responses may return in any order.  Untagged payloads keep the v1
-    one-at-a-time, in-order contract.  On the binary wire the id rides in
-    the fixed header instead (flags bit 0 marks it present). *)
-
-val tag : int -> string -> string
-(** Prefix a payload with an id ([id >= 0]). *)
-
-val split_tag : string -> (int option * string, string) result
-(** Strip an id prefix if present; [Error] only for a malformed tag (e.g.
-    ["@x "] or a missing space), so a parse error after a valid tag still
-    yields the id for the error reply. *)
-
-val print_request_tagged : id:int -> request -> string
-val parse_request_tagged : string -> (int option * request, string) result
-val print_response_tagged : id:int -> response -> string
-val parse_response_tagged : string -> (int option * response, string) result
-
-val frame : string -> string
-(** Wrap a payload in a length-prefixed text frame. *)
-
-val frame_into : Buffer.t -> string -> unit
-(** [frame_into b payload] appends the text frame for [payload] to [b]
-    without building an intermediate string. *)
-
 val max_frame : int
 (** Frames (text payloads / binary bodies) longer than this are rejected. *)
-
-(** Incremental text deframer: feed raw byte chunks (any split), pop
-    complete payloads. *)
-module Decoder : sig
-  type t
-
-  val create : unit -> t
-  val feed : t -> string -> unit
-
-  val feed_bytes : t -> Bytes.t -> off:int -> len:int -> unit
-  (** Like {!feed} but straight from a read buffer, no intermediate string. *)
-
-  val next : t -> (string option, string) result
-  (** [Ok None] = need more bytes; [Ok (Some payload)] = one complete frame;
-      [Error _] = the stream is garbage (bad or oversized header) and the
-      connection should be dropped. *)
-end
 
 (** {2 Decoded events}
 
@@ -133,44 +113,6 @@ type 'a decoded =
   | Dec_broken of string
       (** the byte stream can no longer be trusted (bad magic/header,
           oversized length): reply [ERR] once, then close *)
-
-(** {2 Binary v2 frames}
-
-    Layout (multi-byte fields big-endian):
-    {v
-      byte 0     magic 0xB2     (never a decimal digit, so sniffable)
-      byte 1     opcode         (request 0x01-0x0B, response 0x81-0x8B)
-      byte 2     flags          (bit 0: request id present)
-      byte 3     reserved       (must be 0)
-      bytes 4-7  request id     (uint32, 0 when untagged)
-      varint     body length    (LEB128, <= max_frame)
-      body       opcode-specific segments
-    v}
-    Strings are varint-length-prefixed bytes; integers are zigzag LEB128
-    varints.  The body length makes every frame skippable: a malformed body
-    is consumed whole and answered with [ERR] without losing framing. *)
-module Bin : sig
-  val magic : int
-
-  val encode_request : Buffer.t -> id:int option -> request -> unit
-  (** Append one binary request frame to [b]; allocation-free for requests
-      already in hand (writes header and segments directly). *)
-
-  val encode_response : Buffer.t -> id:int option -> response -> unit
-
-  (** Incremental binary deframer over one grow-only scratch buffer — the
-      backing bytes are reused across frames (compacted, doubled on demand),
-      never reallocated per frame. *)
-  module Decoder : sig
-    type t
-
-    val create : unit -> t
-    val feed : t -> string -> unit
-    val feed_bytes : t -> Bytes.t -> off:int -> len:int -> unit
-    val next_request : t -> request decoded
-    val next_response : t -> response decoded
-  end
-end
 
 val encode_request_wire : Buffer.t -> wire -> id:int option -> request -> unit
 (** Append one framed request in the given wire's encoding. *)

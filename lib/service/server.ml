@@ -499,59 +499,13 @@ let scan_local t ~start ~count =
    by max_frame) and keeps the destination's per-admission batches sane. *)
 let mig_chunk = 1024
 
-(* A tiny blocking RPC client over the binary wire — the node-to-node leg
-   of a migration.  One request in flight, bounded by a socket timeout. *)
-let rpc_connect ~addr ~timeout_s =
-  match Routing.parse_addr addr with
-  | Error msg -> Error msg
-  | Ok (host, port) -> (
-      match
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        (try
-           Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout_s;
-           Unix.setsockopt fd Unix.TCP_NODELAY true
-         with Unix.Unix_error _ -> ());
-        (try Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
-         with e ->
-           (try Unix.close fd with Unix.Unix_error _ -> ());
-           raise e);
-        fd
-      with
-      | fd -> Ok (fd, Protocol.Resp_decoder.create Protocol.Binary, Buffer.create 4096)
-      | exception Unix.Unix_error (e, _, _) ->
-          Error (Printf.sprintf "connect %s: %s" addr (Unix.error_message e)))
-
-let rpc_close (fd, _, _) = try Unix.close fd with Unix.Unix_error _ -> ()
-
-let rpc (fd, dec, out) req =
-  Buffer.clear out;
-  Protocol.encode_request_wire out Protocol.Binary ~id:None req;
-  match
-    Netio.write_all fd (Buffer.contents out);
-    let buf = Bytes.create 8192 in
-    let rec await () =
-      match Protocol.Resp_decoder.next dec with
-      | Protocol.Dec_frame (_, resp) -> Ok resp
-      | Protocol.Dec_skip (_, msg) | Protocol.Dec_broken msg -> Error ("peer: " ^ msg)
-      | Protocol.Dec_more -> (
-          match Unix.read fd buf 0 (Bytes.length buf) with
-          | 0 -> Error "peer closed the connection"
-          | n ->
-              Protocol.Resp_decoder.feed_bytes dec buf ~off:0 ~len:n;
-              await ())
-    in
-    await ()
-  with
-  | r -> r
-  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-
 (* Expect Ok back for one migration push. *)
 let rpc_ok conn req =
-  match rpc conn req with
+  match Netio.call conn req with
   | Ok Protocol.Ok -> Ok ()
   | Ok (Protocol.Error msg) -> Error ("peer: " ^ msg)
   | Ok _ -> Error "peer: unexpected response to migration push"
-  | Error _ as e -> e
+  | Error msg -> Error ("peer: " ^ msg)
 
 let fence sh on =
   Sync.with_lock sh.sh_fence_m (fun () ->
@@ -586,11 +540,11 @@ let handoff t ~shard ~addr =
       else if String.equal addr cl.cl_self then Error "cannot hand off a shard to ourselves"
       else begin
         let sh = t.shard_ctxs.(shard) in
-        match rpc_connect ~addr ~timeout_s:10. with
+        match Netio.connect ~wire:Protocol.Binary ~timeout_s:10. addr with
         | Error _ as e -> e
         | Ok conn ->
             let finish r =
-              rpc_close conn;
+              Netio.close conn;
               r
             in
             let rec ship_bulk = function

@@ -8,48 +8,10 @@ module Server = Kex_service.Server
 module P = Kex_service.Protocol
 module Sharded = Kex_resilient.Sharded_store
 
-(* ------------------------- a minimal test client ------------------------ *)
+open Wire_client
 
-type client = { fd : Unix.file_descr; dec : P.Decoder.t; buf : Bytes.t }
-
-let connect port =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
-  { fd; dec = P.Decoder.create (); buf = Bytes.create 4096 }
-
-let close c = try Unix.close c.fd with Unix.Unix_error _ -> ()
-
-let write_all fd s =
-  let b = Bytes.of_string s in
-  let rec go off =
-    if off < Bytes.length b then go (off + Unix.write fd b off (Bytes.length b - off))
-  in
-  go 0
-
-let recv c =
-  let rec go () =
-    match P.Decoder.next c.dec with
-    | Error msg -> failwith ("client decoder: " ^ msg)
-    | Ok (Some payload) -> (
-        match P.parse_response payload with
-        | Ok r -> r
-        | Error msg -> failwith ("client parse: " ^ msg))
-    | Ok None -> (
-        match Unix.read c.fd c.buf 0 (Bytes.length c.buf) with
-        | 0 -> failwith "server closed the connection"
-        | n ->
-            P.Decoder.feed c.dec (Bytes.sub_string c.buf 0 n);
-            go ())
-  in
-  go ()
-
-let rpc c r =
-  write_all c.fd (P.frame (P.print_request r));
-  recv c
-
-let assert_resp ctx expected actual =
-  Alcotest.(check string) ctx (P.print_response expected) (P.print_response actual)
+(* Every cluster-test connection carries a 5 s receive timeout. *)
+let connect port = connect ~timeout_s:5.0 port
 
 (* --------------------------- cluster plumbing --------------------------- *)
 

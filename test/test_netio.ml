@@ -148,6 +148,72 @@ let test_poll_pollout_and_err () =
       Alcotest.(check bool) "readable-or-error on hangup" true
         (flags.(0) land (Netio.Poll.pollin lor Netio.Poll.pollerr) <> 0))
 
+(* [call] over a real TCP peer: the first connection's request is
+   answered; a second peer reads the request and never answers, and the
+   call must come back [Error] once its deadline passes instead of
+   hanging. *)
+let test_call_answers_then_times_out () =
+  let module P = Kex_service.Protocol in
+  let listen = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close listen) (fun () ->
+      Unix.bind listen (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+      Unix.listen listen 2;
+      let addr =
+        match Unix.getsockname listen with
+        | Unix.ADDR_INET (_, port) -> Printf.sprintf "127.0.0.1:%d" port
+        | Unix.ADDR_UNIX _ -> assert false
+      in
+      let peer () =
+        let buf = Bytes.create 256 in
+        let fd, _ = Unix.accept listen in
+        let dec = P.Req_decoder.create () in
+        let rec await () =
+          match P.Req_decoder.next dec with
+          | P.Dec_more ->
+              let n = Unix.read fd buf 0 (Bytes.length buf) in
+              if n > 0 then begin
+                P.Req_decoder.feed_bytes dec buf ~off:0 ~len:n;
+                await ()
+              end
+          | _ -> ()
+        in
+        await ();
+        let out = Buffer.create 16 in
+        P.encode_response_wire out P.Binary ~id:None P.Pong;
+        Netio.write_all fd (Buffer.contents out);
+        let silent, _ = Unix.accept listen in
+        (* Swallow the request, answer nothing, hang up when the client does. *)
+        let rec drain () = if Unix.read silent buf 0 (Bytes.length buf) > 0 then drain () in
+        drain ();
+        Unix.close silent;
+        Unix.close fd
+      in
+      let server = Thread.create peer () in
+      let connect () =
+        match Netio.connect ~wire:P.Binary ~timeout_s:0.2 addr with
+        | Ok p -> p
+        | Error msg -> Alcotest.fail msg
+      in
+      let p = connect () in
+      (match Netio.call p P.Ping with
+      | Ok P.Pong -> ()
+      | Ok r -> Alcotest.failf "PING answered %s" (P.print_response r)
+      | Error msg -> Alcotest.failf "PING failed: %s" msg);
+      Netio.close p;
+      let q = connect () in
+      let t0 = Unix.gettimeofday () in
+      (match Netio.call q P.Ping with
+      | Error _ -> ()
+      | Ok r -> Alcotest.failf "silent peer answered %s" (P.print_response r));
+      let waited = Unix.gettimeofday () -. t0 in
+      Netio.close q;
+      Thread.join server;
+      Alcotest.(check bool) (Printf.sprintf "waited out the deadline (%.2fs)" waited) true
+        (waited >= 0.15 && waited < 1.0);
+      match Netio.connect ~wire:P.Binary ~timeout_s:0.2 "no-port" with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "bad address accepted")
+
 let suite =
   [ Helpers.tc "read retries past a receive timeout" test_read_retries_past_rcvtimeo;
     Helpers.tc "read returns 0 at EOF" test_read_eof_is_zero;
@@ -157,4 +223,6 @@ let suite =
     Helpers.tc "read_nb: Would_block / Data / Eof" test_read_nb;
     Helpers.tc "write_nb: 0 on a full buffer, resumes after drain" test_write_nb_fills_then_blocks;
     Helpers.tc "Poll.wait: per-slot readiness and timeout" test_poll_readiness;
-    Helpers.tc "Poll.wait: POLLOUT and hangup" test_poll_pollout_and_err ]
+    Helpers.tc "Poll.wait: POLLOUT and hangup" test_poll_pollout_and_err;
+    Helpers.tc "call: one request answered, a silent peer errs by the deadline"
+      test_call_answers_then_times_out ]

@@ -6,73 +6,7 @@
 module Server = Kex_service.Server
 module P = Kex_service.Protocol
 
-(* ------------------------- a minimal test client ------------------------ *)
-
-type client = { fd : Unix.file_descr; dec : P.Decoder.t; buf : Bytes.t }
-
-let connect port =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  { fd; dec = P.Decoder.create (); buf = Bytes.create 4096 }
-
-let close c = try Unix.close c.fd with Unix.Unix_error _ -> ()
-
-let write_all fd s =
-  let b = Bytes.of_string s in
-  let rec go off =
-    if off < Bytes.length b then go (off + Unix.write fd b off (Bytes.length b - off))
-  in
-  go 0
-
-let send_raw c s = write_all c.fd s
-
-exception Timeout
-
-(* Read one framed response; a SO_RCVTIMEO expiry surfaces as EAGAIN. *)
-let recv c =
-  let rec go () =
-    match P.Decoder.next c.dec with
-    | Error msg -> failwith ("client decoder: " ^ msg)
-    | Ok (Some payload) -> (
-        match P.parse_response payload with
-        | Ok r -> r
-        | Error msg -> failwith ("client parse: " ^ msg))
-    | Ok None -> (
-        match Unix.read c.fd c.buf 0 (Bytes.length c.buf) with
-        | 0 -> failwith "server closed the connection"
-        | n ->
-            P.Decoder.feed c.dec (Bytes.sub_string c.buf 0 n);
-            go ()
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> raise Timeout)
-  in
-  go ()
-
-let rpc c r =
-  send_raw c (P.frame (P.print_request r));
-  recv c
-
-(* Read one id-tagged response (the pipelined wire). *)
-let recv_tagged c =
-  let rec go () =
-    match P.Decoder.next c.dec with
-    | Error msg -> failwith ("client decoder: " ^ msg)
-    | Ok (Some payload) -> (
-        match P.parse_response_tagged payload with
-        | Ok (Some id, r) -> (id, r)
-        | Ok (None, _) -> failwith ("untagged response on pipelined stream: " ^ payload)
-        | Error msg -> failwith ("client parse: " ^ msg))
-    | Ok None -> (
-        match Unix.read c.fd c.buf 0 (Bytes.length c.buf) with
-        | 0 -> failwith "server closed the connection"
-        | n ->
-            P.Decoder.feed c.dec (Bytes.sub_string c.buf 0 n);
-            go ()
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> raise Timeout)
-  in
-  go ()
-
-let assert_resp ctx expected actual =
-  Alcotest.(check string) ctx (P.print_response expected) (P.print_response actual)
+open Wire_client
 
 let quiet = { Server.default_config with port = 0; log = (fun _ -> ()) }
 
@@ -111,7 +45,7 @@ let test_crud_over_socket () =
               Alcotest.(check int) "k" 1 (get "k")
           | r -> Alcotest.failf "STATS answered %s" (P.print_response r));
           (* A framed but unparseable payload gets an ERR, not a hangup. *)
-          send_raw c (P.frame "FLY me");
+          send_raw c "6\nFLY me";
           match recv c with
           | P.Error _ -> ()
           | r -> Alcotest.failf "garbage payload answered %s" (P.print_response r)))
@@ -213,13 +147,8 @@ let test_pipelined_window () =
       let c = connect (Server.port t) in
       Fun.protect ~finally:(fun () -> close c) (fun () ->
           let w = 16 in
-          let out = Buffer.create 512 in
-          for id = 0 to w - 1 do
-            Buffer.add_string out
-              (P.frame
-                 (P.print_request_tagged ~id (P.Update (Printf.sprintf "pk%d" (id mod 5), 1))))
-          done;
-          send_raw c (Buffer.contents out);
+          send c
+            (List.init w (fun id -> (Some id, P.Update (Printf.sprintf "pk%d" (id mod 5), 1))));
           let seen = Hashtbl.create w in
           for _ = 1 to w do
             let id, resp = recv_tagged c in
@@ -381,73 +310,35 @@ let test_pipelined_latency_honest () =
       Alcotest.(check bool) "p50 includes in-window queueing" true
         (s16.Kex_service.Loadgen.p50_us >= s1.Kex_service.Loadgen.p50_us))
 
-(* ------------------------ binary-wire test client ----------------------- *)
-
-type bclient = { bfd : Unix.file_descr; bdec : P.Resp_decoder.t; bbuf : Bytes.t }
-
-let bconnect port =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  { bfd = fd; bdec = P.Resp_decoder.create P.Binary; bbuf = Bytes.create 4096 }
-
-let bclose c = try Unix.close c.bfd with Unix.Unix_error _ -> ()
-
-(* Read one decoded event (frame or skip/broken), pulling bytes as needed. *)
-let brecv_event c =
-  let rec go () =
-    match P.Resp_decoder.next c.bdec with
-    | P.Dec_more -> (
-        match Unix.read c.bfd c.bbuf 0 (Bytes.length c.bbuf) with
-        | 0 -> failwith "server closed the connection"
-        | n ->
-            P.Resp_decoder.feed_bytes c.bdec c.bbuf ~off:0 ~len:n;
-            go ())
-    | ev -> ev
-  in
-  go ()
-
-let brecv c =
-  match brecv_event c with
-  | P.Dec_frame (id, r) -> (id, r)
-  | P.Dec_skip (_, msg) -> failwith ("client skip: " ^ msg)
-  | P.Dec_broken msg -> failwith ("client broken: " ^ msg)
-  | P.Dec_more -> assert false
-
-let brpc ?id c r =
-  let b = Buffer.create 64 in
-  P.Bin.encode_request b ~id r;
-  write_all c.bfd (Buffer.contents b);
-  brecv c
-
 (* Binary CRUD + SCAN end to end, with the id echoed from the header, and
    the malformed-frame contract: a length-intact bad frame gets an ERR and
    the connection keeps working; a broken stream gets one ERR then the
    hangup — same semantics as the text wire. *)
 let test_binary_wire_e2e () =
   with_server { quiet with workers = 2; k = 2; shards = 2 } (fun t ->
-      let c = bconnect (Server.port t) in
-      Fun.protect ~finally:(fun () -> bclose c) (fun () ->
-          (match brpc c P.Ping with
+      let c = connect ~wire:P.Binary (Server.port t) in
+      Fun.protect ~finally:(fun () -> close c) (fun () ->
+          (match call c P.Ping with
           | None, P.Pong -> ()
           | _, r -> Alcotest.failf "binary PING answered %s" (P.print_response r));
-          (match brpc c (P.Set ("a", "binary\x00value")) with
+          (match call c (P.Set ("a", "binary\x00value")) with
           | None, P.Ok -> ()
           | _, r -> Alcotest.failf "binary SET answered %s" (P.print_response r));
-          (match brpc ~id:99 c (P.Get "a") with
+          (match call ~id:99 c (P.Get "a") with
           | Some 99, P.Value (Some "binary\x00value") -> ()
           | id, r ->
               Alcotest.failf "binary GET answered (%s) %s"
                 (match id with Some i -> string_of_int i | None -> "-")
                 (P.print_response r));
-          (match brpc c (P.Update ("ctr", 4)) with
+          (match call c (P.Update ("ctr", 4)) with
           | None, P.Int 4 -> ()
           | _, r -> Alcotest.failf "binary UPDATE answered %s" (P.print_response r));
           for i = 0 to 4 do
-            match brpc c (P.Set (Printf.sprintf "scan%d" i, string_of_int i)) with
+            match call c (P.Set (Printf.sprintf "scan%d" i, string_of_int i)) with
             | None, P.Ok -> ()
             | _, r -> Alcotest.failf "scan seed answered %s" (P.print_response r)
           done;
-          (match brpc c (P.Scan ("scan", 10)) with
+          (match call c (P.Scan ("scan", 10)) with
           | None, P.Range kvs ->
               Alcotest.(check (list (pair string string)))
                 "binary SCAN"
@@ -455,24 +346,24 @@ let test_binary_wire_e2e () =
                 kvs
           | _, r -> Alcotest.failf "binary SCAN answered %s" (P.print_response r));
           (* Unknown opcode, intact length: ERR, then business as usual. *)
-          write_all c.bfd "\xB2\x7F\x00\x00\x00\x00\x00\x00\x04junk";
-          (match brecv c with
+          send_raw c "\xB2\x7F\x00\x00\x00\x00\x00\x00\x04junk";
+          (match recv_frame c with
           | _, P.Error _ -> ()
           | _, r -> Alcotest.failf "bad opcode answered %s" (P.print_response r));
-          (match brpc c P.Ping with
+          (match call c P.Ping with
           | None, P.Pong -> ()
           | _, r -> Alcotest.failf "post-skip PING answered %s" (P.print_response r)));
       (* Bad magic mid-stream on a sniffed-binary connection: ERR then close. *)
-      let c2 = bconnect (Server.port t) in
-      Fun.protect ~finally:(fun () -> bclose c2) (fun () ->
-          (match brpc c2 P.Ping with
+      let c2 = connect ~wire:P.Binary (Server.port t) in
+      Fun.protect ~finally:(fun () -> close c2) (fun () ->
+          (match call c2 P.Ping with
           | None, P.Pong -> ()
           | _, r -> Alcotest.failf "c2 PING answered %s" (P.print_response r));
-          write_all c2.bfd "\x00garbage";
-          (match brecv c2 with
+          send_raw c2 "\x00garbage";
+          (match recv_frame c2 with
           | _, P.Error _ -> ()
           | _, r -> Alcotest.failf "broken stream answered %s" (P.print_response r));
-          Alcotest.(check int) "connection dropped" 0 (Unix.read c2.bfd c2.bbuf 0 1)))
+          Alcotest.(check int) "connection dropped" 0 (Unix.read c2.fd c2.buf 0 1)))
 
 (* An oversized declared frame must not wedge or OOM the server: ERR (or
    straight hangup), and a fresh connection still gets served. *)
@@ -489,8 +380,8 @@ let test_oversized_frame_rejected () =
           Alcotest.(check int) "text conn dropped" 0
             (try Unix.read c.fd c.buf 0 1 with Unix.Unix_error _ -> 0));
       (* Binary wire: header declaring a > max_frame body. *)
-      let c2 = bconnect (Server.port t) in
-      Fun.protect ~finally:(fun () -> bclose c2) (fun () ->
+      let c2 = connect ~wire:P.Binary (Server.port t) in
+      Fun.protect ~finally:(fun () -> close c2) (fun () ->
           let b = Buffer.create 16 in
           Buffer.add_string b "\xB2\x01\x00\x00\x00\x00\x00\x00";
           let rec add_uvarint n =
@@ -501,13 +392,13 @@ let test_oversized_frame_rejected () =
             end
           in
           add_uvarint (P.max_frame + 1);
-          write_all c2.bfd (Buffer.contents b);
-          (match brecv c2 with
+          send_raw c2 (Buffer.contents b);
+          (match recv_frame c2 with
           | _, P.Error _ -> ()
           | _, r -> Alcotest.failf "oversized binary frame answered %s" (P.print_response r)
           | exception Failure _ -> ());
           Alcotest.(check int) "binary conn dropped" 0
-            (try Unix.read c2.bfd c2.bbuf 0 1 with Unix.Unix_error _ -> 0));
+            (try Unix.read c2.fd c2.buf 0 1 with Unix.Unix_error _ -> 0));
       (* The server is still healthy for the next client. *)
       let c3 = connect (Server.port t) in
       Fun.protect ~finally:(fun () -> close c3) (fun () ->
@@ -564,9 +455,9 @@ let test_scan_survives_wedged_shard () =
               | P.Range kvs ->
                   Alcotest.(check (list (pair string string))) "wedged SCAN" expected kvs
               | r -> Alcotest.failf "wedged SCAN answered %s" (P.print_response r));
-          let breader = bconnect (Server.port t) in
-          Fun.protect ~finally:(fun () -> bclose breader) (fun () ->
-              match brpc breader (P.Scan ("s", 20)) with
+          let breader = connect ~wire:P.Binary (Server.port t) in
+          Fun.protect ~finally:(fun () -> close breader) (fun () ->
+              match call breader (P.Scan ("s", 20)) with
               | None, P.Range kvs ->
                   Alcotest.(check (list (pair string string))) "wedged binary SCAN" expected kvs
               | _, r -> Alcotest.failf "wedged binary SCAN answered %s" (P.print_response r))))
@@ -655,7 +546,7 @@ let test_reactor_crud () =
           assert_resp "get" (P.Value (Some "via reactor\nwith newline")) (rpc c (P.Get "a"));
           assert_resp "update" (P.Int 7) (rpc c (P.Update ("ctr", 7)));
           assert_resp "del" (P.Deleted true) (rpc c (P.Del "a"));
-          send_raw c (P.frame "FLY me");
+          send_raw c "6\nFLY me";
           (match recv c with
           | P.Error _ -> ()
           | r -> Alcotest.failf "garbage payload answered %s" (P.print_response r));
@@ -675,13 +566,8 @@ let test_reactor_pipelined_window () =
       let c = connect (Server.port t) in
       Fun.protect ~finally:(fun () -> close c) (fun () ->
           let w = 32 in
-          let out = Buffer.create 512 in
-          for id = 0 to w - 1 do
-            Buffer.add_string out
-              (P.frame
-                 (P.print_request_tagged ~id (P.Update (Printf.sprintf "rk%d" (id mod 5), 1))))
-          done;
-          send_raw c (Buffer.contents out);
+          send c
+            (List.init w (fun id -> (Some id, P.Update (Printf.sprintf "rk%d" (id mod 5), 1))));
           let seen = Hashtbl.create w in
           for _ = 1 to w do
             let id, resp = recv_tagged c in
@@ -750,11 +636,7 @@ let test_reactor_slow_client_dropped () =
              enough that the kernel's socket buffers can't hide it and the
              reactor's own output buffer must absorb the overflow. *)
           let slow = connect (Server.port t) in
-          let out = Buffer.create 131072 in
-          for id = 0 to 3999 do
-            Buffer.add_string out (P.frame (P.print_request_tagged ~id (P.Get "big")))
-          done;
-          send_raw slow (Buffer.contents out);
+          send slow (List.init 4000 (fun id -> (Some id, P.Get "big")));
           (* Meanwhile the healthy connection on the same reactor keeps
              answering promptly. *)
           for i = 1 to 20 do
@@ -822,12 +704,7 @@ let test_reactor_chaos_kill_c128 () =
 
 (* One socket write of [n] id-tagged UPDATEs of [key], as the reactor sees
    it: one read, so one batched dispatch. *)
-let send_updates c ~n key =
-  let out = Buffer.create (n * 32) in
-  for id = 0 to n - 1 do
-    Buffer.add_string out (P.frame (P.print_request_tagged ~id (P.Update (key, 1))))
-  done;
-  send_raw c (Buffer.contents out)
+let send_updates c ~n key = send c (List.init n (fun id -> (Some id, P.Update (key, 1))))
 
 (* Batched dispatch: a read's 64 mutations enter the ring as one list with
    one wakeup, so a worker sweeps them in a few full batches instead of the
@@ -905,33 +782,33 @@ let stat_delta t names f =
    and batches sent. *)
 let test_reactor_get_batch_mixed () =
   with_server { quiet with workers = 2; k = 2 } (fun t ->
-      let c = bconnect (Server.port t) in
-      Fun.protect ~finally:(fun () -> bclose c) (fun () ->
+      let c = connect ~wire:P.Binary (Server.port t) in
+      Fun.protect ~finally:(fun () -> close c) (fun () ->
           let value i = if i mod 4 = 3 then None else Some (Printf.sprintf "value-%d" i) in
           for i = 0 to 63 do
             match value i with
             | Some v -> (
-                match brpc c (P.Set (Printf.sprintf "g%d" i, v)) with
+                match call c (P.Set (Printf.sprintf "g%d" i, v)) with
                 | _, P.Ok -> ()
                 | _, r -> Alcotest.failf "seed answered %s" (P.print_response r))
             | None -> ()
           done;
           let b = Buffer.create 2048 in
-          let get i = P.Bin.encode_request b ~id:(Some i) (P.Get (Printf.sprintf "g%d" i)) in
+          let get i = P.encode_request_wire b P.Binary ~id:(Some i) (P.Get (Printf.sprintf "g%d" i)) in
           for i = 0 to 19 do get i done;
-          P.Bin.encode_request b ~id:(Some 100) P.Ping;
+          P.encode_request_wire b P.Binary ~id:(Some 100) P.Ping;
           for i = 20 to 39 do get i done;
-          P.Bin.encode_request b ~id:(Some 101) (P.Set ("s1", "x"));
+          P.encode_request_wire b P.Binary ~id:(Some 101) (P.Set ("s1", "x"));
           (* Unknown opcode, intact length, id 102. *)
           Buffer.add_string b "\xB2\x7F\x01\x00\x00\x00\x00\x66\x04junk";
           for i = 40 to 63 do get i done;
-          P.Bin.encode_request b ~id:(Some 103) (P.Set ("s2", "y"));
+          P.encode_request_wire b P.Binary ~id:(Some 103) (P.Set ("s2", "y"));
           let deltas =
             stat_delta t [ "served_get"; "inline_reads"; "read_batches" ] (fun () ->
-                write_all c.bfd (Buffer.contents b);
+                send_raw c (Buffer.contents b);
                 let seen = Hashtbl.create 68 in
                 for _ = 1 to 68 do
-                  match brecv c with
+                  match recv_frame c with
                   | Some id, _ when Hashtbl.mem seen id -> Alcotest.failf "id %d answered twice" id
                   | Some id, r -> Hashtbl.replace seen id r
                   | None, r -> Alcotest.failf "untagged reply %s" (P.print_response r)
@@ -963,9 +840,7 @@ let test_untagged_gets_keep_order () =
       Fun.protect ~finally:(fun () -> close c) (fun () ->
           assert_resp "seed a" P.Ok (rpc c (P.Set ("a", "1")));
           assert_resp "seed b" P.Ok (rpc c (P.Set ("b", "2")));
-          send_raw c
-            (String.concat ""
-               (List.map (fun r -> P.frame (P.print_request r)) [ P.Get "a"; P.Ping; P.Get "b" ]));
+          send c [ (None, P.Get "a"); (None, P.Ping); (None, P.Get "b") ];
           assert_resp "first" (P.Value (Some "1")) (recv c);
           assert_resp "second" P.Pong (recv c);
           assert_resp "third" (P.Value (Some "2")) (recv c)))
@@ -982,7 +857,7 @@ let test_get_batch_across_shards () =
           Alcotest.(check (list int)) "keys span every shard" [ 0; 1; 2; 3 ] shards;
           List.iter (fun key -> assert_resp "seed" P.Ok (rpc c (P.Set (key, "v:" ^ key)))) keys;
           let ask keys =
-            send_raw c (String.concat "" (List.map (fun k -> P.frame (P.print_request (P.Get k))) keys));
+            send c (List.map (fun k -> (None, P.Get k)) keys);
             List.map (fun _ -> recv c) keys
           in
           let batches0 = stat "read_batches" t in

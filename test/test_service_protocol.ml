@@ -1,7 +1,7 @@
 (* The kexd wire protocol, exercised without a socket: the codec is pure
-   (parse/print on strings, framing on an incremental decoder), so both the
+   (encoders append to a buffer, decoders deframe fed chunks), so both the
    unit round-trips and the qcheck properties below run entirely in
-   memory — an acceptance criterion for the service PR. *)
+   memory. *)
 
 module P = Kex_service.Protocol
 module Chaos = Kex_service.Chaos
@@ -55,7 +55,8 @@ let test_malformed_rejected () =
       "KILL"; "KILL x"; "PING extra"; "GET -1:a"; "SCAN 1:a"; "SCAN 1:a x"; "SCAN 1:a -1";
       "TOPO extra"; "HANDOFF"; "HANDOFF -1 1:a"; "HANDOFF 0"; "MIGIMPORT";
       "MIGIMPORT -1 1 0 0"; "MIGIMPORT 0 -1 0 0"; "MIGIMPORT 0 1 2 0"; "MIGIMPORT 0 1 0 -1";
-      "MIGIMPORT 0 1 0 1"; "MIGIMPORT 0 1 0 1 1:a 2"; "MIGIMPORT 0 1 0 2 1:a 0" ]
+      "MIGIMPORT 0 1 0 1"; "MIGIMPORT 0 1 0 1 1:a 2"; "MIGIMPORT 0 1 0 2 1:a 0";
+      "GET 4611686018427387903:a" ]
   in
   List.iter
     (fun s ->
@@ -75,53 +76,97 @@ let test_malformed_rejected () =
       | Error _ -> ())
     bad_resp
 
-(* --------------------------- unit: framing ------------------------------ *)
+(* ------------------------ unit: framing helpers ------------------------- *)
 
-let drain dec =
+let buf_str f =
+  let b = Buffer.create 64 in
+  f b;
+  Buffer.contents b
+
+let text_frame payload = Printf.sprintf "%d\n%s" (String.length payload) payload
+
+(* Every event [next] yields until it asks for more bytes or breaks. *)
+let events next =
   let rec go acc =
-    match P.Decoder.next dec with
-    | Ok (Some p) -> go (p :: acc)
-    | Ok None -> Ok (List.rev acc)
-    | Error e -> Error e
+    match next () with
+    | P.Dec_more -> List.rev acc
+    | P.Dec_broken _ as ev -> List.rev (ev :: acc)
+    | ev -> go (ev :: acc)
   in
   go []
 
+(* Drain a decoder's [next] thunk until it asks for more bytes. *)
+let drain_dec next =
+  let rec go acc =
+    match next () with
+    | P.Dec_frame (id, x) -> go ((id, x) :: acc)
+    | P.Dec_more -> Stdlib.Ok (List.rev acc)
+    | P.Dec_skip (_, msg) -> Stdlib.Error ("skip: " ^ msg)
+    | P.Dec_broken msg -> Stdlib.Error ("broken: " ^ msg)
+  in
+  go []
+
+let feed_in_cuts feed stream cuts =
+  let prev = ref 0 in
+  List.iter
+    (fun cut ->
+      feed (String.sub stream !prev (cut - !prev));
+      prev := cut)
+    (cuts @ [ String.length stream ])
+
+let show_event print ev =
+  let id = function Some i -> string_of_int i | None -> "-" in
+  match ev with
+  | P.Dec_frame (i, x) -> Printf.sprintf "frame %s %S" (id i) (print x)
+  | P.Dec_skip (i, msg) -> Printf.sprintf "skip %s %S" (id i) msg
+  | P.Dec_more -> "more"
+  | P.Dec_broken msg -> Printf.sprintf "broken %S" msg
+
+let req_event =
+  Alcotest.testable (fun ppf ev -> Format.pp_print_string ppf (show_event P.print_request ev)) ( = )
+
+let resp_event =
+  Alcotest.testable (fun ppf ev -> Format.pp_print_string ppf (show_event P.print_response ev)) ( = )
+
+let decode_request s =
+  let dec = P.Req_decoder.create () in
+  P.Req_decoder.feed dec s;
+  P.Req_decoder.next dec
+
+(* --------------------------- unit: framing ------------------------------ *)
+
+(* Hand-built text frames, one of them an empty payload (a length-intact
+   bad frame): the same events whether fed whole or a byte at a time. *)
 let test_decoder_whole_and_split () =
   let payloads = [ "PING"; "GET 3:a b"; ""; "SET 1:\n 1:x" ] in
-  let stream = String.concat "" (List.map P.frame payloads) in
-  (* One big chunk. *)
-  let dec = P.Decoder.create () in
-  P.Decoder.feed dec stream;
-  Alcotest.(check (result (list string) string)) "one chunk" (Ok payloads) (drain dec);
-  (* Byte at a time, draining after every byte. *)
-  let dec = P.Decoder.create () in
-  let got = ref [] in
-  String.iter
-    (fun c ->
-      P.Decoder.feed dec (String.make 1 c);
-      match drain dec with
-      | Ok ps -> got := !got @ ps
-      | Error e -> Alcotest.failf "byte-at-a-time: %s" e)
-    stream;
-  Alcotest.(check (list string)) "byte at a time" payloads !got
+  let stream = String.concat "" (List.map text_frame payloads) in
+  let expected =
+    [ P.Dec_frame (None, P.Ping); P.Dec_frame (None, P.Get "a b");
+      P.Dec_skip (None, "unknown request \"\""); P.Dec_frame (None, P.Set ("\n", "x")) ]
+  in
+  let dec = P.Req_decoder.create () in
+  P.Req_decoder.feed dec stream;
+  Alcotest.(check (list req_event)) "one chunk" expected (events (fun () -> P.Req_decoder.next dec));
+  let dec = P.Req_decoder.create () in
+  let got =
+    List.concat_map
+      (fun c ->
+        P.Req_decoder.feed dec (String.make 1 c);
+        events (fun () -> P.Req_decoder.next dec))
+      (List.of_seq (String.to_seq stream))
+  in
+  Alcotest.(check (list req_event)) "byte at a time" expected got
 
 let test_decoder_rejects_garbage () =
-  let dec = P.Decoder.create () in
-  P.Decoder.feed dec "not a number\n";
-  (match P.Decoder.next dec with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "bad header accepted");
-  let dec = P.Decoder.create () in
-  P.Decoder.feed dec (string_of_int (P.max_frame + 1) ^ "\n");
-  (match P.Decoder.next dec with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "oversized frame accepted");
-  (* A header that never terminates must error rather than buffer forever. *)
-  let dec = P.Decoder.create () in
-  P.Decoder.feed dec (String.make 64 '1');
-  match P.Decoder.next dec with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unterminated header accepted"
+  List.iter
+    (fun (what, stream) ->
+      match decode_request stream with
+      | P.Dec_broken _ -> ()
+      | ev -> Alcotest.failf "%s answered %s" what (show_event P.print_request ev))
+    [ ("bad header", "not a number\n");
+      ("oversized frame", string_of_int (P.max_frame + 1) ^ "\n");
+      (* A header that never terminates must break rather than buffer forever. *)
+      ("unterminated header", String.make 64 '1') ]
 
 (* ----------------------------- unit: chaos ------------------------------ *)
 
@@ -207,34 +252,31 @@ let test_json_roundtrip () =
 let test_tagging () =
   (* Tagged payloads carry "@<id> "; untagged payloads pass through, so v1
      clients and v2 pipelining share one wire format. *)
-  Alcotest.(check string) "tag" "@7 PING" (P.print_request_tagged ~id:7 P.Ping);
-  (match P.split_tag "@12 GET 1:a" with
-  | Ok (Some 12, "GET 1:a") -> ()
-  | r ->
-      Alcotest.failf "split_tag: %s"
-        (match r with
-        | Ok (id, rest) ->
-            Printf.sprintf "Ok (%s, %S)"
-              (match id with Some i -> string_of_int i | None -> "None")
-              rest
-        | Error e -> "Error " ^ e));
-  (match P.split_tag "PING" with
-  | Ok (None, "PING") -> ()
-  | _ -> Alcotest.fail "untagged payload must pass through");
+  Alcotest.(check string) "tag" "7\n@7 PING"
+    (buf_str (fun b -> P.encode_request_wire b P.Text ~id:(Some 7) P.Ping));
+  Alcotest.check req_event "tagged GET" (P.Dec_frame (Some 12, P.Get "a"))
+    (decode_request (text_frame "@12 GET 1:a"));
+  Alcotest.check req_event "untagged payload passes through" (P.Dec_frame (None, P.Ping))
+    (decode_request (text_frame "PING"));
   (* A value that *contains* '@' is protected by the length prefix of the
      field codec, not the tag: only a leading '@' is tag syntax. *)
-  (match P.parse_request_tagged "@3 SET 2:@x 1:y" with
-  | Ok (Some 3, P.Set ("@x", "y")) -> ()
-  | _ -> Alcotest.fail "tagged SET with @ in key");
+  Alcotest.check req_event "tagged SET with @ in key" (P.Dec_frame (Some 3, P.Set ("@x", "y")))
+    (decode_request (text_frame "@3 SET 2:@x 1:y"));
+  (* A malformed tag skips the frame without an id; a parse error after a
+     valid tag keeps the id for the ERR reply. *)
   List.iter
     (fun s ->
-      match P.split_tag s with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.failf "%S should not split" s)
+      match decode_request (text_frame s) with
+      | P.Dec_skip (None, _) -> ()
+      | ev -> Alcotest.failf "%S answered %s" s (show_event P.print_request ev))
     [ "@"; "@12"; "@x PING"; "@-1 PING"; "@ PING" ];
-  match P.parse_response_tagged "@0 VAL 1:z" with
-  | Ok (Some 0, P.Value (Some "z")) -> ()
-  | _ -> Alcotest.fail "tagged response parse"
+  (match decode_request (text_frame "@5 NOPE") with
+  | P.Dec_skip (Some 5, _) -> ()
+  | ev -> Alcotest.failf "tagged garbage answered %s" (show_event P.print_request ev));
+  let dec = P.Resp_decoder.create P.Text in
+  P.Resp_decoder.feed dec (text_frame "@0 VAL 1:z");
+  Alcotest.check resp_event "tagged response" (P.Dec_frame (Some 0, P.Value (Some "z")))
+    (P.Resp_decoder.next dec)
 
 (* ---------------------------- qcheck: codecs ---------------------------- *)
 
@@ -287,42 +329,44 @@ let prop_response_roundtrip =
   Q.Test.make ~name:"response print/parse round-trips" ~count:500 ~print:P.print_response
     gen_response (fun r -> P.parse_response (P.print_response r) = Ok r)
 
-(* Any frame stream, fed to the decoder in arbitrary splits, reassembles to
-   exactly the original payload sequence. *)
-let gen_stream_and_splits =
-  let open Q.Gen in
-  let* reqs = list_size (int_range 0 6) gen_request in
-  let payloads = List.map P.print_request reqs in
-  let stream = String.concat "" (List.map P.frame payloads) in
-  let* splits = list_size (int_range 0 10) (int_range 0 (max 0 (String.length stream))) in
-  return (payloads, stream, List.sort_uniq compare splits)
+let gen_opt_id = Q.Gen.(oneof [ return None; map (fun i -> Some i) (int_range 0 1_000_000) ])
 
-let prop_decoder_reassembles =
-  Q.Test.make ~name:"decoder reassembles arbitrarily split frame streams" ~count:300
-    ~print:(fun (ps, _, splits) ->
-      Printf.sprintf "%d payloads, cuts at %s" (List.length ps)
-        (String.concat "," (List.map string_of_int splits)))
-    gen_stream_and_splits
-    (fun (payloads, stream, splits) ->
-      let dec = P.Decoder.create () in
-      let cuts = List.filter (fun i -> i <= String.length stream) (splits @ [ String.length stream ]) in
+(* Request frame streams on [wire], cut at arbitrary byte offsets,
+   reassemble to exactly the sent (id, request) sequence. *)
+let prop_reassembles wire ~name =
+  let gen =
+    let open Q.Gen in
+    let* reqs = list_size (int_range 0 8) (pair gen_opt_id gen_request) in
+    let stream =
+      String.concat ""
+        (List.map (fun (id, r) -> buf_str (fun b -> P.encode_request_wire b wire ~id r)) reqs)
+    in
+    let* cuts = list_size (int_range 0 12) (int_range 0 (String.length stream)) in
+    return (reqs, stream, List.sort_uniq compare cuts)
+  in
+  Q.Test.make ~name ~count:300
+    ~print:(fun (reqs, _, cuts) ->
+      Printf.sprintf "%d frames, cuts at %s" (List.length reqs)
+        (String.concat "," (List.map string_of_int cuts)))
+    gen
+    (fun (reqs, stream, cuts) ->
+      let dec = P.Req_decoder.create () in
       let got = ref [] in
       let ok = ref true in
-      let prev = ref 0 in
-      List.iter
-        (fun cut ->
-          if cut >= !prev then begin
-            P.Decoder.feed dec (String.sub stream !prev (cut - !prev));
-            prev := cut;
-            match drain dec with
-            | Ok ps -> got := !got @ ps
-            | Error _ -> ok := false
-          end)
-        cuts;
-      !ok && !got = payloads)
+      feed_in_cuts
+        (fun chunk ->
+          P.Req_decoder.feed dec chunk;
+          match drain_dec (fun () -> P.Req_decoder.next dec) with
+          | Ok frames -> got := !got @ frames
+          | Error _ -> ok := false)
+        stream cuts;
+      !ok && !got = reqs)
 
-(* Tagged round-trip: the id survives print/parse composed with the plain
-   codec for any request/response. *)
+let prop_decoder_reassembles =
+  prop_reassembles P.Text ~name:"decoder reassembles arbitrarily split frame streams"
+
+(* Tagged round-trip: the id survives encode/decode for any request and
+   response on the text wire. *)
 let prop_tagged_roundtrip =
   Q.Test.make ~name:"tagged request/response round-trips" ~count:500
     ~print:(fun (id, req, resp) ->
@@ -333,86 +377,68 @@ let prop_tagged_roundtrip =
       let* resp = gen_response in
       return (id, req, resp))
     (fun (id, req, resp) ->
-      P.parse_request_tagged (P.print_request_tagged ~id req) = Ok (Some id, req)
-      && P.parse_response_tagged (P.print_response_tagged ~id resp) = Ok (Some id, resp))
+      let rdec = P.Resp_decoder.create P.Text in
+      P.Resp_decoder.feed rdec (buf_str (fun b -> P.encode_response_wire b P.Text ~id:(Some id) resp));
+      decode_request (buf_str (fun b -> P.encode_request_wire b P.Text ~id:(Some id) req))
+      = P.Dec_frame (Some id, req)
+      && P.Resp_decoder.next rdec = P.Dec_frame (Some id, resp))
 
 (* The pipelining wire contract end to end: tagged responses framed in an
    arbitrary (out-of-order) permutation, cut into arbitrary chunks, must
    reassemble into exactly the sent id->response mapping. *)
-let gen_out_of_order_stream =
-  let open Q.Gen in
-  let* resps = list_size (int_range 0 8) gen_response in
-  let tagged = List.mapi (fun id r -> (id, r)) resps in
-  (* A deterministic shuffle driven by generated swap indices. *)
-  let* swaps = list_size (int_range 0 16) (int_range 0 (max 1 (List.length tagged) - 1)) in
-  let arr = Array.of_list tagged in
-  List.iteri
-    (fun i j ->
-      if Array.length arr > 0 then begin
-        let i = i mod Array.length arr in
-        let t = arr.(i) in
-        arr.(i) <- arr.(j);
-        arr.(j) <- t
-      end)
-    swaps;
-  let order = Array.to_list arr in
-  let stream =
-    String.concat ""
-      (List.map (fun (id, r) -> P.frame (P.print_response_tagged ~id r)) order)
+let prop_out_of_order wire ~name =
+  let gen =
+    let open Q.Gen in
+    let* resps = list_size (int_range 0 8) gen_response in
+    let tagged = List.mapi (fun id r -> (id, r)) resps in
+    (* A deterministic shuffle driven by generated swap indices. *)
+    let* swaps = list_size (int_range 0 16) (int_range 0 (max 1 (List.length tagged) - 1)) in
+    let arr = Array.of_list tagged in
+    List.iteri
+      (fun i j ->
+        if Array.length arr > 0 then begin
+          let i = i mod Array.length arr in
+          let t = arr.(i) in
+          arr.(i) <- arr.(j);
+          arr.(j) <- t
+        end)
+      swaps;
+    let stream =
+      String.concat ""
+        (List.map
+           (fun (id, r) -> buf_str (fun b -> P.encode_response_wire b wire ~id:(Some id) r))
+           (Array.to_list arr))
+    in
+    let* cuts = list_size (int_range 0 10) (int_range 0 (String.length stream)) in
+    return (tagged, stream, List.sort_uniq compare cuts)
   in
-  let* cuts = list_size (int_range 0 10) (int_range 0 (String.length stream)) in
-  return (tagged, stream, List.sort_uniq compare cuts)
-
-let prop_out_of_order_tagged_reassembly =
-  Q.Test.make ~name:"out-of-order tagged responses reassemble by id under any split" ~count:300
+  Q.Test.make ~name ~count:300
     ~print:(fun (sent, _, cuts) ->
       Printf.sprintf "%d responses, cuts at %s" (List.length sent)
         (String.concat "," (List.map string_of_int cuts)))
-    gen_out_of_order_stream
+    gen
     (fun (sent, stream, cuts) ->
-      let dec = P.Decoder.create () in
+      let dec = P.Resp_decoder.create wire in
       let got = ref [] in
       let ok = ref true in
-      let prev = ref 0 in
-      List.iter
-        (fun cut ->
-          P.Decoder.feed dec (String.sub stream !prev (cut - !prev));
-          prev := cut;
-          match drain dec with
-          | Ok ps -> got := !got @ ps
+      feed_in_cuts
+        (fun chunk ->
+          P.Resp_decoder.feed dec chunk;
+          match drain_dec (fun () -> P.Resp_decoder.next dec) with
+          | Ok frames -> got := !got @ frames
           | Error _ -> ok := false)
-        (cuts @ [ String.length stream ]);
+        stream cuts;
       let parsed =
-        List.map
-          (fun p ->
-            match P.parse_response_tagged p with
-            | Ok (Some id, r) -> (id, r)
-            | _ ->
-                ok := false;
-                (-1, P.Error "unparsed"))
-          !got
+        List.filter_map (function Some id, r -> Some (id, r) | None, _ -> None) !got
       in
       !ok
       && List.length parsed = List.length sent
       && List.for_all (fun (id, r) -> List.assoc_opt id parsed = Some r) sent)
 
+let prop_out_of_order_tagged_reassembly =
+  prop_out_of_order P.Text ~name:"out-of-order tagged responses reassemble by id under any split"
+
 (* ------------------------- binary v2 framing ---------------------------- *)
-
-let buf_str f =
-  let b = Buffer.create 64 in
-  f b;
-  Buffer.contents b
-
-(* Drain a decoder's [next] thunk until it asks for more bytes. *)
-let drain_dec next =
-  let rec go acc =
-    match next () with
-    | P.Dec_frame (id, x) -> go ((id, x) :: acc)
-    | P.Dec_more -> Stdlib.Ok (List.rev acc)
-    | P.Dec_skip (_, msg) -> Stdlib.Error ("skip: " ^ msg)
-    | P.Dec_broken msg -> Stdlib.Error ("broken: " ^ msg)
-  in
-  go []
 
 let all_requests =
   [ P.Ping; P.Stats; P.Kill 3; P.Get "k"; P.Set ("k", "v"); P.Del ""; P.Update ("k", -9);
@@ -430,25 +456,19 @@ let test_bin_roundtrips () =
   List.iteri
     (fun i r ->
       let id = if i mod 2 = 0 then Some (i * 1000) else None in
-      let dec = P.Bin.Decoder.create () in
-      P.Bin.Decoder.feed dec (buf_str (fun b -> P.Bin.encode_request b ~id r));
-      match P.Bin.Decoder.next_request dec with
-      | P.Dec_frame (id', r') ->
-          Alcotest.(check bool) (P.print_request r) true (id' = id && r' = r);
-          (match P.Bin.Decoder.next_request dec with
-          | P.Dec_more -> ()
-          | _ -> Alcotest.fail "trailing bytes after one frame")
-      | _ -> Alcotest.failf "no frame for %s" (P.print_request r))
+      let dec = P.Req_decoder.create () in
+      P.Req_decoder.feed dec (buf_str (fun b -> P.encode_request_wire b P.Binary ~id r));
+      Alcotest.check req_event (P.print_request r) (P.Dec_frame (id, r)) (P.Req_decoder.next dec);
+      Alcotest.check req_event "nothing after one frame" P.Dec_more (P.Req_decoder.next dec);
+      Alcotest.(check (option string)) "sniffed" (Some "binary")
+        (Option.map P.wire_name (P.Req_decoder.wire dec)))
     all_requests;
   List.iteri
     (fun i r ->
       let id = if i mod 2 = 1 then Some i else None in
-      let dec = P.Bin.Decoder.create () in
-      P.Bin.Decoder.feed dec (buf_str (fun b -> P.Bin.encode_response b ~id r));
-      match P.Bin.Decoder.next_response dec with
-      | P.Dec_frame (id', r') ->
-          Alcotest.(check bool) (P.print_response r) true (id' = id && r' = r)
-      | _ -> Alcotest.failf "no frame for %s" (P.print_response r))
+      let dec = P.Resp_decoder.create P.Binary in
+      P.Resp_decoder.feed dec (buf_str (fun b -> P.encode_response_wire b P.Binary ~id r));
+      Alcotest.check resp_event (P.print_response r) (P.Dec_frame (id, r)) (P.Resp_decoder.next dec))
     all_responses
 
 let add_uvarint b n =
@@ -462,11 +482,11 @@ let add_uvarint b n =
   go n
 
 (* Hand-build a frame so malformed headers/bodies are expressible. *)
-let raw_frame ?(magic = P.Bin.magic) ?(flags = 0) ?(reserved = 0) ~opcode ~id body =
+let raw_frame ?(reserved = 0) ~opcode ~id body =
   buf_str (fun b ->
-      Buffer.add_char b (Char.chr magic);
+      Buffer.add_char b '\xB2';
       Buffer.add_char b (Char.chr opcode);
-      Buffer.add_char b (Char.chr flags);
+      Buffer.add_char b '\x00';
       Buffer.add_char b (Char.chr reserved);
       Buffer.add_char b (Char.chr ((id lsr 24) land 0xff));
       Buffer.add_char b (Char.chr ((id lsr 16) land 0xff));
@@ -476,147 +496,60 @@ let raw_frame ?(magic = P.Bin.magic) ?(flags = 0) ?(reserved = 0) ~opcode ~id bo
       Buffer.add_string b body)
 
 let test_bin_malformed () =
-  let ping = buf_str (fun b -> P.Bin.encode_request b ~id:(Some 7) P.Ping) in
-  (* Bad magic: the stream is untrusted — broken, not skipped. *)
-  let dec = P.Bin.Decoder.create () in
-  P.Bin.Decoder.feed dec "\x00rubbish";
-  (match P.Bin.Decoder.next_request dec with
+  let ping = buf_str (fun b -> P.encode_request_wire b P.Binary ~id:(Some 7) P.Ping) in
+  let next_of stream =
+    let dec = P.Req_decoder.create () in
+    P.Req_decoder.feed dec stream;
+    fun () -> P.Req_decoder.next dec
+  in
+  (* Bad magic on a binary stream: untrusted — broken, not skipped. *)
+  let dec = P.Resp_decoder.create P.Binary in
+  P.Resp_decoder.feed dec "\x00rubbish";
+  (match P.Resp_decoder.next dec with
   | P.Dec_broken _ -> ()
   | _ -> Alcotest.fail "bad magic must break the stream");
   (* Oversized declared body: broken (we refuse to buffer it). *)
-  let dec = P.Bin.Decoder.create () in
   let b = Buffer.create 16 in
   Buffer.add_string b (String.sub ping 0 8);
   add_uvarint b (P.max_frame + 1);
-  P.Bin.Decoder.feed dec (Buffer.contents b);
-  (match P.Bin.Decoder.next_request dec with
+  (match next_of (Buffer.contents b) () with
   | P.Dec_broken _ -> ()
   | _ -> Alcotest.fail "oversized body accepted");
-  (* Non-zero reserved byte: a length-intact frame — skipped, and the stream
-     resynchronizes on the next frame. *)
-  let dec = P.Bin.Decoder.create () in
-  P.Bin.Decoder.feed dec (raw_frame ~reserved:1 ~opcode:0x01 ~id:0 "" ^ ping);
-  (match P.Bin.Decoder.next_request dec with
-  | P.Dec_skip _ -> ()
-  | _ -> Alcotest.fail "reserved byte must skip");
-  (match P.Bin.Decoder.next_request dec with
-  | P.Dec_frame (Some 7, P.Ping) -> ()
-  | _ -> Alcotest.fail "stream must resynchronize after a skip");
-  (* Unknown opcode and short body: skipped, framing kept. *)
-  let dec = P.Bin.Decoder.create () in
-  P.Bin.Decoder.feed dec (raw_frame ~opcode:0x7f ~id:0 "junk" ^ ping);
-  (match P.Bin.Decoder.next_request dec with
-  | P.Dec_skip _ -> ()
-  | _ -> Alcotest.fail "unknown opcode must skip");
-  (match P.Bin.Decoder.next_request dec with
-  | P.Dec_frame (Some 7, P.Ping) -> ()
-  | _ -> Alcotest.fail "stream must resynchronize after unknown opcode");
-  (* GET body missing its key bytes: length-intact, skipped. *)
-  let dec = P.Bin.Decoder.create () in
-  P.Bin.Decoder.feed dec (raw_frame ~opcode:0x04 ~id:0 "\x05ab" ^ ping);
-  (match P.Bin.Decoder.next_request dec with
-  | P.Dec_skip _ -> ()
-  | _ -> Alcotest.fail "truncated segment must skip");
+  (* Non-zero reserved byte, unknown opcode, a GET body missing its key
+     bytes, a key length past the body (9-byte varint, max_int) — each a
+     length-intact frame: skipped, and the stream resynchronizes. *)
+  List.iter
+    (fun (what, bad) ->
+      let next = next_of (bad ^ ping) in
+      (match next () with
+      | P.Dec_skip _ -> ()
+      | ev -> Alcotest.failf "%s answered %s" what (show_event P.print_request ev));
+      match next () with
+      | P.Dec_frame (Some 7, P.Ping) -> ()
+      | _ -> Alcotest.failf "stream must resynchronize after %s" what)
+    [ ("reserved byte", raw_frame ~reserved:1 ~opcode:0x01 ~id:0 "");
+      ("unknown opcode", raw_frame ~opcode:0x7f ~id:0 "junk");
+      ("truncated segment", raw_frame ~opcode:0x04 ~id:0 "\x05ab");
+      ( "overflowing string length",
+        raw_frame ~opcode:0x04 ~id:0 (buf_str (fun b -> add_uvarint b max_int) ^ "a") ) ];
   (* An incomplete frame is just Dec_more until the rest arrives. *)
-  let dec = P.Bin.Decoder.create () in
-  P.Bin.Decoder.feed dec (String.sub ping 0 5);
-  (match P.Bin.Decoder.next_request dec with
+  let dec = P.Req_decoder.create () in
+  P.Req_decoder.feed dec (String.sub ping 0 5);
+  (match P.Req_decoder.next dec with
   | P.Dec_more -> ()
   | _ -> Alcotest.fail "partial frame must ask for more");
-  P.Bin.Decoder.feed dec (String.sub ping 5 (String.length ping - 5));
-  match P.Bin.Decoder.next_request dec with
+  P.Req_decoder.feed dec (String.sub ping 5 (String.length ping - 5));
+  match P.Req_decoder.next dec with
   | P.Dec_frame (Some 7, P.Ping) -> ()
   | _ -> Alcotest.fail "completed frame must decode"
 
-let gen_opt_id = Q.Gen.(oneof [ return None; map (fun i -> Some i) (int_range 0 1_000_000) ])
-
-(* Binary frame streams, cut at arbitrary byte offsets, reassemble exactly. *)
-let gen_bin_stream =
-  let open Q.Gen in
-  let* reqs = list_size (int_range 0 8) (pair gen_opt_id gen_request) in
-  let stream =
-    String.concat ""
-      (List.map (fun (id, r) -> buf_str (fun b -> P.Bin.encode_request b ~id r)) reqs)
-  in
-  let* cuts = list_size (int_range 0 12) (int_range 0 (String.length stream)) in
-  return (reqs, stream, List.sort_uniq compare cuts)
-
-let feed_in_cuts feed stream cuts =
-  let prev = ref 0 in
-  List.iter
-    (fun cut ->
-      feed (String.sub stream !prev (cut - !prev));
-      prev := cut)
-    (cuts @ [ String.length stream ])
-
 let prop_bin_reassembles =
-  Q.Test.make ~name:"binary decoder reassembles arbitrarily split frame streams" ~count:300
-    ~print:(fun (reqs, _, cuts) ->
-      Printf.sprintf "%d frames, cuts at %s" (List.length reqs)
-        (String.concat "," (List.map string_of_int cuts)))
-    gen_bin_stream
-    (fun (reqs, stream, cuts) ->
-      let dec = P.Bin.Decoder.create () in
-      let got = ref [] in
-      let ok = ref true in
-      feed_in_cuts
-        (fun chunk ->
-          P.Bin.Decoder.feed dec chunk;
-          match drain_dec (fun () -> P.Bin.Decoder.next_request dec) with
-          | Ok frames -> got := !got @ frames
-          | Error _ -> ok := false)
-        stream cuts;
-      !ok && !got = reqs)
+  prop_reassembles P.Binary ~name:"binary decoder reassembles arbitrarily split frame streams"
 
 (* Out-of-order tagged completion on the binary wire: responses framed in a
    shuffled order still reassemble into the sent id->response mapping. *)
-let gen_bin_out_of_order =
-  let open Q.Gen in
-  let* resps = list_size (int_range 0 8) gen_response in
-  let tagged = List.mapi (fun id r -> (id, r)) resps in
-  let* swaps = list_size (int_range 0 16) (int_range 0 (max 1 (List.length tagged) - 1)) in
-  let arr = Array.of_list tagged in
-  List.iteri
-    (fun i j ->
-      if Array.length arr > 0 then begin
-        let i = i mod Array.length arr in
-        let t = arr.(i) in
-        arr.(i) <- arr.(j);
-        arr.(j) <- t
-      end)
-    swaps;
-  let stream =
-    String.concat ""
-      (List.map
-         (fun (id, r) -> buf_str (fun b -> P.Bin.encode_response b ~id:(Some id) r))
-         (Array.to_list arr))
-  in
-  let* cuts = list_size (int_range 0 10) (int_range 0 (String.length stream)) in
-  return (tagged, stream, List.sort_uniq compare cuts)
-
 let prop_bin_out_of_order =
-  Q.Test.make ~name:"binary out-of-order tagged responses reassemble by id" ~count:300
-    ~print:(fun (sent, _, cuts) ->
-      Printf.sprintf "%d responses, cuts at %s" (List.length sent)
-        (String.concat "," (List.map string_of_int cuts)))
-    gen_bin_out_of_order
-    (fun (sent, stream, cuts) ->
-      let dec = P.Resp_decoder.create P.Binary in
-      let got = ref [] in
-      let ok = ref true in
-      feed_in_cuts
-        (fun chunk ->
-          P.Resp_decoder.feed dec chunk;
-          match drain_dec (fun () -> P.Resp_decoder.next dec) with
-          | Ok frames -> got := !got @ frames
-          | Error _ -> ok := false)
-        stream cuts;
-      let parsed =
-        List.filter_map (function Some id, r -> Some (id, r) | None, _ -> None) !got
-      in
-      !ok
-      && List.length parsed = List.length sent
-      && List.for_all (fun (id, r) -> List.assoc_opt id parsed = Some r) sent)
+  prop_out_of_order P.Binary ~name:"binary out-of-order tagged responses reassemble by id"
 
 (* Sniff dispatch: the server-side decoder detects each connection's wire
    from its first byte and decodes the same (id, request) sequence on
@@ -650,6 +583,170 @@ let prop_sniff_dispatch =
         stream cuts;
       !ok && P.Req_decoder.wire dec = Some wire && !got = reqs)
 
+(* ------------------------- golden wire bytes ---------------------------- *)
+
+(* One frame per opcode (NIL and VAL are two) on both wires, untagged and
+   with an id >= 2^16, pinned as hex: deployed clients of either wire
+   depend on these exact bytes. *)
+let golden_id = 0x12345678
+
+let golden_framings =
+  [ (P.Text, None); (P.Text, Some golden_id); (P.Binary, None); (P.Binary, Some golden_id) ]
+
+let of_hex h =
+  String.init (String.length h / 2) (fun i -> Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+
+let to_hex s =
+  String.concat "" (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (String.to_seq s)))
+
+(* Per message, in [golden_framings] order. *)
+let golden_requests =
+  [
+( P.Ping,
+      [ "340a50494e47";
+        "31350a403330353431393839362050494e47";
+        "b20100000000000000";
+        "b20101001234567800" ] );
+    ( P.Stats,
+      [ "350a5354415453";
+        "31360a40333035343139383936205354415453";
+        "b20200000000000000";
+        "b20201001234567800" ] );
+    ( P.Kill 3,
+      [ "360a4b494c4c2033";
+        "31370a40333035343139383936204b494c4c2033";
+        "b2030000000000000106";
+        "b2030100123456780106" ] );
+    ( P.Get "k\x00 1",
+      [ "31300a47455420343a6b002031";
+        "32310a403330353431393839362047455420343a6b002031";
+        "b20400000000000005046b002031";
+        "b20401001234567805046b002031" ] );
+    ( P.Set ("key", "v a:l\n"),
+      [ "31380a53455420333a6b657920363a7620613a6c0a";
+        "32390a403330353431393839362053455420333a6b657920363a7620613a6c0a";
+        "b2050000000000000b036b6579067620613a6c0a";
+        "b2050100123456780b036b6579067620613a6c0a" ] );
+    ( P.Del "gone",
+      [ "31300a44454c20343a676f6e65";
+        "32310a403330353431393839362044454c20343a676f6e65";
+        "b2060000000000000504676f6e65";
+        "b2060100123456780504676f6e65" ] );
+    ( P.Update ("ctr", -300),
+      [ "31370a55504441544520333a637472202d333030";
+        "32380a403330353431393839362055504441544520333a637472202d333030";
+        "b2070000000000000603637472d704";
+        "b2070100123456780603637472d704" ] );
+    ( P.Scan ("s", 1000),
+      [ "31330a5343414e20313a732031303030";
+        "32340a40333035343139383936205343414e20313a732031303030";
+        "b208000000000000040173d00f";
+        "b208010012345678040173d00f" ] );
+    ( P.Topo,
+      [ "340a544f504f";
+        "31350a4033303534313938393620544f504f";
+        "b20900000000000000";
+        "b20901001234567800" ] );
+    ( P.Handoff (2, "127.0.0.1:7071"),
+      [ "32370a48414e444f464620322031343a3132372e302e302e313a37303731";
+        "33380a403330353431393839362048414e444f464620322031343a3132372e302e302e313a37303731";
+        "b20a00000000000010040e3132372e302e302e313a37303731";
+        "b20a01001234567810040e3132372e302e302e313a37303731" ] );
+    ( P.Mig_import (1, 70000, true, [ ("a", Some "1"); ("b", None) ]),
+      [ "33370a4d4947494d504f525420312037303030302031203220313a61203120313a3120313a622030";
+        "34380a40333035343139383936204d4947494d504f525420312037303030302031203220313a61203120313a3120313a622030";
+        "b20b0000000000000e02e0c50801040161010131016200";
+        "b20b0100123456780e02e0c50801040161010131016200" ] ) ]
+
+let golden_responses =
+  [
+( P.Pong,
+      [ "340a504f4e47";
+        "31350a4033303534313938393620504f4e47";
+        "b28100000000000000";
+        "b28101001234567800" ] );
+    ( P.Ok,
+      [ "320a4f4b";
+        "31330a40333035343139383936204f4b";
+        "b28200000000000000";
+        "b28201001234567800" ] );
+    ( P.Value None,
+      [ "330a4e494c";
+        "31340a40333035343139383936204e494c";
+        "b28300000000000000";
+        "b28301001234567800" ] );
+    ( P.Value (Some "x y"),
+      [ "390a56414c20333a782079";
+        "32300a403330353431393839362056414c20333a782079";
+        "b2840000000000000403782079";
+        "b2840100123456780403782079" ] );
+    ( P.Deleted true,
+      [ "390a44454c455445442031";
+        "32300a403330353431393839362044454c455445442031";
+        "b2850000000000000101";
+        "b2850100123456780101" ] );
+    ( P.Int (-1234567),
+      [ "31320a494e54202d31323334353637";
+        "32330a4033303534313938393620494e54202d31323334353637";
+        "b286000000000000048dda9601";
+        "b286010012345678048dda9601" ] );
+    ( P.Stats_reply [ ("served", 300); ("deaths", 0) ],
+      [ "33310a5354415453203220363a7365727665642033303020363a6465617468732030";
+        "34320a40333035343139383936205354415453203220363a7365727665642033303020363a6465617468732030";
+        "b287000000000000120406736572766564d8040664656174687300";
+        "b287010012345678120406736572766564d8040664656174687300" ] );
+    ( P.Error "boom",
+      [ "31300a45525220343a626f6f6d";
+        "32310a403330353431393839362045525220343a626f6f6d";
+        "b2880000000000000504626f6f6d";
+        "b2880100123456780504626f6f6d" ] );
+    ( P.Range [ ("a", "1"); ("b", "") ],
+      [ "32320a52414e4745203220313a6120313a3120313a6220303a";
+        "33330a403330353431393839362052414e4745203220313a6120313a3120313a6220303a";
+        "b289000000000000080401610131016200";
+        "b289010012345678080401610131016200" ] );
+    ( P.Moved (3, 9, "10.0.0.2:7071"),
+      [ "32360a4d4f564544203320392031333a31302e302e302e323a37303731";
+        "33370a40333035343139383936204d4f564544203320392031333a31302e302e302e323a37303731";
+        "b28a0000000000001006120d31302e302e302e323a37303731";
+        "b28a0100123456781006120d31302e302e302e323a37303731" ] );
+    ( P.Topo_reply (5, [ (0, "a:1"); (1, "b:2") ]),
+      [ "32340a544f504f20352032203020333a613a31203120333a623a32";
+        "33350a4033303534313938393620544f504f20352032203020333a613a31203120333a623a32";
+        "b28b0000000000000c0a040003613a310203623a32";
+        "b28b0100123456780c0a040003613a310203623a32" ] ) ]
+
+let test_golden_frames () =
+  let check_all encode decode print golden =
+    List.iter
+      (fun (msg, hexes) ->
+        List.iter2
+          (fun (wire, id) hex ->
+            let ctx =
+              Printf.sprintf "%s %s%s" (P.wire_name wire) (print msg)
+                (if id = None then "" else " tagged")
+            in
+            Alcotest.(check string) ctx hex (to_hex (buf_str (fun b -> encode b wire ~id msg)));
+            Alcotest.(check bool) (ctx ^ " decodes") true
+              (decode wire (of_hex hex) = [ P.Dec_frame (id, msg) ]))
+          golden_framings hexes)
+      golden
+  in
+  Alcotest.(check int) "every request opcode" 11 (List.length golden_requests);
+  Alcotest.(check int) "every response opcode" 11 (List.length golden_responses);
+  check_all P.encode_request_wire
+    (fun _ s ->
+      let dec = P.Req_decoder.create () in
+      P.Req_decoder.feed dec s;
+      events (fun () -> P.Req_decoder.next dec))
+    P.print_request golden_requests;
+  check_all P.encode_response_wire
+    (fun wire s ->
+      let dec = P.Resp_decoder.create wire in
+      P.Resp_decoder.feed dec s;
+      events (fun () -> P.Resp_decoder.next dec))
+    P.print_response golden_responses
+
 let suite =
   [ Helpers.tc "request round-trips" test_request_roundtrips;
     Helpers.tc "id tagging" test_tagging;
@@ -666,3 +763,4 @@ let suite =
       [ prop_request_roundtrip; prop_response_roundtrip; prop_decoder_reassembles;
         prop_tagged_roundtrip; prop_out_of_order_tagged_reassembly; prop_bin_reassembles;
         prop_bin_out_of_order; prop_sniff_dispatch ]
+  @ [ Helpers.tc "golden bytes: every opcode on both wires" test_golden_frames ]
