@@ -17,6 +17,25 @@ let lock_test name algo =
          Kex_runtime.Kex_lock.acquire lock ~pid:7;
          Kex_runtime.Kex_lock.release lock ~pid:7))
 
+(* The no-wait entry: an uncontended try that gets in, and a try that
+   aborts because [k] holders are already inside (they never leave, so
+   every iteration aborts and must leave the lock as it found it). *)
+let try_tests () =
+  let lock = Kex_runtime.Kex_lock.create ~algo:Kex_runtime.Kex_lock.Fast_path ~n:64 ~k:4 () in
+  let full = Kex_runtime.Kex_lock.create ~algo:Kex_runtime.Kex_lock.Fast_path ~n:64 ~k:4 () in
+  for pid = 0 to 3 do
+    Kex_runtime.Kex_lock.acquire full ~pid
+  done;
+  [ Test.make ~name:"lock fastpath try+release"
+      (Staged.stage (fun () ->
+           if Kex_runtime.Kex_lock.try_acquire lock ~pid:7 then
+             Kex_runtime.Kex_lock.release lock ~pid:7
+           else failwith "try bench: uncontended try refused"));
+    Test.make ~name:"lock fastpath aborted try"
+      (Staged.stage (fun () ->
+           if Kex_runtime.Kex_lock.try_acquire full ~pid:7 then
+             failwith "try bench: a full lock admitted a fifth holder")) ]
+
 let assignment_test () =
   let asg = Kex_runtime.Kex_lock.Assignment.create ~n:64 ~k:4 () in
   Test.make ~name:"assignment acquire/release"
@@ -161,17 +180,18 @@ let reactor_tests () =
 
 let tests () =
   Test.make_grouped ~name:"runtime"
-    [ mcs_test ();
-      lock_test "lock naive" Kex_runtime.Kex_lock.Naive;
-      lock_test "lock inductive" Kex_runtime.Kex_lock.Inductive;
-      lock_test "lock tree" Kex_runtime.Kex_lock.Tree;
-      lock_test "lock fastpath" Kex_runtime.Kex_lock.Fast_path;
-      lock_test "lock dsm-fastpath (fig6)" Kex_runtime.Kex_lock.Dsm_fast_path;
-      lock_test "lock graceful" Kex_runtime.Kex_lock.Graceful;
-      assignment_test ();
+    ([ mcs_test ();
+       lock_test "lock naive" Kex_runtime.Kex_lock.Naive;
+       lock_test "lock inductive" Kex_runtime.Kex_lock.Inductive;
+       lock_test "lock tree" Kex_runtime.Kex_lock.Tree;
+       lock_test "lock fastpath" Kex_runtime.Kex_lock.Fast_path;
+       lock_test "lock dsm-fastpath (fig6)" Kex_runtime.Kex_lock.Dsm_fast_path;
+       lock_test "lock graceful" Kex_runtime.Kex_lock.Graceful ]
+    @ try_tests ()
+    @ [ assignment_test ();
       renaming_test ();
-      universal_test ();
-      resilient_test () ]
+        universal_test ();
+        resilient_test () ])
 
 let run () =
   Out.section "RT: Bechamel microbenchmarks (single-domain latency, ns/op)";

@@ -91,6 +91,7 @@ let fetch_add t ~pid ~key delta =
   | _ -> assert false
 
 let perform_batch t ~pid ops = Resilient.perform_batch t ~pid ops
+let try_perform_batch t ~pid ops = Resilient.try_perform_batch t ~pid ops
 
 (* Bulk import for shard migration: apply (key, value option) changes in
    order, <= 512 linearized ops per admission entry.  [Some v] sets, [None]

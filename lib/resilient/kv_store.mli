@@ -68,6 +68,10 @@ val perform_batch : t -> pid:int -> op list -> result list
 (** Linearize each op in order through {e one} (N,k)-assignment entry —
     see {!Resilient.perform_batch}. *)
 
+val try_perform_batch : t -> pid:int -> op list -> result list option
+(** {!perform_batch} through a no-wait admission: [None], with nothing
+    applied, when the wrapper refuses — see {!Resilient.try_perform_batch}. *)
+
 val apply_changes : t -> pid:int -> (string * string option) list -> unit
 (** Bulk import for shard migration: apply changes in order ([Some v] =
     set, [None] = delete), batched <= 512 ops per admission entry.

@@ -38,17 +38,23 @@ let perform t ~pid op =
    story is unchanged: a crash mid-batch costs one slot and the batch's
    unfinished operations are re-dispatched by the supervisor exactly like
    single operations. *)
+let perform_all t ops name = List.map (fun op -> Universal.perform t.obj ~tid:name op) ops
+
 let perform_batch t ~pid ops =
   match ops with
   | [] -> []
   | [ op ] -> [ perform t ~pid op ]
   | ops ->
-      let rs =
-        Kex_runtime.Kex_lock.Assignment.with_name t.assignment ~pid (fun name ->
-            List.map (fun op -> Universal.perform t.obj ~tid:name op) ops)
-      in
+      let rs = Kex_runtime.Kex_lock.Assignment.with_name t.assignment ~pid (perform_all t ops) in
       publish_committed t;
       rs
+
+(* [perform_batch] through a no-wait admission: [None] when the wrapper
+   refuses, with nothing applied and nothing published. *)
+let try_perform_batch t ~pid ops =
+  let rs = Kex_runtime.Kex_lock.Assignment.try_with_name t.assignment ~pid (perform_all t ops) in
+  if Option.is_some rs then publish_committed t;
+  rs
 
 let read t = snd (Snapshot.read t.snap)
 let read_versioned t = Snapshot.read t.snap

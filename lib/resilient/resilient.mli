@@ -36,6 +36,14 @@ val perform_batch : ('s, 'op, 'r) t -> pid:int -> 'op list -> 'r list
     workers rely on.  Results align with the input list.  Equivalent to
     mapping {!perform}, except the wrapper entry/exit cost is paid once. *)
 
+val try_perform_batch : ('s, 'op, 'r) t -> pid:int -> 'op list -> 'r list option
+(** {!perform_batch} with no patience at the wrapper
+    ({!Kex_runtime.Kex_lock.Assignment.try_with_name}): [None] means
+    admission refused without waiting, and no operation was applied.  A
+    caller that must never wait on a slot held by a busy or crashed
+    process uses this and falls back to handing the batch to a process
+    that may wait. *)
+
 val read : ('s, 'op, 'r) t -> 's
 (** Wait-free linearizable read of the {e published} snapshot — no pid, no
     name, no admission slot.  Mutators publish (seqlock-style, see

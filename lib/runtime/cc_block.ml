@@ -25,4 +25,15 @@ let create ~k ~inner =
     inner.Protocol.exit pid
     (* 8 *)
   in
-  { Protocol.name = Printf.sprintf "fig2[k=%d]" k; entry; exit }
+  (* No patience: where statement 2 would start a wait, run statements 6-8
+     instead.  Statement 7's write releases a process that queued behind
+     this one while a holder left, so the abort strands nobody. *)
+  let try_entry pid =
+    if not (inner.Protocol.try_entry pid) then false
+    else if Atomic.fetch_and_add x (-1) <> 0 then true
+    else begin
+      exit pid;
+      false
+    end
+  in
+  { Protocol.name = Printf.sprintf "fig2[k=%d]" k; entry; exit; try_entry }

@@ -30,7 +30,23 @@ let tree_of ~block ~universe:_ ~n ~k =
         instances.(l).(index pid l).Protocol.exit pid
       done
     in
-    { Protocol.name = Printf.sprintf "tree[n=%d,k=%d]" n k; entry; exit }
+    (* A refusal at level [l] leaves levels [l-1 .. 0] in reverse order. *)
+    let try_entry pid =
+      let rec climb l =
+        if l = nlevels then true
+        else begin
+          let node = instances.(l).(index pid l) in
+          if not (node.Protocol.try_entry pid) then false
+          else if climb (l + 1) then true
+          else begin
+            node.Protocol.exit pid;
+            false
+          end
+        end
+      in
+      climb 0
+    in
+    { Protocol.name = Printf.sprintf "tree[n=%d,k=%d]" n k; entry; exit; try_entry }
   end
 
 let fast_path_of ~block ~universe ~k ~slow =
@@ -56,7 +72,18 @@ let fast_path_of ~block ~universe ~k ~slow =
     else ignore (Atomic_ext.bounded_fetch_and_add x 1 ~lo:0 ~hi:k)
     (* 9 *)
   in
-  { Protocol.name = Printf.sprintf "fastpath[k=%d]" k; entry; exit }
+  (* No patience: the gate refuses at 0 instead of routing to the slow
+     path, and a refusal in the final stage gives the gate slot back. *)
+  let try_entry pid =
+    took_slow.(pid) <- false;
+    if Atomic_ext.bounded_fetch_and_add x (-1) ~lo:0 ~hi:k = 0 then false
+    else if final.Protocol.try_entry pid then true
+    else begin
+      ignore (Atomic_ext.bounded_fetch_and_add x 1 ~lo:0 ~hi:k);
+      false
+    end
+  in
+  { Protocol.name = Printf.sprintf "fastpath[k=%d]" k; entry; exit; try_entry }
 
 let fast_path_tree_of ~block ~universe ~n ~k =
   if k >= n then Protocol.trivial

@@ -55,4 +55,14 @@ let create ~universe ~k ~inner =
     inner.Protocol.exit pid
     (* 22 *)
   in
-  { Protocol.name = Printf.sprintf "fig6[k=%d]" k; entry; exit }
+  (* No patience: where statement 2 would start a wait, run statements
+     16-22 instead; statement 20 releases whoever queued behind us. *)
+  let try_entry pid =
+    if not (inner.Protocol.try_entry pid) then false
+    else if Atomic.fetch_and_add x (-1) <> 0 then true
+    else begin
+      exit pid;
+      false
+    end
+  in
+  { Protocol.name = Printf.sprintf "fig6[k=%d]" k; entry; exit; try_entry }

@@ -25,6 +25,10 @@ let acquire t ~pid =
   check_pid t pid;
   t.protocol.Protocol.entry pid
 
+let try_acquire t ~pid =
+  check_pid t pid;
+  t.protocol.Protocol.try_entry pid
+
 let release t ~pid =
   check_pid t pid;
   t.protocol.Protocol.exit pid
@@ -53,12 +57,14 @@ module Assignment = struct
     acquire t.lock ~pid;
     Renaming.acquire t.renaming
 
+  let try_acquire t ~pid =
+    if try_acquire t.lock ~pid then Some (Renaming.acquire t.renaming) else None
+
   let release t ~pid ~name =
     Renaming.release t.renaming ~name;
     release t.lock ~pid
 
-  let with_name t ~pid f =
-    let name = acquire t ~pid in
+  let run_named t ~pid ~name f =
     match f name with
     | v ->
         release t ~pid ~name;
@@ -66,6 +72,11 @@ module Assignment = struct
     | exception e ->
         release t ~pid ~name;
         raise e
+
+  let with_name t ~pid f = run_named t ~pid ~name:(acquire t ~pid) f
+
+  let try_with_name t ~pid f =
+    Option.map (fun name -> run_named t ~pid ~name f) (try_acquire t ~pid)
 
   let k t = t.lock.k
 end

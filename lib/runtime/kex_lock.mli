@@ -30,6 +30,14 @@ val create : ?algo:algo -> n:int -> k:int -> unit -> t
     Default algorithm: [Fast_path]. *)
 
 val acquire : t -> pid:int -> unit
+
+val try_acquire : t -> pid:int -> bool
+(** Acquire with no patience: [true] admits [pid] as {!acquire} would (it
+    must {!release}); [false] returns without waiting and leaves the lock
+    as if [pid] never arrived.  False whenever [k] holders are inside, and
+    possibly also while slots are merely contended (a gate at 0, a lost
+    race): the caller's fallback must not assume the lock is full. *)
+
 val release : t -> pid:int -> unit
 val with_lock : t -> pid:int -> (unit -> 'a) -> 'a
 (** Releases on exception.  Note: per the k-exclusion model, a [pid] must not
@@ -48,10 +56,18 @@ module Assignment : sig
   val create : ?algo:algo -> n:int -> k:int -> unit -> t
   val of_lock : lock -> t
   val acquire : t -> pid:int -> int
+
+  val try_acquire : t -> pid:int -> int option
+  (** {!Kex_lock.try_acquire}, then a name; [None] without waiting. *)
+
   val release : t -> pid:int -> name:int -> unit
 
   val with_name : t -> pid:int -> (int -> 'a) -> 'a
   (** Releases the name on exception. *)
+
+  val try_with_name : t -> pid:int -> (int -> 'a) -> 'a option
+  (** {!with_name} through {!try_acquire}: [None], without running [f] or
+      waiting, when admission refuses. *)
 
   val k : t -> int
 end

@@ -1,3 +1,3 @@
-type t = { name : string; entry : int -> unit; exit : int -> unit }
+type t = { name : string; entry : int -> unit; exit : int -> unit; try_entry : int -> bool }
 
-let trivial = { name = "trivial"; entry = ignore; exit = ignore }
+let trivial = { name = "trivial"; entry = ignore; exit = ignore; try_entry = (fun _ -> true) }

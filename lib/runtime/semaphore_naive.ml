@@ -13,6 +13,12 @@ let create ~n:_ ~k =
       acquire ()
     end
   in
+  (* One CAS attempt: a lost race counts as a refusal. *)
+  let try_acquire () =
+    let v = Atomic.get x in
+    v > 0 && Atomic.compare_and_set x v (v - 1)
+  in
   { Protocol.name = Printf.sprintf "naive-semaphore[k=%d]" k;
     entry = (fun _ -> acquire ());
-    exit = (fun _ -> ignore (Atomic.fetch_and_add x 1)) }
+    exit = (fun _ -> ignore (Atomic.fetch_and_add x 1));
+    try_entry = (fun _ -> try_acquire ()) }

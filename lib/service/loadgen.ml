@@ -7,8 +7,8 @@
    reconnects — so a stalled server (k workers killed) shows up as errors
    and collapsed throughput rather than a hung tool.  A dead node's
    requests fail fast at a bounded rate (at most [pipeline] per connection
-   per poll round while any node answers) and never throttle the traffic
-   to live nodes.
+   per round: a poll round while any node answers, a 50 ms sleep while
+   none can) and never throttle the traffic to live nodes.
 
    Each client domain runs one poll(2) loop over [conns_per_client] = N
    connections, each keeping a window of [pipeline] = W id-tagged requests
@@ -558,18 +558,19 @@ let client_loop cfg ~t0 ~conn_id samples cs =
     refresh ();
     if !routing = None then Thread.delay backoff_init
   done;
+  let connected () = List.exists (fun l -> l.l_sock <> None) !links in
   while Unix.gettimeofday () < deadline do
     stalled := false;
     Array.iter (fill ~fresh:true) slots;
     flush_writes ();
-    (* Decided before [read_phase] drains the window: with anything in
-       flight, waiting on its responses paces the round.  A round that
-       leaves nothing in flight (every send failed fast, or there is no
-       topology) sleeps instead, so outage errors accrue at most [pipeline]
-       per slot per 50 ms, like the timeouts they stand for. *)
-    let idle = !stalled || in_flight () = 0 in
-    read_phase ~timeout:0.02;
-    if idle then Thread.delay 0.05
+    (* With anything in flight, waiting on its responses paces the round.
+       A round that leaves nothing in flight (every draw failed fast, or
+       there is no topology) refills at once while some node can take a
+       request, since the next draws may route to it; only when none can
+       does it sleep, so outage errors accrue at most [pipeline] per slot
+       per 50 ms, like the timeouts they stand for. *)
+    if in_flight () > 0 then read_phase ~timeout:0.02
+    else if !stalled || not (connected ()) then Thread.delay 0.05
   done;
   (* Deadline: give responses already on the wire (and the re-routes and
      write legs they owe) one timeout to land, then charge whatever never

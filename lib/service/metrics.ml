@@ -50,7 +50,9 @@ type t = {
   deaths : int Atomic.t;  (* workers crashed (chaos or KILL) *)
   connections : int Atomic.t;  (* connections accepted, lifetime *)
   redispatched : int Atomic.t;  (* requests requeued off a dead worker *)
-  batches : int Atomic.t;  (* admission entries (one per drained batch) *)
+  batches : int Atomic.t;  (* admission entries (one per applied batch) *)
+  inline_admissions : int Atomic.t;  (* batches a reactor applied itself *)
+  inline_aborts : int Atomic.t;  (* reactor admissions refused, sent to the ring *)
   inline_reads : int Atomic.t;  (* GETs and SCANs served wait-free inline *)
   read_batches : int Atomic.t;  (* GET batches resolved on the read plane *)
   migrations_out : int Atomic.t;  (* shards handed off to another node *)
@@ -71,6 +73,8 @@ let create () =
     connections = Atomic.make 0;
     redispatched = Atomic.make 0;
     batches = Atomic.make 0;
+    inline_admissions = Atomic.make 0;
+    inline_aborts = Atomic.make 0;
     inline_reads = Atomic.make 0;
     read_batches = Atomic.make 0;
     migrations_out = Atomic.make 0;
@@ -107,6 +111,8 @@ let incr_deaths t = Atomic.incr t.deaths
 let incr_connections t = Atomic.incr t.connections
 let incr_redispatched t = Atomic.incr t.redispatched
 let incr_batches t = Atomic.incr t.batches
+let incr_inline_admissions t = Atomic.incr t.inline_admissions
+let incr_inline_aborts t = Atomic.incr t.inline_aborts
 let incr_inline_reads t = Atomic.incr t.inline_reads
 let incr_migrations_out t = Atomic.incr t.migrations_out
 let incr_migrations_in t = Atomic.incr t.migrations_in
@@ -141,6 +147,8 @@ let pairs_merged ts =
     ("connections", sum_over ts (fun t -> Atomic.get t.connections));
     ("redispatched", sum_over ts (fun t -> Atomic.get t.redispatched));
     ("batches", sum_over ts (fun t -> Atomic.get t.batches));
+    ("inline_admissions", sum_over ts (fun t -> Atomic.get t.inline_admissions));
+    ("inline_aborts", sum_over ts (fun t -> Atomic.get t.inline_aborts));
     ("inline_reads", sum_over ts (fun t -> Atomic.get t.inline_reads));
     ("read_batches", sum_over ts (fun t -> Atomic.get t.read_batches));
     ("migrations_out", sum_over ts (fun t -> Atomic.get t.migrations_out));

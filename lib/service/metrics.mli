@@ -50,6 +50,17 @@ val incr_deaths : t -> unit
 val incr_connections : t -> unit
 val incr_redispatched : t -> unit
 val incr_batches : t -> unit
+(** One admission entry that applied a batch — a worker's or a reactor's
+    inline one. *)
+
+val incr_inline_admissions : t -> unit
+(** A batch a reactor applied itself, through a no-wait admission, with no
+    ring, worker wakeup or mailbox post (also counted in [batches]). *)
+
+val incr_inline_aborts : t -> unit
+(** A reactor's no-wait admission that refused; the rest of its list went
+    to the ring.  [inline_admissions / (inline_admissions + inline_aborts)]
+    is the share of attempts that paid off. *)
 
 val incr_inline_reads : t -> unit
 (** A read (a SCAN) answered wait-free on the connection plane from the
@@ -78,5 +89,5 @@ val pairs : t -> (string * int) list
 val pairs_merged : t list -> (string * int) list
 (** Snapshot across instances as [STATS]-reply pairs: summed [served],
     [errors], [deaths], [connections], [redispatched], [batches],
-    [inline_reads], [read_batches], merged overall [p50_us]/[p99_us], plus per-class
+    [inline_admissions], [inline_aborts], [inline_reads], [read_batches], merged overall [p50_us]/[p99_us], plus per-class
     [served_*], [mean_us_*], [p99_us_*], [max_us_*]. *)

@@ -8,14 +8,23 @@
    accepted.  Per socket read, the plane decodes every complete frame,
    answers control requests and SCANs inline, queues the GETs, and collects
    the mutations in per-shard pending lists in arrival order.  After the
-   read is decoded each non-empty list is dispatched as one batch: one
-   fence check, one ring lock, at most one worker wakeup.  Then the GETs
-   are resolved as one batch off the wait-free snapshots: one snapshot read
-   per shard, with the lookups walked down the tree in lockstep.  The item
-   carries the connection and the request id, so a client may hold a whole
-   window of requests in flight per connection.  An untagged v1 request is
-   dispatched the same way; its reply keeps decode order only while the
-   client keeps one request in flight, which is the v1 contract.
+   read is decoded each non-empty list is dispatched as one batch, under
+   one fence check.  Each reactor is one more process of every shard's
+   wrapper (N = workers + reactors).  When the list's shard is quiet —
+   owned, unfenced, its ring empty, no kill pending — the reactor runs the
+   list itself: a no-wait admission per [max_batch] items, apply, publish,
+   and the replies framed straight into the read's output, with no ring
+   push, no worker wakeup and no mailbox post.  If admission refuses (every
+   free slot is held, by a busy or a dead process) the rest of the list
+   goes to the ring, so a reactor never waits on a slot.  Otherwise the
+   list enters the ring under one lock with at most one worker wakeup.
+   Then the GETs are resolved as one batch off the wait-free snapshots:
+   one snapshot read per shard, with the lookups walked down the tree in
+   lockstep.  The item carries the connection and the request id, so a
+   client may hold a whole window of requests in flight per connection.
+   An untagged v1 request is dispatched the same way; its reply keeps
+   decode order only while the client keeps one request in flight, which
+   is the v1 contract.
 
    Worker domains have shard affinity: each drains *its* shard's ring in
    batches, enters the shard store through one (N,k)-assignment admission
@@ -36,9 +45,12 @@
    crashed process inside the wrapper, costing one of that shard's k
    slots.  (OCaml domains cannot be hard-killed, so the crash is
    cooperative; parked workers are only reaped at shutdown so tests and CI
-   exit cleanly.)  Killing up to k-1 workers of one shard costs slots but
-   zero client-visible failures anywhere; killing k workers of a shard
-   wedges that shard — and only that shard. *)
+   exit cleanly.)  Until the victim parks, its kill is pending and its
+   shard keeps to the ring, so the kill lands at the victim's next
+   admission boundary and every mutation dispatched after it sees the slot
+   it burns.  Killing up to k-1 workers of one shard costs slots but zero
+   client-visible failures anywhere; killing k workers of a shard wedges
+   that shard — and only that shard. *)
 
 module Kex_lock = Kex_runtime.Kex_lock
 module Kv_store = Kex_resilient.Kv_store
@@ -74,9 +86,9 @@ let default_config =
     slow_drain_s = 5.0;
     log = (fun _ -> ()) }
 
-(* Workers sweep at most this many items per admission; bounds both the
-   latency a queued item can add to its batch-mates and the time one worker
-   keeps a slot. *)
+(* Workers and the reactors' inline path apply at most this many items per
+   admission; bounds both the latency a queued item can add to its
+   batch-mates and the time one process keeps a slot. *)
 let max_batch = 32
 
 (* A connection's server-side state, the user value of its reactor
@@ -94,9 +106,15 @@ type conn = {
   mutable c_wire : Protocol.wire;
 }
 
-(* A dispatched request: the reactor connection to answer on and the id to
-   echo ([None] for an untagged v1 request). *)
-type item = { req : Protocol.request; rc : conn Reactor.conn; tag : int option }
+(* A dispatched mutation: its store op and op class, the reactor
+   connection to answer on and the id to echo ([None] for an untagged v1
+   request). *)
+type item = {
+  op : Kv_store.op;
+  cls : Metrics.op_class;
+  rc : conn Reactor.conn;
+  tag : int option;
+}
 
 (* One shard: its slice of the store (own admission wrapper), its ring, and
    its metrics (merged exactly at STATS time).
@@ -107,7 +125,9 @@ type item = { req : Protocol.request; rc : conn Reactor.conn; tag : int option }
    ring, and once it clears the fence latecomers see the flipped routing and
    get MOVED.  [sh_inflight] counts items pushed but not yet answered —
    the fence-holder drains by waiting for it to reach 0, which covers both
-   the ring and batches already claimed by a worker. *)
+   the ring, batches already claimed by a worker and lists a reactor is
+   applying inline.  [sh_kills_pending] counts this shard's workers marked
+   for death that have not yet parked holding their slot. *)
 type shard_ctx = {
   sh_id : int;
   sh_store : Kv_store.t;
@@ -117,6 +137,7 @@ type shard_ctx = {
   sh_fence_c : Condition.t;
   mutable sh_fenced : bool;
   sh_inflight : int Atomic.t;
+  sh_kills_pending : int Atomic.t;
 }
 
 (* Cluster-mode state: which node we are, everyone's address, the
@@ -225,30 +246,6 @@ let post_reply rc tag resp =
 
 (* -------------------------------- workers ------------------------------- *)
 
-let op_of_req (req : Protocol.request) : Kv_store.op option =
-  match req with
-  | Protocol.Get key -> Some (Kv_store.Get key)
-  | Protocol.Set (key, v) -> Some (Kv_store.Set (key, v))
-  | Protocol.Del key -> Some (Kv_store.Delete key)
-  | Protocol.Update (key, delta) -> Some (Kv_store.Fetch_add (key, delta))
-  (* SCAN is cross-shard and wait-free: always served inline by the
-     reactor off the published snapshots, never dispatched.
-     Control-plane requests (TOPO/HANDOFF/MIGIMPORT) are inline too. *)
-  | Protocol.Scan _ | Protocol.Ping | Protocol.Stats | Protocol.Kill _ | Protocol.Topo
-  | Protocol.Handoff _ | Protocol.Mig_import _ ->
-      None
-
-let class_of_req (req : Protocol.request) =
-  match req with
-  | Protocol.Get _ -> Some Metrics.C_get
-  | Protocol.Set _ -> Some Metrics.C_set
-  | Protocol.Del _ -> Some Metrics.C_del
-  | Protocol.Update _ -> Some Metrics.C_update
-  | Protocol.Scan _ -> Some Metrics.C_scan
-  | Protocol.Ping | Protocol.Stats | Protocol.Kill _ | Protocol.Topo | Protocol.Handoff _
-  | Protocol.Mig_import _ ->
-      None
-
 let resp_of_result (r : Kv_store.result) : Protocol.response =
   match r with
   | Kv_store.Unit -> Protocol.Ok
@@ -256,67 +253,68 @@ let resp_of_result (r : Kv_store.result) : Protocol.response =
   | Kv_store.Existed b -> Protocol.Deleted b
   | Kv_store.New_value v -> Protocol.Int v
 
-(* Execute a drained batch: one admission for the whole batch, then flush
-   all responses bound for the same connection as a single write. *)
-let exec_batch sh ~lpid items =
-  let store_items, stray =
-    List.partition (fun it -> op_of_req it.req <> None) items
+(* Apply one batch under one admission, record it, and frame each reply
+   into the buffer [out] picks for its connection.  Shared by the workers
+   (blocking admission, one buffer per connection, posted afterwards) and
+   the reactors' inline path (no-wait admission, replies straight into the
+   read's output).  [admit ops] runs the ops through the shard's wrapper;
+   [false] means it refused, and then nothing was applied, recorded or
+   framed.  The metrics are updated before the caller lets a reply leave,
+   one update per (batch, op class), every item carrying the same share of
+   the batch's latency. *)
+let exec_batch sh ~admit ~out items =
+  let t0 = Metrics.now_us () in
+  let resps =
+    match admit (List.map (fun it -> it.op) items) with
+    | Some rs -> Some (List.map resp_of_result rs)
+    | None -> None
+    | exception e ->
+        let msg = Protocol.Error (Printexc.to_string e) in
+        Some (List.map (fun _ -> msg) items)
   in
-  (* Routed inline by the reactors; never reaches a worker. *)
-  List.iter (fun it -> post_reply it.rc it.tag (Protocol.Error "not a store operation")) stray;
-  if store_items <> [] then begin
-    let ops = List.filter_map (fun it -> op_of_req it.req) store_items in
-    let t0 = Metrics.now_us () in
-    let results =
-      match Kv_store.perform_batch sh.sh_store ~pid:lpid ops with
-      | rs -> List.map (fun r -> resp_of_result r) rs
-      | exception e ->
-          let msg = Protocol.Error (Printexc.to_string e) in
-          List.map (fun _ -> msg) store_items
-    in
-    let lat_us = Metrics.now_us () - t0 in
-    let n = List.length store_items in
-    let share_us = lat_us / max 1 n in
-    Metrics.incr_batches sh.sh_metrics;
-    (* Every item carries the same share of the batch's latency, so the
-       metrics take one update per (batch, op class), made before any reply
-       leaves. *)
-    let answered = Array.make (Array.length Metrics.op_classes) 0 in
-    List.iter2
-      (fun it resp ->
-        match (class_of_req it.req, resp) with
-        | Some _, (Protocol.Error _ : Protocol.response) -> Metrics.incr_errors sh.sh_metrics
-        | Some cls, _ ->
-            let i = Metrics.class_index cls in
-            answered.(i) <- answered.(i) + 1
-        | None, _ -> ())
-      store_items results;
-    Array.iteri
-      (fun i n -> Metrics.record_many sh.sh_metrics Metrics.op_classes.(i) ~n ~lat_us:share_us)
-      answered;
-    (* Group responses per connection so a pipelining client gets one
-       coalesced write per (batch, connection) instead of one per request. *)
-    let flushes : (conn Reactor.conn * Buffer.t * int ref) list ref = ref [] in
-    List.iter2
-      (fun it resp ->
-        (* Serialize straight into the connection's coalescing buffer in its
-           own wire's framing — no intermediate payload string. *)
-        let wire = (Reactor.user it.rc).c_wire in
-        match List.find_opt (fun (rc, _, _) -> rc == it.rc) !flushes with
-        | Some (_, buf, count) ->
-            Protocol.encode_response_wire buf wire ~id:it.tag resp;
-            incr count
-        | None ->
-            let buf = Buffer.create 256 in
-            Protocol.encode_response_wire buf wire ~id:it.tag resp;
-            flushes := (it.rc, buf, ref 1) :: !flushes)
-      store_items results;
-    List.iter
-      (fun (rc, buf, count) ->
-        Reactor.post_write rc (Buffer.contents buf);
-        ignore (Atomic.fetch_and_add (Reactor.user rc).c_pending (- !count)))
-      !flushes
-  end;
+  match resps with
+  | None -> false
+  | Some resps ->
+      let share_us = (Metrics.now_us () - t0) / max 1 (List.length items) in
+      Metrics.incr_batches sh.sh_metrics;
+      let answered = Array.make (Array.length Metrics.op_classes) 0 in
+      List.iter2
+        (fun it resp ->
+          (match (resp : Protocol.response) with
+          | Protocol.Error _ -> Metrics.incr_errors sh.sh_metrics
+          | _ ->
+              let i = Metrics.class_index it.cls in
+              answered.(i) <- answered.(i) + 1);
+          Protocol.encode_response_wire (out it.rc) (Reactor.user it.rc).c_wire ~id:it.tag resp)
+        items resps;
+      Array.iteri
+        (fun i n -> Metrics.record_many sh.sh_metrics Metrics.op_classes.(i) ~n ~lat_us:share_us)
+        answered;
+      true
+
+(* A worker's batch: one blocking admission, then the responses bound for
+   one connection posted to its reactor as one coalesced write, so a
+   pipelining client gets one write per (batch, connection). *)
+let work_batch sh ~lpid items =
+  let flushes : (conn Reactor.conn * Buffer.t * int ref) list ref = ref [] in
+  let out rc =
+    match List.find_opt (fun (rc', _, _) -> rc' == rc) !flushes with
+    | Some (_, buf, count) ->
+        incr count;
+        buf
+    | None ->
+        let buf = Buffer.create 256 in
+        flushes := (rc, buf, ref 1) :: !flushes;
+        buf
+  in
+  ignore
+    (exec_batch sh ~out items ~admit:(fun ops ->
+         Some (Kv_store.perform_batch sh.sh_store ~pid:lpid ops)));
+  List.iter
+    (fun (rc, buf, count) ->
+      Reactor.post_write rc (Buffer.contents buf);
+      ignore (Atomic.fetch_and_add (Reactor.user rc).c_pending (- !count)))
+    !flushes;
   (* Every item of this batch is answered: the migration fence's drain
      ([sh_inflight] = 0) may now proceed past it. *)
   ignore (Atomic.fetch_and_add sh.sh_inflight (-(List.length items)))
@@ -330,6 +328,8 @@ let die t sh ~lpid ~gid =
   logf t "worker %d (shard %d): killed (crashing at the admission boundary)" gid sh.sh_id;
   let asg = Kv_store.assignment sh.sh_store in
   let name = Kex_lock.Assignment.acquire asg ~pid:lpid in
+  (* The slot is burned: the shard may run inline again. *)
+  Atomic.decr sh.sh_kills_pending;
   Sync.with_lock t.morgue_m (fun () ->
       while not t.morgue_open do
         Condition.wait t.morgue_c t.morgue_m
@@ -354,7 +354,7 @@ let worker_loop t sh ~lpid ~gid =
           die t sh ~lpid ~gid
         end
         else begin
-          exec_batch sh ~lpid items;
+          work_batch sh ~lpid items;
           loop ()
         end
   in
@@ -366,7 +366,10 @@ let kill_worker t w =
   if w < 0 || w >= total_workers t then
     Error (Printf.sprintf "worker %d out of range 0..%d" w (total_workers t - 1))
   else begin
-    Atomic.set t.kill_flags.(w) true;
+    (* Pending before the flag is visible, and once per victim. *)
+    let pending = t.shard_ctxs.(w / t.cfg.workers).sh_kills_pending in
+    Atomic.incr pending;
+    if Atomic.exchange t.kill_flags.(w) true then Atomic.decr pending;
     Ok ()
   end
 
@@ -420,14 +423,6 @@ let chaos_loop t events =
 
 (* ------------------------------ connections ----------------------------- *)
 
-let key_of_req (req : Protocol.request) =
-  match req with
-  | Protocol.Get key | Protocol.Set (key, _) | Protocol.Del key | Protocol.Update (key, _) ->
-      key
-  | Protocol.Scan _ | Protocol.Ping | Protocol.Stats | Protocol.Kill _ | Protocol.Topo
-  | Protocol.Handoff _ | Protocol.Mig_import _ ->
-      ""
-
 (* --------------------------- cluster data path --------------------------- *)
 
 let owns t shard = match t.cluster with None -> true | Some cl -> cl.cl_owned.(shard)
@@ -453,13 +448,15 @@ let topo_resp t =
       let self = Printf.sprintf "127.0.0.1:%d" t.actual_port in
       Protocol.Topo_reply (1, List.init t.cfg.shards (fun s -> (s, self)))
 
-(* Push a list of items at their shard's ring, against the migration fence:
-   wait out an active fence, re-check ownership (the fence-holder may have
-   flipped routing), and count the items in flight.  The check-then-push is
-   under [sh_fence_m], so a fence set after our check cannot miss our items
-   — the drain sees [sh_inflight] > 0.  The list is accepted or refused as
-   a whole: one fence check, one ring lock, at most one worker wakeup. *)
-type dispatched = Pushed | Not_owner | Shutting_down
+(* Route a list of items against the migration fence: wait out an active
+   fence, re-check ownership (the fence-holder may have flipped routing),
+   and count the items in flight.  A quiet shard — empty ring, no kill
+   pending, not shutting down — leaves the list to the calling reactor
+   ([Inline]); otherwise it enters the ring.  The check-then-count is under
+   [sh_fence_m], so a fence set after our check cannot miss our items — the
+   drain sees [sh_inflight] > 0.  The list is routed or refused as a whole:
+   one fence check, at most one ring lock and one worker wakeup. *)
+type dispatched = Inline | Pushed | Not_owner | Shutting_down
 
 let dispatch_items t sh items =
   let n = List.length items in
@@ -468,11 +465,19 @@ let dispatch_items t sh items =
         Condition.wait sh.sh_fence_c sh.sh_fence_m
       done;
       if not (owns t sh.sh_id) then Not_owner
-      else if Wqueue.push_list sh.sh_queue items then begin
-        ignore (Atomic.fetch_and_add sh.sh_inflight n);
-        Pushed
-      end
-      else Shutting_down)
+      else begin
+        let route =
+          if
+            Atomic.get sh.sh_kills_pending = 0
+            && (not (Atomic.get t.stopping))
+            && Wqueue.length sh.sh_queue = 0
+          then Inline
+          else if Wqueue.push_list sh.sh_queue items then Pushed
+          else Shutting_down
+        in
+        if route <> Shutting_down then ignore (Atomic.fetch_and_add sh.sh_inflight n);
+        route
+      end)
 
 (* SCAN in cluster mode merges only the *owned* shards' snapshot scans: an
    unowned shard's store may hold a stale copy from before a migration out.
@@ -594,12 +599,8 @@ let handoff t ~shard ~addr =
                 end)
       end
 
-(* Migration import (destination side): apply the changes to our copy of the
-   shard, and on the final chunk take ownership at the sender's epoch.
-   Borrowing the shard's pid 0 is safe exactly because the shard is unowned:
-   no client mutation is dispatched to it, and its workers idle on an empty
-   ring without touching admission. *)
-let mig_import t ~shard ~epoch ~final changes =
+(* A shard this node may import into: in range and not owned here. *)
+let import_target t shard =
   match t.cluster with
   | None -> Error "not in cluster mode"
   | Some cl ->
@@ -607,23 +608,31 @@ let mig_import t ~shard ~epoch ~final changes =
         Error (Printf.sprintf "shard %d out of range 0..%d" shard (t.cfg.shards - 1))
       else if cl.cl_owned.(shard) then
         Error (Printf.sprintf "shard %d is already owned by this node" shard)
-      else begin
-        let sh = t.shard_ctxs.(shard) in
-        Kv_store.apply_changes sh.sh_store ~pid:0 changes;
-        if final then begin
-          if not (Routing.observe cl.cl_routing ~shard ~epoch ~addr:cl.cl_self) then
-            Error
-              (Printf.sprintf "stale migration epoch %d (routing is at %d)" epoch
-                 (Routing.epoch cl.cl_routing))
-          else begin
-            cl.cl_owned.(shard) <- true;
-            Metrics.incr_migrations_in t.conn_metrics;
-            logf t "migration: imported shard %d, owned at epoch %d" shard epoch;
-            Ok ()
-          end
-        end
-        else Ok ()
-      end
+      else Ok cl
+
+let take_ownership t cl ~shard ~epoch =
+  if not (Routing.observe cl.cl_routing ~shard ~epoch ~addr:cl.cl_self) then
+    Error
+      (Printf.sprintf "stale migration epoch %d (routing is at %d)" epoch
+         (Routing.epoch cl.cl_routing))
+  else begin
+    cl.cl_owned.(shard) <- true;
+    Metrics.incr_migrations_in t.conn_metrics;
+    logf t "migration: imported shard %d, owned at epoch %d" shard epoch;
+    Ok ()
+  end
+
+(* Migration import (destination side), on the receiving reactor: apply the
+   changes to our copy of the shard under that reactor's own pid, and on
+   the final chunk take ownership at the sender's epoch.  The blocking
+   admission waits on nobody busy: the shard is unowned, so no client
+   mutation reaches it and its workers idle on an empty ring. *)
+let mig_import t ~lpid ~shard ~epoch ~final changes =
+  match import_target t shard with
+  | Error _ as e -> e
+  | Ok cl ->
+      Kv_store.apply_changes t.shard_ctxs.(shard).sh_store ~pid:lpid changes;
+      if final then take_ownership t cl ~shard ~epoch else Ok ()
 
 (* Forced takeover of an unowned shard at the successor epoch — the
    failover harness's reassignment after [kill-node], equivalent to
@@ -633,9 +642,9 @@ let mig_import t ~shard ~epoch ~final changes =
    availability.  Routing-wise it is indistinguishable from a migration,
    so clients converge through the same TOPO/MOVED machinery. *)
 let adopt t ~shard =
-  match t.cluster with
-  | None -> Error "not in cluster mode"
-  | Some cl -> mig_import t ~shard ~epoch:(Routing.epoch cl.cl_routing + 1) ~final:true []
+  match import_target t shard with
+  | Error _ as e -> e
+  | Ok cl -> take_ownership t cl ~shard ~epoch:(Routing.epoch cl.cl_routing + 1)
 
 (* SCAN result sizes are clamped so one request can't build a response
    anywhere near [max_frame]. *)
@@ -683,12 +692,56 @@ let resolve_gets t conn out p =
       gets
   end
 
+let shutting_down t =
+  Metrics.incr_errors t.conn_metrics;
+  Protocol.Error "server shutting down"
+
+(* The inline path: this reactor, as process [lpid] of the shard's wrapper,
+   applies the list [max_batch] items per no-wait admission, framing the
+   replies into [out].  The first refusal hands the rest of the list to the
+   ring exactly as a ring dispatch would have (it is already counted in
+   flight); a ring closed meanwhile refuses it. *)
+let run_inline t sh ~lpid conn out items =
+  let rec split_at n = function
+    | x :: rest when n > 0 ->
+        let chunk, rest = split_at (n - 1) rest in
+        (x :: chunk, rest)
+    | rest -> ([], rest)
+  in
+  let rec go items =
+    if items <> [] then begin
+      let chunk, rest = split_at max_batch items in
+      let n = List.length chunk in
+      if
+        exec_batch sh chunk
+          ~admit:(fun ops -> Kv_store.try_perform_batch sh.sh_store ~pid:lpid ops)
+          ~out:(fun _ -> out)
+      then begin
+        Metrics.incr_inline_admissions sh.sh_metrics;
+        ignore (Atomic.fetch_and_add conn.c_pending (-n));
+        ignore (Atomic.fetch_and_add sh.sh_inflight (-n));
+        go rest
+      end
+      else begin
+        Metrics.incr_inline_aborts sh.sh_metrics;
+        if not (Wqueue.push_list sh.sh_queue items) then begin
+          let n = List.length items in
+          ignore (Atomic.fetch_and_add conn.c_pending (-n));
+          ignore (Atomic.fetch_and_add sh.sh_inflight (-n));
+          List.iter (fun it -> respond_now conn out it.tag (shutting_down t)) items
+        end
+      end
+    end
+  in
+  go items
+
 (* Dispatch each shard's pending mutations, in arrival order, as one batch.
-   A refused batch is answered right here into [out] (after the GETs
-   decoded before it), leaving the connection's pending count — the plane
-   appends [out] after this, so the refusals and the count drops land in
-   the same append. *)
-let flush_pending t conn out p =
+   Replies made on the plane — a quiet shard's inline results, or a
+   refused batch's MOVED/ERR — land in [out] after the GETs decoded before
+   them, and leave the connection's pending count right here: the plane
+   appends [out] after this, so the replies and the count drops land in the
+   same append. *)
+let flush_pending t ~lpid conn out p =
   Array.iteri
     (fun s newest_first ->
       if newest_first <> [] then begin
@@ -702,22 +755,37 @@ let flush_pending t conn out p =
               respond_now conn out it.tag (resp ()))
             items
         in
-        match dispatch_items t t.shard_ctxs.(s) items with
+        let sh = t.shard_ctxs.(s) in
+        match dispatch_items t sh items with
+        | Inline ->
+            resolve_gets t conn out p;
+            run_inline t sh ~lpid conn out items
         | Pushed -> ()
         | Not_owner -> refuse (fun () -> moved_resp t s)
-        | Shutting_down ->
-            refuse (fun () ->
-                Metrics.incr_errors t.conn_metrics;
-                Protocol.Error "server shutting down")
+        | Shutting_down -> refuse (fun () -> shutting_down t)
       end)
     p.muts
 
-let handle_request t rc out pending tag (req : Protocol.request) =
+let handle_request t ~lpid rc out pending tag (req : Protocol.request) =
   let conn = Reactor.user rc in
+  (* A mutation: queue it for this read's batched dispatch and keep going;
+     [flush_pending] applies it inline or hands it to a worker.  Untagged
+     responses stay in order because the v1 contract keeps one request in
+     flight. *)
+  let queue key op cls =
+    let shard = shard_of_key t key in
+    Atomic.incr conn.c_pending;
+    pending.muts.(shard) <- { op; cls; rc; tag } :: pending.muts.(shard)
+  in
   (* A request that is not a store operation is answered right here; the
      GETs queued before it answer first, so inline replies keep decode
-     order (and STATS counts them). *)
-  if op_of_req req = None then resolve_gets t conn out pending;
+     order (and STATS counts them).  SCAN is cross-shard and wait-free, so
+     it is answered here too, off the published snapshots. *)
+  (match req with
+  | Protocol.Get _ | Protocol.Set _ | Protocol.Del _ | Protocol.Update _ -> ()
+  | Protocol.Scan _ | Protocol.Ping | Protocol.Stats | Protocol.Kill _ | Protocol.Topo
+  | Protocol.Handoff _ | Protocol.Mig_import _ ->
+      resolve_gets t conn out pending);
   match req with
   | Protocol.Ping -> respond_now conn out tag Protocol.Pong
   | Protocol.Stats -> respond_now conn out tag (Protocol.Stats_reply (stats_pairs t))
@@ -745,7 +813,7 @@ let handle_request t rc out pending tag (req : Protocol.request) =
                    Protocol.Error msg))
            ())
   | Protocol.Mig_import (shard, epoch, final, changes) -> (
-      match mig_import t ~shard ~epoch ~final changes with
+      match mig_import t ~lpid ~shard ~epoch ~final changes with
       | Ok () -> respond_now conn out tag Protocol.Ok
       | Error msg ->
           Metrics.incr_errors t.conn_metrics;
@@ -769,26 +837,21 @@ let handle_request t rc out pending tag (req : Protocol.request) =
       Metrics.record t.conn_metrics Metrics.C_scan ~lat_us:(Metrics.now_us () - t0);
       Metrics.incr_inline_reads t.conn_metrics;
       respond_now conn out tag (Protocol.Range pairs)
-  | req ->
-      (* A mutation: queue it for this read's batched dispatch and keep
-         going; a worker posts the response (coalesced with its
-         batch-mates).  Untagged responses stay in order because the v1
-         contract keeps one request in flight. *)
-      let shard = shard_of_key t (key_of_req req) in
-      Atomic.incr conn.c_pending;
-      pending.muts.(shard) <- { req; rc; tag } :: pending.muts.(shard)
+  | Protocol.Set (key, v) -> queue key (Kv_store.Set (key, v)) Metrics.C_set
+  | Protocol.Del key -> queue key (Kv_store.Delete key) Metrics.C_del
+  | Protocol.Update (key, delta) -> queue key (Kv_store.Fetch_add (key, delta)) Metrics.C_update
 
 (* Decode and handle every complete frame of the connection's input, then
    dispatch the read's mutations and resolve its GETs; the replies answered
    on the plane land in [out].  [false] means the stream is garbage and the
    connection must close. *)
-let serve_read t rc out pending =
+let serve_read t ~lpid rc out pending =
   let conn = Reactor.user rc in
   let rec drain () =
     match Protocol.Req_decoder.next conn.c_dec with
     | Protocol.Dec_more -> true
     | Protocol.Dec_frame (tag, req) ->
-        handle_request t rc out pending tag req;
+        handle_request t ~lpid rc out pending tag req;
         drain ()
     | Protocol.Dec_skip (tag, msg) ->
         (* Malformed frame with intact framing: answer ERR and keep the
@@ -808,20 +871,21 @@ let serve_read t rc out pending =
         false
   in
   let keep = drain () in
-  (* Mutations first, so the workers start on them while the loop walks
-     the read's GETs. *)
-  flush_pending t conn out pending;
+  (* Mutations first, so the workers start on any the ring gets while the
+     loop walks the read's GETs. *)
+  flush_pending t ~lpid conn out pending;
   resolve_gets t conn out pending;
   keep
 
-(* The connection plane's handlers.  All three run on the owning reactor's
-   loop domain; the only cross-thread traffic is the mailbox they answer
-   to.  [scratch] collects every inline reply produced while draining one
-   socket read (pipelined GETs, MOVED, parse errors...) and lands in the
-   connection's output buffer as one append.  The read's mutations and
+(* The connection plane's handlers for the reactor that is process [lpid]
+   of every shard's wrapper.  All three run on the owning reactor's loop
+   domain; the only cross-thread traffic is the mailbox they answer to.
+   [scratch] collects every reply produced while draining one socket read
+   (pipelined GETs, inline mutations, MOVED, parse errors...) and lands in
+   the connection's output buffer as one append.  The read's mutations and
    GETs collect in [pending]; the mutations are dispatched, one batch per
    shard, and the GETs resolved as one batch, before that append. *)
-let reactor_handlers t =
+let reactor_handlers t ~lpid =
   let scratch = Buffer.create 4096 in
   let pending = new_pending t in
   { Reactor.on_data =
@@ -836,7 +900,7 @@ let reactor_handlers t =
         | Some w -> conn.c_wire <- w
         | None -> ());
         Buffer.clear scratch;
-        let keep = serve_read t rc scratch pending in
+        let keep = serve_read t ~lpid rc scratch pending in
         if Buffer.length scratch > 0 then Reactor.append_buffer rc scratch;
         keep);
     on_drained = (fun rc -> Atomic.get (Reactor.user rc).c_pending = 0);
@@ -852,6 +916,10 @@ let accept_loop t =
     match Unix.accept t.listen_fd with
     | fd, _ ->
         Metrics.incr_connections t.conn_metrics;
+        (* A reply that leaves in a second write (a ring fallback, a
+           HANDOFF, a shutdown refusal) must not wait for the ACK of the
+           first. *)
+        (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
         let conn =
           { c_fd = fd;
             c_pending = Atomic.make 0;
@@ -912,8 +980,10 @@ let start cfg =
     | Unix.ADDR_INET (_, p) -> p
     | Unix.ADDR_UNIX _ -> assert false
   in
+  (* Every shard's wrapper admits the workers (pids 0..workers-1) and the
+     reactors (pids workers..workers+reactors-1). *)
   let store =
-    Sharded.create ~algo:cfg.algo ~shards:cfg.shards ~n:cfg.workers ~k:cfg.k ()
+    Sharded.create ~algo:cfg.algo ~shards:cfg.shards ~n:(cfg.workers + cfg.reactors) ~k:cfg.k ()
   in
   let shard_ctxs =
     Array.init cfg.shards (fun i ->
@@ -924,7 +994,8 @@ let start cfg =
           sh_fence_m = Mutex.create ();
           sh_fence_c = Condition.create ();
           sh_fenced = false;
-          sh_inflight = Atomic.make 0 })
+          sh_inflight = Atomic.make 0;
+          sh_kills_pending = Atomic.make 0 })
   in
   let t =
     { cfg;
@@ -958,7 +1029,7 @@ let start cfg =
   t.reactors <-
     Array.init cfg.reactors (fun i ->
         Reactor.create ~out_hwm:cfg.out_hwm ~slow_drain_s:cfg.slow_drain_s ~log:cfg.log ~id:i
-          (reactor_handlers t));
+          (reactor_handlers t ~lpid:(cfg.workers + i)));
   Array.iter Reactor.start t.reactors;
   t.listener <- Some (Thread.create (fun () -> accept_loop t) ());
   if cfg.chaos <> [] then t.chaos_thread <- Some (Thread.create (fun () -> chaos_loop t cfg.chaos) ());

@@ -9,10 +9,15 @@
 
     Connections are owned by [reactors] {!Reactor} event-loop domains:
     accept round-robins across them and each loop multiplexes its
-    connections with poll(2).  The plane dispatches per socket read: the
-    mutations decoded from one read enter each shard's ring as one list,
-    under one lock and with at most one worker wakeup; a second worker is
-    woken only when the first leaves a backlog.  Workers drain their
+    connections with poll(2).  The plane dispatches per socket read.  Each
+    reactor is one more process of every shard's wrapper (N = workers +
+    reactors): the mutations decoded from one read, on a quiet shard
+    (owned, unfenced, empty ring, no kill pending), run on the reactor
+    through a no-wait admission, with their replies written alongside the
+    read's other replies.  A refused admission, or a busy shard, sends the
+    list to the shard's ring as one list, under one lock and with at most
+    one worker wakeup; a second worker is woken only when the first leaves
+    a backlog.  So a reactor never waits on a slot.  Workers drain their
     shard's ring in batches and enter the store through one admission per
     batch, amortizing the wrapper, and deliver the responses bound for one
     connection through the reactor's lock-free mailbox as one coalesced
@@ -98,7 +103,9 @@ val shard_of_key : t -> string -> int
 val kill_worker : t -> int -> (unit, string) result
 (** Programmatic [KILL] by global worker id (shard [s]'s workers are ids
     [s*workers .. s*workers + workers - 1]) — what the admin command and
-    tests use. *)
+    tests use.  Until the victim parks holding its slot, its shard's
+    mutations all go through the ring, so the kill lands at the victim's
+    next admission boundary. *)
 
 val enable_cluster : t -> node:int -> addrs:string list -> unit
 (** Join a cluster as [addrs]'s [node]-th member.  Ownership and routing

@@ -1,8 +1,9 @@
-type variant = Faithful | No_release_write | Broken_gate
+type variant = Faithful | No_release_write | Broken_gate | Abort_no_release | Abort_keeps_x
 
 (* Program counters follow Figure 2's statement numbers:
    0 noncritical; 2 faa gate; 3 write Q; 4 re-read X; 5 spin on Q;
-   6 critical section (about to execute the exit faa); 7 write Q (release). *)
+   6 critical section (about to execute the exit faa); 7 write Q (release).
+   An abort leaves 3 by the exit faa and then shares 7. *)
 type state = { pc : int array; crashed : bool array; x : int; q : int }
 
 let in_cs s pid = s.pc.(pid) = 6
@@ -41,10 +42,17 @@ let model ?(variant = Faithful) ~n ~max_crashes () : (module System.MODEL with t
               let s' =
                 match variant with
                 | Broken_gate -> { s' with pc = (let a = Array.copy s'.pc in a.(pid) <- 6; a) }
-                | Faithful | No_release_write -> s'
+                | Faithful | No_release_write | Abort_no_release | Abort_keeps_x -> s'
               in
               add (Printf.sprintf "p%d: faa X (old=%d)" pid old) s'
-          | 3 -> add (Printf.sprintf "p%d: Q := %d" pid pid) { (with_pc s pid 4) with q = pid }
+          | 3 ->
+              add (Printf.sprintf "p%d: Q := %d" pid pid) { (with_pc s pid 4) with q = pid };
+              (* The no-wait entry: the faa returned 0, so run the exit. *)
+              add (Printf.sprintf "p%d: abort, exit faa X" pid)
+                (match variant with
+                | Abort_keeps_x -> with_pc s pid 7
+                | Abort_no_release -> { (with_pc s pid 0) with x = s.x + 1 }
+                | Faithful | No_release_write | Broken_gate -> { (with_pc s pid 7) with x = s.x + 1 })
           | 4 ->
               add
                 (Printf.sprintf "p%d: read X=%d" pid s.x)
@@ -56,7 +64,9 @@ let model ?(variant = Faithful) ~n ~max_crashes () : (module System.MODEL with t
           | 7 ->
               let s' = with_pc s pid 0 in
               let s' =
-                match variant with No_release_write -> s' | Faithful | Broken_gate -> { s' with q = pid }
+                match variant with
+                | No_release_write -> s'
+                | Faithful | Broken_gate | Abort_no_release | Abort_keeps_x -> { s' with q = pid }
               in
               add (Printf.sprintf "p%d: release Q" pid) s'
           | _ -> assert false);

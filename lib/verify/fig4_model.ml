@@ -1,11 +1,12 @@
-type variant = Faithful | Leaky_gate | No_slow_path
+type variant = Faithful | Leaky_gate | No_slow_path | Abort_no_release | Abort_keeps_x
 
 (* Phases: 0 noncrit; 99 retired; 1 gate; 2 slow-path wait (abstract);
    10..13 = Figure 2 statements 2..5 of the current layer; 30 CS;
    20,21 = Figure 2 statements 6,7 of the current layer; 3 slow release;
    4 gate release.  The final (2k,k) block is the Theorem 1 stack of k
    Figure 2 layers; layer l (entered in order 0..k-1) has gate capacity
-   2k-1-l, the innermost admitting exactly k. *)
+   2k-1-l, the innermost admitting exactly k.  An abort leaves 11 by the
+   layer's exit faa and then shares 21, 20 and the gate release 4. *)
 type state = {
   pc : int array;
   layer : int array;
@@ -34,7 +35,9 @@ let model ?(variant = Faithful) ~n ~k ~max_crashes () :
         (match variant with
         | Faithful -> ""
         | Leaky_gate -> ",leaky-gate"
-        | No_slow_path -> ",no-slow-path")
+        | No_slow_path -> ",no-slow-path"
+        | Abort_no_release -> ",abort-no-release"
+        | Abort_keeps_x -> ",abort-keeps-x")
 
     let cap l = (2 * k) - 1 - l
 
@@ -71,14 +74,16 @@ let model ?(variant = Faithful) ~n ~k ~max_crashes () :
           | 99 -> ()
           | 1 -> (
               match variant with
-              | Faithful | No_slow_path ->
+              | Faithful | No_slow_path | Abort_no_release | Abort_keeps_x ->
                   (* bounded faa: no-op when the gate is empty *)
-                  if s.gate = 0 then
+                  if s.gate = 0 then begin
                     if variant = No_slow_path then
                       add (lbl "gate empty; skip slow (MUTANT)") (with_pc_layer s pid 10 0)
                     else
                       add (lbl "gate empty -> slow path")
-                        { (with_pc s pid 2) with slow_taken = set_arr s.slow_taken pid true }
+                        { (with_pc s pid 2) with slow_taken = set_arr s.slow_taken pid true };
+                    add (lbl "gate empty -> refused") (with_pc s pid 0)
+                  end
                   else add (lbl "gate slot (%d left)" (s.gate - 1))
                       { (with_pc_layer s pid 10 0) with gate = s.gate - 1 }
               | Leaky_gate ->
@@ -101,7 +106,18 @@ let model ?(variant = Faithful) ~n ~k ~max_crashes () :
               else add (lbl "layer %d: faa X (through)" l) (next_entry s' pid l)
           | 11 ->
               add (lbl "layer %d: Q := p" l)
-                { (with_pc s pid 12) with qs = set_arr s.qs l (pid + 1) }
+                { (with_pc s pid 12) with qs = set_arr s.qs l (pid + 1) };
+              (* The no-wait entry (fast-path processes only: it never takes
+                 the slow path): the faa returned 0, so run the exit. *)
+              if not s.slow_taken.(pid) then begin
+                let restored = { s with xs = set_arr s.xs l (s.xs.(l) + 1) } in
+                add (lbl "layer %d: abort, exit faa X" l)
+                  (match variant with
+                  | Abort_keeps_x -> with_pc s pid 21
+                  | Abort_no_release ->
+                      if l > 0 then with_pc_layer restored pid 20 (l - 1) else with_pc restored pid 4
+                  | Faithful | Leaky_gate | No_slow_path -> with_pc restored pid 21)
+              end
           | 12 ->
               if s.xs.(l) < 0 then add (lbl "layer %d: X<0, spin" l) (with_pc s pid 13)
               else add (lbl "layer %d: X>=0, through" l) (next_entry s pid l)
@@ -119,7 +135,8 @@ let model ?(variant = Faithful) ~n ~k ~max_crashes () :
           | 4 ->
               let gate =
                 match variant with
-                | Faithful | No_slow_path -> min (s.gate + 1) k  (* bounded faa *)
+                | Faithful | No_slow_path | Abort_no_release | Abort_keeps_x ->
+                    min (s.gate + 1) k  (* bounded faa *)
                 | Leaky_gate -> s.gate + 1
               in
               add (lbl "gate release") { (with_pc s pid 0) with gate }
@@ -156,14 +173,36 @@ let model ?(variant = Faithful) ~n ~k ~max_crashes () :
         (fun acc pc -> if (pc >= 10 && pc <= 13) || pc = 30 || pc = 20 || pc = 21 then acc + 1 else acc)
         0 s.pc
 
+    (* Does the process at [pid] hold layer [l]'s X (its entry faa done, its
+       exit faa not yet)?  A layer below the current one was passed. *)
+    let holds s pid l =
+      let at = s.layer.(pid) in
+      match s.pc.(pid) with
+      | 10 | 21 -> l < at
+      | 11 | 12 | 13 | 20 -> l <= at
+      | 30 -> true
+      | _ -> false
+
+    let layer_count s =
+      let ok = ref true in
+      for l = 0 to k - 1 do
+        let holders = ref 0 in
+        for pid = 0 to n - 1 do
+          if holds s pid l then incr holders
+        done;
+        if s.xs.(l) <> cap l - !holders then ok := false
+      done;
+      !ok
+
     let invariants =
       [ ("k-exclusion", fun s -> Array.fold_left (fun a pc -> if pc = 30 then a + 1 else a) 0 s.pc <= k);
         ("final block admission <= 2k", fun s -> in_final s <= 2 * k);
         ("slow occupancy within [0,k]", fun s -> s.slow >= 0 && s.slow <= k) ]
-      @
-      match variant with
-      | Faithful | No_slow_path -> [ ("gate within [0,k]", fun s -> s.gate >= 0 && s.gate <= k) ]
-      | Leaky_gate -> []
+      @ (match variant with
+        | Faithful | No_slow_path | Abort_no_release | Abort_keeps_x ->
+            [ ("gate within [0,k]", fun s -> s.gate >= 0 && s.gate <= k) ]
+        | Leaky_gate -> [])
+      @ [ ("layer X = cap - |holders|", layer_count) ]
 
     let step_invariants = []
   end)

@@ -7,7 +7,14 @@
     model checks exhaustively is the {e composition} argument of Theorem 3:
     at most k processes pass the gate, at most k come through the slow path,
     so at most 2k ever enter the final block, whose admission is then at
-    most k.  Crash and retirement transitions included. *)
+    most k.  Crash and retirement transitions included; each layer's X is
+    checked against the processes holding it.
+
+    A process may also enter with no patience, as the runtime's no-wait
+    entry does: the gate refuses it at 0 (back to the noncritical
+    section), and a final-block layer whose fetch-and-add returns 0 runs
+    that layer's exit statements, then the exits of the layers it passed
+    and the gate release. *)
 
 type variant =
   | Faithful
@@ -18,6 +25,12 @@ type variant =
   | No_slow_path
       (** mutant: losers of the gate skip the slow path and walk straight
           into the final (2k,k) block, breaking its 2k admission bound *)
+  | Abort_no_release
+      (** mutant: an abort restores its layer's X but skips that layer's
+          Q := p, stranding a process that queued behind it *)
+  | Abort_keeps_x
+      (** mutant: an abort skips its layer's exit fetch-and-add, leaving X
+          one short *)
 
 type state
 

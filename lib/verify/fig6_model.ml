@@ -1,9 +1,17 @@
-type variant = Faithful | No_feedback | No_recheck | Skip_init | Fewer_slots
+type variant =
+  | Faithful
+  | No_feedback
+  | No_recheck
+  | Skip_init
+  | Fewer_slots
+  | Abort_no_release
+  | Abort_keeps_x
 
 (* Program counters follow Figure 6's statement numbers, with 30 for the
    critical section.  Statement 12 (private [last] update) is folded into the
    successful CAS at 11, and 16 (the exit faa) into the 30 -> 17 move, since
-   private actions are free. *)
+   private actions are free.  An abort leaves 3 by the exit faa and then
+   shares 17-21. *)
 type state = {
   pc : int array;
   crashed : bool array;
@@ -34,7 +42,9 @@ let model ?(variant = Faithful) ~n ~max_crashes () : (module System.MODEL with t
         | No_feedback -> ",no-feedback"
         | No_recheck -> ",no-recheck"
         | Skip_init -> ",skip-init"
-        | Fewer_slots -> ",fewer-slots")
+        | Fewer_slots -> ",fewer-slots"
+        | Abort_no_release -> ",abort-no-release"
+        | Abort_keeps_x -> ",abort-keeps-x")
 
     let initial =
       [ { pc = Array.make n 0;
@@ -68,7 +78,14 @@ let model ?(variant = Faithful) ~n ~max_crashes () : (module System.MODEL with t
           | 3 ->
               let loc = (s.last.(pid) + 1) mod slots in
               add (lbl "next.loc := %d" loc)
-                { (with_pc s pid 4) with next_loc = set_arr s.next_loc pid loc }
+                { (with_pc s pid 4) with next_loc = set_arr s.next_loc pid loc };
+              (* The no-wait entry: the faa returned 0, so run the exit. *)
+              add (lbl "abort, exit faa X")
+                (match variant with
+                | Abort_keeps_x -> with_pc s pid 17
+                | Abort_no_release -> { (with_pc s pid 0) with x = s.x + 1 }
+                | Faithful | No_feedback | No_recheck | Skip_init | Fewer_slots ->
+                    { (with_pc s pid 17) with x = s.x + 1 })
           | 4 ->
               let loc = s.next_loc.(pid) in
               let busy = s.r.((pid * slots) + loc) <> 0 in

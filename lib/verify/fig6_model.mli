@@ -9,7 +9,11 @@
     Verified: k-Exclusion, the X-counter invariant (I5 analogue), R-counter
     range bounds, spin-location non-interference (a process never waits on a
     location some earlier process can still set), and possible progress with
-    at most k-1 crashes. *)
+    at most k-1 crashes.
+
+    A process whose fetch-and-add returned 0 may also abort, as the
+    runtime's no-wait entry does: instead of statement 3 it runs the exit
+    statements 16-21 and returns to its noncritical section. *)
 
 type variant =
   | Faithful
@@ -27,6 +31,10 @@ type variant =
       (** ablation: only k+1 spin locations per process instead of the k+2
           the paper proves necessary ("to ensure that the most-recently-used
           spin location is not chosen again") *)
+  | Abort_no_release
+      (** mutant: an abort restores X but skips statements 17-21, so nobody
+          sets the spin location of a process that queued behind it *)
+  | Abort_keeps_x  (** mutant: an abort skips statement 16, leaving X one short *)
 
 type state
 

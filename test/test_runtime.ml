@@ -72,6 +72,84 @@ let test_with_lock_releases_on_exception () =
       Kex_lock.with_lock lock ~pid:1 (fun () -> ()))
     algos
 
+(* The no-wait entry, for every algorithm: with k holders inside,
+   [try_acquire] refuses without waiting (a wait would hang this
+   single-domain section) and leaves the lock as it found it, so a
+   blocking acquirer gets in the moment one holder leaves; then a
+   multi-domain mix of blocking and try holders, with k-1 holders parked
+   for the whole run, never puts more than k in the critical section and
+   every blocking acquirer finishes. *)
+let test_try_acquire () =
+  let deadline_passed t0 = Unix.gettimeofday () -. t0 > 10. in
+  List.iter
+    (fun algo ->
+      let ctx = algo_name algo in
+      let n = 6 and k = 2 in
+      let lock = Kex_lock.create ~algo ~n ~k () in
+      for pid = 0 to k - 1 do
+        Kex_lock.acquire lock ~pid
+      done;
+      for _ = 1 to 50 do
+        for pid = k to n - 1 do
+          if Kex_lock.try_acquire lock ~pid then
+            Alcotest.failf "%s: pid %d admitted past %d holders" ctx pid k
+        done
+      done;
+      let inside = Atomic.make false in
+      let waiter =
+        Domain.spawn (fun () ->
+            Kex_lock.acquire lock ~pid:(n - 1);
+            Atomic.set inside true;
+            Kex_lock.release lock ~pid:(n - 1))
+      in
+      Unix.sleepf 0.05;
+      Alcotest.(check bool) (ctx ^ ": blocking acquirer waits while full") false (Atomic.get inside);
+      Kex_lock.release lock ~pid:0;
+      let t0 = Unix.gettimeofday () in
+      while (not (Atomic.get inside)) && not (deadline_passed t0) do
+        Domain.cpu_relax ()
+      done;
+      if not (Atomic.get inside) then
+        Alcotest.failf "%s: the aborted tries left a slot stuck" ctx;
+      Domain.join waiter;
+      Kex_lock.release lock ~pid:1;
+      (* Idle again: exactly k tries get in. *)
+      let admitted = List.filter (fun pid -> Kex_lock.try_acquire lock ~pid) [ 0; 1; 2 ] in
+      Alcotest.(check (list int)) (ctx ^ ": k tries admitted when idle") [ 0; 1 ] admitted;
+      List.iter (fun pid -> Kex_lock.release lock ~pid) admitted;
+      (* The mix: pid 0 parked inside, pids 1-2 blocking, pids 3-4 trying. *)
+      let in_cs = Atomic.make 0 and over = Atomic.make 0 and finished = Atomic.make 0 in
+      let critical () =
+        if 1 + Atomic.fetch_and_add in_cs 1 > k then Atomic.incr over;
+        Domain.cpu_relax ();
+        Atomic.decr in_cs
+      in
+      Kex_lock.acquire lock ~pid:0;
+      Atomic.incr in_cs;
+      let blocking pid () =
+        for _ = 1 to 100 do
+          Kex_lock.with_lock lock ~pid critical
+        done;
+        Atomic.incr finished
+      in
+      let trying pid () =
+        for _ = 1 to 200 do
+          if Kex_lock.try_acquire lock ~pid then begin
+            critical ();
+            Kex_lock.release lock ~pid
+          end
+        done
+      in
+      let ds =
+        List.map Domain.spawn [ blocking 1; blocking 2; trying 3; trying 4 ]
+      in
+      List.iter Domain.join ds;
+      Atomic.decr in_cs;
+      Kex_lock.release lock ~pid:0;
+      Alcotest.(check int) (ctx ^ ": never more than k inside") 0 (Atomic.get over);
+      Alcotest.(check int) (ctx ^ ": every blocking acquirer finished") 2 (Atomic.get finished))
+    algos
+
 (* Multi-domain stress: k-exclusion must hold under real parallelism (or
    preemptive interleaving on one core). *)
 let stress_exclusion algo ~n ~k ~iters () =
@@ -176,4 +254,5 @@ let suite =
   @ stress_cases
   @ [ Helpers.tc "assignment names unique under domains" test_assignment_names_unique;
       Helpers.tc "k-1 dead holders tolerated" test_dead_holders_tolerated;
-      Helpers.tc "renaming hands out and reuses names" test_renaming_direct ]
+      Helpers.tc "renaming hands out and reuses names" test_renaming_direct;
+      Helpers.tc "try_acquire refuses without waiting and leaves no trace" test_try_acquire ]

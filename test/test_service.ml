@@ -19,6 +19,12 @@ let stat name t =
   | Some v -> v
   | None -> Alcotest.failf "STATS has no %S" name
 
+(* The delta of a STATS counter across [f]. *)
+let stat_delta t names f =
+  let before = List.map (fun name -> stat name t) names in
+  f ();
+  List.map2 (fun name b -> (name, stat name t - b)) names before
+
 (* --------------------------------- tests -------------------------------- *)
 
 let test_crud_over_socket () =
@@ -706,29 +712,43 @@ let test_reactor_chaos_kill_c128 () =
    it: one read, so one batched dispatch. *)
 let send_updates c ~n key = send c (List.init n (fun id -> (Some id, P.Update (key, 1))))
 
-(* Batched dispatch: a read's 64 mutations enter the ring as one list with
-   one wakeup, so a worker sweeps them in a few full batches instead of the
-   read being split across every worker of the shard. *)
+(* Send one read of [n] UPDATEs of [key] and require every id answered
+   exactly once with an integer. *)
+let updates_answered c ~n key =
+  send_updates c ~n key;
+  let acked = Array.make n false in
+  for _ = 1 to n do
+    match recv_tagged c with
+    | id, P.Int _ when id >= 0 && id < n && not acked.(id) -> acked.(id) <- true
+    | id, r -> Alcotest.failf "id %d answered %s" id (P.print_response r)
+  done
+
+(* A quiet shard's read runs on its reactor: the 64 mutations of one read
+   take at most ceil(64 / 32) no-wait admissions (32 = the server's
+   per-admission batch cap), none refused, and nothing crosses to a
+   worker — no ring push, no mailbox post.  The counter is exact. *)
 let test_reactor_read_is_one_dispatch () =
   with_server { quiet with workers = 4; k = 2 } (fun t ->
       let c = connect (Server.port t) in
       Fun.protect ~finally:(fun () -> close c) (fun () ->
           Unix.setsockopt_float c.fd Unix.SO_RCVTIMEO 5.0;
-          let batches0 = stat "batches" t in
+          (* A round trip first, so the connection's own registration post
+             is behind us. *)
+          assert_resp "ping" P.Pong (rpc c P.Ping);
           let n = 64 in
-          send_updates c ~n "ctr";
-          let acked = Array.make n false in
-          for _ = 1 to n do
-            match recv_tagged c with
-            | id, P.Int _ when id >= 0 && id < n && not acked.(id) -> acked.(id) <- true
-            | id, r -> Alcotest.failf "id %d answered %s" id (P.print_response r)
-          done;
-          let batches = stat "batches" t - batches0 in
-          if batches > 4 then Alcotest.failf "64 pipelined UPDATEs took %d batches (want <= 4)" batches;
-          assert_resp "counter" (P.Value (Some "64")) (rpc c (P.Get "ctr"));
-          Alcotest.(check bool) "ring counted the pushes" true (stat "ring_pushes" t >= n);
-          Alcotest.(check bool) "fewer wakeups than pushes" true
-            (stat "ring_wakeups" t < stat "ring_pushes" t)))
+          let deltas =
+            stat_delta t
+              [ "batches"; "inline_admissions"; "inline_aborts"; "ring_pushes"; "reactor_posts" ]
+              (fun () -> updates_answered c ~n "ctr")
+          in
+          let d name = List.assoc name deltas in
+          if d "inline_admissions" < 1 || d "inline_admissions" > 2 then
+            Alcotest.failf "64 UPDATEs took %d inline admissions (want 1..2)" (d "inline_admissions");
+          Alcotest.(check int) "every batch inline" (d "inline_admissions") (d "batches");
+          Alcotest.(check int) "no refused admission" 0 (d "inline_aborts");
+          Alcotest.(check int) "no ring push" 0 (d "ring_pushes");
+          Alcotest.(check int) "no mailbox post" 0 (d "reactor_posts");
+          assert_resp "counter" (P.Value (Some "64")) (rpc c (P.Get "ctr"))))
 
 (* A refused batch (the shard is owned elsewhere) is answered item by item
    with MOVED, and each refused request leaves its connection's pending
@@ -766,12 +786,6 @@ let test_reactor_refused_read_closes_clean () =
             Alcotest.failf "close took %.1fs: refused requests still counted as pending" waited))
 
 (* ------------------------- batched wait-free GETs ------------------------ *)
-
-(* The delta of a STATS counter across [f]. *)
-let stat_delta t names f =
-  let before = List.map (fun name -> stat name t) names in
-  f ();
-  List.map2 (fun name b -> (name, stat name t - b)) names before
 
 (* One write of 64 tagged binary GETs with a PING, a length-intact
    malformed frame and two SETs among them, on the reactor plane.  The GETs
@@ -899,6 +913,57 @@ let test_bad_configs_rejected () =
       ("pipeline = 0", { lg with pipeline = 0 });
       ("keys = 0", { lg with keys = 0 }) ]
 
+(* Batched ring dispatch: while a kill is pending the shard keeps to the
+   ring, so a read's 64 mutations enter it as one list with few wakeups,
+   and workers sweep them in batches instead of the reactor running them.
+   (The victim may claim one of the batches and re-dispatch it item by
+   item before it dies, so the batch count is not pinned here.) *)
+let test_pending_kill_read_rides_ring () =
+  with_server { quiet with workers = 4; k = 2 } (fun t ->
+      let c = connect (Server.port t) in
+      Fun.protect ~finally:(fun () -> close c) (fun () ->
+          Unix.setsockopt_float c.fd Unix.SO_RCVTIMEO 5.0;
+          (match Server.kill_worker t 3 with Ok () -> () | Error e -> Alcotest.fail e);
+          let n = 64 in
+          let deltas =
+            stat_delta t [ "batches"; "inline_admissions"; "ring_pushes"; "ring_wakeups" ] (fun () ->
+                updates_answered c ~n "ctr")
+          in
+          let d name = List.assoc name deltas in
+          Alcotest.(check int) "nothing ran inline" 0 (d "inline_admissions");
+          Alcotest.(check bool) "workers applied it in batches" true
+            (d "batches" >= 2 && d "batches" < n);
+          Alcotest.(check bool) "ring counted the pushes" true (d "ring_pushes" >= n);
+          Alcotest.(check bool) "fewer wakeups than pushes" true (d "ring_wakeups" < d "ring_pushes");
+          assert_resp "counter" (P.Value (Some "64")) (rpc c (P.Get "ctr"))))
+
+(* A reply that leaves in a second write must not wait for the client's
+   delayed ACK of the first.  PING is answered inline, HANDOFF's ERR comes
+   back from a helper thread through the mailbox; with Nagle on the
+   accepted socket, the second reply waits out the client's delayed ACK
+   (~40 ms) whenever the first is still unacknowledged. *)
+let test_second_write_not_delayed () =
+  with_server { quiet with workers = 1; k = 1; reactors = 1 } (fun t ->
+      let c = connect ~timeout_s:5. (Server.port t) in
+      Fun.protect ~finally:(fun () -> close c) (fun () ->
+          for _ = 1 to 50 do
+            assert_resp "warm-up" P.Pong (rpc c P.Ping)
+          done;
+          let trial () =
+            let t0 = Unix.gettimeofday () in
+            send c [ (Some 1, P.Ping); (Some 2, P.Handoff (0, "127.0.0.1:1")) ];
+            let replies = List.sort compare [ recv_tagged c; recv_tagged c ] in
+            let dt = Unix.gettimeofday () -. t0 in
+            (match replies with
+            | [ (1, P.Pong); (2, P.Error _) ] -> ()
+            | _ -> Alcotest.fail "PING and HANDOFF answered wrongly");
+            dt
+          in
+          let times = List.sort compare (List.init 20 (fun _ -> trial ())) in
+          let median = List.nth times 10 in
+          if median >= 0.010 then
+            Alcotest.failf "PING + HANDOFF took %.1f ms median (want < 10 ms)" (median *. 1000.)))
+
 let suite =
   [ Helpers.tc "CRUD over a socket" test_crud_over_socket;
     Helpers.tc "bad server and loadgen configs raise Invalid_argument"
@@ -931,4 +996,8 @@ let suite =
     Helpers.tc_slow "reactor: slow client paused then dropped, no stall, no leak"
       test_reactor_slow_client_dropped;
     Helpers.tc_slow "reactor: chaos kill-worker at C=128, zero errors"
-      test_reactor_chaos_kill_c128 ]
+      test_reactor_chaos_kill_c128;
+    Helpers.tc "reactor: a pending kill keeps a read of 64 mutations on the ring"
+      test_pending_kill_read_rides_ring;
+    Helpers.tc "a second reply write is not held for a delayed ACK"
+      test_second_write_not_delayed ]

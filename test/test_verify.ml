@@ -265,6 +265,47 @@ let test_hunt_clean_on_faithful () =
   | None -> ()
   | Some v -> Alcotest.failf "hunt reported %s on the faithful model" v.Explore.property
 
+(* ------------------------------ No-wait entry ---------------------------- *)
+
+(* The models include the runtime's abort move (a process whose
+   fetch-and-add returned 0 runs the exit statements instead of waiting;
+   Figure 4's gate refuses at 0), so the checks above cover it.  Each
+   abort mutant must be caught by exactly its check: skipping the release
+   write strands a waiter while a slot is free — it passes every invariant
+   but the progress check finds the lockout — and skipping the X restore
+   breaks the count invariant. *)
+let abort_mutants ~name ~no_release ~keeps_x ~count_invariant ~lockout () =
+  no_violation (name ^ " abort-no-release (invariants)") no_release ();
+  lockout ();
+  violated (name ^ " abort-keeps-x") keeps_x count_invariant ()
+
+let test_fig2_abort_mutants =
+  let model variant = Fig2_model.model ~variant ~n:3 ~max_crashes:1 () in
+  abort_mutants ~name:"fig2" ~no_release:(model Fig2_model.Abort_no_release)
+    ~keeps_x:(model Fig2_model.Abort_keeps_x) ~count_invariant:"I2: X = k - |{p@3..6}|"
+    ~lockout:(fun () ->
+      expect_lockout ~name:"fig2 abort-no-release" (model Fig2_model.Abort_no_release)
+        ~pids:[ 0; 1; 2 ] ~waiting:Fig2_model.live_entering ~goal:Fig2_model.in_cs)
+
+let test_fig4_abort_mutants =
+  let model variant = Fig4_model.model ~variant ~n:3 ~k:2 ~max_crashes:1 () in
+  abort_mutants ~name:"fig4" ~no_release:(model Fig4_model.Abort_no_release)
+    ~keeps_x:(model Fig4_model.Abort_keeps_x) ~count_invariant:"layer X = cap - |holders|"
+    ~lockout:(fun () ->
+      expect_lockout ~name:"fig4 abort-no-release" (model Fig4_model.Abort_no_release)
+        ~pids:[ 0; 1; 2 ] ~waiting:Fig4_model.live_entering ~goal:Fig4_model.in_cs)
+
+(* Figure 6 at n = 3 passes 2M states, so it is checked at n = 2 (k = 1,
+   no crash budget), as its other progress check is; there the stranded
+   waiter needs no crash, only the aborter's retirement. *)
+let test_fig6_abort_mutants =
+  let model variant = Fig6_model.model ~variant ~n:2 ~max_crashes:0 () in
+  abort_mutants ~name:"fig6" ~no_release:(model Fig6_model.Abort_no_release)
+    ~keeps_x:(model Fig6_model.Abort_keeps_x) ~count_invariant:"X = k - |in protocol|"
+    ~lockout:(fun () ->
+      expect_lockout ~name:"fig6 abort-no-release" (model Fig6_model.Abort_no_release)
+        ~pids:[ 0; 1 ] ~waiting:Fig6_model.live_entering ~goal:Fig6_model.in_cs)
+
 let suite =
   fig2_exhaustive
   @ [ fig2_larger;
@@ -301,4 +342,10 @@ let suite =
       Helpers.tc "explore: violation trace" test_explore_finds_violation_with_trace;
       Helpers.tc "explore: max_states cap" test_explore_cap;
       Helpers.tc "hunt: finds shallow violations" test_hunt_finds_shallow_violation;
-      Helpers.tc "hunt: clean on the faithful model" test_hunt_clean_on_faithful ]
+      Helpers.tc "hunt: clean on the faithful model" test_hunt_clean_on_faithful;
+      Helpers.tc "fig2 abort mutants: no release locks out, kept X breaks I2"
+        test_fig2_abort_mutants;
+      Helpers.tc "fig4 abort mutants: no release locks out, kept X breaks the layer count"
+        test_fig4_abort_mutants;
+      Helpers.tc "fig6 abort mutants: no release locks out, kept X breaks the X count"
+        test_fig6_abort_mutants ]
