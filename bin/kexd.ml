@@ -319,7 +319,7 @@ let serve_cmd =
          $(b,--reactors) poll(2) event-loop domains (accept round-robins across them, worker \
          completions arrive through lock-free mailboxes, slow clients get backpressure from a \
          bounded output buffer).  GETs are answered wait-free on the event loop from each \
-         shard's published snapshot — no admission slot, so reads stay live even on a fully \
+         shard's committed head — no admission slot, so reads stay live even on a fully \
          wedged shard." ]
   in
   let workers_arg =

@@ -32,7 +32,7 @@ let () =
   let expected = ((n - 1) * per_worker) + 10_000 in
   Printf.printf "operations linearized : %d\n" (Kex_resilient.Resilient.operations counter);
   Printf.printf "final value           : %d (expected %d)\n"
-    (Kex_resilient.Resilient.peek counter)
+    (Kex_resilient.Resilient.read counter)
     expected;
-  assert (Kex_resilient.Resilient.peek counter = expected);
+  assert (Kex_resilient.Resilient.read counter = expected);
   print_endline "ok — the crashed operation was finished by helpers"

@@ -88,8 +88,7 @@ let default_manifest =
     rules "lib/resilient/history.ml"
       ~guards:[ { g_lock = "lock"; g_fields = [ "recorded" ] } ];
     rules "lib/service/metrics.ml" ~atomic_only:true;
-    rules "lib/service/reactor.ml" ~atomic_only:true;
-    rules "lib/resilient/snapshot.ml" ~atomic_only:true ]
+    rules "lib/service/reactor.ml" ~atomic_only:true ]
 
 let norm_path p = String.concat "/" (String.split_on_char '\\' p)
 

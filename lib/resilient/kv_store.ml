@@ -53,13 +53,13 @@ let get t ~pid ~key =
 (* The wait-free read plane: no pid, no admission, live on a wedged store. *)
 let read t ~key = Smap.find_opt key (Resilient.read t).map
 
-(* A batch of wait-free reads off one snapshot: every key is looked up in
-   the same published map, walked in lockstep ([Smap.find_many]). *)
+(* A batch of wait-free reads off one head read: every key is looked up in
+   the same committed map, walked in lockstep ([Smap.find_many]). *)
 let read_many t keys = Smap.find_many (Resilient.read t).map keys
 
-(* Ordered range read off the same published snapshot: the Smap *is* the
-   sorted index — every mutation maintains it — so a scan is one consistent
-   [to_seq_from] walk over a single snapshot, wait-free like [read]. *)
+(* Ordered range read off one head read: the Smap *is* the sorted index —
+   every mutation maintains it — so a scan is one consistent [to_seq_from]
+   walk over a single committed map, wait-free like [read]. *)
 let scan t ~start ~count =
   if count <= 0 then []
   else begin
@@ -113,8 +113,8 @@ let apply_changes t ~pid changes =
   in
   go changes
 
-let size t = (Resilient.peek t).keys
-let snapshot t = Smap.bindings (Resilient.peek t).map
+let size t = (Resilient.read t).keys
+let snapshot t = Smap.bindings (Resilient.read t).map
 let operations t = Resilient.operations t
 let apply_calls t = Resilient.apply_calls t
 let assignment t = Resilient.assignment t

@@ -28,29 +28,32 @@ val get : t -> pid:int -> key:string -> string option
     access (e.g. to measure it). *)
 
 val read : t -> key:string -> string option
-(** Wait-free read of the published snapshot: no pid, no name, no slot.
-    Reflects every acknowledged mutation (publication happens before a
-    mutation returns) and keeps answering when all k admission slots are
-    wedged by crashed clients — the service's GET path. *)
+(** Wait-free read of the committed state ({!Resilient.read}): no pid, no
+    name, no slot.  Reflects every acknowledged mutation (a mutation
+    returns only after its commit) and keeps answering when all k
+    admission slots are wedged by crashed clients — the service's GET
+    path. *)
 
 val read_many : t -> string array -> string option array
-(** {!read} for every key of the array, all from {e one} published
-    snapshot: the batch linearizes at that single snapshot read.  The
+(** {!read} for every key of the array, all from {e one} committed state:
+    the batch linearizes at that single head read.  The
     lookups walk the index in lockstep so their cache misses overlap — the
     service resolves each socket read's GETs this way. *)
 
 val scan : t -> start:string -> count:int -> (string * string) list
 (** Wait-free ordered range read: the first [count] bindings with key >=
-    [start], ascending, all taken from {e one} published snapshot (the
+    [start], ascending, all taken from {e one} committed state (the
     store's map is the sorted index, maintained by every mutation).  Like
     {!read}, it needs no pid and keeps answering on a wedged store. *)
 
 val read_versioned : t -> int * (string * string) list
-(** Consistent (version, bindings) pair from the published snapshot — the
-    cheap shard snapshot the live-migration story needs. *)
+(** Consistent (version, bindings) pair from one head read — the cheap
+    shard snapshot the live-migration story needs.  The version counts the
+    operations committed in that state. *)
 
 val read_version : t -> int
-(** Operations committed in the currently published snapshot. *)
+(** Operations committed in the current state (the version of
+    {!read_versioned}). *)
 
 val delete : t -> pid:int -> key:string -> bool
 (** [true] iff the key existed. *)

@@ -45,22 +45,19 @@ val try_perform_batch : ('s, 'op, 'r) t -> pid:int -> 'op list -> 'r list option
     that may wait. *)
 
 val read : ('s, 'op, 'r) t -> 's
-(** Wait-free linearizable read of the {e published} snapshot — no pid, no
-    name, no admission slot.  Mutators publish (seqlock-style, see
-    {!Snapshot}) after every operation but before returning, so a read
-    always reflects every acknowledged mutation; it stays live even when
-    all k admission slots are wedged by crashed processes.  This is the
-    read plane GETs ride in the networked service, and the cheap shard
-    snapshot live migration will ship. *)
+(** Wait-free linearizable read of the committed state — no pid, no name,
+    no admission slot.  It is one atomic load of the universal object's
+    head ({!Universal.state}), and a mutation returns only after its
+    commit, so a read always reflects every acknowledged mutation; it
+    stays live even when all k admission slots are wedged by crashed
+    processes.  A batch ({!perform_batch}) linearizes operation by
+    operation, so a read may see a prefix of one still in progress.  This
+    is the read plane GETs ride in the networked service. *)
 
 val read_versioned : ('s, 'op, 'r) t -> int * 's
-(** {!read} plus the snapshot's linearization version (operations
-    committed when it was published) — a consistent pair. *)
-
-val peek : ('s, 'op, 'r) t -> 's
-(** Latest committed state, without acquiring a slot.  Unlike {!read} this
-    looks at the universal object's head directly: it can observe
-    operations that have linearized but are not yet acknowledged. *)
+(** {!read} plus its linearization version (operations committed in that
+    state), from the same load ({!Universal.committed}) — a consistent
+    pair. *)
 
 val operations : ('s, 'op, 'r) t -> int
 (** Operations linearized so far. *)

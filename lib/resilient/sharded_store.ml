@@ -37,11 +37,15 @@ let set t ~pid ~key v = Kv_store.set t.shards.(shard_of_key t key) ~pid ~key v
 let get t ~pid ~key = Kv_store.get t.shards.(shard_of_key t key) ~pid ~key
 let read t ~key = Kv_store.read t.shards.(shard_of_key t key) ~key
 
-(* A batch of wait-free reads.  One pass buckets the key positions by
-   shard; each non-empty bucket is then read off one snapshot of its shard
-   ([Kv_store.read_many]), results landing back in key order.  [owned] is
-   asked once per shard the batch touches, just before that shard's
-   snapshot is read; a refused shard is not read and its keys answer
+(* [read_many], [scan] and [size] answer only for the shards [owned]
+   accepts: in a cluster an unowned shard's copy may be stale, and its
+   owner answers for it.
+
+   A batch of wait-free reads.  One pass buckets the key positions by
+   shard; each non-empty bucket is then read off one head read of its
+   shard ([Kv_store.read_many]), results landing back in key order.
+   [owned] is asked once per shard the batch touches, just before that
+   shard's read; a refused shard is not read and its keys answer
    [Error shard]. *)
 let read_many ~owned t keys =
   let buckets = Array.make (Array.length t.shards) [] in
@@ -64,33 +68,30 @@ let read_many ~owned t keys =
 
 let delete t ~pid ~key = Kv_store.delete t.shards.(shard_of_key t key) ~pid ~key
 
+let owned_shards ~owned t = List.filteri (fun s _ -> owned s) (Array.to_list t.shards)
+
 (* Range reads span shards (routing is by hash, not by range), so a scan
-   merges every shard's wait-free snapshot scan.  Each per-shard slice is
+   merges the owned shards' wait-free scans.  Each per-shard slice is
    internally consistent; the merge is the usual sharded-store contract of
    per-shard (not global) atomicity. *)
-let scan t ~start ~count =
+let scan ~owned t ~start ~count =
   if count <= 0 then []
   else begin
-    let all =
-      Array.fold_left (fun acc s -> List.rev_append (Kv_store.scan s ~start ~count) acc) [] t.shards
-    in
+    let all = List.concat_map (fun s -> Kv_store.scan s ~start ~count) (owned_shards ~owned t) in
     let sorted = List.sort (fun (a, _) (b, _) -> compare a b) all in
     List.filteri (fun i _ -> i < count) sorted
   end
+
 let fetch_add t ~pid ~key delta = Kv_store.fetch_add t.shards.(shard_of_key t key) ~pid ~key delta
 
 (* Per-shard stats, merged: sums are exact under any interleaving because
    each summand is a per-shard linearization counter. *)
 
 let sum f t = Array.fold_left (fun acc s -> acc + f s) 0 t.shards
-let size t = sum Kv_store.size t
+
+let size ~owned t = List.fold_left (fun acc s -> acc + Kv_store.size s) 0 (owned_shards ~owned t)
+
 let operations t = sum Kv_store.operations t
 let apply_calls t = sum Kv_store.apply_calls t
 let operations_of_shard t i = Kv_store.operations t.shards.(i)
-
-let snapshot t =
-  List.sort
-    (fun (a, _) (b, _) -> compare a b)
-    (List.concat_map Kv_store.snapshot (Array.to_list t.shards))
-
 let assignment t i = Kv_store.assignment t.shards.(i)

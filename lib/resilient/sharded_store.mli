@@ -27,36 +27,37 @@ val set : t -> pid:int -> key:string -> string -> unit
 val get : t -> pid:int -> key:string -> string option
 
 val read : t -> key:string -> string option
-(** Wait-free read of the owning shard's published snapshot — no pid, no
+(** Wait-free read of the owning shard's committed state — no pid, no
     admission; answers even when that shard's k slots are all wedged.  See
     {!Kv_store.read}. *)
 
 val read_many :
   owned:(int -> bool) -> t -> string array -> (string option, int) result array
 (** {!read} for every key of the array, in key order, reading each shard's
-    published snapshot once for all of that shard's keys
+    committed state once for all of that shard's keys
     ({!Kv_store.read_many}).  [owned] is asked once per shard the batch
-    touches, right before that shard's snapshot read; the keys of a shard
-    it refuses are not read and answer [Error shard] — the cluster's
-    ownership check. *)
+    touches, right before that shard's read; the keys of a shard it
+    refuses are not read and answer [Error shard] — the cluster's
+    ownership check, shared by {!scan} and {!size}. *)
 
-val scan : t -> start:string -> count:int -> (string * string) list
+val scan : owned:(int -> bool) -> t -> start:string -> count:int -> (string * string) list
 (** The first [count] bindings with key >= [start], ascending, merged from
-    every shard's wait-free snapshot scan ({!Kv_store.scan}).  Each shard's
-    slice is a consistent snapshot; a wedged shard still answers. *)
+    the wait-free scans ({!Kv_store.scan}) of the shards [owned] accepts.
+    Each shard's slice is one consistent state; a wedged shard still
+    answers. *)
 
 val delete : t -> pid:int -> key:string -> bool
 val fetch_add : t -> pid:int -> key:string -> int -> int
 
-val size : t -> int
+val size : owned:(int -> bool) -> t -> int
+(** Keys in the shards [owned] accepts. *)
+
 val operations : t -> int
 val apply_calls : t -> int
 (** Summed across shards (each summand is a per-shard linearization
     counter, so the merge is exact). *)
 
 val operations_of_shard : t -> int -> int
-val snapshot : t -> (string * string) list
-(** Merged committed bindings, sorted by key. *)
 
 val assignment : t -> int -> Kex_runtime.Kex_lock.Assignment.t
 (** Shard [i]'s admission wrapper — for failure-injection tests. *)

@@ -35,8 +35,9 @@ val applied_count : ('s, 'op, 'r) t -> int
 (** Number of operations linearized so far. *)
 
 val committed : ('s, 'op, 'r) t -> int * 's
-(** [(applied_count, state)] from one atomic read of the head cell — the
-    pair is consistent, which is what snapshot publication needs. *)
+(** [(applied_count, state)] from one atomic read of the head cell — a
+    consistent pair, which is what a versioned read (the service's read
+    plane, migration's bulk and delta) needs. *)
 
 val apply_calls : ('s, 'op, 'r) t -> int
 (** Number of times [apply] has been invoked, including helper re-executions

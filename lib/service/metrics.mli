@@ -64,12 +64,12 @@ val incr_inline_aborts : t -> unit
 
 val incr_inline_reads : t -> unit
 (** A read (a SCAN) answered wait-free on the connection plane from the
-    shards' published snapshots, bypassing the submission rings and
+    shards' committed heads, bypassing the submission rings and
     admission. *)
 
 val incr_read_batch : t -> gets:int -> unit
 (** One batch of [gets] GETs resolved together on the read plane (the GETs
-    of one socket read, one snapshot per shard): adds [gets] to
+    of one socket read, one head load per shard): adds [gets] to
     [inline_reads] and 1 to [read_batches]. *)
 
 val incr_migrations_out : t -> unit

@@ -46,7 +46,7 @@ type request =
   | Scan of string * int
       (** [Scan (start, count)]: ordered range read — the first [count]
           key/value pairs with key >= [start], ascending, served off the
-          wait-free snapshot; responds with [Range]. *)
+          wait-free read plane; responds with [Range]. *)
   | Stats
   | Kill of int
       (** Admin/chaos: crash worker [w] at its next admission — the worker

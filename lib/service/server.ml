@@ -12,14 +12,14 @@
    one fence check.  Each reactor is one more process of every shard's
    wrapper (N = workers + reactors).  When the list's shard is quiet —
    owned, unfenced, its ring empty, no kill pending — the reactor runs the
-   list itself: a no-wait admission per [max_batch] items, apply, publish,
-   and the replies framed straight into the read's output, with no ring
-   push, no worker wakeup and no mailbox post.  If admission refuses (every
-   free slot is held, by a busy or a dead process) the rest of the list
-   goes to the ring, so a reactor never waits on a slot.  Otherwise the
-   list enters the ring under one lock with at most one worker wakeup.
-   Then the GETs are resolved as one batch off the wait-free snapshots:
-   one snapshot read per shard, with the lookups walked down the tree in
+   list itself: a no-wait admission per [max_batch] items, apply, and the
+   replies framed straight into the read's output, with no ring push, no
+   worker wakeup and no mailbox post.  If admission refuses (every free
+   slot is held, by a busy or a dead process) the rest of the list goes to
+   the ring, so a reactor never waits on a slot.  Otherwise the list
+   enters the ring under one lock with at most one worker wakeup.  Then
+   the GETs are resolved as one batch off the shards' committed heads: one
+   atomic head load per shard, with the lookups walked down the tree in
    lockstep.  The item carries the connection and the request id, so a
    client may hold a whole window of requests in flight per connection.
    An untagged v1 request is dispatched the same way; its reply keeps
@@ -95,7 +95,9 @@ let max_batch = 32
    connection.  The socket belongs to one reactor's event loop; a worker
    "writes" by posting into that loop's lock-free mailbox.  [c_pending]
    counts dispatched requests not yet answered, so the reactor's drain
-   waits them out before it closes the socket. *)
+   waits them out before it closes the socket.  [c_imports] lists the
+   shards this connection has sent MIGIMPORT for (see [mig_import]); only
+   the owning reactor touches it. *)
 type conn = {
   c_fd : Unix.file_descr;
   c_pending : int Atomic.t;
@@ -104,6 +106,7 @@ type conn = {
      written once by the owning reactor before any request is dispatched,
      so the ring's mutex publishes it to every worker that replies here. *)
   mutable c_wire : Protocol.wire;
+  mutable c_imports : int list;
 }
 
 (* A dispatched mutation: its store op and op class, the reactor
@@ -182,6 +185,7 @@ type t = {
 let port t = t.actual_port
 let total_workers t = t.cfg.shards * t.cfg.workers
 let shard_of_key t key = Sharded.shard_of_key t.store key
+let owns t shard = match t.cluster with None -> true | Some cl -> cl.cl_owned.(shard)
 
 let all_metrics t = t.conn_metrics :: Array.to_list (Array.map (fun s -> s.sh_metrics) t.shard_ctxs)
 
@@ -191,7 +195,7 @@ let stats_pairs t =
       ("workers_per_shard", t.cfg.workers);
       ("shards", t.cfg.shards);
       ("k", t.cfg.k);
-      ("keys", Sharded.size t.store);
+      ("keys", Sharded.size ~owned:(owns t) t.store);
       ("ops_linearized", Sharded.operations t.store);
       ("apply_calls", Sharded.apply_calls t.store);
       ("open_conns", Sync.with_lock t.conns_m (fun () -> List.length t.conns));
@@ -425,8 +429,6 @@ let chaos_loop t events =
 
 (* --------------------------- cluster data path --------------------------- *)
 
-let owns t shard = match t.cluster with None -> true | Some cl -> cl.cl_owned.(shard)
-
 (* The redirect a non-owner answers: the current owner stamped with the
    current epoch, so the client adopts it iff it is news to them. *)
 let moved_resp t shard =
@@ -478,25 +480,6 @@ let dispatch_items t sh items =
         if route <> Shutting_down then ignore (Atomic.fetch_and_add sh.sh_inflight n);
         route
       end)
-
-(* SCAN in cluster mode merges only the *owned* shards' snapshot scans: an
-   unowned shard's store may hold a stale copy from before a migration out.
-   (Cluster-wide scans are the client's scatter-gather, one node per owned
-   shard set; each node answers for what it owns.) *)
-let scan_local t ~start ~count =
-  match t.cluster with
-  | None -> Sharded.scan t.store ~start ~count
-  | Some cl ->
-      let all =
-        Array.fold_left
-          (fun acc sh ->
-            if cl.cl_owned.(sh.sh_id) then
-              List.rev_append (Kv_store.scan sh.sh_store ~start ~count) acc
-            else acc)
-          [] t.shard_ctxs
-      in
-      let sorted = List.sort (fun (a, _) (b, _) -> compare a b) all in
-      List.filteri (fun i _ -> i < count) sorted
 
 (* ------------------------- migration (source side) ----------------------- *)
 
@@ -624,14 +607,26 @@ let take_ownership t cl ~shard ~epoch =
 
 (* Migration import (destination side), on the receiving reactor: apply the
    changes to our copy of the shard under that reactor's own pid, and on
-   the final chunk take ownership at the sender's epoch.  The blocking
-   admission waits on nobody busy: the shard is unowned, so no client
-   mutation reaches it and its workers idle on an empty ring. *)
-let mig_import t ~lpid ~shard ~epoch ~final changes =
+   the final chunk take ownership at the sender's epoch.  Each handoff
+   ships over a connection of its own, so the first MIGIMPORT for a shard
+   on a connection starts the import: it empties whatever copy this node
+   kept from before it last handed the shard away, or a key deleted at the
+   owner since then would come back.  The blocking admission waits on
+   nobody busy: the shard is unowned, so no client mutation reaches it and
+   its workers idle on an empty ring. *)
+let mig_import t ~lpid conn ~shard ~epoch ~final changes =
   match import_target t shard with
   | Error _ as e -> e
   | Ok cl ->
-      Kv_store.apply_changes t.shard_ctxs.(shard).sh_store ~pid:lpid changes;
+      let store = t.shard_ctxs.(shard).sh_store in
+      let changes =
+        if List.mem shard conn.c_imports then changes
+        else begin
+          conn.c_imports <- shard :: conn.c_imports;
+          List.map (fun (key, _) -> (key, None)) (Kv_store.snapshot store) @ changes
+        end
+      in
+      Kv_store.apply_changes store ~pid:lpid changes;
       if final then take_ownership t cl ~shard ~epoch else Ok ()
 
 (* Forced takeover of an unowned shard at the successor epoch — the
@@ -668,9 +663,9 @@ let new_pending t = { muts = Array.make (Array.length t.shard_ctxs) []; gets = [
 (* The wait-free read plane, one batch per socket read: answer the queued
    GETs into [out], in decode order, with no ring, no worker and no
    admission slot.  [Sharded.read_many] reads each shard the batch touches
-   off one published snapshot and walks all of that shard's keys down the
-   tree in lockstep.  Ownership is checked per shard right before that
-   snapshot read, and an unowned key answers MOVED in its own position.
+   off one load of its committed head and walks all of that shard's keys
+   down the tree in lockstep.  Ownership is checked per shard right before
+   that load, and an unowned key answers MOVED in its own position.
    One clock pair and one metrics update cover the batch; each GET records
    the batch's per-GET share of the lookup time. *)
 let resolve_gets t conn out p =
@@ -780,7 +775,7 @@ let handle_request t ~lpid rc out pending tag (req : Protocol.request) =
   (* A request that is not a store operation is answered right here; the
      GETs queued before it answer first, so inline replies keep decode
      order (and STATS counts them).  SCAN is cross-shard and wait-free, so
-     it is answered here too, off the published snapshots. *)
+     it is answered here too, off the shards' committed heads. *)
   (match req with
   | Protocol.Get _ | Protocol.Set _ | Protocol.Del _ | Protocol.Update _ -> ()
   | Protocol.Scan _ | Protocol.Ping | Protocol.Stats | Protocol.Kill _ | Protocol.Topo
@@ -813,27 +808,27 @@ let handle_request t ~lpid rc out pending tag (req : Protocol.request) =
                    Protocol.Error msg))
            ())
   | Protocol.Mig_import (shard, epoch, final, changes) -> (
-      match mig_import t ~lpid ~shard ~epoch ~final changes with
+      match mig_import t ~lpid conn ~shard ~epoch ~final changes with
       | Ok () -> respond_now conn out tag Protocol.Ok
       | Error msg ->
           Metrics.incr_errors t.conn_metrics;
           respond_now conn out tag (Protocol.Error msg))
   | Protocol.Get key ->
       (* The wait-free read plane: queued, and answered with the read's
-         other GETs by [resolve_gets] off the shards' published snapshots.
-         Publication happens before any mutation is acknowledged, so an
+         other GETs by [resolve_gets] off the shards' committed heads.  A
+         mutation is acknowledged only after its commit, so an
          acknowledged SET is always visible; and because no slot is needed,
          this keeps answering when all k of the shard's workers are dead.
          In cluster mode an unowned shard redirects instead: the local
-         snapshot stops being authoritative the moment routing flips. *)
+         copy stops being authoritative the moment routing flips. *)
       pending.gets <- (key, tag) :: pending.gets
   | Protocol.Scan (start, count) ->
       (* Range reads ride the same wait-free plane: every shard's slice
-         comes off its published snapshot, so a SCAN answers consistently
-         even when a whole shard's worker pool is dead.  Cluster mode
-         answers for the shards this node owns. *)
+         comes off one load of its committed head, so a SCAN answers
+         consistently even when a whole shard's worker pool is dead.
+         Cluster mode answers for the shards this node owns. *)
       let t0 = Metrics.now_us () in
-      let pairs = scan_local t ~start ~count:(min count max_scan) in
+      let pairs = Sharded.scan ~owned:(owns t) t.store ~start ~count:(min count max_scan) in
       Metrics.record t.conn_metrics Metrics.C_scan ~lat_us:(Metrics.now_us () - t0);
       Metrics.incr_inline_reads t.conn_metrics;
       respond_now conn out tag (Protocol.Range pairs)
@@ -924,7 +919,8 @@ let accept_loop t =
           { c_fd = fd;
             c_pending = Atomic.make 0;
             c_dec = Protocol.Req_decoder.create ();
-            c_wire = Protocol.Text }
+            c_wire = Protocol.Text;
+            c_imports = [] }
         in
         (* Register first, then hand the socket over: [crash] must be able
            to sever this connection the instant the reactor owns it. *)

@@ -36,9 +36,9 @@
     resilience boundary.
 
     GETs take a separate, wait-free read plane: the reactor answers them
-    straight from the owning shard's published snapshot (seqlock-versioned,
-    refreshed before any mutation is acknowledged) — no ring, no worker, no
-    admission slot.  Reads therefore stay live even on a fully wedged
+    straight from one atomic load of the owning shard's committed head
+    (the universal object's commit cell; a mutation is acknowledged only
+    after its commit) — no ring, no worker, no admission slot.  Reads therefore stay live even on a fully wedged
     shard; only mutations pay the admission path.  SCAN and the control
     plane are answered on the loop too.  Sockets are never owned by
     workers, so a worker death cannot sever a connection.  Crashes are

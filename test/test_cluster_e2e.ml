@@ -244,6 +244,40 @@ let test_handoff_frame () =
           | r -> Alcotest.failf "HANDOFF of an unowned shard answered %s" (P.print_response r));
           assert_resp "same connection still answers" P.Pong (rpc c0 P.Ping)))
 
+(* A shard's round trip must not bring a deleted key back: node 0 hands
+   shard 0 to node 1, the key is deleted there, and the shard comes home.
+   The import empties the copy node 0 kept from before the first handoff,
+   so the GET at node 0 answers nothing.  STATS [keys] counts only owned
+   shards, so after each handoff it follows the shard. *)
+let test_round_trip_keeps_delete () =
+  let shards = 2 in
+  with_cluster ~cfg:{ quiet with shards; workers = 2; k = 1 } 2 (fun servers addrs ->
+      let k0 = key_for_shard ~shards 0 in
+      let c0 = connect (Server.port servers.(0)) in
+      let c1 = connect (Server.port servers.(1)) in
+      let keys c =
+        match rpc c P.Stats with
+        | P.Stats_reply pairs -> (
+            match List.assoc_opt "keys" pairs with
+            | Some v -> v
+            | None -> Alcotest.fail "no keys in STATS")
+        | r -> Alcotest.failf "STATS answered %s" (P.print_response r)
+      in
+      let check_keys ctx ~node0 ~node1 =
+        Alcotest.(check (pair int int)) (ctx ^ ": keys at node 0, node 1") (node0, node1)
+          (keys c0, keys c1)
+      in
+      Fun.protect ~finally:(fun () -> close c0; close c1) (fun () ->
+          assert_resp "SET at node 0" P.Ok (rpc c0 (P.Set (k0, "v")));
+          check_keys "seeded" ~node0:1 ~node1:0;
+          assert_resp "HANDOFF to node 1" P.Ok (rpc c0 (P.Handoff (0, addrs.(1))));
+          check_keys "after the handoff out" ~node0:0 ~node1:1;
+          assert_resp "DEL at node 1" (P.Deleted true) (rpc c1 (P.Del k0));
+          check_keys "after the DEL" ~node0:0 ~node1:0;
+          assert_resp "HANDOFF back to node 0" P.Ok (rpc c1 (P.Handoff (0, addrs.(0))));
+          check_keys "after the handoff back" ~node0:0 ~node1:0;
+          assert_resp "the DEL survived the round trip" (P.Value None) (rpc c0 (P.Get k0))))
+
 (* ------------------------- cluster-mode loadgen ------------------------- *)
 
 module Loadgen = Kex_service.Loadgen
@@ -333,4 +367,6 @@ let suite =
     Helpers.tc_slow "cluster: loadgen follows a live migration, 4 nodes, zero errors"
       (test_loadgen_follows_migration 4);
     Helpers.tc_slow "cluster: loadgen pins a node crash on the dead node, then adopt"
-      test_loadgen_attributes_dead_node ]
+      test_loadgen_attributes_dead_node;
+    Helpers.tc "cluster: a shard's round trip keeps a DEL, keys follow ownership"
+      test_round_trip_keeps_delete ]

@@ -96,7 +96,7 @@ let test_update_reexecuted_not_double_applied () =
 
 let test_read_wait_free_on_wedged_store () =
   (* Wedge the store completely — every admission slot held by a dead
-     client — then read.  get/read through the snapshot never enters
+     client — then read.  A read loads the committed head and never enters
      admission, so it answers instantly where a pid-carrying get would
      spin forever. *)
   let k = 2 in
@@ -116,8 +116,8 @@ let test_read_wait_free_on_wedged_store () =
   Alcotest.(check int) "read_version agrees" 2 (Kv_store.read_version s)
 
 let test_read_sees_acknowledged_writes () =
-  (* Publish-before-return: any mutation that has returned is visible to a
-     subsequent snapshot read, across every key of a busy store. *)
+  (* Commit-before-return: any mutation that has returned is visible to a
+     subsequent head read, across every key of a busy store. *)
   let s = Kv_store.create ~n:2 ~k:1 () in
   for i = 1 to 40 do
     let key = Printf.sprintf "k%d" i in

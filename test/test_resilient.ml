@@ -146,7 +146,7 @@ let test_resilient_counter_end_to_end () =
   in
   let domains = List.init n (fun pid -> Domain.spawn (worker pid)) in
   List.iter Domain.join domains;
-  Alcotest.(check int) "all increments linearized" (n * per) (Resilient.peek obj);
+  Alcotest.(check int) "all increments linearized" (n * per) (Resilient.read obj);
   Alcotest.(check int) "operation count" (n * per) (Resilient.operations obj)
 
 let test_resilient_survives_crashed_holder () =
@@ -166,7 +166,7 @@ let test_resilient_survives_crashed_holder () =
   in
   let domains = List.init 3 (fun i -> Domain.spawn (worker (i + 1))) in
   List.iter Domain.join domains;
-  Alcotest.(check int) "dead op helped + all live ops" (1000 + 150) (Resilient.peek obj)
+  Alcotest.(check int) "dead op helped + all live ops" (1000 + 150) (Resilient.read obj)
 
 let test_resilient_effectively_wait_free_at_low_contention () =
   (* With a single active process (contention 1 <= k), operations complete
@@ -176,7 +176,40 @@ let test_resilient_effectively_wait_free_at_low_contention () =
   for _ = 1 to 100 do
     ignore (Resilient.perform obj ~pid:5 (`Add 1))
   done;
-  Alcotest.(check int) "solo progress" 100 (Resilient.peek obj)
+  Alcotest.(check int) "solo progress" 100 (Resilient.read obj)
+
+(* The read plane is the universal object's head.  Two writer domains
+   with distinct pids increment through [perform] while three reader
+   domains loop on [read_versioned].  A counter's state after v increments
+   is v, so every pair a reader sees must have state = version (never
+   torn), and its versions must never decrease. *)
+let test_resilient_head_reads_under_domains () =
+  let writers = 2 and readers = 3 and per_writer = 2_000 in
+  let obj = Resilient.create ~n:writers ~k:2 ~init:0 ~apply:counter_apply () in
+  let stop = Atomic.make false in
+  let bad = Atomic.make 0 in
+  let writer pid () =
+    for _ = 1 to per_writer do
+      ignore (Resilient.perform obj ~pid (`Add 1))
+    done
+  in
+  let reader () =
+    let last = ref (-1) in
+    while not (Atomic.get stop) do
+      let v, s = Resilient.read_versioned obj in
+      if s <> v || v < !last then Atomic.incr bad;
+      last := v
+    done
+  in
+  let rs = List.init readers (fun _ -> Domain.spawn reader) in
+  let ws = List.init writers (fun pid -> Domain.spawn (writer pid)) in
+  List.iter Domain.join ws;
+  Atomic.set stop true;
+  List.iter Domain.join rs;
+  Alcotest.(check int) "no torn or backwards read" 0 (Atomic.get bad);
+  let total = writers * per_writer in
+  Alcotest.(check (pair int int)) "final pair is the total" (total, total)
+    (Resilient.read_versioned obj)
 
 let suite =
   [ Helpers.tc "universal: sequential semantics" test_universal_sequential;
@@ -193,4 +226,6 @@ let suite =
     Helpers.tc "resilient object survives a crash mid-operation"
       test_resilient_survives_crashed_holder;
     Helpers.tc "effectively wait-free when contention <= k"
-      test_resilient_effectively_wait_free_at_low_contention ]
+      test_resilient_effectively_wait_free_at_low_contention;
+    Helpers.tc_slow "head reads never torn under concurrent domains"
+      test_resilient_head_reads_under_domains ]

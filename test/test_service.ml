@@ -244,7 +244,7 @@ let test_shard_kill_isolated () =
 (* The headline of the wait-free read plane, on the wire: kill ALL k workers
    so every admission slot is wedged and mutations time out — yet GETs keep
    answering, exactly, because the reactor serves them from the shard's
-   published snapshot without entering admission. *)
+   committed head without entering admission. *)
 let test_get_survives_wedged_shard () =
   let workers = 2 and k = 2 in
   with_server { quiet with workers; k } (fun t ->
@@ -410,7 +410,7 @@ let test_oversized_frame_rejected () =
       Fun.protect ~finally:(fun () -> close c3) (fun () ->
           assert_resp "server still up" P.Pong (rpc c3 P.Ping)))
 
-(* SCAN off the wait-free snapshot: seed a range spanning both shards, wedge
+(* SCAN off the wait-free read plane: seed a range spanning both shards, wedge
    shard 0's whole worker pool, and the full ordered range still comes back
    consistent — the acceptance criterion for the ordered-read story. *)
 let test_scan_survives_wedged_shard () =
