@@ -314,16 +314,21 @@ let serve_cmd =
          k-1 workers per shard may die — $(b,--chaos) schedule or the KILL admin command — \
          with zero client-visible failures.  Killing k workers of one shard stalls that shard \
          (and only that shard): the paper's resilience boundary, live on the wire.  Workers \
-         drain requests in batches through one admission per batch, and id-tagged (pipelined) \
-         requests get their responses coalesced per connection.  Connections are owned by \
-         $(b,--reactors) poll(2) event-loop domains (accept round-robins across them, worker \
-         completions arrive through lock-free mailboxes, slow clients get backpressure from a \
-         bounded output buffer).  GETs are answered wait-free on the event loop from each \
-         shard's committed head — no admission slot, so reads stay live even on a fully \
-         wedged shard." ]
+         drain requests in batches through one admission and one commit per batch, and \
+         id-tagged (pipelined) requests get their responses coalesced per connection.  A \
+         shard's workers start on first use (its first ring push, or the first KILL aimed at \
+         one of them); until then each reactor applies a quiet shard's mutations itself.  \
+         Connections are owned by $(b,--reactors) poll(2) event-loop domains (accept \
+         round-robins across them, worker completions arrive through lock-free mailboxes, \
+         slow clients get backpressure from a bounded output buffer).  GETs are answered \
+         wait-free on the event loop from each shard's committed head — no admission slot, so \
+         reads stay live even on a fully wedged shard." ]
   in
   let workers_arg =
-    Arg.(value & opt int 4 & info [ "workers"; "w" ] ~doc:"worker domains per shard")
+    Arg.(
+      value & opt int 4
+      & info [ "workers"; "w" ]
+          ~doc:"worker domains per shard, started on the shard's first ring push or KILL")
   in
   let k_arg =
     Arg.(value & opt int 2 & info [ "k"; "degree" ] ~doc:"per-shard admission bound (k <= workers)")

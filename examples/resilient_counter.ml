@@ -20,7 +20,7 @@ let () =
   in
   Kex_resilient.Universal.announce_only
     (Kex_resilient.Resilient.inner counter)
-    ~tid:dead_name (`Add 10_000);
+    ~tid:dead_name [ `Add 10_000 ];
   Printf.printf "pid 0 crashed mid-operation, holding name %d\n%!" dead_name;
   let worker pid () =
     for _ = 1 to per_worker do

@@ -81,7 +81,8 @@ let default_manifest =
       ~guards:
         [ { g_lock = "conns_m"; g_fields = [ "conns" ] };
           { g_lock = "sh_fence_m"; g_fields = [ "sh_fenced" ] };
-          { g_lock = "morgue_m"; g_fields = [ "morgue_open" ] } ];
+          { g_lock = "morgue_m"; g_fields = [ "morgue_open" ] };
+          { g_lock = "workers_m"; g_fields = [ "worker_domains" ] } ];
     rules "lib/cluster/routing.ml"
       ~guards:[ { g_lock = "m"; g_fields = [ "epoch"; "owners" ] } ]
       ~wrappers:[ { wr_fn = "locked"; wr_lock = "m" } ];

@@ -68,8 +68,8 @@ val fetch_add : t -> pid:int -> key:string -> int -> int
     command — a closure-free RMW that serializes over a wire. *)
 
 val perform_batch : t -> pid:int -> op list -> result list
-(** Linearize each op in order through {e one} (N,k)-assignment entry —
-    see {!Resilient.perform_batch}. *)
+(** Linearize the ops as one batch, in order, through {e one}
+    (N,k)-assignment entry and one commit — see {!Resilient.perform_batch}. *)
 
 val try_perform_batch : t -> pid:int -> op list -> result list option
 (** {!perform_batch} through a no-wait admission: [None], with nothing

@@ -31,10 +31,13 @@ val perform : ('s, 'op, 'r) t -> pid:int -> 'op -> 'r
 (** Linearize [op] on behalf of process [pid] (0 <= pid < n). *)
 
 val perform_batch : ('s, 'op, 'r) t -> pid:int -> 'op list -> 'r list
-(** Linearize each operation in order, acquiring the (N,k)-assignment slot
-    {e once} for the whole batch — the amortization the service's batched
-    workers rely on.  Results align with the input list.  Equivalent to
-    mapping {!perform}, except the wrapper entry/exit cost is paid once. *)
+(** Linearize the operations as one batch, acquiring the
+    (N,k)-assignment slot {e once} and committing {e once} inside the
+    wait-free object ({!Universal.perform_batch}) — the amortization the
+    service's workers and inline path rely on.  Results align with the
+    input list.  The batch linearizes at its commit, its operations in
+    list order: a {!read} sees all of it or none of it.  An empty list
+    takes no slot. *)
 
 val try_perform_batch : ('s, 'op, 'r) t -> pid:int -> 'op list -> 'r list option
 (** {!perform_batch} with no patience at the wrapper
@@ -50,9 +53,9 @@ val read : ('s, 'op, 'r) t -> 's
     head ({!Universal.state}), and a mutation returns only after its
     commit, so a read always reflects every acknowledged mutation; it
     stays live even when all k admission slots are wedged by crashed
-    processes.  A batch ({!perform_batch}) linearizes operation by
-    operation, so a read may see a prefix of one still in progress.  This
-    is the read plane GETs ride in the networked service. *)
+    processes.  A batch ({!perform_batch}) commits as a whole, so a read
+    never sees part of one.  This is the read plane GETs ride in the
+    networked service. *)
 
 val read_versioned : ('s, 'op, 'r) t -> int * 's
 (** {!read} plus its linearization version (operations committed in that
@@ -60,10 +63,10 @@ val read_versioned : ('s, 'op, 'r) t -> int * 's
     pair. *)
 
 val operations : ('s, 'op, 'r) t -> int
-(** Operations linearized so far. *)
+(** Operations (not batches) linearized so far. *)
 
 val apply_calls : ('s, 'op, 'r) t -> int
-(** Invocations of [apply] including helper re-executions — the helping
+(** Operations [apply] ran on, including helper re-executions — the helping
     overhead next to {!operations}; surfaced by services as a live measure
     of how much crash-covering work the object is doing. *)
 

@@ -1,11 +1,16 @@
+(* A commit cell.  [seq] counts commits (it rotates the designated
+   beneficiary); [ops] counts the operations those commits linearized, so
+   versions and [applied_count] stay in operations whatever the batch
+   sizes. *)
 type ('s, 'r) cell = {
   seq : int;
+  ops : int;
   state : 's;
   applied : int array;  (* last applied phase, per tid *)
-  results : 'r option array;  (* result of that application, per tid *)
+  results : 'r list array;  (* results of that application, per tid *)
 }
 
-type 'op request = { op : 'op; phase : int; tid : int }
+type 'op request = { batch : 'op list; phase : int; tid : int }
 
 type ('s, 'op, 'r) t = {
   k : int;
@@ -13,7 +18,7 @@ type ('s, 'op, 'r) t = {
   head : ('s, 'r) cell Atomic.t;
   announce : 'op request option Atomic.t array;
   phases : int array;  (* private per-tid phase counters *)
-  applies : int Atomic.t;  (* apply invocations, committed or not *)
+  applies : int Atomic.t;  (* operations applied, committed or not *)
 }
 
 let create ~k ~init ~apply =
@@ -22,7 +27,7 @@ let create ~k ~init ~apply =
     apply;
     head =
       Atomic.make
-        { seq = 0; state = init; applied = Array.make k 0; results = Array.make k None };
+        { seq = 0; ops = 0; state = init; applied = Array.make k 0; results = Array.make k [] };
     announce = Array.init k (fun _ -> Atomic.make None);
     phases = Array.make k 0;
     applies = Atomic.make 0 }
@@ -31,16 +36,20 @@ let check_tid t tid =
   if tid < 0 || tid >= t.k then
     invalid_arg (Printf.sprintf "Universal: tid %d out of range 0..%d" tid (t.k - 1))
 
-let announce t ~tid op =
+let announce t ~tid batch =
   let phase = t.phases.(tid) + 1 in
   t.phases.(tid) <- phase;
-  Atomic.set t.announce.(tid) (Some { op; phase; tid });
+  Atomic.set t.announce.(tid) (Some { batch; phase; tid });
   phase
 
-(* Attempt to linearize one pending request on top of [h].  The designated
-   beneficiary rotates with the sequence number, which is what makes the
-   construction wait-free: within k successful appends every pending
-   announcement is helped. *)
+(* Attempt to linearize one pending batch on top of [h]: apply its
+   operations in list order in one pass and install the result with one
+   CAS.  The designated beneficiary rotates with the commit number, which
+   is what makes the construction wait-free: within k successful commits
+   every pending announcement is helped.  One batch per commit: the
+   other pending announcements wait for their own turn.  Applying all of
+   them in one commit was measured slower, because a lost CAS then throws
+   away more work (ROADMAP item 10). *)
 let try_advance t h =
   let pending tid =
     match Atomic.get t.announce.(tid) with
@@ -56,41 +65,54 @@ let try_advance t h =
         scan 0
   in
   match req with
-  | None -> false
+  | None -> ()
   | Some r ->
-      Atomic.incr t.applies;
-      let state, result = t.apply h.state r.op in
+      let rec run s n acc = function
+        | [] -> (s, n, List.rev acc)
+        | op :: rest ->
+            let s, result = t.apply s op in
+            run s (n + 1) (result :: acc) rest
+      in
+      let state, n, rs = run h.state 0 [] r.batch in
+      ignore (Atomic.fetch_and_add t.applies n);
       let applied = Array.copy h.applied in
       let results = Array.copy h.results in
       applied.(r.tid) <- r.phase;
-      results.(r.tid) <- Some result;
-      Atomic.compare_and_set t.head h { seq = h.seq + 1; state; applied; results }
+      results.(r.tid) <- rs;
+      ignore
+        (Atomic.compare_and_set t.head h { seq = h.seq + 1; ops = h.ops + n; state; applied; results })
+
+let perform_batch t ~tid ops =
+  check_tid t tid;
+  match ops with
+  | [] -> []
+  | ops ->
+      let phase = announce t ~tid ops in
+      let rec loop () =
+        let h = Atomic.get t.head in
+        if h.applied.(tid) >= phase then begin
+          Atomic.set t.announce.(tid) None;
+          h.results.(tid)
+        end
+        else begin
+          try_advance t h;
+          loop ()
+        end
+      in
+      loop ()
 
 let perform t ~tid op =
-  check_tid t tid;
-  let phase = announce t ~tid op in
-  let rec loop () =
-    let h = Atomic.get t.head in
-    if h.applied.(tid) >= phase then begin
-      Atomic.set t.announce.(tid) None;
-      match h.results.(tid) with Some r -> r | None -> assert false
-    end
-    else begin
-      ignore (try_advance t h);
-      loop ()
-    end
-  in
-  loop ()
+  match perform_batch t ~tid [ op ] with [ r ] -> r | _ -> assert false
 
-let announce_only t ~tid op =
+let announce_only t ~tid ops =
   check_tid t tid;
-  ignore (announce t ~tid op)
+  ignore (announce t ~tid ops)
 
 let state t = (Atomic.get t.head).state
-let applied_count t = (Atomic.get t.head).seq
+let applied_count t = (Atomic.get t.head).ops
 
 let committed t =
   let h = Atomic.get t.head in
-  (h.seq, h.state)
+  (h.ops, h.state)
 let apply_calls t = Atomic.get t.applies
 let k t = t.k

@@ -10,7 +10,11 @@
     apply announced operations, so even an operation announced by a thread
     that crashes immediately afterwards is eventually applied by someone
     else.  Threads are identified by a tid in [0..k-1]; in the composed
-    system the tid is the {e name} handed out by k-assignment. *)
+    system the tid is the {e name} handed out by k-assignment.
+
+    The unit of announcement and commit is a batch: a thread announces a
+    list of operations, and whoever helps it applies the whole list in one
+    pass and installs the result with one CAS. *)
 
 type ('s, 'op, 'r) t
 
@@ -18,21 +22,28 @@ val create : k:int -> init:'s -> apply:('s -> 'op -> 's * 'r) -> ('s, 'op, 'r) t
 (** [apply] must be a pure function of the state (it may be re-executed by
     helpers; only the linearized application's result is returned). *)
 
-val perform : ('s, 'op, 'r) t -> tid:int -> 'op -> 'r
-(** Linearizes and applies [op], returning its result.  At most one
-    operation per tid may be in flight (the k-assignment wrapper guarantees
-    this). *)
+val perform_batch : ('s, 'op, 'r) t -> tid:int -> 'op list -> 'r list
+(** Announce [ops] as one batch and return its results, aligned with the
+    list.  The batch linearizes at its commit CAS with its operations in
+    list order: a reader ({!state}, {!committed}) sees all of it or none
+    of it.  At most one batch per tid may be in flight (the k-assignment
+    wrapper guarantees this).  An empty list returns [[]] without
+    announcing. *)
 
-val announce_only : ('s, 'op, 'r) t -> tid:int -> 'op -> unit
-(** Announce an operation and return without helping — {e test hook}
-    simulating a thread that crashes right after announcing.  The operation
-    will still be applied by the next [perform] of any other tid. *)
+val perform : ('s, 'op, 'r) t -> tid:int -> 'op -> 'r
+(** A batch of one: linearizes and applies [op], returning its result. *)
+
+val announce_only : ('s, 'op, 'r) t -> tid:int -> 'op list -> unit
+(** Announce a batch and return without helping — {e test hook}
+    simulating a thread that crashes right after announcing.  The batch
+    will still be applied, once and in order, by other tids' performs
+    (within k commits of theirs). *)
 
 val state : ('s, 'op, 'r) t -> 's
 (** The latest committed state (a linearized read). *)
 
 val applied_count : ('s, 'op, 'r) t -> int
-(** Number of operations linearized so far. *)
+(** Number of operations (not batches) linearized so far. *)
 
 val committed : ('s, 'op, 'r) t -> int * 's
 (** [(applied_count, state)] from one atomic read of the head cell — a
@@ -40,9 +51,10 @@ val committed : ('s, 'op, 'r) t -> int * 's
     plane, migration's bulk and delta) needs. *)
 
 val apply_calls : ('s, 'op, 'r) t -> int
-(** Number of times [apply] has been invoked, including helper re-executions
-    that lost the commit race.  [apply_calls t - applied_count t] is the
-    re-execution overhead of helping; tests use it to observe that crashed
-    operations are re-run without being double-applied. *)
+(** Number of operations [apply] has been invoked on, including helper
+    re-executions of batches that lost the commit race.
+    [apply_calls t - applied_count t] is the re-execution overhead of
+    helping; tests use it to observe that crashed operations are re-run
+    without being double-applied. *)
 
 val k : ('s, 'op, 'r) t -> int

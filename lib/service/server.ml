@@ -28,14 +28,18 @@
 
    Worker domains have shard affinity: each drains *its* shard's ring in
    batches, enters the shard store through one (N,k)-assignment admission
-   per batch (amortizing the wrapper over the batch), executes, and posts
-   all responses bound for one connection to its reactor as one coalesced
-   write.  Because the ring wakes one worker per dispatched batch and
-   recruits another only for a backlog, the workers contending for the
-   shard's k slots track the load, not the number of requests in a read.
-   Per-shard contention therefore stays <= k while aggregate mutator
-   parallelism is S*k — the paper's scaling story — and a worker death
-   costs one slot in one shard only.
+   and one commit per batch (amortizing the wrapper over the batch),
+   executes, and posts all responses bound for one connection to its
+   reactor as one coalesced write.  Because the ring wakes one worker per
+   dispatched batch and recruits another only for a backlog, the workers
+   contending for the shard's k slots track the load, not the number of
+   requests in a read.  Per-shard contention therefore stays <= k while
+   aggregate mutator parallelism is S*k — the paper's scaling story — and
+   a worker death costs one slot in one shard only.  A shard's workers
+   start on first use: its first ring push, or the first KILL aimed at one
+   of them.  Until then they have taken no step, which the asynchronous
+   model allows, and a healthy server runs on its reactors alone, so idle
+   domains do not join every stop-the-world minor collection.
 
    Fault injection: a "killed" worker (chaos schedule or the KILL admin
    command) crashes at its next admission boundary — it returns its
@@ -130,7 +134,9 @@ type item = {
    the fence-holder drains by waiting for it to reach 0, which covers both
    the ring, batches already claimed by a worker and lists a reactor is
    applying inline.  [sh_kills_pending] counts this shard's workers marked
-   for death that have not yet parked holding their slot. *)
+   for death that have not yet parked holding their slot.  [sh_started]
+   turns true, once, when the shard's workers are spawned (see
+   [start_workers]). *)
 type shard_ctx = {
   sh_id : int;
   sh_store : Kv_store.t;
@@ -141,14 +147,15 @@ type shard_ctx = {
   mutable sh_fenced : bool;
   sh_inflight : int Atomic.t;
   sh_kills_pending : int Atomic.t;
+  sh_started : bool Atomic.t;  (* this shard's workers are spawned *)
 }
 
 (* Cluster-mode state: which node we are, everyone's address, the
    epoch-versioned routing table, and the ownership bitmap the data path
-   consults.  Every node allocates all [shards] global shards (stores,
-   rings, workers) and serves only the owned ones; an unowned shard's
-   workers idle on an empty ring, and its store is the landing zone for a
-   future migration in. *)
+   consults.  Every node allocates all [shards] global shards (stores and
+   rings) and serves only the owned ones; an unowned shard's ring stays
+   empty, so its workers never start, and its store is the landing zone
+   for a future migration in. *)
 type cluster = {
   cl_node : int;
   cl_addrs : string array;
@@ -171,6 +178,9 @@ type t = {
   listen_fd : Unix.file_descr;
   actual_port : int;
   stopping : bool Atomic.t;
+  (* Every worker domain spawned so far.  Spawns happen under [workers_m]
+     and only while [stopping] is false, so [stop] joins them all. *)
+  workers_m : Mutex.t;
   mutable worker_domains : unit Domain.t list;
   mutable listener : Thread.t option;
   mutable chaos_thread : Thread.t option;
@@ -193,6 +203,7 @@ let stats_pairs t =
   Metrics.pairs_merged (all_metrics t)
   @ [ ("workers", total_workers t);
       ("workers_per_shard", t.cfg.workers);
+      ("worker_domains", Sync.with_lock t.workers_m (fun () -> List.length t.worker_domains));
       ("shards", t.cfg.shards);
       ("k", t.cfg.k);
       ("keys", Sharded.size ~owned:(owns t) t.store);
@@ -364,16 +375,40 @@ let worker_loop t sh ~lpid ~gid =
   in
   loop ()
 
+(* Start [sh]'s worker domains on first use: its first ring push, or the
+   first KILL aimed at one of them.  They are spawned once per shard
+   lifetime, on the thread that first needs them, and a shard that only
+   ever runs inline never starts any.  [false] means they never started
+   and [stop] has begun, which spawns no more: the caller refuses the
+   items it meant to push.  A spawn that fails (the runtime's domain
+   limit) is logged, and the shard keeps the workers it got. *)
+let start_workers t sh =
+  Atomic.get sh.sh_started
+  || Sync.with_lock t.workers_m (fun () ->
+         if not (Atomic.get sh.sh_started || Atomic.get t.stopping) then begin
+           Atomic.set sh.sh_started true;
+           try
+             for i = 0 to t.cfg.workers - 1 do
+               let gid = (sh.sh_id * t.cfg.workers) + i in
+               t.worker_domains <-
+                 Domain.spawn (fun () -> worker_loop t sh ~lpid:i ~gid) :: t.worker_domains
+             done
+           with e -> logf t "shard %d: starting workers failed: %s" sh.sh_id (Printexc.to_string e)
+         end;
+         Atomic.get sh.sh_started)
+
 (* ---------------------------- fault injection --------------------------- *)
 
 let kill_worker t w =
   if w < 0 || w >= total_workers t then
     Error (Printf.sprintf "worker %d out of range 0..%d" w (total_workers t - 1))
   else begin
-    (* Pending before the flag is visible, and once per victim. *)
-    let pending = t.shard_ctxs.(w / t.cfg.workers).sh_kills_pending in
-    Atomic.incr pending;
-    if Atomic.exchange t.kill_flags.(w) true then Atomic.decr pending;
+    (* Pending before the flag is visible, and once per victim.  A victim
+       that has not started yet dies at its first admission boundary. *)
+    let sh = t.shard_ctxs.(w / t.cfg.workers) in
+    Atomic.incr sh.sh_kills_pending;
+    if Atomic.exchange t.kill_flags.(w) true then Atomic.decr sh.sh_kills_pending;
+    ignore (start_workers t sh);
     Ok ()
   end
 
@@ -454,7 +489,8 @@ let topo_resp t =
    fence, re-check ownership (the fence-holder may have flipped routing),
    and count the items in flight.  A quiet shard — empty ring, no kill
    pending, not shutting down — leaves the list to the calling reactor
-   ([Inline]); otherwise it enters the ring.  The check-then-count is under
+   ([Inline]); otherwise it enters the ring, starting the shard's workers
+   if this is its first push.  The check-then-count is under
    [sh_fence_m], so a fence set after our check cannot miss our items — the
    drain sees [sh_inflight] > 0.  The list is routed or refused as a whole:
    one fence check, at most one ring lock and one worker wakeup. *)
@@ -474,7 +510,7 @@ let dispatch_items t sh items =
             && (not (Atomic.get t.stopping))
             && Wqueue.length sh.sh_queue = 0
           then Inline
-          else if Wqueue.push_list sh.sh_queue items then Pushed
+          else if start_workers t sh && Wqueue.push_list sh.sh_queue items then Pushed
           else Shutting_down
         in
         if route <> Shutting_down then ignore (Atomic.fetch_and_add sh.sh_inflight n);
@@ -613,7 +649,7 @@ let take_ownership t cl ~shard ~epoch =
    kept from before it last handed the shard away, or a key deleted at the
    owner since then would come back.  The blocking admission waits on
    nobody busy: the shard is unowned, so no client mutation reaches it and
-   its workers idle on an empty ring. *)
+   its ring stays empty. *)
 let mig_import t ~lpid conn ~shard ~epoch ~final changes =
   match import_target t shard with
   | Error _ as e -> e
@@ -695,7 +731,8 @@ let shutting_down t =
    applies the list [max_batch] items per no-wait admission, framing the
    replies into [out].  The first refusal hands the rest of the list to the
    ring exactly as a ring dispatch would have (it is already counted in
-   flight); a ring closed meanwhile refuses it. *)
+   flight), starting the workers if need be; a ring closed meanwhile, or
+   workers that can no longer start, refuse it. *)
 let run_inline t sh ~lpid conn out items =
   let rec split_at n = function
     | x :: rest when n > 0 ->
@@ -719,7 +756,7 @@ let run_inline t sh ~lpid conn out items =
       end
       else begin
         Metrics.incr_inline_aborts sh.sh_metrics;
-        if not (Wqueue.push_list sh.sh_queue items) then begin
+        if not (start_workers t sh && Wqueue.push_list sh.sh_queue items) then begin
           let n = List.length items in
           ignore (Atomic.fetch_and_add conn.c_pending (-n));
           ignore (Atomic.fetch_and_add sh.sh_inflight (-n));
@@ -959,6 +996,11 @@ let enable_cluster t ~node ~addrs =
     ((t.cfg.shards + n - 1 - node) / n)
     t.cfg.shards
 
+(* Room for a burst of handshakes the accept loop has not reached yet; an
+   overflowed SYN is retried by the client's kernel only after 1 s.  The
+   kernel caps it at net.core.somaxconn. *)
+let listen_backlog = 1024
+
 let start cfg =
   if cfg.workers < 1 then invalid_arg "Server.start: workers must be positive";
   if cfg.shards < 1 then invalid_arg "Server.start: shards must be positive";
@@ -970,7 +1012,7 @@ let start cfg =
   let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
   Unix.bind listen_fd (Unix.ADDR_INET (Unix.inet_addr_loopback, cfg.port));
-  Unix.listen listen_fd 128;
+  Unix.listen listen_fd listen_backlog;
   let actual_port =
     match Unix.getsockname listen_fd with
     | Unix.ADDR_INET (_, p) -> p
@@ -991,7 +1033,8 @@ let start cfg =
           sh_fence_c = Condition.create ();
           sh_fenced = false;
           sh_inflight = Atomic.make 0;
-          sh_kills_pending = Atomic.make 0 })
+          sh_kills_pending = Atomic.make 0;
+          sh_started = Atomic.make false })
   in
   let t =
     { cfg;
@@ -1005,6 +1048,7 @@ let start cfg =
       listen_fd;
       actual_port;
       stopping = Atomic.make false;
+      workers_m = Mutex.create ();
       worker_domains = [];
       listener = None;
       chaos_thread = None;
@@ -1016,12 +1060,6 @@ let start cfg =
       crashed = Atomic.make false }
   in
   Option.iter (fun (node, addrs) -> enable_cluster t ~node ~addrs) cfg.cluster;
-  t.worker_domains <-
-    List.concat
-      (List.init cfg.shards (fun s ->
-           List.init cfg.workers (fun i ->
-               let gid = (s * cfg.workers) + i in
-               Domain.spawn (fun () -> worker_loop t t.shard_ctxs.(s) ~lpid:i ~gid))));
   t.reactors <-
     Array.init cfg.reactors (fun i ->
         Reactor.create ~out_hwm:cfg.out_hwm ~slow_drain_s:cfg.slow_drain_s ~log:cfg.log ~id:i
@@ -1065,8 +1103,9 @@ let stop ?(drain_timeout_s = 5.) t =
   (* 5. Join workers, then retire the connection plane.  Workers go first:
      their final flushes post into reactor mailboxes, and the reactors'
      graceful stop (drain each connection's output, bounded, then close
-     it) needs those posts already queued. *)
-  List.iter Domain.join t.worker_domains;
+     it) needs those posts already queued.  [stopping] is set, so the list
+     read under [workers_m] is final. *)
+  List.iter Domain.join (Sync.with_lock t.workers_m (fun () -> t.worker_domains));
   Array.iter (fun r -> Reactor.stop ~grace_s:drain_timeout_s r) t.reactors;
   Option.iter Thread.join t.listener;
   Option.iter Thread.join t.chaos_thread;

@@ -5,7 +5,10 @@
     shards, each behind its {e own} (N,k)-assignment wrapper and each with
     its own submission ring drained by [workers] dedicated domains.  Keys
     route to shards by hash, so per-shard contention stays <= [k] while
-    aggregate mutator parallelism is [shards * k].
+    aggregate mutator parallelism is [shards * k].  A shard's worker
+    domains start on first use — its first ring push, or the first [KILL]
+    aimed at one of them — so a healthy server, whose mutations all run on
+    the reactors, starts none.
 
     Connections are owned by [reactors] {!Reactor} event-loop domains:
     accept round-robins across them and each loop multiplexes its
@@ -18,12 +21,12 @@
     list to the shard's ring as one list, under one lock and with at most
     one worker wakeup; a second worker is woken only when the first leaves
     a backlog.  So a reactor never waits on a slot.  Workers drain their
-    shard's ring in batches and enter the store through one admission per
-    batch, amortizing the wrapper, and deliver the responses bound for one
-    connection through the reactor's lock-free mailbox as one coalesced
-    write, with one deduplicated wakeup per drained batch.  Slow clients
-    are backpressured by a bounded output buffer
-    ([out_hwm]/[slow_drain_s]) instead of growing the heap.  Requests may
+    shard's ring in batches and enter the store through one admission and
+    one commit per batch, amortizing the wrapper, and deliver the
+    responses bound for one connection through the reactor's lock-free
+    mailbox as one coalesced write, with one deduplicated wakeup per
+    drained batch.  Slow clients are backpressured by a bounded output
+    buffer ([out_hwm]/[slow_drain_s]) instead of growing the heap.  Requests may
     carry an id and be pipelined; an untagged (v1) request is answered in
     order as long as the client keeps one request in flight, which is the
     v1 contract.
@@ -86,9 +89,10 @@ val default_config : config
 type t
 
 val start : config -> t
-(** Bind, spawn the listener, the reactor domains and the per-shard worker
-    domains (and the chaos thread if a schedule was given), and return
-    immediately.  Raises [Invalid_argument] on a config with [workers],
+(** Bind, spawn the listener and the reactor domains (and the chaos
+    thread if a schedule was given), and return immediately.  No worker
+    domain is spawned here: each shard spawns its [workers] once, on
+    first use.  Raises [Invalid_argument] on a config with [workers],
     [shards] or [reactors] below 1, or [k] outside [1..workers]. *)
 
 val port : t -> int
@@ -103,7 +107,8 @@ val shard_of_key : t -> string -> int
 val kill_worker : t -> int -> (unit, string) result
 (** Programmatic [KILL] by global worker id (shard [s]'s workers are ids
     [s*workers .. s*workers + workers - 1]) — what the admin command and
-    tests use.  Until the victim parks holding its slot, its shard's
+    tests use.  It starts the victim's shard's workers if they have not
+    started.  Until the victim parks holding its slot, its shard's
     mutations all go through the ring, so the kill lands at the victim's
     next admission boundary. *)
 
@@ -132,12 +137,15 @@ val adopt : t -> shard:int -> (unit, string) result
 
 val stats_pairs : t -> (string * int) list
 (** The [STATS] reply: metrics counters (merged exactly across shards) plus
-    store/admission state and per-shard op counts. *)
+    store/admission state, per-shard op counts and [worker_domains], the
+    worker domains spawned so far. *)
 
 val stop : ?drain_timeout_s:float -> t -> unit
 (** Graceful shutdown: stop accepting, drain in-flight requests (bounded
     wait), reap crashed workers so their slots release, refuse undispatched
-    requests with an error, join everything. *)
+    requests with an error, join everything.  No worker domain starts once
+    [stop] has begun; a mutation bound for a shard whose workers never
+    started is refused as shutting down. *)
 
 val run : ?duration_s:float -> config -> unit
 (** [start], then block until SIGINT/SIGTERM (or [duration_s] elapses), then

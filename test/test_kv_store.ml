@@ -236,6 +236,27 @@ let test_read_many () =
   Alcotest.(check bool) "one shard, refused" true
     (Sharded_store.read_many ~owned:(fun _ -> false) one keys = [| Error 0; Error 0; Error 0 |])
 
+(* Versions count operations, not commits: one 32-op batch is one
+   admission and one commit, and it moves [operations], the versioned
+   read and [apply_calls] by 32 each. *)
+let test_batch_counts_operations () =
+  let s = Kv_store.create ~n:1 ~k:1 () in
+  Kv_store.set s ~pid:0 ~key:"seed" "0";
+  let ops0 = Kv_store.operations s
+  and version0 = Kv_store.read_version s
+  and calls0 = Kv_store.apply_calls s in
+  let results =
+    Kv_store.perform_batch s ~pid:0 (List.init 32 (fun i -> Kv_store.Fetch_add ("ctr", i)))
+  in
+  List.iteri
+    (fun i r ->
+      if r <> Kv_store.New_value (i * (i + 1) / 2) then
+        Alcotest.failf "op %d of the batch answered out of order" i)
+    results;
+  Alcotest.(check int) "operations" (ops0 + 32) (Kv_store.operations s);
+  Alcotest.(check int) "version" (version0 + 32) (Kv_store.read_version s);
+  Alcotest.(check int) "apply_calls" (calls0 + 32) (Kv_store.apply_calls s)
+
 let suite =
   [ Helpers.tc "basic CRUD" test_basic_crud;
     Helpers.tc "size tracks every kind of write" test_size_tracks_every_write;
@@ -248,4 +269,5 @@ let suite =
     Helpers.tc "available with a wedged client" test_available_with_wedged_client;
     Helpers.tc "wait-free read on a fully wedged store" test_read_wait_free_on_wedged_store;
     Helpers.tc "read sees every acknowledged write" test_read_sees_acknowledged_writes;
-    Helpers.tc "sharded wait-free reads route and survive wedging" test_sharded_read ]
+    Helpers.tc "sharded wait-free reads route and survive wedging" test_sharded_read;
+    Helpers.tc "a 32-op batch counts 32 operations" test_batch_counts_operations ]

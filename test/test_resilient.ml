@@ -21,7 +21,7 @@ let test_universal_helping () =
      linearized within k appends by live threads: after two operations of
      tid 1 (k = 2), tid 0's op must be in. *)
   let u = Universal.create ~k:2 ~init:0 ~apply:counter_apply in
-  Universal.announce_only u ~tid:0 (`Add 100);
+  Universal.announce_only u ~tid:0 [ `Add 100 ];
   ignore (Universal.perform u ~tid:1 (`Add 1));
   let r = Universal.perform u ~tid:1 (`Add 1) in
   Alcotest.(check int) "all three ops applied" 3 (Universal.applied_count u);
@@ -158,7 +158,7 @@ let test_resilient_survives_crashed_holder () =
   let obj = Resilient.create ~n ~k ~init:0 ~apply:counter_apply () in
   (* Simulated crash: acquire a name, announce, stop forever. *)
   let dead_name = Kex_runtime.Kex_lock.Assignment.acquire (Resilient.assignment obj) ~pid:0 in
-  Universal.announce_only (Resilient.inner obj) ~tid:dead_name (`Add 1000);
+  Universal.announce_only (Resilient.inner obj) ~tid:dead_name [ `Add 1000 ];
   let worker pid () =
     for _ = 1 to 50 do
       ignore (Resilient.perform obj ~pid (`Add 1))
@@ -211,6 +211,62 @@ let test_resilient_head_reads_under_domains () =
   Alcotest.(check (pair int int)) "final pair is the total" (total, total)
     (Resilient.read_versioned obj)
 
+(* A batch linearizes at its one commit.  Writer domains perform batches
+   that set two registers to the same fresh value; reader domains on
+   [read_versioned] must never see the registers differ, which a reader
+   that could see a prefix of a batch would.  Versions count operations,
+   so every version a reader sees is even. *)
+let test_resilient_batch_seen_whole () =
+  let writers = 2 and readers = 2 and per_writer = 3_000 in
+  let apply (a, b) = function `A v -> ((v, b), ()) | `B v -> ((a, v), ()) in
+  let obj = Resilient.create ~n:writers ~k:2 ~init:(0, 0) ~apply () in
+  let stop = Atomic.make false in
+  let torn = Atomic.make 0 and odd = Atomic.make 0 in
+  let writer pid () =
+    for i = 1 to per_writer do
+      let v = (i * writers) + pid in
+      ignore (Resilient.perform_batch obj ~pid [ `A v; `B v ])
+    done
+  in
+  let reader () =
+    while not (Atomic.get stop) do
+      let version, (a, b) = Resilient.read_versioned obj in
+      if a <> b then Atomic.incr torn;
+      if version mod 2 <> 0 then Atomic.incr odd
+    done
+  in
+  let rs = List.init readers (fun _ -> Domain.spawn reader) in
+  let ws = List.init writers (fun pid -> Domain.spawn (writer pid)) in
+  List.iter Domain.join ws;
+  Atomic.set stop true;
+  List.iter Domain.join rs;
+  Alcotest.(check int) "no reader saw part of a batch" 0 (Atomic.get torn);
+  Alcotest.(check int) "no reader saw an odd version" 0 (Atomic.get odd);
+  Alcotest.(check int) "versions count operations" (2 * writers * per_writer)
+    (Resilient.operations obj)
+
+(* A 3-op batch announced by a tid that then crashes is applied by the
+   next perform of another tid: once, in list order, and counted as three
+   operations.  With k = 2 the dead tid 1 is the designated beneficiary of
+   the first commit, so tid 0's very next perform applies the dead batch
+   before its own operation.  Nothing races, so no apply is re-executed:
+   [apply_calls - applied_count] stays 0. *)
+let test_universal_dead_batch_helped () =
+  let apply s = function `Add d -> (s + d, s + d) | `Mul m -> (s * m, s * m) in
+  let u = Universal.create ~k:2 ~init:0 ~apply in
+  Universal.announce_only u ~tid:1 [ `Add 1; `Mul 10; `Add 2 ];
+  Alcotest.(check int) "announcing applies nothing" 0 (Universal.applied_count u);
+  (* In list order: ((0 + 1) * 10) + 2 = 12; any other order differs. *)
+  Alcotest.(check int) "dead batch in order, then the live op" 112
+    (Universal.perform u ~tid:0 (`Add 100));
+  Alcotest.(check int) "four operations" 4 (Universal.applied_count u);
+  Alcotest.(check int) "no re-execution" 0 (Universal.apply_calls u - Universal.applied_count u);
+  Alcotest.(check (list int)) "later batches see it once" [ 113; 226 ]
+    (Universal.perform_batch u ~tid:0 [ `Add 1; `Mul 2 ]);
+  Alcotest.(check (pair int int)) "committed pair" (6, 226) (Universal.committed u);
+  Alcotest.(check int) "still no re-execution" 0
+    (Universal.apply_calls u - Universal.applied_count u)
+
 let suite =
   [ Helpers.tc "universal: sequential semantics" test_universal_sequential;
     Helpers.tc "universal: helpers finish dead ops" test_universal_helping;
@@ -228,4 +284,7 @@ let suite =
     Helpers.tc "effectively wait-free when contention <= k"
       test_resilient_effectively_wait_free_at_low_contention;
     Helpers.tc_slow "head reads never torn under concurrent domains"
-      test_resilient_head_reads_under_domains ]
+      test_resilient_head_reads_under_domains;
+    Helpers.tc_slow "a batch is seen whole or not at all" test_resilient_batch_seen_whole;
+    Helpers.tc "universal: a dead tid's batch is applied once, in order"
+      test_universal_dead_batch_helped ]

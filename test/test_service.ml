@@ -293,10 +293,12 @@ let test_get_survives_wedged_shard () =
           | r -> Alcotest.failf "wedged SET answered %s" (P.print_response r));
       close c)
 
-(* Enqueue-time latency accounting (not send-time): with a window of 16 a
-   request spends time queued behind its window-mates, so its measured p50
-   must be at least the unpipelined p50.  Guards against the flattering
-   stamp-at-socket-write bug. *)
+(* Enqueue-time latency accounting (not send-time), by Little's law on
+   the W=16 run: with latency charged from enqueue, latency times
+   throughput is the number of requests in flight, here 2 connections x
+   16.  The median sits below the mean, so p50 x throughput must reach a
+   quarter of that.  A loadgen that stopped charging in-window time (the
+   flattering stamp-at-socket-write bug) lands near 1/16 of it. *)
 let test_pipelined_latency_honest () =
   with_server { quiet with workers = 2; k = 2 } (fun t ->
       let base =
@@ -313,8 +315,13 @@ let test_pipelined_latency_honest () =
       Alcotest.(check int) "W=16 zero errors" 0 s16.Kex_service.Loadgen.errors;
       Alcotest.(check bool) "both made progress" true
         (s1.Kex_service.Loadgen.requests > 0 && s16.Kex_service.Loadgen.requests > 0);
-      Alcotest.(check bool) "p50 includes in-window queueing" true
-        (s16.Kex_service.Loadgen.p50_us >= s1.Kex_service.Loadgen.p50_us))
+      let in_flight = 2 * 16 in
+      let littles =
+        float_of_int s16.Kex_service.Loadgen.p50_us *. 1e-6 *. s16.Kex_service.Loadgen.throughput_rps
+      in
+      if littles < 0.25 *. float_of_int in_flight then
+        Alcotest.failf "p50 x throughput = %.2f requests, want >= %.2f (a quarter of %d in flight)"
+          littles (0.25 *. float_of_int in_flight) in_flight)
 
 (* Binary CRUD + SCAN end to end, with the id echoed from the header, and
    the malformed-frame contract: a length-intact bad frame gets an ERR and
@@ -964,6 +971,93 @@ let test_second_write_not_delayed () =
           if median >= 0.010 then
             Alcotest.failf "PING + HANDOFF took %.1f ms median (want < 10 ms)" (median *. 1000.)))
 
+(* Worker domains start on first use.  A healthy server applies every
+   mutation on its reactors, so pipelined SETs and UPDATEs on both shards
+   start none; KILL 0 starts shard 0's two workers and no others.  The
+   counters keep every UPDATE acknowledged after the kill, while it is
+   pending (shard 0 on the ring) and once the victim has died. *)
+let test_workers_start_on_first_use () =
+  with_server { quiet with workers = 2; k = 2; shards = 2 } (fun t ->
+      let rec key_in s i =
+        let key = Printf.sprintf "ctr%d" i in
+        if Server.shard_of_key t key = s then key else key_in s (i + 1)
+      in
+      let keys = [| key_in 0 0; key_in 1 0 |] in
+      let sent = [| 0; 0 |] in
+      let c = connect ~timeout_s:5. (Server.port t) in
+      Fun.protect ~finally:(fun () -> close c) (fun () ->
+          (* One pipelined write: [n] UPDATEs alternating over both
+             counters, plus a SET per UPDATE on keys of both shards. *)
+          let window n =
+            let reqs =
+              List.concat
+                (List.init n (fun i ->
+                     [ P.Update (keys.(i mod 2), 1); P.Set (Printf.sprintf "k%d" i, "v") ]))
+            in
+            send c (List.mapi (fun id r -> (Some id, r)) reqs);
+            for _ = 1 to 2 * n do
+              match recv_tagged c with
+              | _, (P.Int _ | P.Ok) -> ()
+              | id, r -> Alcotest.failf "id %d answered %s" id (P.print_response r)
+            done;
+            for i = 0 to n - 1 do
+              sent.(i mod 2) <- sent.(i mod 2) + 1
+            done
+          in
+          for _ = 1 to 8 do
+            window 32
+          done;
+          Alcotest.(check int) "healthy traffic starts no worker" 0 (stat "worker_domains" t);
+          assert_resp "KILL 0" P.Ok (rpc c (P.Kill 0));
+          Alcotest.(check int) "KILL 0 starts shard 0's workers only" 2 (stat "worker_domains" t);
+          let rounds = ref 0 in
+          while stat "deaths" t < 1 && !rounds < 200 do
+            window 16;
+            incr rounds
+          done;
+          Alcotest.(check int) "the victim died" 1 (stat "deaths" t);
+          window 16;
+          Array.iteri
+            (fun i key ->
+              assert_resp ("counter " ^ key) (P.Value (Some (string_of_int sent.(i)))) (rpc c (P.Get key)))
+            keys;
+          Alcotest.(check int) "shard 1 still started none" 2 (stat "worker_domains" t)))
+
+(* A burst of 512 connections lands at once: the listen backlog must hold
+   every handshake the accept loop has not reached yet, because an
+   overflowed SYN is retried only after a second.  The sockets connect
+   without waiting, then each sends PING (the write waits for its
+   handshake); every PONG must arrive within a second of the burst's
+   start. *)
+let test_connection_burst () =
+  with_server quiet (fun t ->
+      let n = 512 in
+      let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port t) in
+      let socks = Array.init n (fun _ -> Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0) in
+      Fun.protect
+        ~finally:(fun () -> Array.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) socks)
+        (fun () ->
+          let t0 = Unix.gettimeofday () in
+          Array.iter
+            (fun fd ->
+              Unix.set_nonblock fd;
+              try Unix.connect fd addr with Unix.Unix_error (Unix.EINPROGRESS, _, _) -> ())
+            socks;
+          let clients =
+            Array.map
+              (fun fd ->
+                Unix.clear_nonblock fd;
+                Unix.setsockopt_float fd Unix.SO_SNDTIMEO 5.;
+                Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.;
+                let c = { fd; wire = P.Text; dec = P.Resp_decoder.create P.Text; buf = Bytes.create 64 } in
+                send c [ (None, P.Ping) ];
+                c)
+              socks
+          in
+          Array.iter (fun c -> assert_resp "burst PING" P.Pong (recv c)) clients;
+          let took = Unix.gettimeofday () -. t0 in
+          if took >= 1. then Alcotest.failf "%d PINGs took %.2f s from the burst (want < 1 s)" n took))
+
 let suite =
   [ Helpers.tc "CRUD over a socket" test_crud_over_socket;
     Helpers.tc "bad server and loadgen configs raise Invalid_argument"
@@ -1000,4 +1094,8 @@ let suite =
     Helpers.tc "reactor: a pending kill keeps a read of 64 mutations on the ring"
       test_pending_kill_read_rides_ring;
     Helpers.tc "a second reply write is not held for a delayed ACK"
-      test_second_write_not_delayed ]
+      test_second_write_not_delayed;
+    Helpers.tc "worker domains start on first use: none when healthy, one shard's on KILL"
+      test_workers_start_on_first_use;
+    Helpers.tc_slow "a burst of 512 connections is answered within a second"
+      test_connection_burst ]
