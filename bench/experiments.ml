@@ -208,12 +208,7 @@ let resilience () =
           (fun acc (p : Runner.proc_stats) -> if p.completed then acc + 1 else acc)
           0 res.procs
       in
-      let outcome =
-        if res.violations <> [] then "UNSAFE"
-        else if res.stalled then "blocked"
-        else "all done"
-      in
-      row "  f=%-8d %-12s %d/%d %s@." f outcome completed (n - f)
+      row "  f=%-8d %-12s %d/%d %s@." f (crash_outcome ~f ~k res) completed (n - f)
         (if f <= k - 1 then "(within resilience)" else "(beyond resilience — expected to block)"))
     [ 0; 1; 2; 3; 4 ]
 
@@ -366,10 +361,7 @@ let methodology () =
           0 res.procs
       in
       row "  f=%-4d %-12s survivors completed %d/%d, operations linearized %d@." f
-        (if res.violations <> [] then "UNSAFE"
-         else if res.stalled then "blocked"
-         else "all done")
-        completed (n - f)
+        (crash_outcome ~f ~k res) completed (n - f)
         (Kexclusion.Universal_sim.applied_count (Kexclusion.Methodology.inner m) mem))
     [ 0; 1; 3; 4 ];
   row "  (f <= %d: survivors finish and dead half-done ops are completed by helpers;@." (k - 1);

@@ -12,7 +12,11 @@
    output is buffered and printed in submission order, so stdout is
    byte-identical whatever -j says.  The pseudo-id "all-sim" expands to all
    simulator experiments; "micro" (wall-clock microbenchmarks, inherently
-   noisy) always runs on the main domain and is not part of all-sim. *)
+   noisy) always runs on the main domain and is not part of all-sim.
+
+   A row that breaks a Theorem 1-10 bound (EXCEEDED) or the resilience
+   claim (UNSAFE, or blocked with f <= k-1) makes the run exit 1 after
+   everything has been printed, naming each such row on stderr. *)
 
 type task = Sim of (unit -> unit) | Micro
 
@@ -21,6 +25,7 @@ type finished = {
   wall_s : float;
   steps : int;
   points : (string * Measure.point) list;
+  breaches : string list;
   error : (exn * Printexc.raw_backtrace) option;
 }
 
@@ -39,8 +44,8 @@ let run_sim f =
   in
   let wall_s = Unix.gettimeofday () -. t0 in
   Format.pp_print_flush ppf ();
-  let steps, points = Measure.collected () in
-  { output = Buffer.contents buf; wall_s; steps; points; error }
+  let steps, points, breaches = Measure.collected () in
+  { output = Buffer.contents buf; wall_s; steps; points; breaches; error }
 
 (* Print a finished experiment's (possibly partial) output, then re-raise
    its failure if it had one — same abort behaviour as running unbuffered. *)
@@ -53,62 +58,57 @@ let deliver r =
 
 (* ------------------------------ JSON emitter ----------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
+(* The kexclusion-bench/v2 record.  Floats are rounded to the precision the
+   record has always carried: wall times to ms, means to 0.01, rates to
+   whole steps per second. *)
 let emit_json file ~jobs ~baseline ~wall tasks results =
-  let oc = open_out file in
-  let out fmt = Printf.fprintf oc fmt in
-  let rate steps s = if s > 0. then float_of_int steps /. s else 0. in
-  out "{\n";
-  out "  \"schema\": \"kexclusion-bench/v2\",\n";
-  out "  \"git_rev\": \"%s\",\n" (json_escape (Kex_service.Provenance.git_rev ()));
-  out "  \"hostname\": \"%s\",\n" (json_escape (Kex_service.Provenance.hostname ()));
-  out "  \"ocaml\": \"%s\",\n" (json_escape Sys.ocaml_version);
-  out "  \"jobs\": %d,\n" jobs;
-  (match baseline with
-  | Some b ->
-      out "  \"baseline_wall_s\": %.3f,\n" b;
-      if wall > 0. then out "  \"speedup_vs_baseline\": %.2f,\n" (b /. wall)
-  | None -> ());
+  let open Kex_service.Json in
+  let fixed digits x =
+    let scale = 10. ** float_of_int digits in
+    Float (Float.round (x *. scale) /. scale)
+  in
+  let per_sec steps s =
+    Int (if s > 0. then Float.to_int (Float.round (float_of_int steps /. s)) else 0)
+  in
+  let point (label, (p : Measure.point)) =
+    Obj
+      [ ("label", String label); ("max", Int p.max); ("mean", fixed 2 p.mean); ("p50", Int p.p50);
+        ("p99", Int p.p99) ]
+  in
+  let experiments =
+    Array.to_list tasks
+    |> List.mapi (fun i (id, t) -> (id, t, results.(i)))
+    |> List.filter_map (function
+         | id, Sim _, Some r ->
+             Some
+               (Obj
+                  [ ("id", String id); ("wall_s", fixed 3 r.wall_s); ("steps", Int r.steps);
+                    ("steps_per_sec", per_sec r.steps r.wall_s);
+                    ("points", List (List.map point r.points)) ])
+         | _ -> None)
+  in
   let total_steps =
     Array.fold_left (fun acc r -> match r with Some r -> acc + r.steps | None -> acc) 0 results
   in
-  out "  \"total\": { \"wall_s\": %.3f, \"steps\": %d, \"steps_per_sec\": %.0f },\n" wall
-    total_steps (rate total_steps wall);
-  out "  \"experiments\": [";
-  let first = ref true in
-  Array.iteri
-    (fun i (id, t) ->
-      match (t, results.(i)) with
-      | Sim _, Some r ->
-          if not !first then out ",";
-          first := false;
-          out "\n    { \"id\": \"%s\", \"wall_s\": %.3f, \"steps\": %d, \"steps_per_sec\": %.0f,\n"
-            (json_escape id) r.wall_s r.steps (rate r.steps r.wall_s);
-          out "      \"points\": [";
-          List.iteri
-            (fun j (label, (p : Measure.point)) ->
-              if j > 0 then out ",";
-              out "\n        { \"label\": \"%s\", \"max\": %d, \"mean\": %.2f, \"p50\": %d, \"p99\": %d }"
-                (json_escape label) p.max p.mean p.p50 p.p99)
-            r.points;
-          if r.points <> [] then out "\n      ";
-          out "] }"
-      | _ -> ())
-    tasks;
-  out "\n  ]\n}\n";
-  close_out oc
+  let baseline =
+    match baseline with
+    | Some b ->
+        ("baseline_wall_s", fixed 3 b)
+        :: (if wall > 0. then [ ("speedup_vs_baseline", fixed 2 (b /. wall)) ] else [])
+    | None -> []
+  in
+  to_file file
+    (Obj
+       ([ ("schema", String "kexclusion-bench/v2");
+          ("git_rev", String (Kex_service.Provenance.git_rev ()));
+          ("hostname", String (Kex_service.Provenance.hostname ()));
+          ("ocaml", String Sys.ocaml_version); ("jobs", Int jobs) ]
+       @ baseline
+       @ [ ( "total",
+             Obj
+               [ ("wall_s", fixed 3 wall); ("steps", Int total_steps);
+                 ("steps_per_sec", per_sec total_steps wall) ] );
+           ("experiments", List experiments) ]))
 
 (* --------------------------------- driver -------------------------------- *)
 
@@ -206,7 +206,19 @@ let () =
     end;
     let wall = Unix.gettimeofday () -. t0 in
     Format.printf "@.done.@.";
-    match !json with
-    | None -> ()
-    | Some file -> emit_json file ~jobs ~baseline:!baseline ~wall tasks results
+    Option.iter (fun file -> emit_json file ~jobs ~baseline:!baseline ~wall tasks results) !json;
+    let breaches =
+      Array.to_list tasks
+      |> List.mapi (fun i (id, _) ->
+             match results.(i) with
+             | Some r -> List.map (fun b -> id ^ ": " ^ b) r.breaches
+             | None -> [])
+      |> List.concat
+    in
+    if breaches <> [] then begin
+      Printf.eprintf "%d row(s) break a theorem bound or the resilience claim:\n"
+        (List.length breaches);
+      List.iter (Printf.eprintf "  %s\n") breaches;
+      exit 1
+    end
   end

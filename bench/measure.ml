@@ -14,21 +14,27 @@ let pp_point ppf p =
    experiment's output so -j N can fan experiments across domains and still
    print results in submission order, byte-identical to a sequential run;
    the same context accumulates the headline numbers for the BENCH_sim.json
-   emitter.  Domain-local so worker domains never share a formatter. *)
+   emitter, and every verdict that breaks a theorem bound or the resilience
+   claim, so the driver can fail the run after printing it all.
+   Domain-local so worker domains never share a formatter. *)
 type collected = {
   mutable steps : int;  (* simulator steps across every run in this context *)
   mutable points : (string * point) list;  (* checked runs, reversed *)
+  mutable breaches : string list;  (* EXCEEDED / UNSAFE / blocked-within, reversed *)
 }
 
-let context =
-  Domain.DLS.new_key (fun () -> (Format.std_formatter, { steps = 0; points = [] }))
-
-let set_context ppf = Domain.DLS.set context (ppf, { steps = 0; points = [] })
+let fresh () = { steps = 0; points = []; breaches = [] }
+let context = Domain.DLS.new_key (fun () -> (Format.std_formatter, fresh ()))
+let set_context ppf = Domain.DLS.set context (ppf, fresh ())
 let formatter () = fst (Domain.DLS.get context)
 
 let collected () =
   let c = snd (Domain.DLS.get context) in
-  (c.steps, List.rev c.points)
+  (c.steps, List.rev c.points, List.rev c.breaches)
+
+let breach what =
+  let c = snd (Domain.DLS.get context) in
+  c.breaches <- what :: c.breaches
 
 let note_steps (res : Runner.result) =
   let c = snd (Domain.DLS.get context) in
@@ -84,10 +90,20 @@ let section title =
 
 let row fmt = Format.fprintf (formatter ()) fmt
 
-let ok_str within = if within then "ok" else "EXCEEDED"
-
 let bound_row ~label ~measured ~bound =
+  let within = measured.max <= bound in
+  if not within then breach (Printf.sprintf "%s: max %d EXCEEDED bound %d" label measured.max bound);
   row "  %-24s measured %-22s bound %4d   [%s]@." label
     (Format.asprintf "%a" pp_point measured)
     bound
-    (ok_str (measured.max <= bound))
+    (if within then "ok" else "EXCEEDED")
+
+(* A crash run's outcome with [f] processes dead: UNSAFE always breaks the
+   claim, blocked only within the resilience bound f <= k-1. *)
+let crash_outcome ~f ~k (res : Runner.result) =
+  let outcome =
+    if res.violations <> [] then "UNSAFE" else if res.stalled then "blocked" else "all done"
+  in
+  if res.violations <> [] || (res.stalled && f <= k - 1) then
+    breach (Printf.sprintf "f=%d: %s (within resilience: f <= %d)" f outcome (k - 1));
+  outcome

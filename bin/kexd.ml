@@ -177,10 +177,7 @@ let sweep_cmd =
               ("over", String (match over with `N -> "n" | `C -> "contention"));
               ("points", List (Stdlib.List.map point points)) ]
         in
-        let oc = open_out file in
-        output_string oc (to_string ~indent:2 doc);
-        output_char oc '\n';
-        close_out oc);
+        to_file file doc);
     0
   in
   Cmd.v
@@ -535,7 +532,9 @@ let loadgen_cmd =
     match Kex_service.Loadgen.run cfg with
     | summary ->
         if not quiet then Format.printf "%a" Kex_service.Loadgen.pp_summary summary;
-        Option.iter (fun file -> Kex_service.Loadgen.emit_json ~file cfg summary) json;
+        Option.iter
+          (fun file -> Kex_service.Json.to_file file (Kex_service.Loadgen.to_json cfg summary))
+          json;
         let unexpected =
           summary.Kex_service.Loadgen.errors - summary.Kex_service.Loadgen.expected_errors
         in
@@ -640,15 +639,10 @@ let lint_cmd =
             Format.printf "mutant %s: %s@." m.A.Mutants.m_name m.A.Mutants.m_desc;
             Format.printf "expected: %s — %s@."
               (A.Finding.id m.A.Mutants.m_expected)
-              (if A.Mutants.killed m r then "KILLED" else "SURVIVED");
-            Format.printf "%a" A.Report.pp_findings r;
-            Option.iter
-              (fun file ->
-                let oc = open_out file in
-                output_string oc (Kex_service.Json.to_string ~indent:2 (A.Report.to_json [ r ]));
-                output_char oc '\n';
-                close_out oc)
-              json;
+              (if A.Finding.kills m.A.Mutants.m_expected r.A.Lint.r_findings then "KILLED"
+               else "SURVIVED");
+            Format.printf "%a" A.Report.pp_findings r.A.Lint.r_findings;
+            Option.iter (fun file -> Kex_service.Json.to_file file (A.Report.to_json [ r ])) json;
             if A.Lint.clean r then 0 else 1)
     | None ->
         let algos = match algo with Some a -> [ a ] | None -> Kexclusion.Registry.all in
@@ -672,7 +666,7 @@ let lint_cmd =
               if r.A.Lint.r_findings <> [] then begin
                 Format.printf "@.%s under %s:@." r.A.Lint.r_subject.A.Lint.sub_name
                   (A.Report.model_name r.A.Lint.r_subject.A.Lint.sub_model);
-                Format.printf "%a" A.Report.pp_findings r
+                Format.printf "%a" A.Report.pp_findings r.A.Lint.r_findings
               end)
             reports;
         let mutant_results =
@@ -681,7 +675,7 @@ let lint_cmd =
             Stdlib.List.map
               (fun m ->
                 let r = analyze m.A.Mutants.m_subject in
-                (m, r, A.Mutants.killed m r))
+                (m, r, A.Finding.kills m.A.Mutants.m_expected r.A.Lint.r_findings))
               A.Mutants.all
         in
         if mutants then begin
@@ -696,12 +690,7 @@ let lint_cmd =
         end;
         Option.iter
           (fun file ->
-            let oc = open_out file in
-            output_string oc
-              (Kex_service.Json.to_string ~indent:2
-                 (A.Report.to_json ~mutants:mutant_results reports));
-            output_char oc '\n';
-            close_out oc)
+            Kex_service.Json.to_file file (A.Report.to_json ~mutants:mutant_results reports))
           json;
         let dirty = Stdlib.List.exists (fun r -> not (A.Lint.clean r)) reports in
         let survived = Stdlib.List.exists (fun (_, _, killed) -> not killed) mutant_results in
@@ -720,14 +709,15 @@ let srclint_cmd =
     [ `S Manpage.s_description;
       `P
         "Parses every .ml under lib/ and bin/ with the compiler's grammar and walks each \
-         function with a path-sensitive model of lock state: S1 lock-leak (a Mutex.lock \
-         with a raising or early-return path that skips the unlock), S2 wait-without-recheck \
-         (Condition.wait not inside a while loop), S3 blocking-under-lock (Unix/Thread/Netio \
-         blocking calls while a mutex is held), S4 non-atomic RMW (Atomic.set computed from \
-         Atomic.get of the same cell), and S5 unguarded shared state (accesses that the \
-         per-module guarded-by manifest assigns to a lock, made without it).  Waivers — \
-         [@srclint.allow S3] attributes or manifest entries — are reported as waived, never \
-         dropped.  Writes the kexclusion-srclint/v1 JSON document with $(b,--json)." ]
+         function tracking which locks are held: S1 lock-leak (a Mutex.lock anywhere but at \
+         the head of Sync.with_lock's own body; every mutex is taken through that \
+         combinator), S2 wait-without-recheck (Condition.wait not inside a while loop), S3 \
+         blocking-under-lock (Unix/Thread/Netio blocking calls inside a with_lock, \
+         Mutex.protect or manifest-wrapper body), S4 non-atomic RMW (Atomic.set computed \
+         from Atomic.get of the same cell), and S5 unguarded shared state (accesses that the \
+         per-module guarded-by manifest assigns to a lock, made without it).  There are no \
+         waivers: every finding counts.  Writes the kexclusion-srclint/v1 JSON document with \
+         $(b,--json)." ]
   in
   let root_arg =
     Arg.(value & opt string "." & info [ "root" ] ~docv:"DIR" ~doc:"repository root to scan")
@@ -747,7 +737,7 @@ let srclint_cmd =
   let require_clean_arg =
     Arg.(
       value & flag
-      & info [ "require-clean" ] ~doc:"exit 1 on any non-waived finding (CI gate)")
+      & info [ "require-clean" ] ~doc:"exit 1 on any finding (CI gate)")
   in
   let mutant_arg =
     Arg.(
@@ -779,24 +769,18 @@ let srclint_cmd =
             2
         | Some m ->
             let fr = A.Srclint_mutants.report m in
+            let killed = A.Finding.kills m.A.Srclint_mutants.sm_expected fr.A.Srclint.fr_findings in
             Format.printf "mutant %s: %s@." m.A.Srclint_mutants.sm_name
               m.A.Srclint_mutants.sm_desc;
             Format.printf "expected: %s — %s%s@."
               (A.Finding.id m.A.Srclint_mutants.sm_expected)
-              (if A.Srclint_mutants.killed m fr then "KILLED" else "SURVIVED")
-              (if A.Srclint_mutants.killed m fr && not (A.Srclint_mutants.exact m fr) then
-                 " (but not exact)"
-               else "");
-            Format.printf "%a" A.Report.pp_srclint_findings fr;
+              (if killed then "KILLED" else "SURVIVED")
+              (if killed && not (A.Srclint_mutants.exact m fr) then " (but not exact)" else "");
+            Format.printf "%a" A.Report.pp_findings fr.A.Srclint.fr_findings;
             Option.iter
-              (fun out ->
-                let oc = open_out out in
-                output_string oc
-                  (Kex_service.Json.to_string ~indent:2 (A.Report.srclint_to_json [ fr ]));
-                output_char oc '\n';
-                close_out oc)
+              (fun out -> Kex_service.Json.to_file out (A.Report.srclint_to_json [ fr ]))
               json;
-            if A.Srclint_mutants.killed m fr then 1 else 0)
+            if killed then 1 else 0)
     | None ->
         let frs =
           match file with
@@ -809,7 +793,7 @@ let srclint_cmd =
             (fun fr ->
               if fr.A.Srclint.fr_findings <> [] then begin
                 Format.printf "@.%s:@." fr.A.Srclint.fr_path;
-                Format.printf "%a" A.Report.pp_srclint_findings fr
+                Format.printf "%a" A.Report.pp_findings fr.A.Srclint.fr_findings
               end)
             frs;
         let mutant_results =
@@ -818,7 +802,10 @@ let srclint_cmd =
             Stdlib.List.map
               (fun m ->
                 let fr = A.Srclint_mutants.report m in
-                (m, fr, A.Srclint_mutants.killed m fr, A.Srclint_mutants.exact m fr))
+                ( m,
+                  fr,
+                  A.Finding.kills m.A.Srclint_mutants.sm_expected fr.A.Srclint.fr_findings,
+                  A.Srclint_mutants.exact m fr ))
               A.Srclint_mutants.all
         in
         if mutants then begin
@@ -835,12 +822,7 @@ let srclint_cmd =
         end;
         Option.iter
           (fun out ->
-            let oc = open_out out in
-            output_string oc
-              (Kex_service.Json.to_string ~indent:2
-                 (A.Report.srclint_to_json ~mutants:mutant_results frs));
-            output_char oc '\n';
-            close_out oc)
+            Kex_service.Json.to_file out (A.Report.srclint_to_json ~mutants:mutant_results frs))
           json;
         let dirty = not (A.Srclint.clean frs) in
         let survived =

@@ -43,20 +43,14 @@ let id = function
   | S_stall -> "S-stall"
   | S_monitor -> "S-monitor"
 
-let all_checks =
-  [ L1_remote_spin; L2_invalidation_in_loop; L3_name_leak; L4_bfaa_range; A_incomplete;
-    S1_lock_leak; S2_wait_no_recheck; S3_blocking_under_lock; S4_nonatomic_rmw;
-    S5_unguarded_state; S_kexclusion; S_duplicate_name; S_protected_write; S_spin_watchdog;
-    S_stall; S_monitor ]
-
-let check_of_id s = List.find_opt (fun c -> String.equal (id c) s) all_checks
-
 let is_static = function
   | L1_remote_spin | L2_invalidation_in_loop | L3_name_leak | L4_bfaa_range | A_incomplete
   | S1_lock_leak | S2_wait_no_recheck | S3_blocking_under_lock | S4_nonatomic_rmw
   | S5_unguarded_state ->
       true
   | _ -> false
+
+let kills check fs = List.exists (fun f -> f.check = check && not f.waived) fs
 
 let pp ppf f =
   Format.fprintf ppf "%s%s at %s%s: %s" (id f.check)

@@ -21,9 +21,8 @@ type check =
       (** the CFG exploration hit a node or depth cap — or, for srclint, a
           source file could not be parsed, so its verdict is a lower bound *)
   | S1_lock_leak
-      (** a [Mutex.lock] has a raising or early-return path on which the
-          matching [Mutex.unlock] never runs (not wrapped in
-          [with_lock]/[Fun.protect]/try-finally) *)
+      (** a [Mutex.lock] outside [Sync.with_lock]'s own body shape: a raise
+          or an early return before the unlock would leave it held *)
   | S2_wait_no_recheck
       (** a [Condition.wait] not re-checked by an enclosing while loop *)
   | S3_blocking_under_lock
@@ -56,10 +55,12 @@ type t = {
 val id : check -> string
 (** Stable string id used in the JSON report, e.g. ["L1-remote-spin"]. *)
 
-val check_of_id : string -> check option
-val all_checks : check list
-
 val is_static : check -> bool
 (** [true] for the CFG lint passes, [false] for sanitizer findings. *)
+
+val kills : check -> t list -> bool
+(** [kills c fs]: [c] fires un-waived among [fs] — the kill test for a
+    seeded mutant that expects [c], in both the {!Mutants} and the
+    {!Srclint_mutants} corpus. *)
 
 val pp : Format.formatter -> t -> unit

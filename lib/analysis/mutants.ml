@@ -228,9 +228,3 @@ let all =
       m_expected = Finding.S_protected_write } ]
 
 let find name = List.find_opt (fun m -> String.equal m.m_name name) all
-
-(* A mutant is killed when its expected check fires un-waived. *)
-let killed m report =
-  List.exists
-    (fun f -> f.Finding.check = m.m_expected && not f.Finding.waived)
-    report.Lint.r_findings

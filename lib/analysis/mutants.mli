@@ -14,6 +14,3 @@ type t = {
 
 val all : t list
 val find : string -> t option
-
-val killed : t -> Lint.report -> bool
-(** The expected check fired un-waived in the report. *)

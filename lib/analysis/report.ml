@@ -76,12 +76,12 @@ let pp_table ppf reports =
         (summarize_findings r.Lint.r_findings))
     reports
 
-let pp_findings ppf (r : Lint.report) =
+let pp_findings ppf fs =
   List.iter
     (fun (f : Finding.t) ->
       Format.fprintf ppf "  %a@." Finding.pp f;
       List.iter (fun w -> Format.fprintf ppf "      %s@." w) f.Finding.witness)
-    r.Lint.r_findings
+    fs
 
 (* ------------------------------------------------------------------ *)
 (* srclint: the source-level sibling document and table.               *)
@@ -130,10 +130,3 @@ let pp_srclint_table ppf frs =
         (if Srclint.file_clean fr then "clean" else "DIRTY")
         (summarize_findings fr.Srclint.fr_findings))
     frs
-
-let pp_srclint_findings ppf (fr : Srclint.file_report) =
-  List.iter
-    (fun (f : Finding.t) ->
-      Format.fprintf ppf "  %a@." Finding.pp f;
-      List.iter (fun w -> Format.fprintf ppf "      %s@." w) f.Finding.witness)
-    fr.Srclint.fr_findings

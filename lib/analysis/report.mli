@@ -16,7 +16,9 @@ val to_json :
     kill verdict. *)
 
 val pp_table : Format.formatter -> Lint.report list -> unit
-val pp_findings : Format.formatter -> Lint.report -> unit
+val pp_findings : Format.formatter -> Finding.t list -> unit
+(** One line per finding, then its witness lines; shared by [kexd lint] and
+    [kexd srclint]. *)
 
 (** {1 srclint} — the [kexclusion-srclint/v1] document and the table printed
     by [kexd srclint]. *)
@@ -33,4 +35,3 @@ val srclint_to_json :
     one entry per mutant with its [killed] and [exact] verdicts. *)
 
 val pp_srclint_table : Format.formatter -> Srclint.file_report list -> unit
-val pp_srclint_findings : Format.formatter -> Srclint.file_report -> unit

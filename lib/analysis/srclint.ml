@@ -7,14 +7,14 @@
    cluster routing table, the metrics plane.  It parses every .ml file with
    the compiler's own grammar (via ppxlib's version-pinned Parsetree, so the
    analyzer builds identically across compiler releases) and walks each
-   function body with a small path-sensitive interpreter of lock state:
+   function body, tracking which locks are held:
 
-   - S1 lock-leak: a [Mutex.lock m] with some raising or early-return path
-     on which no matching [Mutex.unlock m] runs.  The walker recognizes the
-     three exception-safe shapes ([Sync.with_lock]-style combinators,
-     [Fun.protect ~finally:unlock], and the explicit match-with-exception
-     try-finally) and otherwise requires the bare region between lock and
-     unlock to be provably non-raising on every path.
+   - S1 lock-leak: a [Mutex.lock m] anywhere but at the head of
+     [Sync.with_lock]'s own body, [Mutex.lock m; match f () with v ->
+     Mutex.unlock m; v | exception e -> Mutex.unlock m; raise e], with the
+     same [m] in all three places.  The rule is that every mutex is taken
+     through that combinator; any other bare lock is a finding, whatever
+     follows it.
    - S2 wait-without-recheck: a [Condition.wait] not enclosed in a while
      loop.  Wakeups are advisory; an if-guarded wait acts on a stale
      predicate.
@@ -29,10 +29,10 @@
      lock held; plus manifest-declared atomic-only modules that use a
      mutex after all.
 
-   Waivers: a finding whose site carries an [@srclint.allow S3]-style
-   attribute (expression, binding, or [@@@...] file level) or matches a
-   manifest waiver entry is reported with [waived = true] — in the JSON and
-   the table, never silently dropped.
+   A lock counts as held inside the function argument of a
+   [with_lock]/[Mutex.protect] call or of a manifest wrapper (routing's
+   [locked]), and inside the body of the [with_lock] shape itself.  There
+   are no waivers: every finding is reported with [waived = false].
 
    The analysis is per-function (intra-procedural) and syntactic: it knows
    nothing about aliasing, and identifies locks and atomics by their printed
@@ -48,22 +48,19 @@ open Ppxlib
 
 type guard = { g_lock : string; g_fields : string list }
 type wrapper = { wr_fn : string; wr_lock : string }
-type waiver = { wv_check : Finding.check; wv_site : string }
 
 type module_rules = {
   mr_file : string;  (* path suffix, e.g. "lib/service/wqueue.ml" *)
   mr_guards : guard list;
   mr_wrappers : wrapper list;  (* local fn name -> lock field it takes *)
   mr_atomic_only : bool;  (* module promises to use no Mutex/Condition *)
-  mr_waivers : waiver list;
 }
 
-let rules ?(guards = []) ?(wrappers = []) ?(atomic_only = false) ?(waivers = []) file =
+let rules ?(guards = []) ?(wrappers = []) ?(atomic_only = false) file =
   { mr_file = file;
     mr_guards = guards;
     mr_wrappers = wrappers;
-    mr_atomic_only = atomic_only;
-    mr_waivers = waivers }
+    mr_atomic_only = atomic_only }
 
 (* The guarded-by manifest for this repository: which mutable state each
    lock protects, which local helpers are lock wrappers, and which modules
@@ -152,51 +149,7 @@ let blocking_fns =
     "Unix.accept"; "Unix.sleep"; "Unix.sleepf"; "Unix.recv"; "Unix.send"; "Thread.delay";
     "Thread.join"; "Domain.join"; "Netio.read"; "Netio.write_all" ]
 
-(* Applications that cannot raise — the only calls allowed inside a *bare*
-   lock/unlock region (everything else must go through with_lock).  Kept
-   deliberately small: growing it weakens S1. *)
-let no_raise_fns =
-  [ "Mutex.lock"; "Mutex.unlock"; "Condition.wait"; "Condition.signal"; "Condition.broadcast";
-    "Atomic.get"; "Atomic.set"; "Atomic.incr"; "Atomic.decr"; "Atomic.exchange";
-    "Atomic.compare_and_set"; "Atomic.fetch_and_add"; "Domain.cpu_relax"; "Queue.push";
-    "Queue.add"; "Queue.is_empty"; "Queue.length"; "Queue.clear"; "List.rev"; "List.length";
-    "Array.length"; "Option.is_none"; "Option.is_some"; "not"; "ignore"; "ref"; "incr";
-    "decr"; "fst"; "snd"; "min"; "max"; "abs"; "succ"; "pred"; "+"; "-"; "*"; "+."; "-.";
-    "*."; "land"; "lor"; "lxor"; "lsl"; "lsr"; "asr"; "="; "<>"; "<"; ">"; "<="; ">="; "==";
-    "!="; "&&"; "||"; "@"; "^"; "!"; ":=" ]
-
-let is_no_raise flat = List.exists (fn_matches flat) no_raise_fns
 let is_blocking flat = List.exists (fn_matches flat) blocking_fns
-
-(* May evaluating [e] raise?  Conservative: any application outside the
-   no-raise list may. *)
-let rec may_raise e =
-  match (strip e).pexp_desc with
-  | Pexp_constant _ | Pexp_ident _ | Pexp_function _ | Pexp_unreachable -> false
-  | Pexp_field (b, _) -> may_raise b
-  | Pexp_setfield (b, _, v) -> may_raise b || may_raise v
-  | Pexp_tuple es | Pexp_array es -> List.exists may_raise es
-  | Pexp_construct (_, arg) | Pexp_variant (_, arg) -> (
-      match arg with Some a -> may_raise a | None -> false)
-  | Pexp_record (fields, base) ->
-      List.exists (fun (_, v) -> may_raise v) fields
-      || (match base with Some b -> may_raise b | None -> false)
-  | Pexp_ifthenelse (c, a, b) -> (
-      may_raise c || may_raise a || match b with Some b -> may_raise b | None -> false)
-  | Pexp_sequence (a, b) -> may_raise a || may_raise b
-  | Pexp_let (_, vbs, b) -> List.exists (fun vb -> may_raise vb.pvb_expr) vbs || may_raise b
-  | Pexp_while (c, b) -> may_raise c || may_raise b
-  | Pexp_match (s, cases) ->
-      may_raise s || List.exists (fun c -> may_raise c.pc_rhs) cases
-  | Pexp_try (_, cases) ->
-      (* the handler catches the body; only a raising handler escapes *)
-      List.exists (fun c -> may_raise c.pc_rhs) cases
-  | Pexp_lazy _ -> false
-  | Pexp_assert _ -> true
-  | Pexp_apply (f, args) ->
-      let flat = flat_of f in
-      if is_no_raise flat then List.exists (fun (_, a) -> may_raise a) args else true
-  | _ -> true
 
 (* ------------------------------- findings ------------------------------- *)
 
@@ -205,7 +158,6 @@ type stats = { mutable st_locks : int; mutable st_waits : int; mutable st_atomic
 type ctx = {
   cx_file : string;
   cx_rules : module_rules option;
-  mutable cx_global_waived : Finding.check list;  (* [@@@srclint.allow ...] *)
   cx_seen : (string * string, unit) Hashtbl.t;  (* (check id, site) dedup *)
   mutable cx_findings : Finding.t list;
   cx_stats : stats;
@@ -214,99 +166,26 @@ type ctx = {
 type env = {
   held : (string option * string option) list;  (* (render, manifest key) *)
   in_while : bool;
-  waived : Finding.check list;
   fname : string;
   abinds : (string * string) list;  (* var -> render of Atomic.get argument *)
 }
 
-let base_env fname = { held = []; in_while = false; waived = []; fname; abinds = [] }
+let base_env fname = { held = []; in_while = false; fname; abinds = [] }
 let push_held env lk = { env with held = lk :: env.held }
 let held_any env = env.held <> []
 let held_key env k = List.exists (fun (_, key) -> key = Some k) env.held
 
 let site_of ctx (loc : Location.t) = Printf.sprintf "%s:%d" ctx.cx_file loc.loc_start.pos_lnum
 
-let waived_by_manifest ctx check ~fname ~site =
-  match ctx.cx_rules with
-  | None -> false
-  | Some r ->
-      List.exists
-        (fun w ->
-          w.wv_check = check
-          && (w.wv_site = ""
-             || (fname <> ""
-                && (String.equal w.wv_site fname
-                   || String.length w.wv_site <= String.length fname
-                      && String.ends_with ~suffix:w.wv_site fname))
-             || String.ends_with ~suffix:w.wv_site site))
-        r.mr_waivers
-
 let emit ctx env check ~loc ~detail ~witness =
   let site = site_of ctx loc in
   let key = (Finding.id check, site) in
   if not (Hashtbl.mem ctx.cx_seen key) then begin
     Hashtbl.add ctx.cx_seen key ();
-    let waived =
-      List.mem check env.waived
-      || List.mem check ctx.cx_global_waived
-      || waived_by_manifest ctx check ~fname:env.fname ~site
-    in
     let detail = if env.fname = "" then detail else Printf.sprintf "in %s: %s" env.fname detail in
     ctx.cx_findings <-
-      { Finding.check; site; pid = None; detail; waived; witness } :: ctx.cx_findings
+      { Finding.check; site; pid = None; detail; waived = false; witness } :: ctx.cx_findings
   end
-
-(* ------------------------- attribute waivers ---------------------------- *)
-
-let check_of_token tok =
-  let tok = String.lowercase_ascii tok in
-  match tok with
-  | "s1" -> Some Finding.S1_lock_leak
-  | "s2" -> Some Finding.S2_wait_no_recheck
-  | "s3" -> Some Finding.S3_blocking_under_lock
-  | "s4" -> Some Finding.S4_nonatomic_rmw
-  | "s5" -> Some Finding.S5_unguarded_state
-  | _ -> (
-      match Finding.check_of_id tok with
-      | Some c -> Some c
-      | None ->
-          (* full ids are matched case-insensitively too *)
-          List.find_opt
-            (fun c -> String.lowercase_ascii (Finding.id c) = tok)
-            Finding.all_checks)
-
-let rec checks_of_payload_expr e acc =
-  match (strip e).pexp_desc with
-  | Pexp_construct ({ txt; _ }, None) | Pexp_ident { txt; _ } -> (
-      match check_of_token (try Longident.last_exn txt with _ -> "") with
-      | Some c -> c :: acc
-      | None -> acc)
-  | Pexp_constant (Pconst_string (s, _, _)) -> (
-      match check_of_token s with Some c -> c :: acc | None -> acc)
-  | Pexp_tuple es -> List.fold_left (fun acc e -> checks_of_payload_expr e acc) acc es
-  | Pexp_apply (f, args) ->
-      (* [S3 S4] parses as an application of constructors *)
-      List.fold_left
-        (fun acc (_, a) -> checks_of_payload_expr a acc)
-        (checks_of_payload_expr f acc)
-        args
-  | _ -> acc
-
-let attr_waivers attrs =
-  List.concat_map
-    (fun (a : attribute) ->
-      if a.attr_name.txt <> "srclint.allow" then []
-      else
-        match a.attr_payload with
-        | PStr items ->
-            List.concat_map
-              (fun it ->
-                match it.pstr_desc with
-                | Pstr_eval (e, _) -> checks_of_payload_expr e []
-                | _ -> [])
-              items
-        | _ -> [])
-    attrs
 
 (* ------------------------------ the walker ------------------------------ *)
 
@@ -326,56 +205,47 @@ let is_unlock_of lrender e =
       match unlabeled args with [ a ] -> String.equal (render a) lrender | _ -> false)
   | _ -> false
 
-let rec contains_unlock lrender e =
-  is_unlock_of lrender e
-  ||
-  match (strip e).pexp_desc with
-  | Pexp_sequence (a, b) -> contains_unlock lrender a || contains_unlock lrender b
-  | Pexp_let (_, vbs, b) ->
-      List.exists (fun vb -> contains_unlock lrender vb.pvb_expr) vbs
-      || contains_unlock lrender b
-  | Pexp_ifthenelse (c, a, b) ->
-      contains_unlock lrender c || contains_unlock lrender a
-      || (match b with Some b -> contains_unlock lrender b | None -> false)
-  | Pexp_match (s, cases) | Pexp_try (s, cases) ->
-      contains_unlock lrender s || List.exists (fun c -> contains_unlock lrender c.pc_rhs) cases
-  | Pexp_apply (f, args) ->
-      contains_unlock lrender f || List.exists (fun (_, a) -> contains_unlock lrender a) args
-  | Pexp_function (_, _, Pfunction_body b) -> contains_unlock lrender b
-  | Pexp_function (_, _, Pfunction_cases (cases, _, _)) ->
-      List.exists (fun c -> contains_unlock lrender c.pc_rhs) cases
-  | Pexp_while (c, b) -> contains_unlock lrender c || contains_unlock lrender b
-  | Pexp_tuple es -> List.exists (contains_unlock lrender) es
-  | _ -> false
-
-(* Does every straight-line path through [e] release [lrender]? *)
-let rec spine_unlocks lrender e =
-  is_unlock_of lrender e
-  ||
-  match (strip e).pexp_desc with
-  | Pexp_sequence (a, b) -> is_unlock_of lrender a || spine_unlocks lrender b
-  | Pexp_let (_, _, b) -> spine_unlocks lrender b
-  | Pexp_ifthenelse (_, a, Some b) -> spine_unlocks lrender a && spine_unlocks lrender b
-  | Pexp_match (_, cases) -> cases <> [] && List.for_all (fun c -> spine_unlocks lrender c.pc_rhs) cases
-  | _ -> false
-
 let is_exception_case c =
   match c.pc_lhs.ppat_desc with Ppat_exception _ -> true | _ -> false
 
-(* [Fun.protect ~finally:(fun () -> Mutex.unlock m) body]: return the
-   unlocked mutex's render plus the guarded body. *)
-let protect_unlock args =
-  let fin = List.assoc_opt (Labelled "finally") args in
-  let body = match unlabeled args with [ b ] -> Some b | _ -> None in
-  match (fin, body) with
-  | Some fin, Some body -> (
-      match fun_bodies fin with
-      | Some [ fe ] -> (
-          match (strip fe).pexp_desc with
-          | Pexp_apply (f, fargs) when fn_matches (flat_of f) "Mutex.unlock" -> (
-              match unlabeled fargs with [ m ] -> Some (render m, guard_key m, body) | _ -> None)
-          | _ -> None)
-      | _ -> None)
+(* [Mutex.lock m] — returns the lock expression. *)
+let lock_arg a =
+  match (strip a).pexp_desc with
+  | Pexp_apply (f, args) when fn_matches (flat_of f) "Mutex.lock" -> (
+      match unlabeled args with [ m ] -> Some m | _ -> None)
+  | _ -> None
+
+(* [Sync.with_lock]'s own body, the one place a bare lock is allowed:
+   [lock] is [Mutex.lock m] and [rest] is [match body with v ->
+   Mutex.unlock m; v | exception e -> Mutex.unlock m; raise e], the same
+   [m] throughout.  Returns [m] and [body]. *)
+let with_lock_shape lock rest =
+  let is_var v e =
+    match (strip e).pexp_desc with Pexp_ident { txt = Lident x; _ } -> String.equal x v | _ -> false
+  in
+  match (lock_arg lock, (strip rest).pexp_desc) with
+  | Some m, Pexp_match (body, ([ c1; c2 ] as cases)) ->
+      let lrender = render m in
+      let unlock_then e k =
+        match (strip e).pexp_desc with
+        | Pexp_sequence (u, r) -> is_unlock_of lrender u && k r
+        | _ -> false
+      in
+      let releases c =
+        c.pc_guard = None
+        &&
+        match c.pc_lhs.ppat_desc with
+        | Ppat_var { txt = v; _ } -> unlock_then c.pc_rhs (is_var v)
+        | Ppat_exception { ppat_desc = Ppat_var { txt = x; _ }; _ } ->
+            unlock_then c.pc_rhs (fun r ->
+                match (strip r).pexp_desc with
+                | Pexp_apply (f, [ (Nolabel, a) ]) -> fn_matches (flat_of f) "raise" && is_var x a
+                | _ -> false)
+        | _ -> false
+      in
+      if List.for_all releases cases && is_exception_case c1 <> is_exception_case c2 then
+        Some (m, body)
+      else None
   | _ -> None
 
 let occurs var e =
@@ -418,18 +288,13 @@ let snippet e =
   if String.length s > 72 then String.sub s 0 69 ^ "..." else s
 
 let rec walk ctx env e =
-  let env =
-    match attr_waivers e.pexp_attributes with
-    | [] -> env
-    | ws -> { env with waived = ws @ env.waived }
-  in
   match e.pexp_desc with
   | Pexp_apply (f, args) -> handle_apply ctx env e f args
   | Pexp_sequence (a, b) -> (
-      match lock_arg a with
-      | Some m ->
+      match with_lock_shape a b with
+      | Some (m, body) ->
           ctx.cx_stats.st_locks <- ctx.cx_stats.st_locks + 1;
-          after_lock ctx env (render m, guard_key m, a.pexp_loc) b
+          walk ctx (push_held env (Some (render m), guard_key m)) body
       | None ->
           walk ctx env a;
           walk ctx env b)
@@ -478,13 +343,6 @@ let rec walk ctx env e =
       List.iter (fun a -> walk ctx env a.pbop_exp) ands;
       walk ctx env body
   | _ -> ()
-
-(* [Mutex.lock m] — returns the lock expression. *)
-and lock_arg a =
-  match (strip a).pexp_desc with
-  | Pexp_apply (f, args) when fn_matches (flat_of f) "Mutex.lock" -> (
-      match unlabeled args with [ m ] -> Some m | _ -> None)
-  | _ -> None
 
 and extend_abinds env vbs =
   List.fold_left
@@ -610,109 +468,20 @@ and handle_apply ctx env e f args =
             | Some bodies -> List.iter (walk ctx (push_held env (None, Some w.wr_lock))) bodies
             | None -> walk ctx env a)
           args
-    | None -> (
-        match protect_unlock args with
-        | Some (lrender, lkey, body) when fn_matches flat "Fun.protect" ->
-            ctx.cx_stats.st_locks <- ctx.cx_stats.st_locks + 1;
-            let env' = push_held env (Some lrender, lkey) in
-            List.iter (walk ctx env') (Option.value ~default:[ body ] (fun_bodies body))
-        | _ ->
-            if fn_matches flat "Mutex.lock" then begin
-              (* a lock srclint's sequence handling did not consume: nothing
-                 downstream can be proven to release it *)
-              ctx.cx_stats.st_locks <- ctx.cx_stats.st_locks + 1;
-              emit ctx env Finding.S1_lock_leak ~loc:e.pexp_loc
-                ~detail:
-                  (Printf.sprintf
-                     "Mutex.lock %s in a position where no release path is visible (wrap the \
-                      critical section in Sync.with_lock)"
-                     (match unlabeled args with [ m ] -> render m | _ -> "<lock>"))
-                ~witness:[ snippet e ]
-            end;
-            walk ctx env f;
-            List.iter (fun (_, a) -> walk ctx env a) args)
-
-(* Straight-line scan of the region between [Mutex.lock] and its matching
-   unlock.  [lk = (render, key, lock loc)].  Every statement in the region
-   must be provably non-raising (S1); the walk continues with the lock held
-   so S2/S3/S4/S5 see it. *)
-and after_lock ctx env ((lrender, lkey, lloc) as lk) rest =
-  let held_env = push_held env (Some lrender, lkey) in
-  let region_stmt a =
-    if may_raise a then
-      emit ctx env Finding.S1_lock_leak ~loc:a.pexp_loc
-        ~detail:
-          (Printf.sprintf
-             "'%s' may raise while '%s' is held with no handler to release it — wrap the \
-              region in Sync.with_lock"
-             (snippet a) lrender)
-        ~witness:
-          [ Printf.sprintf "Mutex.lock %s at line %d" lrender lloc.loc_start.pos_lnum;
-            Printf.sprintf "raising path through: %s" (snippet a) ];
-    walk ctx held_env a
-  in
-  let rest' = strip rest in
-  match rest'.pexp_desc with
-  | Pexp_sequence (a, b) when is_unlock_of lrender a -> walk ctx env b
-  | Pexp_sequence (a, b) when contains_unlock lrender a ->
-      (* a statement (if/match/Fun.protect) that releases on its internal
-         paths; scan it branch-wise, then continue released *)
-      after_lock ctx env lk a;
-      walk ctx env b
-  | Pexp_sequence (a, b) ->
-      region_stmt a;
-      after_lock ctx env lk b
-  | Pexp_let (_, vbs, b) ->
-      List.iter (fun vb -> region_stmt vb.pvb_expr) vbs;
-      after_lock ctx (extend_abinds env vbs) lk b
-  | _ when is_unlock_of lrender rest' -> ()
-  | Pexp_match (scrut, cases)
-    when List.exists is_exception_case cases
-         && cases <> []
-         && List.for_all (fun c -> spine_unlocks lrender c.pc_rhs) cases ->
-      (* the explicit try-finally: both the value and the exception
-         continuation release, so the scrutinee runs protected *)
-      walk ctx held_env scrut;
-      List.iter (fun c -> after_lock ctx env lk c.pc_rhs) cases
-  | Pexp_match (scrut, cases)
-    when cases <> [] && List.for_all (fun c -> spine_unlocks lrender c.pc_rhs) cases ->
-      (* every branch releases, but a raise inside the scrutinee escapes *)
-      region_stmt scrut;
-      List.iter (fun c -> after_lock ctx env lk c.pc_rhs) cases
-  | Pexp_ifthenelse (c, th, el) -> (
-      region_stmt c;
-      after_lock ctx env lk th;
-      match el with
-      | Some e -> after_lock ctx env lk e
-      | None ->
-          emit ctx env Finding.S1_lock_leak ~loc:rest'.pexp_loc
+    | None ->
+        if fn_matches flat "Mutex.lock" then begin
+          (* a bare lock the with_lock shape did not consume *)
+          ctx.cx_stats.st_locks <- ctx.cx_stats.st_locks + 1;
+          emit ctx env Finding.S1_lock_leak ~loc:e.pexp_loc
             ~detail:
               (Printf.sprintf
-                 "if-branch without else leaves '%s' held when the condition is false" lrender)
-            ~witness:[ Printf.sprintf "Mutex.lock %s at line %d" lrender lloc.loc_start.pos_lnum ])
-  | Pexp_apply (f, args) when fn_matches (flat_of f) "Fun.protect" -> (
-      match protect_unlock args with
-      | Some (pr, pk, body) when String.equal pr lrender ->
-          let env' = push_held env (Some pr, pk) in
-          List.iter (walk ctx env') (Option.value ~default:[ body ] (fun_bodies body));
-          ignore pk
-      | _ ->
-          region_stmt rest';
-          emit_exit ctx env lk rest')
-  | _ ->
-      walk ctx held_env rest';
-      emit_exit ctx env lk rest'
-
-and emit_exit ctx env (lrender, _, lloc) rest =
-  emit ctx env Finding.S1_lock_leak ~loc:rest.pexp_loc
-    ~detail:
-      (Printf.sprintf
-         "path reaches the end of the function with '%s' still held (no matching \
-          Mutex.unlock)"
-         lrender)
-    ~witness:
-      [ Printf.sprintf "Mutex.lock %s at line %d" lrender lloc.loc_start.pos_lnum;
-        Printf.sprintf "path ends at: %s" (snippet rest) ]
+                 "Mutex.lock %s outside Sync.with_lock: a raise or an early return before the \
+                  unlock leaves it held (wrap the critical section in Sync.with_lock)"
+                 (match unlabeled args with [ m ] -> render m | _ -> "<lock>"))
+            ~witness:[ snippet e ]
+        end;
+        walk ctx env f;
+        List.iter (fun (_, a) -> walk ctx env a) args
 
 (* --------------------------- structure walking -------------------------- *)
 
@@ -730,15 +499,11 @@ let walk_structure ctx str =
     match it.pstr_desc with
     | Pstr_value (_, vbs) ->
         List.iter
-          (fun vb ->
-            let env = base_env (binding_name vb) in
-            let env = { env with waived = attr_waivers vb.pvb_attributes } in
-            walk ctx env vb.pvb_expr)
+          (fun vb -> walk ctx (base_env (binding_name vb)) vb.pvb_expr)
           vbs
     | Pstr_eval (e, _) -> walk ctx (base_env "") e
     | Pstr_module mb -> module_expr mb.pmb_expr
     | Pstr_recmodule mbs -> List.iter (fun mb -> module_expr mb.pmb_expr) mbs
-    | Pstr_attribute a -> ctx.cx_global_waived <- attr_waivers [ a ] @ ctx.cx_global_waived
     | _ -> ()
   and module_expr me =
     match me.pmod_desc with
@@ -758,8 +523,7 @@ type file_report = {
   fr_atomics : int;
 }
 
-let violations fr = List.filter (fun (f : Finding.t) -> not f.Finding.waived) fr.fr_findings
-let file_clean fr = violations fr = []
+let file_clean fr = fr.fr_findings = []
 let clean frs = List.for_all file_clean frs
 
 let finding_line (f : Finding.t) =
@@ -774,7 +538,6 @@ let lint_source ?(manifest = default_manifest) ~path code =
   let ctx =
     { cx_file = norm_path path;
       cx_rules = rules_for manifest path;
-      cx_global_waived = [];
       cx_seen = Hashtbl.create 16;
       cx_findings = [];
       cx_stats = { st_locks = 0; st_waits = 0; st_atomics = 0 } }

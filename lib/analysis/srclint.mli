@@ -5,27 +5,26 @@
     Where the kexlint passes analyze {e Op programs} (the simulator's
     instruction set), srclint parses real [.ml] files with the compiler's
     grammar (via ppxlib's version-pinned Parsetree) and walks each function
-    with a path-sensitive model of lock state.  Five checks:
+    tracking which locks are held.  Five checks:
 
-    - {b S1 lock-leak} — a [Mutex.lock] with a raising or early-return path
-      that skips the matching unlock.  [Sync.with_lock], [Fun.protect
-      ~finally:unlock] and the explicit match-with-exception finally are
-      recognized as safe shapes; bare regions must be provably non-raising
-      on every path.
+    - {b S1 lock-leak} — a [Mutex.lock] outside [Sync.with_lock]'s own body
+      shape, [Mutex.lock m; match f () with v -> Mutex.unlock m; v
+      | exception e -> Mutex.unlock m; raise e] with one [m] throughout.
+      Every other mutex acquisition must go through [with_lock].
     - {b S2 wait-without-recheck} — [Condition.wait] not inside a while
       loop.
     - {b S3 blocking-under-lock} — a blocking syscall reachable while a
-      mutex is held.
+      mutex is held: inside a [with_lock]/[Mutex.protect] call, a manifest
+      wrapper, or the [with_lock] shape's body.
     - {b S4 non-atomic RMW} — [Atomic.set a (… Atomic.get a …)], directly
       or through a let-binding: the lost-update shape.
     - {b S5 unguarded shared state} — access to a field the guarded-by
       manifest assigns to a lock, without that lock held; or a mutex in a
       manifest-declared atomic-only module.
 
-    Findings flow through the shared {!Finding} type; waived findings
-    ([@srclint.allow S3] attributes or manifest waivers) are reported with
-    [waived = true], never dropped.  A file that fails to parse yields an
-    un-waived {!Finding.A_incomplete} so [--require-clean] stays honest. *)
+    Findings flow through the shared {!Finding} type.  srclint has no
+    waivers: every finding has [waived = false].  A file that fails to parse
+    yields an {!Finding.A_incomplete} so [--require-clean] stays honest. *)
 
 (** {1 Guarded-by manifest} *)
 
@@ -37,11 +36,6 @@ type wrapper = { wr_fn : string; wr_lock : string }
 (** A module-local locking combinator: calls to [wr_fn] run their function
     argument with [wr_lock] held (e.g. routing's [locked]). *)
 
-type waiver = { wv_check : Finding.check; wv_site : string }
-(** Manifest-level waiver: findings of [wv_check] whose enclosing function
-    (or site suffix) matches [wv_site] — or any site when [wv_site] is [""]
-    — are reported waived. *)
-
 type module_rules = {
   mr_file : string;  (** path suffix this entry applies to *)
   mr_guards : guard list;
@@ -49,14 +43,12 @@ type module_rules = {
   mr_atomic_only : bool;
       (** the module promises to synchronize with atomics only; any
           [Mutex]/[Condition] use is an S5 finding *)
-  mr_waivers : waiver list;
 }
 
 val rules :
   ?guards:guard list ->
   ?wrappers:wrapper list ->
   ?atomic_only:bool ->
-  ?waivers:waiver list ->
   string ->
   module_rules
 
@@ -70,19 +62,16 @@ val rules_for : module_rules list -> string -> module_rules option
 
 type file_report = {
   fr_path : string;
-  fr_findings : Finding.t list;  (** sorted by line, waived included *)
+  fr_findings : Finding.t list;  (** sorted by line *)
   fr_locks : int;  (** lock acquisitions seen (bare, combinator, wrapper) *)
   fr_waits : int;  (** [Condition.wait] sites *)
   fr_atomics : int;  (** [Atomic.*] applications *)
 }
 
-val violations : file_report -> Finding.t list
-(** Non-waived findings only. *)
-
 val file_clean : file_report -> bool
 
 val clean : file_report list -> bool
-(** No un-waived finding in any file. *)
+(** No finding in any file. *)
 
 (** {1 Entry points} *)
 

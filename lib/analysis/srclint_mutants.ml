@@ -5,7 +5,7 @@
    concurrency bug.  The corpus pins two properties, checked by
    [test/test_srclint.ml] and the [--mutants] CLI gate:
 
-   - {e killed}: the mutant's expected check fires un-waived;
+   - {e killed}: the mutant's expected check fires ([Finding.kills]);
    - {e exact}: {b only} that check fires — no other check pattern-matches
      the bug, so a regression in one pass cannot hide behind noise from
      another. *)
@@ -135,14 +135,7 @@ let find name = List.find_opt (fun m -> String.equal m.sm_name name) all
 
 let report m = Srclint.lint_source ~manifest:m.sm_manifest ~path:m.sm_path m.sm_source
 
-(* Killed: the expected check fires un-waived. *)
-let killed m fr =
-  List.exists
-    (fun (f : Finding.t) -> f.Finding.check = m.sm_expected && not f.Finding.waived)
-    fr.Srclint.fr_findings
-
 (* Exact: only the expected check fires. *)
 let exact m fr =
-  List.sort_uniq compare
-    (List.map (fun (f : Finding.t) -> f.Finding.check) (Srclint.violations fr))
+  List.sort_uniq compare (List.map (fun (f : Finding.t) -> f.Finding.check) fr.Srclint.fr_findings)
   = [ m.sm_expected ]

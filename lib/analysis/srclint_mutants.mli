@@ -19,8 +19,5 @@ val find : string -> t option
 val report : t -> Srclint.file_report
 (** Lint the mutant's source under its own manifest. *)
 
-val killed : t -> Srclint.file_report -> bool
-(** The expected check fired un-waived. *)
-
 val exact : t -> Srclint.file_report -> bool
 (** {e Only} the expected check fired — the kill is attributable. *)

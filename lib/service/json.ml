@@ -80,6 +80,11 @@ let to_string ?(indent = 0) v =
   go 0 v;
   Buffer.contents b
 
+let to_file file v =
+  Out_channel.with_open_text file (fun oc ->
+      output_string oc (to_string ~indent:2 v);
+      output_char oc '\n')
+
 (* ------------------------------- parsing -------------------------------- *)
 
 exception Fail of string

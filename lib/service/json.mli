@@ -17,6 +17,11 @@ val to_string : ?indent:int -> t -> string
 (** [indent = 0] (default) prints compact single-line JSON; [indent > 0]
     pretty-prints with that many spaces per level. *)
 
+val to_file : string -> t -> unit
+(** [to_file file v] writes [v] pretty-printed ([indent = 2]) with a
+    trailing newline, replacing [file]; the channel is closed even if a
+    write raises. *)
+
 val parse : string -> (t, string) result
 (** Strict single-document parse.  Numbers without [.]/[e] parse as [Int].
     [\u] escapes decode to UTF-8. *)

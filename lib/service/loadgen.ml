@@ -794,12 +794,6 @@ let to_json cfg s =
                Json.Obj [ ("addr", Json.String addr); ("errors", Json.Int n) ])
              s.node_errors) ) ]
 
-let emit_json ~file cfg s =
-  let oc = open_out file in
-  output_string oc (Json.to_string ~indent:2 (to_json cfg s));
-  output_char oc '\n';
-  close_out oc
-
 let pp_summary ppf s =
   Format.fprintf ppf "requests   : %d (%.0f req/s, %d errors)@." s.requests s.throughput_rps
     s.errors;

@@ -101,8 +101,8 @@ val run : config -> summary
 (** Raises [Invalid_argument] before any domain starts if [connections],
     [conns_per_client], [pipeline] or [keys] is below 1. *)
 
-val emit_json : file:string -> config -> summary -> unit
-(** Write the run record: schema [kexclusion-serve/v6], provenance-stamped
+val to_json : config -> summary -> Json.t
+(** The run record: schema [kexclusion-serve/v6], provenance-stamped
     (git_rev, hostname), with the [config] block, the [totals] object
     (requests, errors, expected_errors, redirects, wall_s, throughput_rps,
     latency_us), per-[phases] and per-[ops] buckets, and [node_errors]

@@ -20,7 +20,7 @@ let test_each_mutant_killed_by_expected_check () =
   List.iter
     (fun m ->
       let r = analyze m in
-      if not (A.Mutants.killed m r) then
+      if not (A.Finding.kills m.A.Mutants.m_expected r.A.Lint.r_findings) then
         Alcotest.failf "%s survived: expected %s, got [%s]" m.A.Mutants.m_name
           (A.Finding.id m.A.Mutants.m_expected)
           (String.concat "; "

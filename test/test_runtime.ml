@@ -244,6 +244,24 @@ let test_renaming_direct () =
   Renaming.release r ~name:b;
   Alcotest.(check int) "released name reused" b (Renaming.acquire r)
 
+(* [Sync.with_lock], the combinator every mutex in lib/ and bin/ is taken
+   through: held inside the body, and free again after the body returns
+   and after it raises (the exception still reaches the caller). *)
+let test_sync_with_lock_releases () =
+  let m = Mutex.create () in
+  let v =
+    Kex_sync.Sync.with_lock m (fun () ->
+        Alcotest.(check bool) "held inside the body" false (Mutex.try_lock m);
+        7)
+  in
+  Alcotest.(check int) "body's value returned" 7 v;
+  Alcotest.(check bool) "free after return" true (Mutex.try_lock m);
+  Mutex.unlock m;
+  Alcotest.check_raises "body's exception re-raised" (Failure "boom") (fun () ->
+      Kex_sync.Sync.with_lock m (fun () -> failwith "boom"));
+  Alcotest.(check bool) "free after raise" true (Mutex.try_lock m);
+  Mutex.unlock m
+
 let suite =
   [ Helpers.tc "test-and-set" test_tas;
     Helpers.tc "bounded fetch-and-add saturates" test_bounded_faa;
@@ -255,4 +273,5 @@ let suite =
   @ [ Helpers.tc "assignment names unique under domains" test_assignment_names_unique;
       Helpers.tc "k-1 dead holders tolerated" test_dead_holders_tolerated;
       Helpers.tc "renaming hands out and reuses names" test_renaming_direct;
-      Helpers.tc "try_acquire refuses without waiting and leaves no trace" test_try_acquire ]
+      Helpers.tc "try_acquire refuses without waiting and leaves no trace" test_try_acquire;
+      Helpers.tc "Sync.with_lock releases on return and on raise" test_sync_with_lock_releases ]

@@ -523,7 +523,7 @@ let test_loadgen_run_record () =
       let s = L.run cfg in
       let file = Filename.temp_file "kexd-loadgen" ".json" in
       Fun.protect ~finally:(fun () -> Sys.remove file) (fun () ->
-          L.emit_json ~file cfg s;
+          J.to_file file (L.to_json cfg s);
           let text = In_channel.with_open_bin file In_channel.input_all in
           let doc =
             match J.parse text with Ok d -> d | Error e -> Alcotest.failf "record: %s" e

@@ -1,7 +1,8 @@
 (* srclint: the source-level concurrency lint.  Per-check fixtures (each
-   positive finding paired with a clean twin), recognition of the three
-   exception-safe locking shapes, waiver plumbing (attribute and manifest —
-   reported, never dropped), and the seeded-mutant kill matrix: every
+   positive finding paired with a clean twin), the one bare-lock shape S1
+   accepts (Sync.with_lock's own body) and its near misses, the absence of
+   waivers (an [@srclint.allow] attribute or a manifest entry leaves a
+   finding reported, un-waived), and the seeded-mutant kill matrix: every
    mutant killed by exactly its expected check. *)
 
 module A = Kex_analysis
@@ -11,7 +12,7 @@ let lint ?(manifest = []) ?(path = "fix/fixture.ml") src =
 
 let ids fr =
   List.sort_uniq compare
-    (List.map (fun (f : A.Finding.t) -> A.Finding.id f.A.Finding.check) (A.Srclint.violations fr))
+    (List.map (fun (f : A.Finding.t) -> A.Finding.id f.A.Finding.check) fr.A.Srclint.fr_findings)
 
 let check_ids what expected fr = Alcotest.(check (list string)) what expected (ids fr)
 
@@ -37,10 +38,10 @@ let pop m q =
 let pop m q = Sync.with_lock m (fun () -> Queue.pop q)
 |})
 
-let test_s1_nonraising_bare_region_ok () =
-  (* A bare pair around provably non-raising code is allowed: srclint is
-     path-sensitive, not a style cop. *)
-  check_clean "non-raising bare region"
+let test_s1_nonraising_bare_region () =
+  (* A bare pair is S1 even around code that cannot raise: the rule is
+     that every mutex is taken through Sync.with_lock. *)
+  check_ids "non-raising bare region" [ "S1-lock-leak" ]
     (lint
        {|
 type t = { m : Mutex.t; mutable n : int }
@@ -77,7 +78,7 @@ let f m p =
 
 let test_s1_try_finally_shape () =
   (* The explicit match-with-exception finally — Sync.with_lock's own body
-     — needs no waiver: both continuations provably release. *)
+     — is the one shape a bare Mutex.lock may open. *)
   check_clean "match-exception finally"
     (lint
        {|
@@ -93,7 +94,8 @@ let with_lock m f =
 |})
 
 let test_s1_fun_protect_shape () =
-  check_clean "Fun.protect finally"
+  (* Exception-safe, but not the with_lock shape: S1. *)
+  check_ids "Fun.protect finally" [ "S1-lock-leak" ]
     (lint
        {|
 let g m q =
@@ -103,7 +105,7 @@ let g m q =
 
 let test_s1_broken_try_finally () =
   (* The exception continuation forgets to release: the shape is not
-     recognized and the raising region is flagged. *)
+     recognized and the bare lock is flagged. *)
   check_ids "broken finally" [ "S1-lock-leak" ]
     (lint
        {|
@@ -252,34 +254,28 @@ let bump () = ignore (Atomic.fetch_and_add c 1)
 
 (* ------------------------------ waivers --------------------------------- *)
 
-let waived_findings fr =
-  List.filter (fun (f : A.Finding.t) -> f.A.Finding.waived) fr.A.Srclint.fr_findings
+(* srclint has no waivers: the S3 finding stays, un-waived. *)
+let check_s3_unwaived what fr =
+  check_ids what [ "S3-blocking-under-lock" ] fr;
+  Alcotest.(check bool)
+    (what ^ ": un-waived") false
+    (List.exists (fun (f : A.Finding.t) -> f.A.Finding.waived) fr.A.Srclint.fr_findings)
 
 let test_attribute_waiver_reported () =
-  let fr =
-    lint
-      {|
+  check_s3_unwaived "expression attribute"
+    (lint
+       {|
 let pause m = Sync.with_lock m (fun () -> (Unix.sleepf 0.001 [@srclint.allow S3]))
-|}
-  in
-  check_clean "expression waiver silences the gate" fr;
-  Alcotest.(check int)
-    "but the finding is still reported" 1
-    (List.length (waived_findings fr));
-  let fr =
-    lint
-      {|
+|});
+  check_s3_unwaived "binding attribute"
+    (lint
+       {|
 let[@srclint.allow S3] pause m = Sync.with_lock m (fun () -> Unix.sleepf 0.001)
-|}
-  in
-  check_clean "binding waiver silences the gate" fr;
-  Alcotest.(check int)
-    "binding waiver still reported" 1
-    (List.length (waived_findings fr))
+|})
 
 let test_waiver_is_check_specific () =
-  (* An S3 waiver must not hide an S1. *)
-  check_ids "S3 waiver leaves S1 alone" [ "S1-lock-leak" ]
+  (* An S3 attribute hides nothing; the bare region is S1 and nothing else. *)
+  check_ids "S3 attribute leaves S1" [ "S1-lock-leak" ]
     (lint
        {|
 let[@srclint.allow S3] f m q =
@@ -292,16 +288,13 @@ let[@srclint.allow S3] f m q =
 let test_manifest_waiver_reported () =
   let manifest =
     [ A.Srclint.rules "fix/mw.ml"
-        ~waivers:[ { A.Srclint.wv_check = A.Finding.S3_blocking_under_lock; wv_site = "" } ] ]
+        ~guards:[ { A.Srclint.g_lock = "m"; g_fields = [ "backlog" ] } ] ]
   in
-  let fr =
-    lint ~manifest ~path:"fix/mw.ml"
-      {|
+  check_s3_unwaived "file with a manifest entry"
+    (lint ~manifest ~path:"fix/mw.ml"
+       {|
 let pause m = Sync.with_lock m (fun () -> Unix.sleepf 0.001)
-|}
-  in
-  check_clean "manifest waiver silences the gate" fr;
-  Alcotest.(check int) "manifest waiver still reported" 1 (List.length (waived_findings fr))
+|})
 
 (* --------------------------- parse failures ----------------------------- *)
 
@@ -313,8 +306,8 @@ let test_parse_failure_is_incomplete () =
 (* ------------------------- the repo's own tree -------------------------- *)
 
 let test_sync_combinator_self_clean () =
-  (* The analyzer proves the blessed combinator itself without a waiver —
-     the property Sync.with_lock's implementation comment promises. *)
+  (* The blessed combinator lints clean through the S1 shape match, with
+     no manifest entry for its file. *)
   check_clean "Sync.with_lock source"
     (lint ~path:"lib/sync/sync.ml"
        {|
@@ -343,7 +336,7 @@ let test_mutant_kill_matrix () =
   List.iter
     (fun (m : A.Srclint_mutants.t) ->
       let fr = A.Srclint_mutants.report m in
-      if not (A.Srclint_mutants.killed m fr) then
+      if not (A.Finding.kills m.A.Srclint_mutants.sm_expected fr.A.Srclint.fr_findings) then
         Alcotest.failf "mutant %s survived (expected %s); got: %s" m.A.Srclint_mutants.sm_name
           (A.Finding.id m.A.Srclint_mutants.sm_expected)
           (String.concat ", " (ids fr));
@@ -380,7 +373,10 @@ let bump a = Atomic.set a (Atomic.get a + 1)
     List.map
       (fun m ->
         let r = A.Srclint_mutants.report m in
-        (m, r, A.Srclint_mutants.killed m r, A.Srclint_mutants.exact m r))
+        ( m,
+          r,
+          A.Finding.kills m.A.Srclint_mutants.sm_expected r.A.Srclint.fr_findings,
+          A.Srclint_mutants.exact m r ))
       A.Srclint_mutants.all
   in
   let doc = Kex_service.Json.to_string ~indent:2 (A.Report.srclint_to_json ~mutants [ fr ]) in
@@ -394,16 +390,60 @@ let bump a = Atomic.set a (Atomic.get a + 1)
   Alcotest.(check bool) "mutant entries" true (contains "\"killed\": true");
   Alcotest.(check bool) "exactness recorded" true (contains "\"exact\": true")
 
+(* ------------------------- S1 shape near misses ------------------------- *)
+
+let test_s1_shape_near_misses () =
+  (* Each is one edit away from Sync.with_lock's body; each is S1. *)
+  List.iter
+    (fun (what, src) -> check_ids what [ "S1-lock-leak" ] (lint src))
+    [ ( "statement between lock and match",
+        {|
+let with_lock m f =
+  Mutex.lock m;
+  ignore (f ());
+  match f () with
+  | v ->
+      Mutex.unlock m;
+      v
+  | exception e ->
+      Mutex.unlock m;
+      raise e
+|} );
+      ( "other mutex unlocked in one branch",
+        {|
+let with_lock m m' f =
+  Mutex.lock m;
+  match f () with
+  | v ->
+      Mutex.unlock m;
+      v
+  | exception e ->
+      Mutex.unlock m';
+      raise e
+|} );
+      ( "exception branch does not re-raise",
+        {|
+let with_lock m f handle =
+  Mutex.lock m;
+  match f () with
+  | v ->
+      Mutex.unlock m;
+      v
+  | exception e ->
+      Mutex.unlock m;
+      handle e
+|} ) ]
+
 let suite =
   [ Alcotest.test_case "S1: raising bare region flagged, with_lock twin clean" `Quick
       test_s1_raising_region;
-    Alcotest.test_case "S1: non-raising bare region allowed" `Quick
-      test_s1_nonraising_bare_region_ok;
+    Alcotest.test_case "S1: non-raising bare region flagged" `Quick
+      test_s1_nonraising_bare_region;
     Alcotest.test_case "S1: early return with lock held" `Quick test_s1_early_return;
     Alcotest.test_case "S1: if without else" `Quick test_s1_if_without_else;
     Alcotest.test_case "S1: match-exception finally recognized" `Quick
       test_s1_try_finally_shape;
-    Alcotest.test_case "S1: Fun.protect finally recognized" `Quick test_s1_fun_protect_shape;
+    Alcotest.test_case "S1: Fun.protect finally flagged" `Quick test_s1_fun_protect_shape;
     Alcotest.test_case "S1: broken finally still flagged" `Quick test_s1_broken_try_finally;
     Alcotest.test_case "S2: if-guarded wait flagged, while twin clean" `Quick
       test_s2_if_guarded_wait;
@@ -429,4 +469,6 @@ let suite =
     Alcotest.test_case "every mutant killed by exactly its check" `Quick
       test_mutant_kill_matrix;
     Alcotest.test_case "mutant corpus covers S1-S5" `Quick test_mutant_corpus_covers_all_checks;
-    Alcotest.test_case "kexclusion-srclint/v1 JSON document" `Quick test_json_document ]
+    Alcotest.test_case "kexclusion-srclint/v1 JSON document" `Quick test_json_document;
+    Alcotest.test_case "S1: near misses of the with_lock shape flagged" `Quick
+      test_s1_shape_near_misses ]
