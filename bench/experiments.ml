@@ -279,6 +279,7 @@ let renaming_cmp () =
               Kexclusion.Protocol.named_workload
                 { Kexclusion.Protocol.assignment_name = "fig7";
                   acquire = (fun ~pid:_ -> Kexclusion.Renaming.acquire r);
+                  try_acquire = (fun ~pid:_ -> Op.map Option.some (Kexclusion.Renaming.acquire r));
                   release = (fun ~pid:_ ~name -> Kexclusion.Renaming.release r ~name) })
         in
         check "fig7-renaming" res;

@@ -44,11 +44,11 @@ let assignment_test () =
          Kex_runtime.Kex_lock.Assignment.release asg ~pid:7 ~name))
 
 let renaming_test () =
-  let r = Kex_runtime.Renaming.create ~k:4 in
+  let r = Kex_runtime.Direct.renaming 64 ~k:4 in
   Test.make ~name:"renaming acquire/release"
     (Staged.stage (fun () ->
-         let name = Kex_runtime.Renaming.acquire r in
-         Kex_runtime.Renaming.release r ~name))
+         let name = Kex_runtime.Direct.rename r in
+         Kex_runtime.Direct.unname r ~name))
 
 let universal_test () =
   let u =

@@ -21,6 +21,9 @@ let with_payload mem (w : Runner.workload) =
   ( payload,
     { w with Runner.cs_body = Some (fun ~pid ~name:_ -> Op.write payload (pid + 1)) } )
 
+(* The mutant blocks have no no-wait entry: a try refuses without a step. *)
+let refuse ~pid:_ = return false
+
 let subject ~name ~model ~n ~k ?(meta = meta_plain) make =
   { Lint.sub_name = name; sub_model = model; sub_n = n; sub_k = k; sub_meta = meta;
     sub_make = make; sub_name_cell = "fig7.X" }
@@ -46,7 +49,7 @@ let fig2_no_release_write mem ~k ~inner =
     (* BUG: statement 7 "Q := p" omitted *)
     inner.Protocol.exit ~pid
   in
-  { Protocol.name = Printf.sprintf "fig2-no-release[k=%d]" k; entry; exit }
+  { Protocol.name = Printf.sprintf "fig2-no-release[k=%d]" k; entry; exit; try_entry = refuse }
 
 (* ---- 2. Figure 2 with the slot counter off by one. -------------------- *)
 (* X starts at k+1, so k+1 processes see a free slot and walk straight into
@@ -68,7 +71,7 @@ let fig2_off_by_one mem ~k ~inner =
     let* () = write q pid in
     inner.Protocol.exit ~pid
   in
-  { Protocol.name = Printf.sprintf "fig2-off-by-one[k=%d]" k; entry; exit }
+  { Protocol.name = Printf.sprintf "fig2-off-by-one[k=%d]" k; entry; exit; try_entry = refuse }
 
 (* ---- 5. A waiter that re-announces itself inside its wait loop. ------- *)
 (* Functionally it still waits for Q to change, but each iteration rewrites
@@ -99,16 +102,13 @@ let fig2_write_in_loop mem ~k ~inner =
     let* () = write q pid in
     inner.Protocol.exit ~pid
   in
-  { Protocol.name = Printf.sprintf "fig2-write-in-loop[k=%d]" k; entry; exit }
-
-let trivial_inner = { Protocol.name = "trivial"; entry = (fun ~pid:_ -> return ());
-                      exit = (fun ~pid:_ -> return ()) }
+  { Protocol.name = Printf.sprintf "fig2-write-in-loop[k=%d]" k; entry; exit; try_entry = refuse }
 
 (* Wrap a mutated k-exclusion block into the usual Figure 7 assignment. *)
 let assignment_subject ~name ~model ~n ~k ?meta block =
   let make () =
     let mem = Memory.create () in
-    let kex = block mem ~k ~inner:trivial_inner in
+    let kex = block mem ~k ~inner:(Kexclusion.Trivial.create ()) in
     let named = Kexclusion.Assignment.create mem ~kex ~k in
     let _payload, w = with_payload mem (Protocol.named_workload named) in
     (mem, w)
@@ -131,7 +131,8 @@ let skip_clear_subject ~n ~k =
       kex.Protocol.exit ~pid
     in
     let named =
-      { Protocol.assignment_name = "skip-clear"; acquire; release }
+      { Protocol.assignment_name = "skip-clear"; acquire;
+        try_acquire = (fun ~pid:_ -> return None); release }
     in
     let _payload, w = with_payload mem (Protocol.named_workload named) in
     (mem, w)

@@ -1,15 +1,1 @@
-open Import
-open Op
-
-let create mem ~kex ~k =
-  let renaming = Renaming.create mem ~k in
-  let acquire ~pid =
-    let* () = kex.Protocol.entry ~pid in
-    Renaming.acquire renaming
-  in
-  let release ~pid ~name =
-    let* () = Renaming.release renaming ~name in
-    kex.Protocol.exit ~pid
-  in
-  { Protocol.assignment_name = Printf.sprintf "assignment[%s,k=%d]" kex.Protocol.name k;
-    acquire; release }
+let create = Simulated.assignment

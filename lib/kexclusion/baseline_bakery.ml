@@ -39,4 +39,5 @@ let create mem ~n ~k =
     wait ()
   in
   let exit ~pid = write (number + pid) 0 in
-  { Protocol.name = Printf.sprintf "bakery[n=%d,k=%d]" n k; entry; exit }
+  { Protocol.name = Printf.sprintf "bakery[n=%d,k=%d]" n k; entry; exit;
+    try_entry = (fun ~pid:_ -> return false) }

@@ -1,30 +1,1 @@
-open Import
-open Op
-
-(* Statement numbers in comments refer to Figure 2 of the paper. *)
-let create mem ~n:_ ~k ~inner =
-  let x = Memory.alloc mem ~label:"fig2.X" ~init:k 1 in
-  let q = Memory.alloc mem ~label:"fig2.Q" ~init:0 1 in
-  let entry ~pid =
-    let* () = inner.Protocol.entry ~pid in
-    (* 1 *)
-    let* slots = faa x (-1) in
-    (* 2 *)
-    if slots = 0 then
-      let* () = write q pid in
-      (* 3: initialize spin location *)
-      let* xv = read x in
-      (* 4: still no slots available? *)
-      if xv < 0 then await_ne q pid (* 5: busy-wait until released *)
-      else return ()
-    else return ()
-  in
-  let exit ~pid =
-    let* _ = faa x 1 in
-    (* 6: release a slot *)
-    let* () = write q pid in
-    (* 7: release waiting process (if any) *)
-    inner.Protocol.exit ~pid
-    (* 8 *)
-  in
-  { Protocol.name = Printf.sprintf "fig2[k=%d]" k; entry; exit }
+let create = Simulated.fig2

@@ -1,95 +1,1 @@
-open Import
-open Op
-
-(* Statement numbers in comments refer to Figure 6 of the paper.  [Q] holds
-   an encoded pair (pid, loc) with loc in 0..k+1. *)
-let create mem ~n:_ ~k ~inner =
-  let slots = k + 2 in
-  let enc ~pid ~loc = (pid * slots) + loc in
-  let dec v = (v / slots, v mod slots) in
-  let x = Memory.alloc mem ~label:"fig6.X" ~init:k 1 in
-  let q = Memory.alloc mem ~label:"fig6.Q" ~init:(enc ~pid:0 ~loc:0) 1 in
-  (* P[p][0..k+1] and R[p][0..k+1] are local to process p.  Cell banks are
-     materialised per pid on first use: when this block sits inside a tree or
-     nested fast path, the entering processes carry global ids. *)
-  let p_bank =
-    Pid_state.create (fun pid ->
-        Memory.alloc mem ~owner:pid ~label:(Printf.sprintf "fig6.P[p%d]" pid) ~init:0 slots)
-  in
-  let r_bank =
-    Pid_state.create (fun pid ->
-        Memory.alloc mem ~owner:pid ~label:(Printf.sprintf "fig6.R[p%d]" pid) ~init:0 slots)
-  in
-  let p_cell ~pid ~loc = Pid_state.get p_bank pid + loc in
-  let r_cell ~pid ~loc = Pid_state.get r_bank pid + loc in
-  (* Q initially names process 0's location 0: make sure it exists even if
-     process 0 never enters this instance. *)
-  let _ = p_cell ~pid:0 ~loc:0 and _ = r_cell ~pid:0 ~loc:0 in
-  (* The paper's private variable [last], persistent across acquisitions. *)
-  let last = Pid_state.create (fun _ -> 0) in
-  let entry ~pid =
-    let* () = inner.Protocol.entry ~pid in
-    (* 1 *)
-    let* avail = faa x (-1) in
-    (* 2 *)
-    if avail = 0 then begin
-      (* 3–5: search, locally, for a spin location not in use, starting just
-         after the last one used.  The paper shows the scan inspects at most
-         k+2 locations before finding R[p][v] = 0. *)
-      let start = (Pid_state.get last pid + 1) mod slots in
-      let rec scan loc =
-        let* r = read (r_cell ~pid ~loc) in
-        if r <> 0 then scan ((loc + 1) mod slots) else continue_at loc
-      and continue_at loc =
-        let* () = write (p_cell ~pid ~loc) 0 in
-        (* 6: initialize spin location *)
-        let* u = read q in
-        (* 7: get current spin location *)
-        let upid, uloc = dec u in
-        let* _ = faa (r_cell ~pid:upid ~loc:uloc) 1 in
-        (* 8: announce a pending write to it *)
-        let* q2 = read q in
-        (* 9: spin location unchanged? *)
-        let* () =
-          if q2 = u then
-            let* () = write (p_cell ~pid:upid ~loc:uloc) 1 in
-            (* 10: release currently spinning process *)
-            let* swapped = cas q ~expected:u ~desired:(enc ~pid ~loc) in
-            (* 11: spinning process still the same? *)
-            if swapped then begin
-              Pid_state.set last pid loc;
-              (* 12 *)
-              let* xv = read x in
-              (* 13: still no slots available? *)
-              if xv < 0 then await_eq (p_cell ~pid ~loc) 1 (* 14 *) else return ()
-            end
-            else return ()
-          else return ()
-        in
-        let* _ = faa (r_cell ~pid:upid ~loc:uloc) (-1) in
-        (* 15: finished with this spin location *)
-        return ()
-      in
-      scan start
-    end
-    else return ()
-  in
-  let exit ~pid =
-    let* _ = faa x 1 in
-    (* 16: release a slot *)
-    let* u = read q in
-    (* 17 *)
-    let upid, uloc = dec u in
-    let* _ = faa (r_cell ~pid:upid ~loc:uloc) 1 in
-    (* 18 *)
-    let* q2 = read q in
-    (* 19 *)
-    let* () =
-      if q2 = u then write (p_cell ~pid:upid ~loc:uloc) 1 (* 20 *) else return ()
-    in
-    let* _ = faa (r_cell ~pid:upid ~loc:uloc) (-1) in
-    (* 21 *)
-    inner.Protocol.exit ~pid
-    (* 22 *)
-  in
-  { Protocol.name = Printf.sprintf "fig6[k=%d]" k; entry; exit }
+let create = Simulated.fig6

@@ -43,4 +43,9 @@ let create mem ~n:_ ~k ~inner =
     inner.Protocol.exit ~pid
     (* 13 *)
   in
-  { Protocol.name = Printf.sprintf "fig5[k=%d]" k; entry; exit }
+  (* No patience: statements 10-13 run where statement 2 would start a
+     wait; statement 12 releases whoever queued behind us. *)
+  { Protocol.name = Printf.sprintf "fig5[k=%d]" k;
+    entry;
+    exit;
+    try_entry = Simulated.no_wait ~inner ~x ~exit }

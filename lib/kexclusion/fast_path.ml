@@ -1,45 +1,1 @@
-open Import
-open Op
-
-(* Statement numbers in comments refer to Figure 4 of the paper. *)
-let create mem ~block ~slow ~n ~k =
-  let x = Memory.alloc mem ~label:"fig4.X" ~init:k 1 in
-  let final = Inductive.create mem ~block ~n:(2 * k) ~k in
-  (* The paper's private variable [slow], recording the path taken; it is
-     written in the entry section and read back in the exit section.  Keyed
-     by global pid (this instance may sit inside a nested fast path). *)
-  let took_slow = Pid_state.create (fun _ -> false) in
-  let entry ~pid =
-    Pid_state.set took_slow pid false;
-    (* 1 *)
-    let* avail = bounded_faa x (-1) ~lo:0 ~hi:k in
-    (* 2: claim a fast-path slot *)
-    let* () =
-      if avail = 0 then begin
-        Pid_state.set took_slow pid true;
-        (* 3 *)
-        slow.Protocol.entry ~pid (* 4: slow path *)
-      end
-      else return ()
-    in
-    final.Protocol.entry ~pid
-    (* 5: fast path, a (2k,k)-exclusion *)
-  in
-  let exit ~pid =
-    let* () = final.Protocol.exit ~pid in
-    (* 6 *)
-    if Pid_state.get took_slow pid then slow.Protocol.exit ~pid (* 7–8 *)
-    else
-      let* _ = bounded_faa x 1 ~lo:0 ~hi:k in
-      (* 9: return the fast-path slot *)
-      return ()
-  in
-  { Protocol.name = Printf.sprintf "fastpath[n=%d,k=%d]" n k; entry; exit }
-
-let with_tree mem ~block ~n ~k =
-  if k >= n then Trivial.create ()
-  else begin
-    let slow = Tree.create mem ~block ~n ~k in
-    let p = create mem ~block ~slow ~n ~k in
-    { p with Protocol.name = Printf.sprintf "fastpath-tree[n=%d,k=%d]" n k }
-  end
+let with_tree = Simulated.fast_path_tree

@@ -11,10 +11,5 @@
 
 open Import
 
-val create : Memory.t -> block:Protocol.block -> slow:Protocol.t -> n:int -> k:int -> Protocol.t
-(** [create mem ~block ~slow ~n ~k]: [slow] must implement (N-k,k)-exclusion
-    for the same process universe.  Theorem 3/7 uses a tree; {!Graceful}
-    nests fast paths. *)
-
 val with_tree : Memory.t -> block:Protocol.block -> n:int -> k:int -> Protocol.t
 (** The Theorem 3 / Theorem 7 configuration: slow path = arbitration tree. *)

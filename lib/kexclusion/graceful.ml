@@ -1,7 +1,1 @@
-let create mem ~block ~n ~k =
-  let rec build n =
-    if n <= 2 * k then Inductive.create mem ~block ~n ~k
-    else Fast_path.create mem ~block ~slow:(build (n - k)) ~n ~k
-  in
-  let p = build n in
-  { p with Protocol.name = Printf.sprintf "graceful[n=%d,k=%d]" n k }
+let create = Simulated.graceful

@@ -1,4 +1,1 @@
-let create mem ~block ~n ~k =
-  let rec build k = if k >= n then Trivial.create () else block mem ~n ~k ~inner:(build (k + 1)) in
-  let p = build k in
-  { p with Protocol.name = Printf.sprintf "inductive[n=%d,k=%d]" n k }
+let create = Simulated.inductive

@@ -33,4 +33,5 @@ let create mem ~n =
         write locked.(successor - 1) 0
     else write locked.(successor - 1) 0
   in
-  { Protocol.name = Printf.sprintf "mcs[n=%d]" n; entry; exit }
+  { Protocol.name = Printf.sprintf "mcs[n=%d]" n; entry; exit;
+    try_entry = (fun ~pid:_ -> return false) }

@@ -56,4 +56,5 @@ let create mem ~n =
     in
     descend (nlevels - 1)
   in
-  { Protocol.name = Printf.sprintf "peterson-tree[n=%d]" n; entry; exit }
+  { Protocol.name = Printf.sprintf "peterson-tree[n=%d]" n; entry; exit;
+    try_entry = (fun ~pid:_ -> return false) }

@@ -1,18 +1,20 @@
 open Import
 
-type t = {
+type t = Simulated.protocol = {
   name : string;
   entry : pid:int -> unit Op.t;
   exit : pid:int -> unit Op.t;
+  try_entry : pid:int -> bool Op.t;
 }
 
-type named = {
+type named = Simulated.named = {
   assignment_name : string;
   acquire : pid:int -> int Op.t;
+  try_acquire : pid:int -> int option Op.t;
   release : pid:int -> name:int -> unit Op.t;
 }
 
-type block = Memory.t -> n:int -> k:int -> inner:t -> t
+type block = Simulated.block
 
 let workload p =
   Runner.plain_workload

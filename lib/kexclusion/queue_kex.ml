@@ -60,4 +60,5 @@ let create mem ~n ~k =
     in
     return ()
   in
-  { Protocol.name = Printf.sprintf "fig1-queue[n=%d,k=%d]" n k; entry; exit }
+  { Protocol.name = Printf.sprintf "fig1-queue[n=%d,k=%d]" n k; entry; exit;
+    try_entry = (fun ~pid:_ -> return false) }

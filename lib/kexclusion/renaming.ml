@@ -1,19 +1,5 @@
-open Import
-open Op
+type t = Simulated.renaming
 
-type t = { bits : Op.addr; k : int }
-
-(* Bits X[0..k-2]; name k-1 needs no bit (at most one process reaches it). *)
-let create mem ~k = { bits = Memory.alloc mem ~label:"fig7.X" ~init:0 (max 1 (k - 1)); k }
-
-let acquire t =
-  let rec go name =
-    if name >= t.k - 1 then return (t.k - 1)
-    else
-      let* won = tas (t.bits + name) in
-      if won then return name else go (name + 1)
-  in
-  go 0
-
-let release t ~name = if name < t.k - 1 then write (t.bits + name) 0 else return ()
-let k t = t.k
+let create = Simulated.renaming
+let acquire = Simulated.rename
+let release = Simulated.unname

@@ -22,5 +22,3 @@ val acquire : t -> int Op.t
 
 val release : t -> name:int -> unit Op.t
 (** Return the name; statement 3 of Figure 7. *)
-
-val k : t -> int

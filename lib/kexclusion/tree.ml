@@ -1,31 +1,2 @@
-open Import
-
-let ceil_div a b = (a + b - 1) / b
-
-let levels ~n ~k =
-  if k >= n then 0
-  else begin
-    (* Leaf level has ceil(n / 2k) blocks; each further level halves the
-       block count until one block remains. *)
-    let rec count m acc = if m <= 1 then acc else count (ceil_div m 2) (acc + 1) in
-    count (ceil_div n (2 * k)) 1
-  end
-
-let create mem ~block ~n ~k =
-  if k >= n then Trivial.create ()
-  else begin
-    let nlevels = levels ~n ~k in
-    (* instances.(l).(j): block j at level l, a (2k,k)-exclusion. *)
-    let instances =
-      Array.init nlevels (fun l ->
-          let blocks_at_level = ceil_div (ceil_div n (2 * k)) (1 lsl l) in
-          Array.init blocks_at_level (fun _ -> Inductive.create mem ~block ~n:(2 * k) ~k))
-    in
-    let index ~pid l = pid / (2 * k) / (1 lsl l) in
-    let path ~pid = List.init nlevels (fun l -> instances.(l).(index ~pid l)) in
-    let entry ~pid = Op.seq (List.map (fun (p : Protocol.t) -> p.entry ~pid) (path ~pid)) in
-    let exit ~pid =
-      Op.seq (List.rev_map (fun (p : Protocol.t) -> p.exit ~pid) (path ~pid))
-    in
-    { Protocol.name = Printf.sprintf "tree[n=%d,k=%d]" n k; entry; exit }
-  end
+let create = Simulated.tree
+let levels = Simulated.tree_levels

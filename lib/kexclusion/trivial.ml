@@ -1,6 +1,1 @@
-open Import
-
-let create () =
-  { Protocol.name = "trivial";
-    entry = (fun ~pid:_ -> Op.return ());
-    exit = (fun ~pid:_ -> Op.return ()) }
+let create = Simulated.trivial

@@ -34,7 +34,6 @@ let shard_of_key t key =
 (* Single-op convenience API: route, then defer to the shard. *)
 
 let set t ~pid ~key v = Kv_store.set t.shards.(shard_of_key t key) ~pid ~key v
-let get t ~pid ~key = Kv_store.get t.shards.(shard_of_key t key) ~pid ~key
 let read t ~key = Kv_store.read t.shards.(shard_of_key t key) ~key
 
 (* [read_many], [scan] and [size] answer only for the shards [owned]
@@ -66,8 +65,6 @@ let read_many ~owned t keys =
     buckets;
   out
 
-let delete t ~pid ~key = Kv_store.delete t.shards.(shard_of_key t key) ~pid ~key
-
 let owned_shards ~owned t = List.filteri (fun s _ -> owned s) (Array.to_list t.shards)
 
 (* Range reads span shards (routing is by hash, not by range), so a scan
@@ -82,8 +79,6 @@ let scan ~owned t ~start ~count =
     List.filteri (fun i _ -> i < count) sorted
   end
 
-let fetch_add t ~pid ~key delta = Kv_store.fetch_add t.shards.(shard_of_key t key) ~pid ~key delta
-
 (* Per-shard stats, merged: sums are exact under any interleaving because
    each summand is a per-shard linearization counter. *)
 
@@ -93,5 +88,4 @@ let size ~owned t = List.fold_left (fun acc s -> acc + Kv_store.size s) 0 (owned
 
 let operations t = sum Kv_store.operations t
 let apply_calls t = sum Kv_store.apply_calls t
-let operations_of_shard t i = Kv_store.operations t.shards.(i)
 let assignment t i = Kv_store.assignment t.shards.(i)

@@ -24,7 +24,6 @@ val hash_key : string -> int
     store in hand. *)
 
 val set : t -> pid:int -> key:string -> string -> unit
-val get : t -> pid:int -> key:string -> string option
 
 val read : t -> key:string -> string option
 (** Wait-free read of the owning shard's committed state — no pid, no
@@ -46,9 +45,6 @@ val scan : owned:(int -> bool) -> t -> start:string -> count:int -> (string * st
     Each shard's slice is one consistent state; a wedged shard still
     answers. *)
 
-val delete : t -> pid:int -> key:string -> bool
-val fetch_add : t -> pid:int -> key:string -> int -> int
-
 val size : owned:(int -> bool) -> t -> int
 (** Keys in the shards [owned] accepts. *)
 
@@ -56,8 +52,6 @@ val operations : t -> int
 val apply_calls : t -> int
 (** Summed across shards (each summand is a per-shard linearization
     counter, so the merge is exact). *)
-
-val operations_of_shard : t -> int -> int
 
 val assignment : t -> int -> Kex_runtime.Kex_lock.Assignment.t
 (** Shard [i]'s admission wrapper — for failure-injection tests. *)

@@ -1,5 +1,4 @@
-let test_and_set b = Atomic.compare_and_set b false true
-let clear b = Atomic.set b false
+let test_and_set c = Atomic.exchange c 1 = 0
 
 let rec bounded_fetch_and_add x d ~lo ~hi =
   let v = Atomic.get x in

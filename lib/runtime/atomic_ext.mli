@@ -7,10 +7,8 @@
     wait-free, which preserves the resilience story (a {e crashed} process
     cannot make the loop retry; only active contenders can). *)
 
-val test_and_set : bool Atomic.t -> bool
-(** Returns [true] iff the bit was clear and is now set (the caller won). *)
-
-val clear : bool Atomic.t -> unit
+val test_and_set : int Atomic.t -> bool
+(** Stores 1 and returns [true] iff the cell held 0 (the caller won). *)
 
 val bounded_fetch_and_add : int Atomic.t -> int -> lo:int -> hi:int -> int
 (** [bounded_fetch_and_add x d ~lo ~hi] adds [d] unless the result would

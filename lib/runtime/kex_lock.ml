@@ -1,19 +1,18 @@
 type algo = Naive | Inductive | Tree | Fast_path | Graceful | Dsm_fast_path
-
-type t = { protocol : Protocol.t; n : int; k : int }
+type t = { protocol : Direct.protocol; n : int; k : int }
 
 let create ?(algo = Fast_path) ~n ~k () =
   if k <= 0 then invalid_arg "Kex_lock.create: k must be positive";
   if n <= 0 then invalid_arg "Kex_lock.create: n must be positive";
+  (* The context is the process count: it sizes every private variable. *)
   let protocol =
     match algo with
     | Naive -> Semaphore_naive.create ~n ~k
-    | Inductive -> Compose.inductive ~n ~k
-    | Tree -> Compose.tree ~universe:n ~n ~k
-    | Fast_path -> Compose.fast_path_tree ~universe:n ~n ~k
-    | Graceful -> Compose.graceful ~universe:n ~n ~k
-    | Dsm_fast_path ->
-        Compose.fast_path_tree_of ~block:(Compose.fig6_block ~universe:n) ~universe:n ~n ~k
+    | Inductive -> Direct.inductive n ~block:Direct.fig2 ~n ~k
+    | Tree -> Direct.tree n ~block:Direct.fig2 ~n ~k
+    | Fast_path -> Direct.fast_path_tree n ~block:Direct.fig2 ~n ~k
+    | Graceful -> Direct.graceful n ~block:Direct.fig2 ~n ~k
+    | Dsm_fast_path -> Direct.fast_path_tree n ~block:Direct.fig6 ~n ~k
   in
   { protocol; n; k }
 
@@ -23,15 +22,15 @@ let check_pid t pid =
 
 let acquire t ~pid =
   check_pid t pid;
-  t.protocol.Protocol.entry pid
+  t.protocol.entry ~pid
 
 let try_acquire t ~pid =
   check_pid t pid;
-  t.protocol.Protocol.try_entry pid
+  t.protocol.try_entry ~pid
 
 let release t ~pid =
   check_pid t pid;
-  t.protocol.Protocol.exit pid
+  t.protocol.exit ~pid
 
 let with_lock t ~pid f =
   acquire t ~pid;
@@ -43,26 +42,27 @@ let with_lock t ~pid f =
       release t ~pid;
       raise e
 
-let name t = t.protocol.Protocol.name
+let name t = t.protocol.name
 let k t = t.k
 let n t = t.n
 
 module Assignment = struct
-  type nonrec t = { lock : t; renaming : Renaming.t }
+  type nonrec t = { lock : t; named : Direct.named }
 
-  let of_lock lock = { lock; renaming = Renaming.create ~k:lock.k }
+  let of_lock lock = { lock; named = Direct.assignment lock.n ~kex:lock.protocol ~k:lock.k }
   let create ?algo ~n ~k () = of_lock (create ?algo ~n ~k ())
 
   let acquire t ~pid =
-    acquire t.lock ~pid;
-    Renaming.acquire t.renaming
+    check_pid t.lock pid;
+    t.named.acquire ~pid
 
   let try_acquire t ~pid =
-    if try_acquire t.lock ~pid then Some (Renaming.acquire t.renaming) else None
+    check_pid t.lock pid;
+    t.named.try_acquire ~pid
 
   let release t ~pid ~name =
-    Renaming.release t.renaming ~name;
-    release t.lock ~pid
+    check_pid t.lock pid;
+    t.named.release ~pid ~name
 
   let run_named t ~pid ~name f =
     match f name with

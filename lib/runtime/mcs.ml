@@ -20,11 +20,6 @@ let acquire t ~pid =
     done
   end
 
-(* Enter only if the queue is empty: swing the tail from nil to us. *)
-let try_acquire t ~pid =
-  Atomic.set t.next.(pid) 0;
-  Atomic.compare_and_set t.tail 0 (pid + 1)
-
 let release t ~pid =
   let successor = Atomic.get t.next.(pid) in
   if successor = 0 then begin
@@ -47,9 +42,3 @@ let with_lock t ~pid f =
   | exception e ->
       release t ~pid;
       raise e
-
-let protocol t =
-  { Protocol.name = "mcs";
-    entry = (fun pid -> acquire t ~pid);
-    exit = (fun pid -> release t ~pid);
-    try_entry = (fun pid -> try_acquire t ~pid) }

@@ -11,5 +11,3 @@ val create : n:int -> t
 val acquire : t -> pid:int -> unit
 val release : t -> pid:int -> unit
 val with_lock : t -> pid:int -> (unit -> 'a) -> 'a
-val protocol : t -> Protocol.t
-(** View as a composable protocol (for benchmarks). *)

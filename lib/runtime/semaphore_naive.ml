@@ -18,7 +18,7 @@ let create ~n:_ ~k =
     let v = Atomic.get x in
     v > 0 && Atomic.compare_and_set x v (v - 1)
   in
-  { Protocol.name = Printf.sprintf "naive-semaphore[k=%d]" k;
-    entry = (fun _ -> acquire ());
-    exit = (fun _ -> ignore (Atomic.fetch_and_add x 1));
-    try_entry = (fun _ -> try_acquire ()) }
+  { Direct.name = Printf.sprintf "naive-semaphore[k=%d]" k;
+    entry = (fun ~pid:_ -> acquire ());
+    exit = (fun ~pid:_ -> ignore (Atomic.fetch_and_add x 1));
+    try_entry = (fun ~pid:_ -> try_acquire ()) }

@@ -6,4 +6,4 @@
     storm — the behaviour the paper's local-spin algorithms avoid.  Used as
     the comparison baseline in benchmarks. *)
 
-val create : n:int -> k:int -> Protocol.t
+val create : n:int -> k:int -> Direct.protocol

@@ -14,7 +14,6 @@ type 'state report = {
 type edges = { src : int array; dst : int array }
 
 let n_edges e = Array.length e.src
-let edge_list e = List.init (n_edges e) (fun i -> (e.src.(i), e.dst.(i)))
 
 (* Internal BFS bookkeeping: state index -> (predecessor index, label). *)
 let bfs (type s) (module M : System.MODEL with type state = s) ~max_states ~record_edges
@@ -183,11 +182,6 @@ let predecessors states edges =
     preds.(edges.dst.(e)) <- edges.src.(e) :: preds.(edges.dst.(e))
   done;
   preds
-
-let possible_progress (type s) (module M : System.MODEL with type state = s) ?max_states
-    ~waiting ~goal () =
-  let states, edges = reachable (module M) ?max_states () in
-  progress_on_graph states (predecessors states edges) ~waiting ~goal
 
 let possible_progress_many (type s) (module M : System.MODEL with type state = s) ?max_states
     ~cases () =

@@ -23,42 +23,18 @@ val check :
     recording is off: [check] never reads the edge set, so it explores
     without accumulating an O(transitions) structure. *)
 
-type edges
-(** Directed edges of the reachable graph as flat parallel int arrays —
-    compact and cache-friendly for the graph passes of the
-    possible-progress analyses. *)
-
-val n_edges : edges -> int
-
-val edge_list : edges -> (int * int) list
-(** Materialize (src, dst) pairs, in discovery order — for small graphs and
-    debugging; the analyses below consume the arrays directly. *)
-
-val reachable :
-  (module System.MODEL with type state = 's) -> ?max_states:int -> unit -> 's array * edges
-(** The reachable state graph: states (index order = discovery order) and
-    directed edges.  Used for possible-progress analyses. *)
-
-val possible_progress :
-  (module System.MODEL with type state = 's) ->
-  ?max_states:int ->
-  waiting:('s -> bool) ->
-  goal:('s -> bool) ->
-  unit ->
-  ('s * int) option
-(** Checks that from every reachable state satisfying [waiting] there exists
-    a path to a state satisfying [goal].  Returns a stuck state (and its
-    index) if one exists — i.e. a reachable configuration from which the goal
-    is unreachable, witnessing a possible deadlock/lockout. *)
-
 val possible_progress_many :
   (module System.MODEL with type state = 's) ->
   ?max_states:int ->
   cases:(('s -> bool) * ('s -> bool)) list ->
   unit ->
   ('s * int) option list
-(** {!possible_progress} for several (waiting, goal) pairs over a single
-    construction of the reachable graph. *)
+(** Builds the reachable state graph once and, for each (waiting, goal)
+    pair, checks that from every reachable state satisfying [waiting] there
+    exists a path to a state satisfying [goal].  Each result is a stuck
+    state (and its index) if one exists — i.e. a reachable configuration
+    from which the goal is unreachable, witnessing a possible
+    deadlock/lockout. *)
 
 val hunt :
   (module System.MODEL with type state = 's) ->

@@ -13,6 +13,7 @@ let renaming_workload ~k mem =
   `Assignment
     { Protocol.assignment_name = "renaming-direct";
       acquire = (fun ~pid:_ -> Renaming.acquire r);
+      try_acquire = (fun ~pid:_ -> Op.map Option.some (Renaming.acquire r));
       release = (fun ~pid:_ ~name -> Renaming.release r ~name) }
 
 let run_renaming ?(iterations = 5) ?(cs_delay = 3) ?scheduler ~k ~c () =

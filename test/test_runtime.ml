@@ -19,10 +19,10 @@ let algo_name = function
 (* ---------------------------- Atomic_ext ------------------------------- *)
 
 let test_tas () =
-  let b = Atomic.make false in
+  let b = Atomic.make 0 in
   Alcotest.(check bool) "first wins" true (Atomic_ext.test_and_set b);
   Alcotest.(check bool) "second loses" false (Atomic_ext.test_and_set b);
-  Atomic_ext.clear b;
+  Atomic.set b 0;
   Alcotest.(check bool) "wins after clear" true (Atomic_ext.test_and_set b)
 
 let test_bounded_faa () =
@@ -36,6 +36,89 @@ let test_bounded_faa () =
   Alcotest.(check int) "overflow returns old" 3
     (Atomic_ext.bounded_fetch_and_add x 1 ~lo:0 ~hi:3);
   Alcotest.(check int) "capped" 3 (Atomic.get x)
+
+(* ------------------- Direct instance vs simulator ---------------------- *)
+
+(* [kexd] is correct only if the direct instance performs exactly the steps
+   the simulator counts.  Each shared access of [Kexclusion.Figures] runs
+   once through the simulator instance (its one step executed by
+   [Runner.exec_step] on a [Memory] cell) and once on an [Atomic.t]: both
+   must return the same result and leave the same value in the cell. *)
+type access =
+  | Read
+  | Write of int
+  | Faa of int
+  | Bounded_faa of { d : int; lo : int; hi : int }
+  | Cas of { expected : int; desired : int }
+  | Tas
+
+let show_access = function
+  | Read -> "read"
+  | Write v -> Printf.sprintf "write %d" v
+  | Faa d -> Printf.sprintf "faa %+d" d
+  | Bounded_faa { d; lo; hi } -> Printf.sprintf "bounded_faa %+d [%d..%d]" d lo hi
+  | Cas { expected; desired } -> Printf.sprintf "cas %d->%d" expected desired
+  | Tas -> "tas"
+
+module Access (M : Kexclusion.Figures.MEMORY) = struct
+  let int_of_bool m = M.bind m (fun b -> M.return (Bool.to_int b))
+
+  let run cell = function
+    | Read -> M.read cell
+    | Write v -> M.bind (M.write cell v) (fun () -> M.return 0)
+    | Faa d -> M.faa cell d
+    | Bounded_faa { d; lo; hi } -> M.bounded_faa cell d ~lo ~hi
+    | Cas { expected; desired } -> int_of_bool (M.cas cell ~expected ~desired)
+    | Tas -> int_of_bool (M.tas cell)
+end
+
+module Sim_access = Access (Kexclusion.Simulated.Mem)
+module Direct_access = Access (Direct.Mem)
+
+(* Result and final cell value through the simulator: exactly one step. *)
+let simulated init access =
+  let mem = Kex_sim.Memory.create () in
+  let cell = Kexclusion.Simulated.Mem.(cell (alloc mem ~label:"x" ~init 1) 0) in
+  match Sim_access.run cell access with
+  | Kex_sim.Op.Step (s, k) -> (
+      match k (Kex_sim.Runner.exec_step mem s) with
+      | Kex_sim.Op.Return r -> (r, Kex_sim.Memory.get mem cell)
+      | _ -> Alcotest.failf "%s: more than one step" (show_access access))
+  | _ -> Alcotest.failf "%s: not a single step" (show_access access)
+
+let direct init access =
+  let cell = Atomic.make init in
+  let r = Direct_access.run cell access in
+  (r, Atomic.get cell)
+
+let gen_access =
+  let open QCheck2.Gen in
+  let value = int_range (-4) 4 in
+  (* A bounded add whose result lies inside [lo..hi], above it or below it. *)
+  let bounded init =
+    let* d = int_range (-3) 3 and* a = int_range 0 3 and* b = int_range 0 3 in
+    let r = init + d in
+    map
+      (fun (lo, hi) -> Bounded_faa { d; lo; hi })
+      (oneofl [ (r - a, r + b); (r + 1 + a, r + 1 + a + b); (r - 1 - a - b, r - 1 - a) ])
+  in
+  let* init = value in
+  let* access =
+    oneof
+      [ return Read;
+        map (fun v -> Write v) value;
+        map (fun d -> Faa d) (int_range (-3) 3);
+        bounded init;
+        map2 (fun expected desired -> Cas { expected; desired }) value value;
+        return Tas ]
+  in
+  return (init, access)
+
+let prop_direct_matches_simulator =
+  QCheck2.Test.make ~name:"direct instance takes the simulator's steps" ~count:2000
+    ~print:(fun (init, a) -> Printf.sprintf "cell %d, %s" init (show_access a))
+    gen_access
+    (fun (init, access) -> simulated init access = direct init access)
 
 (* ------------------------------ Kex_lock ------------------------------- *)
 
@@ -236,13 +319,13 @@ let test_dead_holders_tolerated () =
   List.iter Domain.join dead_domains
 
 let test_renaming_direct () =
-  let r = Renaming.create ~k:3 in
-  let a = Renaming.acquire r in
-  let b = Renaming.acquire r in
-  let c = Renaming.acquire r in
+  let r = Direct.renaming 3 ~k:3 in
+  let a = Direct.rename r in
+  let b = Direct.rename r in
+  let c = Direct.rename r in
   Alcotest.(check (list int)) "all names handed out" [ 0; 1; 2 ] (List.sort compare [ a; b; c ]);
-  Renaming.release r ~name:b;
-  Alcotest.(check int) "released name reused" b (Renaming.acquire r)
+  Direct.unname r ~name:b;
+  Alcotest.(check int) "released name reused" b (Direct.rename r)
 
 (* [Sync.with_lock], the combinator every mutex in lib/ and bin/ is taken
    through: held inside the body, and free again after the body returns
@@ -274,4 +357,5 @@ let suite =
       Helpers.tc "k-1 dead holders tolerated" test_dead_holders_tolerated;
       Helpers.tc "renaming hands out and reuses names" test_renaming_direct;
       Helpers.tc "try_acquire refuses without waiting and leaves no trace" test_try_acquire;
-      Helpers.tc "Sync.with_lock releases on return and on raise" test_sync_with_lock_releases ]
+      Helpers.tc "Sync.with_lock releases on return and on raise" test_sync_with_lock_releases;
+      QCheck_alcotest.to_alcotest prop_direct_matches_simulator ]
