@@ -23,18 +23,24 @@ let model_conv =
   let print ppf m = Cost_model.pp_model ppf m in
   Arg.conv (parse, print)
 
-let algo_conv =
+(* An [--algo] converter over a name table: every algorithm in [all],
+   spelled by [name]. *)
+let names_conv ~all ~name ~of_string =
   let parse s =
-    match Kexclusion.Registry.algo_of_string s with
+    match of_string s with
     | Some a -> Ok a
     | None ->
         Error
           (`Msg
             (Printf.sprintf "unknown algorithm %S (use %s)" s
-               (String.concat ", " (List.map Kexclusion.Registry.algo_name Kexclusion.Registry.all))))
+               (String.concat ", " (List.map name all))))
   in
-  let print ppf a = Format.pp_print_string ppf (Kexclusion.Registry.algo_name a) in
+  let print ppf a = Format.pp_print_string ppf (name a) in
   Arg.conv (parse, print)
+
+let algo_conv =
+  names_conv ~all:Kexclusion.Registry.all ~name:Kexclusion.Registry.algo_name
+    ~of_string:Kexclusion.Registry.algo_of_string
 
 let model_arg =
   Arg.(value & opt model_conv Cost_model.Cache_coherent & info [ "model" ] ~doc:"cc or dsm")
@@ -263,32 +269,7 @@ let hunt_cmd =
 (* -------------------------------- serve ---------------------------------- *)
 
 let runtime_algo_conv =
-  let parse = function
-    | "naive" -> Ok Kex_runtime.Kex_lock.Naive
-    | "inductive" -> Ok Kex_runtime.Kex_lock.Inductive
-    | "tree" -> Ok Kex_runtime.Kex_lock.Tree
-    | "fastpath" -> Ok Kex_runtime.Kex_lock.Fast_path
-    | "graceful" -> Ok Kex_runtime.Kex_lock.Graceful
-    | "dsm-fastpath" -> Ok Kex_runtime.Kex_lock.Dsm_fast_path
-    | s ->
-        Error
-          (`Msg
-            (Printf.sprintf
-               "unknown algorithm %S (use naive, inductive, tree, fastpath, graceful or \
-                dsm-fastpath)"
-               s))
-  in
-  let print ppf a =
-    Format.pp_print_string ppf
-      (match a with
-      | Kex_runtime.Kex_lock.Naive -> "naive"
-      | Kex_runtime.Kex_lock.Inductive -> "inductive"
-      | Kex_runtime.Kex_lock.Tree -> "tree"
-      | Kex_runtime.Kex_lock.Fast_path -> "fastpath"
-      | Kex_runtime.Kex_lock.Graceful -> "graceful"
-      | Kex_runtime.Kex_lock.Dsm_fast_path -> "dsm-fastpath")
-  in
-  Arg.conv (parse, print)
+  Kex_runtime.Kex_lock.(names_conv ~all ~name:algo_name ~of_string:algo_of_string)
 
 let chaos_conv =
   let parse s =

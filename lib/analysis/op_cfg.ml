@@ -266,7 +266,11 @@ let shape_of mem (p : unit Op.t) =
 
 type builder_node = { b_prefix : int list (* reversed *); b_id : int }
 
-let build ?(max_nodes = 4000) ?(max_depth = 400) ?(fingerprint_depth = 5) ~make () =
+let max_nodes = 4000
+let max_depth = 400
+let fingerprint_depth = 5
+
+let build ~make () =
   let index : (string, int) Hashtbl.t = Hashtbl.create 512 in
   let nodes : node array ref = ref [||] in
   let n = ref 0 in

@@ -57,17 +57,11 @@ type t = {
 val n_nodes : t -> int
 val node : t -> int -> node
 
-val build :
-  ?max_nodes:int ->
-  ?max_depth:int ->
-  ?fingerprint_depth:int ->
-  make:(unit -> Memory.t * unit Op.t) ->
-  unit ->
-  t
+val build : make:(unit -> Memory.t * unit Op.t) -> unit -> t
 (** Explore from the program's initial state.  [make] builds a fresh,
     deterministic instance: a memory and the program to analyze over it.
-    Defaults: [max_nodes = 4000], [max_depth = 400],
-    [fingerprint_depth = 5]. *)
+    The exploration keeps at most 4000 states, follows paths up to 400
+    steps, and fingerprints states 5 levels deep. *)
 
 val sccs : t -> int list list
 (** Tarjan strongly-connected components, each a list of node ids. *)

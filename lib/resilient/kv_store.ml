@@ -1,16 +1,20 @@
+(* The committed state: the sorted index plus its key count, kept exact by
+   every write (the index reports whether each add or remove changed the
+   count) so that [size] is O(1) at any store size. *)
+type state = { map : string Smap.t; keys : int }
+
+(* A shard's state built away from the store, installed by one [Install]. *)
+type image = state
+
 type op =
   | Set of string * string
   | Get of string
   | Delete of string
   | Update of string * (string option -> string option)
   | Fetch_add of string * int
+  | Install of image
 
 type result = Unit | Value of string option | Existed of bool | New_value of int
-
-(* The committed state: the sorted index plus its key count, kept exact by
-   every write (the index reports whether each add or remove changed the
-   count) so that [size] is O(1) at any store size. *)
-type state = { map : string Smap.t; keys : int }
 
 type t = (state, op, result) Resilient.t
 
@@ -40,9 +44,17 @@ let apply s = function
       in
       let v = current + delta in
       (put s key (string_of_int v), New_value v)
+  | Install image -> (image, Unit)
+
+let empty_image = { map = Smap.empty; keys = 0 }
+
+let stage image changes =
+  List.fold_left
+    (fun s (key, v) -> match v with Some v -> put s key v | None -> fst (drop s key))
+    image changes
 
 let create ?algo ~n ~k () =
-  Resilient.create ?algo ~n ~k ~init:{ map = Smap.empty; keys = 0 } ~apply ()
+  Resilient.create ?algo ~n ~k ~init:empty_image ~apply ()
 
 let set t ~pid ~key v =
   match Resilient.perform t ~pid (Set (key, v)) with Unit -> () | _ -> assert false
@@ -92,26 +104,6 @@ let fetch_add t ~pid ~key delta =
 
 let perform_batch t ~pid ops = Resilient.perform_batch t ~pid ops
 let try_perform_batch t ~pid ops = Resilient.try_perform_batch t ~pid ops
-
-(* Bulk import for shard migration: apply (key, value option) changes in
-   order, <= 512 linearized ops per admission entry.  [Some v] sets, [None]
-   deletes. *)
-let apply_changes t ~pid changes =
-  let to_op (key, v) = match v with Some v -> Set (key, v) | None -> Delete key in
-  let rec go = function
-    | [] -> ()
-    | changes ->
-        let rec split n acc rest =
-          match rest with
-          | _ when n = 0 -> (List.rev acc, rest)
-          | [] -> (List.rev acc, [])
-          | c :: rest -> split (n - 1) (to_op c :: acc) rest
-        in
-        let batch, rest = split 512 [] changes in
-        ignore (Resilient.perform_batch t ~pid batch);
-        go rest
-  in
-  go changes
 
 let size t = (Resilient.read t).keys
 let snapshot t = Smap.bindings (Resilient.read t).map

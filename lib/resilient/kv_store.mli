@@ -7,6 +7,11 @@
 
 type t
 
+type image
+(** A whole state of the store, built away from it with {!stage} — how a
+    migrated shard arrives: its chunks are staged into a private image,
+    which one {!Install} then commits. *)
+
 (** The store's operation alphabet, exposed so batching callers (the
     networked service's per-shard workers) can submit several operations
     through one admission. *)
@@ -16,6 +21,9 @@ type op =
   | Delete of string
   | Update of string * (string option -> string option)
   | Fetch_add of string * int
+  | Install of image
+      (** Replace the whole state with the image: one operation and one
+          commit however many keys it holds, answered [Unit]. *)
 
 type result = Unit | Value of string option | Existed of bool | New_value of int
 
@@ -75,12 +83,12 @@ val try_perform_batch : t -> pid:int -> op list -> result list option
 (** {!perform_batch} through a no-wait admission: [None], with nothing
     applied, when the wrapper refuses — see {!Resilient.try_perform_batch}. *)
 
-val apply_changes : t -> pid:int -> (string * string option) list -> unit
-(** Bulk import for shard migration: apply changes in order ([Some v] =
-    set, [None] = delete), batched <= 512 ops per admission entry.
-    Borrowing [pid] is only safe while no other traffic uses it — migration
-    destinations satisfy this because an unowned shard receives no client
-    mutations. *)
+val empty_image : image
+
+val stage : image -> (string * string option) list -> image
+(** Apply changes to an image, in order ([Some v] sets, [None] deletes).
+    Pure: no admission, no commit, and the store does not see the result
+    until an {!Install} commits it. *)
 
 val size : t -> int
 (** Keys in the committed state; O(1), the count is kept by every write. *)

@@ -1,4 +1,17 @@
 type algo = Naive | Inductive | Tree | Fast_path | Graceful | Dsm_fast_path
+
+let all = [ Naive; Inductive; Tree; Fast_path; Graceful; Dsm_fast_path ]
+
+let algo_name = function
+  | Naive -> "naive"
+  | Inductive -> "inductive"
+  | Tree -> "tree"
+  | Fast_path -> "fastpath"
+  | Graceful -> "graceful"
+  | Dsm_fast_path -> "dsm-fastpath"
+
+let algo_of_string s = List.find_opt (fun a -> String.equal (algo_name a) s) all
+
 type t = { protocol : Direct.protocol; n : int; k : int }
 
 let create ?(algo = Fast_path) ~n ~k () =

@@ -23,6 +23,13 @@ type algo =
           spins on its own cell (per-process spin locations), the right
           choice for NUMA placement *)
 
+val all : algo list
+
+val algo_name : algo -> string
+(** The name [kexd serve --algo] takes, e.g. [fastpath] or [dsm-fastpath]. *)
+
+val algo_of_string : string -> algo option
+
 type t
 
 val create : ?algo:algo -> n:int -> k:int -> unit -> t

@@ -76,7 +76,6 @@ and 'a conn = {
 and 'a msg =
   | Add of Unix.file_descr * 'a
   | Write of 'a conn * string
-  | Close_req of 'a conn
   | Stop of float (* grace seconds for the final drain *)
 
 and 'a t = {
@@ -87,7 +86,6 @@ and 'a t = {
   r_wake_w : Unix.file_descr;
   r_out_hwm : int;
   r_slow_drain_s : float;
-  r_drain_grace_s : float;
   r_log : string -> unit;
   r_handlers : 'a handlers;
   r_wakeups : int Atomic.t; (* pipe bytes actually written *)
@@ -102,12 +100,14 @@ and 'a t = {
 }
 
 let user c = c.rc_user
-let id t = t.r_id
 let wakeups t = Atomic.get t.r_wakeups
 let posts t = Atomic.get t.r_posts
 
-let create ?(out_hwm = 256 * 1024) ?(slow_drain_s = 5.0) ?(drain_grace_s = 5.0)
-    ?(log = fun _ -> ()) ~id handlers =
+(* How long a connection that hung up may take to drain before it is
+   force-closed. *)
+let drain_grace_s = 5.0
+
+let create ?(out_hwm = 256 * 1024) ?(slow_drain_s = 5.0) ?(log = fun _ -> ()) ~id handlers =
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   Unix.set_nonblock wake_r;
   Unix.set_nonblock wake_w;
@@ -118,7 +118,6 @@ let create ?(out_hwm = 256 * 1024) ?(slow_drain_s = 5.0) ?(drain_grace_s = 5.0)
     r_wake_w = wake_w;
     r_out_hwm = out_hwm;
     r_slow_drain_s = slow_drain_s;
-    r_drain_grace_s = drain_grace_s;
     r_log = log;
     r_handlers = handlers;
     r_wakeups = Atomic.make 0;
@@ -148,8 +147,6 @@ let add t fd u = post t (Add (fd, u))
 
 let post_write c s =
   if Atomic.get c.rc_alive then post c.rc_owner (Write (c, s))
-
-let request_close c = post c.rc_owner (Close_req c)
 
 (* ---------------------------- output buffer ----------------------------- *)
 
@@ -242,8 +239,6 @@ let process_mailbox t now =
       match m with
       | Add (fd, u) -> attach t fd u now
       | Write (c, s) -> if not c.rc_dead then append_string c s
-      | Close_req c ->
-          if not c.rc_dead then begin_drain c (now +. t.r_drain_grace_s)
       | Stop grace ->
           if not t.r_stopping then begin
             t.r_stopping <- true;
@@ -328,15 +323,15 @@ let cycle t buf =
               | `Data len ->
                   if len < Bytes.length buf then more := false;
                   if not (t.r_handlers.on_data c buf len) then begin
-                    begin_drain c (now +. t.r_drain_grace_s);
+                    begin_drain c (now +. drain_grace_s);
                     more := false
                   end
               | `Eof ->
-                  begin_drain c (now +. t.r_drain_grace_s);
+                  begin_drain c (now +. drain_grace_s);
                   more := false
               | `Would_block ->
                   if revents land Netio.Poll.pollerr <> 0 then
-                    begin_drain c (now +. t.r_drain_grace_s);
+                    begin_drain c (now +. drain_grace_s);
                   more := false
               | exception Unix.Unix_error (_, _, _) ->
                   close_conn t c;
@@ -390,7 +385,7 @@ let run t =
     (fun m ->
       match m with
       | Add (fd, _) -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-      | Write _ | Close_req _ | Stop _ -> ())
+      | Write _ | Stop _ -> ())
     (Mailbox.drain t.r_mailbox);
   try Unix.close t.r_wake_r with Unix.Unix_error _ -> ()
 

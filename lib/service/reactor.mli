@@ -4,7 +4,7 @@
     Each reactor is one domain running one loop; it owns its connections'
     decode/encode state outright, so that state needs no locks.  Producers
     (admission workers, the acceptor, helper threads) reach the loop only
-    through {!post_write}/{!request_close}/{!add}: a lock-free mailbox push
+    through {!post_write}/{!add}: a lock-free mailbox push
     plus a deduplicated self-pipe wakeup — one wakeup per drained batch,
     not one per response.  The module is manifest-declared atomic-only:
     no [Mutex] or [Condition] anywhere.
@@ -53,15 +53,14 @@ type 'a handlers = {
 val create :
   ?out_hwm:int ->
   ?slow_drain_s:float ->
-  ?drain_grace_s:float ->
   ?log:(string -> unit) ->
   id:int ->
   'a handlers ->
   'a t
 (** [out_hwm] — unsent-output watermark that pauses reads (default 256
     KiB); [slow_drain_s] — how long a paused connection may make no
-    progress before it is dropped; [drain_grace_s] — force-close deadline
-    for draining connections. *)
+    progress before it is dropped.  A connection that hung up is
+    force-closed if it has not drained within 5 s. *)
 
 val start : 'a t -> unit
 (** Spawn the loop domain. *)
@@ -78,9 +77,6 @@ val post_write : 'a conn -> string -> unit
 (** Queue response bytes for delivery (any thread).  Dropped once the
     connection is closed or closing. *)
 
-val request_close : 'a conn -> unit
-(** Ask the loop to drain and close the connection (any thread). *)
-
 val user : 'a conn -> 'a
 
 val append_string : 'a conn -> string -> unit
@@ -90,8 +86,6 @@ val append_string : 'a conn -> string -> unit
 val append_buffer : 'a conn -> Buffer.t -> unit
 (** Loop thread only: [append_string] from a [Buffer] without copying
     through an intermediate string. *)
-
-val id : 'a t -> int
 
 val wakeups : 'a t -> int
 (** Self-pipe bytes written — wakeups actually paid, after dedup. *)

@@ -26,6 +26,9 @@
    decode order only while the client keeps one request in flight, which
    is the v1 contract.
 
+   A shard migrated in is installed on a reactor too, by one no-wait
+   admission, so no reactor ever waits on a slot (see [mig_import]).
+
    Worker domains have shard affinity: each drains *its* shard's ring in
    batches, enters the shard store through one (N,k)-assignment admission
    and one commit per batch (amortizing the wrapper over the batch),
@@ -99,9 +102,9 @@ let max_batch = 32
    connection.  The socket belongs to one reactor's event loop; a worker
    "writes" by posting into that loop's lock-free mailbox.  [c_pending]
    counts dispatched requests not yet answered, so the reactor's drain
-   waits them out before it closes the socket.  [c_imports] lists the
-   shards this connection has sent MIGIMPORT for (see [mig_import]); only
-   the owning reactor touches it. *)
+   waits them out before it closes the socket.  [c_imports] holds the
+   image staged so far for each shard this connection is importing (see
+   [mig_import]); only the owning reactor touches it. *)
 type conn = {
   c_fd : Unix.file_descr;
   c_pending : int Atomic.t;
@@ -110,7 +113,7 @@ type conn = {
      written once by the owning reactor before any request is dispatched,
      so the ring's mutex publishes it to every worker that replies here. *)
   mutable c_wire : Protocol.wire;
-  mutable c_imports : int list;
+  mutable c_imports : (int * Kv_store.image) list;
 }
 
 (* A dispatched mutation: its store op and op class, the reactor
@@ -641,41 +644,44 @@ let take_ownership t cl ~shard ~epoch =
     Ok ()
   end
 
-(* Migration import (destination side), on the receiving reactor: apply the
-   changes to our copy of the shard under that reactor's own pid, and on
-   the final chunk take ownership at the sender's epoch.  Each handoff
-   ships over a connection of its own, so the first MIGIMPORT for a shard
-   on a connection starts the import: it empties whatever copy this node
-   kept from before it last handed the shard away, or a key deleted at the
-   owner since then would come back.  The blocking admission waits on
-   nobody busy: the shard is unowned, so no client mutation reaches it and
-   its ring stays empty. *)
+(* Migration import (destination side), on the receiving reactor.  Each
+   handoff ships over a connection of its own, which stages the chunks
+   into a private image of the shard, starting from the empty shard.  The
+   final chunk installs the image as one operation through the no-wait
+   entry under the reactor's pid, replacing whatever copy this node kept,
+   and takes ownership at the sender's epoch.  No client mutation reaches
+   an unowned shard; should admission refuse anyway, the ERR makes the
+   sender unfence and keep the shard. *)
 let mig_import t ~lpid conn ~shard ~epoch ~final changes =
   match import_target t shard with
   | Error _ as e -> e
-  | Ok cl ->
-      let store = t.shard_ctxs.(shard).sh_store in
-      let changes =
-        if List.mem shard conn.c_imports then changes
-        else begin
-          conn.c_imports <- shard :: conn.c_imports;
-          List.map (fun (key, _) -> (key, None)) (Kv_store.snapshot store) @ changes
-        end
-      in
-      Kv_store.apply_changes store ~pid:lpid changes;
-      if final then take_ownership t cl ~shard ~epoch else Ok ()
+  | Ok cl -> (
+      let staged = List.assoc_opt shard conn.c_imports in
+      let image = Kv_store.stage (Option.value staged ~default:Kv_store.empty_image) changes in
+      let others = List.remove_assoc shard conn.c_imports in
+      conn.c_imports <- (if final then others else (shard, image) :: others);
+      if not final then Ok ()
+      else
+        let store = t.shard_ctxs.(shard).sh_store in
+        match Kv_store.try_perform_batch store ~pid:lpid [ Kv_store.Install image ] with
+        | Some _ -> take_ownership t cl ~shard ~epoch
+        | None -> Error (Printf.sprintf "shard %d: admission refused the import" shard))
 
 (* Forced takeover of an unowned shard at the successor epoch — the
-   failover harness's reassignment after [kill-node], equivalent to
-   receiving a final, empty MIGIMPORT.  The dead owner's data died with it
-   (the cluster is shared-nothing, no replication): the shard restarts
-   from whatever copy this node holds, trading durability for
-   availability.  Routing-wise it is indistinguishable from a migration,
-   so clients converge through the same TOPO/MOVED machinery. *)
+   failover harness's reassignment after [kill-node]: the node sends its
+   own loopback listener a final, empty MIGIMPORT.  The dead owner's data
+   died with it (the cluster is shared-nothing, no replication): the shard
+   restarts empty, trading durability for availability, and clients
+   converge through the same TOPO/MOVED machinery as after a migration. *)
 let adopt t ~shard =
-  match import_target t shard with
-  | Error _ as e -> e
-  | Ok cl -> take_ownership t cl ~shard ~epoch:(Routing.epoch cl.cl_routing + 1)
+  match t.cluster with
+  | None -> Error "not in cluster mode"
+  | Some cl -> (
+      let self = Printf.sprintf "127.0.0.1:%d" t.actual_port in
+      let req = Protocol.Mig_import (shard, Routing.epoch cl.cl_routing + 1, true, []) in
+      match Netio.connect ~wire:Protocol.Binary ~timeout_s:10. self with
+      | Error _ as e -> e
+      | Ok conn -> Fun.protect ~finally:(fun () -> Netio.close conn) (fun () -> rpc_ok conn req))
 
 (* SCAN result sizes are clamped so one request can't build a response
    anywhere near [max_frame]. *)

@@ -131,9 +131,12 @@ val handoff : t -> shard:int -> addr:string -> (unit, string) result
 
 val adopt : t -> shard:int -> (unit, string) result
 (** Forced takeover of an unowned shard at the successor epoch — the
-    failover move after a [kill-node]: equivalent to a final, empty
-    migration import.  The dead owner's data is gone (shared-nothing, no
-    replication); the shard restarts from this node's copy. *)
+    failover move after a [kill-node]: the node sends itself a final,
+    empty migration import, which one of its reactors installs.  The dead
+    owner's data is gone (shared-nothing, no replication); the shard
+    restarts empty, even on a node that held a copy of it.  Blocks for
+    that round trip to its own listener, so it must not be called from a
+    reactor. *)
 
 val stats_pairs : t -> (string * int) list
 (** The [STATS] reply: metrics counters (merged exactly across shards) plus

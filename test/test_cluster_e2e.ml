@@ -355,6 +355,89 @@ let test_loadgen_attributes_dead_node () =
               (ok_rate outage) (ok_rate before)
       | ph -> Alcotest.failf "expected 3 phases, got %d" (List.length ph))
 
+(* ----------------------- a shard arrives as one install ---------------------- *)
+
+(* The first [n] keys that hash to [shard]. *)
+let keys_for_shard ~shards shard n =
+  let rec go i acc =
+    if List.length acc = n then List.rev acc
+    else
+      let k = Printf.sprintf "key-%d" i in
+      go (i + 1) (if Sharded.hash_key k mod shards = shard then k :: acc else acc)
+  in
+  go 0 []
+
+let stat c name =
+  match rpc c P.Stats with
+  | P.Stats_reply pairs -> (
+      match List.assoc_opt name pairs with
+      | Some v -> v
+      | None -> Alcotest.failf "no %S in STATS" name)
+  | r -> Alcotest.failf "STATS answered %s" (P.print_response r)
+
+(* A handoff commits once on the receiver, however many keys the shard
+   holds: its chunks are staged off the store and installed as one
+   operation. *)
+let test_import_commits_once () =
+  let shards = 2 in
+  with_cluster ~cfg:{ quiet with shards; workers = 2; k = 1 } 2 (fun servers addrs ->
+      let c0 = connect (Server.port servers.(0)) in
+      let c1 = connect (Server.port servers.(1)) in
+      Fun.protect ~finally:(fun () -> close c0; close c1) (fun () ->
+          List.iter
+            (fun key -> assert_resp "SET at node 0" P.Ok (rpc c0 (P.Set (key, "v"))))
+            (keys_for_shard ~shards 0 100);
+          let before = stat c1 "ops_shard_0" in
+          assert_resp "HANDOFF to node 1" P.Ok (rpc c0 (P.Handoff (0, addrs.(1))));
+          Alcotest.(check int) "one commit per import" (before + 1) (stat c1 "ops_shard_0");
+          Alcotest.(check int) "every key arrived" 100 (stat c1 "keys")))
+
+(* Adopting a shard this node owned before serves the empty shard, not the
+   copy it kept: shard 0 goes to node 1, its key is deleted there, node 1
+   crashes, and node 0 adopts shard 0. *)
+let test_adopt_serves_empty_shard () =
+  let shards = 2 in
+  with_cluster ~cfg:{ quiet with shards; workers = 2; k = 1 } 2 (fun servers addrs ->
+      let k0 = key_for_shard ~shards 0 in
+      let c0 = connect (Server.port servers.(0)) in
+      let c1 = connect (Server.port servers.(1)) in
+      Fun.protect ~finally:(fun () -> close c0; close c1) (fun () ->
+          assert_resp "SET at node 0" P.Ok (rpc c0 (P.Set (k0, "old")));
+          assert_resp "HANDOFF to node 1" P.Ok (rpc c0 (P.Handoff (0, addrs.(1))));
+          assert_resp "DEL at node 1" (P.Deleted true) (rpc c1 (P.Del k0));
+          Server.crash servers.(1);
+          (match Server.adopt servers.(0) ~shard:0 with
+          | Ok () -> ()
+          | Error msg -> Alcotest.failf "adopt: %s" msg);
+          assert_resp "the adopted shard is empty" (P.Value None) (rpc c0 (P.Get k0))))
+
+(* A round trip with a changed value, a new key and a delete: the shard
+   comes back exactly as its last owner held it. *)
+let test_round_trip_mixed () =
+  let shards = 2 in
+  with_cluster ~cfg:{ quiet with shards; workers = 2; k = 1 } 2 (fun servers addrs ->
+      let c0 = connect (Server.port servers.(0)) in
+      let c1 = connect (Server.port servers.(1)) in
+      let scan c = rpc c (P.Scan ("", 100)) in
+      Fun.protect ~finally:(fun () -> close c0; close c1) (fun () ->
+          match keys_for_shard ~shards 0 4 with
+          | [ changed; kept; deleted; added ] ->
+              List.iter
+                (fun key -> assert_resp "SET at node 0" P.Ok (rpc c0 (P.Set (key, "v0"))))
+                [ changed; kept; deleted ];
+              assert_resp "HANDOFF to node 1" P.Ok (rpc c0 (P.Handoff (0, addrs.(1))));
+              assert_resp "change at node 1" P.Ok (rpc c1 (P.Set (changed, "v1")));
+              assert_resp "add at node 1" P.Ok (rpc c1 (P.Set (added, "v1")));
+              assert_resp "DEL at node 1" (P.Deleted true) (rpc c1 (P.Del deleted));
+              let owner = scan c1 in
+              assert_resp "the owner's SCAN"
+                (P.Range
+                   (List.sort compare [ (changed, "v1"); (kept, "v0"); (added, "v1") ]))
+                owner;
+              assert_resp "HANDOFF back to node 0" P.Ok (rpc c1 (P.Handoff (0, addrs.(0))));
+              assert_resp "the receiver's SCAN equals the owner's" owner (scan c0)
+          | _ -> assert false))
+
 let suite =
   [ Helpers.tc "cluster: TOPO, MOVED, STATS topology" test_topo_and_moved;
     Helpers.tc_slow "cluster: live migration under load, exact counter"
@@ -369,4 +452,10 @@ let suite =
     Helpers.tc_slow "cluster: loadgen pins a node crash on the dead node, then adopt"
       test_loadgen_attributes_dead_node;
     Helpers.tc "cluster: a shard's round trip keeps a DEL, keys follow ownership"
-      test_round_trip_keeps_delete ]
+      test_round_trip_keeps_delete;
+    Helpers.tc "cluster: a 100-key handoff commits once on the receiver"
+      test_import_commits_once;
+    Helpers.tc "cluster: adopt serves the empty shard, not a stale copy"
+      test_adopt_serves_empty_shard;
+    Helpers.tc "cluster: a mixed round trip ends with the owner's SCAN"
+      test_round_trip_mixed ]

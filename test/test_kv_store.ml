@@ -257,6 +257,44 @@ let test_batch_counts_operations () =
   Alcotest.(check int) "version" (version0 + 32) (Kv_store.read_version s);
   Alcotest.(check int) "apply_calls" (calls0 + 32) (Kv_store.apply_calls s)
 
+(* A staged image replaces the whole state in one operation: a binding the
+   image lacks is gone, and size, bindings and version follow the image. *)
+let test_install_replaces_state () =
+  let s = Kv_store.create ~n:1 ~k:1 () in
+  Kv_store.set s ~pid:0 ~key:"stale" "old";
+  Kv_store.set s ~pid:0 ~key:"kept" "old";
+  let image =
+    Kv_store.stage
+      (Kv_store.stage Kv_store.empty_image
+         [ ("a", Some "1"); ("kept", Some "new"); ("b", Some "2") ])
+      [ ("b", None); ("c", Some "3") ]
+  in
+  let ops0 = Kv_store.operations s and version0 = Kv_store.read_version s in
+  Alcotest.(check bool) "installed" true
+    (Kv_store.try_perform_batch s ~pid:0 [ Kv_store.Install image ] = Some [ Kv_store.Unit ]);
+  let staged = [ ("a", "1"); ("c", "3"); ("kept", "new") ] in
+  Alcotest.(check (option string)) "stale binding gone" None (Kv_store.read s ~key:"stale");
+  Alcotest.(check int) "size" (List.length staged) (Kv_store.size s);
+  Alcotest.(check (pair int (list (pair string string))))
+    "read_versioned" (version0 + 1, staged) (Kv_store.read_versioned s);
+  Alcotest.(check int) "one operation" (ops0 + 1) (Kv_store.operations s)
+
+(* The install takes the no-wait entry: with all k slots held by other
+   processes it is refused, and neither the state nor the version moves. *)
+let test_install_refused_when_slots_held () =
+  let k = 2 in
+  let s = Kv_store.create ~n:(k + 1) ~k () in
+  Kv_store.set s ~pid:0 ~key:"x" "1";
+  let asg = Kv_store.assignment s in
+  let held = List.init k (fun pid -> (pid, Kex_runtime.Kex_lock.Assignment.acquire asg ~pid)) in
+  let before = Kv_store.read_versioned s in
+  let image = Kv_store.stage Kv_store.empty_image [ ("y", Some "2") ] in
+  Alcotest.(check bool) "refused" true
+    (Kv_store.try_perform_batch s ~pid:k [ Kv_store.Install image ] = None);
+  Alcotest.(check (pair int (list (pair string string))))
+    "state and version unchanged" before (Kv_store.read_versioned s);
+  List.iter (fun (pid, name) -> Kex_runtime.Kex_lock.Assignment.release asg ~pid ~name) held
+
 let suite =
   [ Helpers.tc "basic CRUD" test_basic_crud;
     Helpers.tc "size tracks every kind of write" test_size_tracks_every_write;
@@ -270,4 +308,8 @@ let suite =
     Helpers.tc "wait-free read on a fully wedged store" test_read_wait_free_on_wedged_store;
     Helpers.tc "read sees every acknowledged write" test_read_sees_acknowledged_writes;
     Helpers.tc "sharded wait-free reads route and survive wedging" test_sharded_read;
-    Helpers.tc "a 32-op batch counts 32 operations" test_batch_counts_operations ]
+    Helpers.tc "a 32-op batch counts 32 operations" test_batch_counts_operations;
+    Helpers.tc "an installed image replaces the state in one operation"
+      test_install_replaces_state;
+    Helpers.tc "the install is refused when every slot is held"
+      test_install_refused_when_slots_held ]

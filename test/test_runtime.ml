@@ -4,17 +4,8 @@
 
 open Kex_runtime
 
-let algos =
-  [ Kex_lock.Naive; Kex_lock.Inductive; Kex_lock.Tree; Kex_lock.Fast_path; Kex_lock.Graceful;
-    Kex_lock.Dsm_fast_path ]
-
-let algo_name = function
-  | Kex_lock.Naive -> "naive"
-  | Kex_lock.Inductive -> "inductive"
-  | Kex_lock.Tree -> "tree"
-  | Kex_lock.Fast_path -> "fastpath"
-  | Kex_lock.Graceful -> "graceful"
-  | Kex_lock.Dsm_fast_path -> "dsm-fastpath"
+let algos = Kex_lock.all
+let algo_name = Kex_lock.algo_name
 
 (* ---------------------------- Atomic_ext ------------------------------- *)
 
