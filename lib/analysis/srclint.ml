@@ -27,7 +27,8 @@
    - S5 unguarded shared state: an access to mutable state that the
      per-module guarded-by manifest assigns to a lock, made without that
      lock held; plus manifest-declared atomic-only modules that use a
-     mutex after all.
+     mutex after all, and manifest-declared I/O-free modules that name a
+     Reactor, Netio or Protocol value or make a socket call.
 
    A lock counts as held inside the function argument of a
    [with_lock]/[Mutex.protect] call or of a manifest wrapper (routing's
@@ -54,13 +55,15 @@ type module_rules = {
   mr_guards : guard list;
   mr_wrappers : wrapper list;  (* local fn name -> lock field it takes *)
   mr_atomic_only : bool;  (* module promises to use no Mutex/Condition *)
+  mr_io_free : bool;  (* module promises to name no I/O module, make no socket call *)
 }
 
-let rules ?(guards = []) ?(wrappers = []) ?(atomic_only = false) file =
+let rules ?(guards = []) ?(wrappers = []) ?(atomic_only = false) ?(io_free = false) file =
   { mr_file = file;
     mr_guards = guards;
     mr_wrappers = wrappers;
-    mr_atomic_only = atomic_only }
+    mr_atomic_only = atomic_only;
+    mr_io_free = io_free }
 
 (* The guarded-by manifest for this repository: which mutable state each
    lock protects, which local helpers are lock wrappers, and which modules
@@ -74,10 +77,10 @@ let default_manifest =
               [ "front"; "front_len"; "q"; "closed"; "sleeping"; "wake_pending"; "pushes";
                 "wakeups" ] } ]
       ~wrappers:[ { wr_fn = "locked"; wr_lock = "m" } ];
-    rules "lib/service/server.ml"
+    rules "lib/service/server.ml" ~guards:[ { g_lock = "conns_m"; g_fields = [ "conns" ] } ];
+    rules "lib/service/shard.ml" ~io_free:true
       ~guards:
-        [ { g_lock = "conns_m"; g_fields = [ "conns" ] };
-          { g_lock = "sh_fence_m"; g_fields = [ "sh_fenced" ] };
+        [ { g_lock = "fence_m"; g_fields = [ "fenced"; "handing_off" ] };
           { g_lock = "morgue_m"; g_fields = [ "morgue_open" ] };
           { g_lock = "workers_m"; g_fields = [ "worker_domains" ] } ];
     rules "lib/cluster/routing.ml"
@@ -150,6 +153,21 @@ let blocking_fns =
     "Thread.join"; "Domain.join"; "Netio.read"; "Netio.write_all" ]
 
 let is_blocking flat = List.exists (fn_matches flat) blocking_fns
+
+(* What an I/O-free module must not name: any path into the service's
+   connection plane or codec, and Unix's socket calls. *)
+let io_modules = [ "Reactor"; "Netio"; "Protocol" ]
+
+let socket_fns =
+  [ "socket"; "socketpair"; "bind"; "listen"; "accept"; "connect"; "shutdown"; "close"; "read";
+    "write"; "single_write"; "recv"; "recvfrom"; "send"; "sendto"; "select"; "setsockopt";
+    "getsockopt" ]
+
+let is_io_name flat =
+  match String.split_on_char '.' flat with
+  | [ "Unix"; f ] -> List.mem f socket_fns
+  | "Kex_service" :: m :: _ | m :: _ -> List.mem m io_modules
+  | [] -> false
 
 (* ------------------------------- findings ------------------------------- *)
 
@@ -483,6 +501,32 @@ and handle_apply ctx env e f args =
         walk ctx env f;
         List.iter (fun (_, a) -> walk ctx env a) args
 
+(* An I/O-free module's names: every identifier, constructor, type and
+   module path in the file (an [open] or a module alias included) is
+   checked, not only the applied ones. *)
+let check_io_free ctx str =
+  let it =
+    object
+      inherit Ast_traverse.iter as super
+
+      method! longident_loc lid =
+        (match Longident.flatten_exn lid.txt with
+        | parts ->
+            let flat = String.concat "." parts in
+            if is_io_name flat then
+              emit ctx (base_env "") Finding.S5_unguarded_state ~loc:lid.loc
+                ~detail:
+                  (Printf.sprintf
+                     "'%s' named in a module the manifest declares I/O-free (no Reactor, Netio \
+                      or Protocol value, no socket call)"
+                     flat)
+                ~witness:[]
+        | exception _ -> ());
+        super#longident_loc lid
+    end
+  in
+  it#structure str
+
 (* --------------------------- structure walking -------------------------- *)
 
 let binding_name vb =
@@ -547,7 +591,10 @@ let lint_source ?(manifest = default_manifest) ~path code =
      Lexing.set_filename lexbuf path;
      Parse.implementation lexbuf
    with
-  | str -> walk_structure ctx str
+  | str ->
+      walk_structure ctx str;
+      if Option.fold ~none:false ~some:(fun r -> r.mr_io_free) ctx.cx_rules then
+        check_io_free ctx str
   | exception e ->
       ctx.cx_findings <-
         [ { Finding.check = Finding.A_incomplete;

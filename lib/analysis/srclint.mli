@@ -19,8 +19,10 @@
     - {b S4 non-atomic RMW} — [Atomic.set a (… Atomic.get a …)], directly
       or through a let-binding: the lost-update shape.
     - {b S5 unguarded shared state} — access to a field the guarded-by
-      manifest assigns to a lock, without that lock held; or a mutex in a
-      manifest-declared atomic-only module.
+      manifest assigns to a lock, without that lock held; a mutex in a
+      manifest-declared atomic-only module; or, in a manifest-declared
+      I/O-free module, a [Reactor], [Netio] or [Protocol] name or a [Unix]
+      socket call.
 
     Findings flow through the shared {!Finding} type.  srclint has no
     waivers: every finding has [waived = false].  A file that fails to parse
@@ -43,12 +45,17 @@ type module_rules = {
   mr_atomic_only : bool;
       (** the module promises to synchronize with atomics only; any
           [Mutex]/[Condition] use is an S5 finding *)
+  mr_io_free : bool;
+      (** the module promises to do no I/O: any path into [Reactor],
+          [Netio] or [Protocol] (identifier, constructor, type, [open] or
+          alias) and any [Unix] socket call is an S5 finding *)
 }
 
 val rules :
   ?guards:guard list ->
   ?wrappers:wrapper list ->
   ?atomic_only:bool ->
+  ?io_free:bool ->
   string ->
   module_rules
 

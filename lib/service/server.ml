@@ -12,19 +12,18 @@
    one fence check.  Each reactor is one more process of every shard's
    wrapper (N = workers + reactors).  When the list's shard is quiet —
    owned, unfenced, its ring empty, no kill pending — the reactor runs the
-   list itself: a no-wait admission per [max_batch] items, apply, and the
-   replies framed straight into the read's output, with no ring push, no
-   worker wakeup and no mailbox post.  If admission refuses (every free
+   list itself: a no-wait admission per [Shard.max_batch] items, apply, and
+   the replies framed straight into the read's output, with no ring push,
+   no worker wakeup and no mailbox post.  If admission refuses (every free
    slot is held, by a busy or a dead process) the rest of the list goes to
-   the ring, so a reactor never waits on a slot.  Otherwise the list
-   enters the ring under one lock with at most one worker wakeup.  Then
-   the GETs are resolved as one batch off the shards' committed heads: one
-   atomic head load per shard, with the lookups walked down the tree in
-   lockstep.  The item carries the connection and the request id, so a
-   client may hold a whole window of requests in flight per connection.
-   An untagged v1 request is dispatched the same way; its reply keeps
-   decode order only while the client keeps one request in flight, which
-   is the v1 contract.
+   the ring, so a reactor never waits on a slot.  Otherwise the list enters
+   the ring under one lock with at most one worker wakeup.  Then the GETs
+   are resolved as one batch off the shards' committed heads: one atomic
+   head load per shard, with the lookups walked down the tree in lockstep.
+   The item carries the connection and the request id, so a client may hold
+   a whole window of requests in flight per connection.  An untagged v1
+   request is dispatched the same way; its reply keeps decode order only
+   while the client keeps one request in flight, which is the v1 contract.
 
    A shard migrated in is installed on a reactor too, by one no-wait
    admission, so no reactor ever waits on a slot (see [mig_import]).
@@ -57,7 +56,12 @@
    admission boundary and every mutation dispatched after it sees the slot
    it burns.  Killing up to k-1 workers of one shard costs slots but zero
    client-visible failures anywhere; killing k workers of a shard wedges
-   that shard — and only that shard. *)
+   that shard — and only that shard.
+
+   A shard's state machine — ownership, the route decision, the fence and
+   the handoff claim, in-flight accounting, kills, the worker loop and its
+   lazy start — is [Shard], which does no I/O.  This file keeps decode,
+   reply framing, the GET plane, cluster RPC and STATS. *)
 
 module Kex_lock = Kex_runtime.Kex_lock
 module Kv_store = Kex_resilient.Kv_store
@@ -93,11 +97,6 @@ let default_config =
     slow_drain_s = 5.0;
     log = (fun _ -> ()) }
 
-(* Workers and the reactors' inline path apply at most this many items per
-   admission; bounds both the latency a queued item can add to its
-   batch-mates and the time one process keeps a slot. *)
-let max_batch = 32
-
 (* A connection's server-side state, the user value of its reactor
    connection.  The socket belongs to one reactor's event loop; a worker
    "writes" by posting into that loop's lock-free mailbox.  [c_pending]
@@ -126,65 +125,25 @@ type item = {
   tag : int option;
 }
 
-(* One shard: its slice of the store (own admission wrapper), its ring, and
-   its metrics (merged exactly at STATS time).
-
-   The fence is the migration's write barrier: mutation dispatch takes
-   [sh_fence_m], waits while [sh_fenced], and re-checks ownership before
-   pushing, so once a migration sets the fence no new item can slip into the
-   ring, and once it clears the fence latecomers see the flipped routing and
-   get MOVED.  [sh_inflight] counts items pushed but not yet answered —
-   the fence-holder drains by waiting for it to reach 0, which covers both
-   the ring, batches already claimed by a worker and lists a reactor is
-   applying inline.  [sh_kills_pending] counts this shard's workers marked
-   for death that have not yet parked holding their slot.  [sh_started]
-   turns true, once, when the shard's workers are spawned (see
-   [start_workers]). *)
-type shard_ctx = {
-  sh_id : int;
-  sh_store : Kv_store.t;
-  sh_queue : item Wqueue.t;
-  sh_metrics : Metrics.t;
-  sh_fence_m : Mutex.t;
-  sh_fence_c : Condition.t;
-  mutable sh_fenced : bool;
-  sh_inflight : int Atomic.t;
-  sh_kills_pending : int Atomic.t;
-  sh_started : bool Atomic.t;  (* this shard's workers are spawned *)
-}
-
-(* Cluster-mode state: which node we are, everyone's address, the
-   epoch-versioned routing table, and the ownership bitmap the data path
-   consults.  Every node allocates all [shards] global shards (stores and
-   rings) and serves only the owned ones; an unowned shard's ring stays
-   empty, so its workers never start, and its store is the landing zone
-   for a future migration in. *)
-type cluster = {
-  cl_node : int;
-  cl_addrs : string array;
-  cl_self : string;
-  cl_routing : Routing.t;
-  cl_owned : bool array;
-}
+(* Cluster-mode state: which node we are, everyone's address and the
+   epoch-versioned routing table.  Every node allocates all [shards] global
+   shards (stores and rings) and serves only the ones it owns ([Shard.owned]);
+   an unowned shard's ring stays empty, so its workers never start, and its
+   store is the landing zone for a future migration in. *)
+type cluster = { cl_node : int; cl_addrs : string array; cl_self : string; cl_routing : Routing.t }
 
 type t = {
   cfg : config;
   store : Sharded.t;
-  shard_ctxs : shard_ctx array;
+  pool : Shard.pool;
+  shards : item Shard.t array;  (* each with its slice of [store] and its own metrics *)
   conn_metrics : Metrics.t;  (* connection-plane counters *)
-  kill_flags : bool Atomic.t array;  (* indexed by global worker id *)
-  (* The morgue: killed workers park here holding their admission slot until
-     shutdown releases them. *)
-  morgue_m : Mutex.t;
-  morgue_c : Condition.t;
-  mutable morgue_open : bool;
   listen_fd : Unix.file_descr;
+  (* Set once, by [stop] or [crash], before the listener is shut down and
+     closed: the fd is closed exactly once, and the accept loop leaves only
+     when this is set. *)
+  listener_closed : bool Atomic.t;
   actual_port : int;
-  stopping : bool Atomic.t;
-  (* Every worker domain spawned so far.  Spawns happen under [workers_m]
-     and only while [stopping] is false, so [stop] joins them all. *)
-  workers_m : Mutex.t;
-  mutable worker_domains : unit Domain.t list;
   mutable listener : Thread.t option;
   mutable chaos_thread : Thread.t option;
   conns_m : Mutex.t;
@@ -198,15 +157,15 @@ type t = {
 let port t = t.actual_port
 let total_workers t = t.cfg.shards * t.cfg.workers
 let shard_of_key t key = Sharded.shard_of_key t.store key
-let owns t shard = match t.cluster with None -> true | Some cl -> cl.cl_owned.(shard)
+let owns t shard = Shard.owned t.shards.(shard)
 
-let all_metrics t = t.conn_metrics :: Array.to_list (Array.map (fun s -> s.sh_metrics) t.shard_ctxs)
+let all_metrics t = t.conn_metrics :: Array.to_list (Array.map Shard.metrics t.shards)
 
 let stats_pairs t =
   Metrics.pairs_merged (all_metrics t)
   @ [ ("workers", total_workers t);
       ("workers_per_shard", t.cfg.workers);
-      ("worker_domains", Sync.with_lock t.workers_m (fun () -> List.length t.worker_domains));
+      ("worker_domains", Shard.spawned t.pool);
       ("shards", t.cfg.shards);
       ("k", t.cfg.k);
       ("keys", Sharded.size ~owned:(owns t) t.store);
@@ -214,15 +173,13 @@ let stats_pairs t =
       ("apply_calls", Sharded.apply_calls t.store);
       ("open_conns", Sync.with_lock t.conns_m (fun () -> List.length t.conns));
       ("uptime_ms", int_of_float ((Unix.gettimeofday () -. t.started_at) *. 1000.)) ]
-  @ [ ("ring_pushes", Array.fold_left (fun a s -> a + Wqueue.pushes s.sh_queue) 0 t.shard_ctxs);
-      ("ring_wakeups", Array.fold_left (fun a s -> a + Wqueue.wakeups s.sh_queue) 0 t.shard_ctxs) ]
+  @ [ ("ring_pushes", Array.fold_left (fun a s -> a + Wqueue.pushes (Shard.ring s)) 0 t.shards);
+      ("ring_wakeups", Array.fold_left (fun a s -> a + Wqueue.wakeups (Shard.ring s)) 0 t.shards) ]
   @ [ ("reactors", Array.length t.reactors);
       ("reactor_wakeups", Array.fold_left (fun a r -> a + Reactor.wakeups r) 0 t.reactors);
       ("reactor_posts", Array.fold_left (fun a r -> a + Reactor.posts r) 0 t.reactors) ]
-  @ Array.to_list
-      (Array.map
-         (fun s -> (Printf.sprintf "ops_shard_%d" s.sh_id, Kv_store.operations s.sh_store))
-         t.shard_ctxs)
+  @ List.init t.cfg.shards (fun s ->
+        (Printf.sprintf "ops_shard_%d" s, Kv_store.operations (Sharded.shard t.store s)))
   (* Cluster topology, observable without parsing logs: who we are, the
      routing epoch, and the owned-shard set (count + bitmask while it fits
      an int).  Migration counters ride in the metrics pairs above. *)
@@ -231,13 +188,11 @@ let stats_pairs t =
   | None -> []
   | Some cl ->
       let epoch, _ = Routing.snapshot cl.cl_routing in
-      let owned_count = Array.fold_left (fun acc o -> if o then acc + 1 else acc) 0 cl.cl_owned in
+      let owned = List.init t.cfg.shards (owns t) in
+      let owned_count = List.length (List.filter Fun.id owned) in
       let owned_mask =
-        if Array.length cl.cl_owned > 62 then -1
-        else
-          Array.to_list cl.cl_owned
-          |> List.mapi (fun i o -> if o then 1 lsl i else 0)
-          |> List.fold_left ( lor ) 0
+        if t.cfg.shards > 62 then -1
+        else List.fold_left ( lor ) 0 (List.mapi (fun i o -> if o then 1 lsl i else 0) owned)
       in
       [ ("cluster_node", cl.cl_node);
         ("cluster_nodes", Array.length cl.cl_addrs);
@@ -271,16 +226,16 @@ let resp_of_result (r : Kv_store.result) : Protocol.response =
   | Kv_store.Existed b -> Protocol.Deleted b
   | Kv_store.New_value v -> Protocol.Int v
 
-(* Apply one batch under one admission, record it, and frame each reply
-   into the buffer [out] picks for its connection.  Shared by the workers
-   (blocking admission, one buffer per connection, posted afterwards) and
-   the reactors' inline path (no-wait admission, replies straight into the
-   read's output).  [admit ops] runs the ops through the shard's wrapper;
-   [false] means it refused, and then nothing was applied, recorded or
-   framed.  The metrics are updated before the caller lets a reply leave,
-   one update per (batch, op class), every item carrying the same share of
-   the batch's latency. *)
-let exec_batch sh ~admit ~out items =
+(* Apply one batch under one admission, record it in the shard's
+   [metrics], and frame each reply into the buffer [out] picks for its
+   connection.  Shared by the workers (blocking admission, one buffer per
+   connection, posted afterwards) and the reactors' inline path (no-wait
+   admission, replies straight into the read's output).  [admit ops] runs
+   the ops through the shard's wrapper; [false] means it refused, and then
+   nothing was applied, recorded or framed.  The metrics are updated
+   before the caller lets a reply leave, one update per (batch, op class),
+   every item carrying the same share of the batch's latency. *)
+let exec_batch metrics ~admit ~out items =
   let t0 = Metrics.now_us () in
   let resps =
     match admit (List.map (fun it -> it.op) items) with
@@ -294,26 +249,27 @@ let exec_batch sh ~admit ~out items =
   | None -> false
   | Some resps ->
       let share_us = (Metrics.now_us () - t0) / max 1 (List.length items) in
-      Metrics.incr_batches sh.sh_metrics;
+      Metrics.incr_batches metrics;
       let answered = Array.make (Array.length Metrics.op_classes) 0 in
       List.iter2
         (fun it resp ->
           (match (resp : Protocol.response) with
-          | Protocol.Error _ -> Metrics.incr_errors sh.sh_metrics
+          | Protocol.Error _ -> Metrics.incr_errors metrics
           | _ ->
               let i = Metrics.class_index it.cls in
               answered.(i) <- answered.(i) + 1);
           Protocol.encode_response_wire (out it.rc) (Reactor.user it.rc).c_wire ~id:it.tag resp)
         items resps;
       Array.iteri
-        (fun i n -> Metrics.record_many sh.sh_metrics Metrics.op_classes.(i) ~n ~lat_us:share_us)
+        (fun i n -> Metrics.record_many metrics Metrics.op_classes.(i) ~n ~lat_us:share_us)
         answered;
       true
 
-(* A worker's batch: one blocking admission, then the responses bound for
-   one connection posted to its reactor as one coalesced write, so a
-   pipelining client gets one write per (batch, connection). *)
-let work_batch sh ~lpid items =
+(* A worker's batch, [Shard]'s [apply] callback: one blocking admission,
+   then the responses bound for one connection posted to its reactor as one
+   coalesced write, so a pipelining client gets one write per (batch,
+   connection). *)
+let work_batch store metrics ~lpid items =
   let flushes : (conn Reactor.conn * Buffer.t * int ref) list ref = ref [] in
   let out rc =
     match List.find_opt (fun (rc', _, _) -> rc' == rc) !flushes with
@@ -326,79 +282,13 @@ let work_batch sh ~lpid items =
         buf
   in
   ignore
-    (exec_batch sh ~out items ~admit:(fun ops ->
-         Some (Kv_store.perform_batch sh.sh_store ~pid:lpid ops)));
+    (exec_batch metrics ~out items ~admit:(fun ops ->
+         Some (Kv_store.perform_batch store ~pid:lpid ops)));
   List.iter
     (fun (rc, buf, count) ->
       Reactor.post_write rc (Buffer.contents buf);
       ignore (Atomic.fetch_and_add (Reactor.user rc).c_pending (- !count)))
-    !flushes;
-  (* Every item of this batch is answered: the migration fence's drain
-     ([sh_inflight] = 0) may now proceed past it. *)
-  ignore (Atomic.fetch_and_add sh.sh_inflight (-(List.length items)))
-
-(* Crash: park forever holding one of this shard's admission slots.  If
-   every slot is already wedged the acquire itself blocks — same observable
-   stall, exactly the k-th-failure boundary the paper predicts, scoped to
-   the shard. *)
-let die t sh ~lpid ~gid =
-  Metrics.incr_deaths sh.sh_metrics;
-  logf t "worker %d (shard %d): killed (crashing at the admission boundary)" gid sh.sh_id;
-  let asg = Kv_store.assignment sh.sh_store in
-  let name = Kex_lock.Assignment.acquire asg ~pid:lpid in
-  (* The slot is burned: the shard may run inline again. *)
-  Atomic.decr sh.sh_kills_pending;
-  Sync.with_lock t.morgue_m (fun () ->
-      while not t.morgue_open do
-        Condition.wait t.morgue_c t.morgue_m
-      done);
-  (* Shutdown reaps the morgue so domains join and the process exits 0. *)
-  Kex_lock.Assignment.release asg ~pid:lpid ~name
-
-let worker_loop t sh ~lpid ~gid =
-  let rec loop () =
-    match Wqueue.pop_batch sh.sh_queue ~max:max_batch with
-    | [] -> ()  (* ring closed: shutdown *)
-    | items ->
-        if Atomic.get t.kill_flags.(gid) then begin
-          (* Mid-claim crash: the claimed batch is re-dispatched in order
-             (the supervisor's job in a multi-process deployment); the slot
-             this worker is about to take is lost for good. *)
-          List.iter
-            (fun it ->
-              ignore (Wqueue.push_front sh.sh_queue it);
-              Metrics.incr_redispatched sh.sh_metrics)
-            (List.rev items);
-          die t sh ~lpid ~gid
-        end
-        else begin
-          work_batch sh ~lpid items;
-          loop ()
-        end
-  in
-  loop ()
-
-(* Start [sh]'s worker domains on first use: its first ring push, or the
-   first KILL aimed at one of them.  They are spawned once per shard
-   lifetime, on the thread that first needs them, and a shard that only
-   ever runs inline never starts any.  [false] means they never started
-   and [stop] has begun, which spawns no more: the caller refuses the
-   items it meant to push.  A spawn that fails (the runtime's domain
-   limit) is logged, and the shard keeps the workers it got. *)
-let start_workers t sh =
-  Atomic.get sh.sh_started
-  || Sync.with_lock t.workers_m (fun () ->
-         if not (Atomic.get sh.sh_started || Atomic.get t.stopping) then begin
-           Atomic.set sh.sh_started true;
-           try
-             for i = 0 to t.cfg.workers - 1 do
-               let gid = (sh.sh_id * t.cfg.workers) + i in
-               t.worker_domains <-
-                 Domain.spawn (fun () -> worker_loop t sh ~lpid:i ~gid) :: t.worker_domains
-             done
-           with e -> logf t "shard %d: starting workers failed: %s" sh.sh_id (Printexc.to_string e)
-         end;
-         Atomic.get sh.sh_started)
+    !flushes
 
 (* ---------------------------- fault injection --------------------------- *)
 
@@ -406,12 +296,7 @@ let kill_worker t w =
   if w < 0 || w >= total_workers t then
     Error (Printf.sprintf "worker %d out of range 0..%d" w (total_workers t - 1))
   else begin
-    (* Pending before the flag is visible, and once per victim.  A victim
-       that has not started yet dies at its first admission boundary. *)
-    let sh = t.shard_ctxs.(w / t.cfg.workers) in
-    Atomic.incr sh.sh_kills_pending;
-    if Atomic.exchange t.kill_flags.(w) true then Atomic.decr sh.sh_kills_pending;
-    ignore (start_workers t sh);
+    Shard.kill t.shards.(w / t.cfg.workers) ~lpid:(w mod t.cfg.workers);
     Ok ()
   end
 
@@ -421,10 +306,21 @@ let kill_worker t w =
 let next_victim t =
   let rec go w =
     if w >= total_workers t then None
-    else if Atomic.get t.kill_flags.(w) then go (w + 1)
+    else if Shard.killed t.shards.(w / t.cfg.workers) ~lpid:(w mod t.cfg.workers) then go (w + 1)
     else Some w
   in
   go 0
+
+(* Stop accepting, once: [stop] and [crash] both come here, and only the
+   first shuts the listener down and closes its fd, so a second close
+   cannot hit a descriptor that reused the number.  shutdown() before
+   close(): on Linux, closing a socket does not wake a thread blocked in
+   accept(), shutting it down does. *)
+let close_listener t =
+  if not (Atomic.exchange t.listener_closed true) then begin
+    (try Unix.shutdown t.listen_fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+    try Unix.close t.listen_fd with Unix.Unix_error _ -> ()
+  end
 
 (* kill-node: crash the whole node abruptly — stop accepting and sever
    every live connection with nothing drained.  Nothing inside the process
@@ -435,8 +331,7 @@ let next_victim t =
 let crash t =
   if not (Atomic.exchange t.crashed true) then begin
     logf t "kexd serve: node crash (kill-node)";
-    (try Unix.shutdown t.listen_fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
+    close_listener t;
     let conns = Sync.with_lock t.conns_m (fun () -> t.conns) in
     List.iter
       (fun c -> try Unix.shutdown c.c_fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
@@ -448,7 +343,7 @@ let chaos_loop t events =
     (fun (e : Chaos.event) ->
       let wait = e.at_s -. (Unix.gettimeofday () -. t.started_at) in
       if wait > 0. then Thread.delay wait;
-      if not (Atomic.get t.stopping) then
+      if not (Shard.stopping t.pool) then
         match e.action with
         | Chaos.Kill_node ->
             logf t "chaos: killing node at t=%.1fs" e.at_s;
@@ -462,8 +357,6 @@ let chaos_loop t events =
                 | Ok () -> logf t "chaos: killing worker %d at t=%.1fs" w e.at_s
                 | Error msg -> logf t "chaos: %s" msg)))
     events
-
-(* ------------------------------ connections ----------------------------- *)
 
 (* --------------------------- cluster data path --------------------------- *)
 
@@ -488,38 +381,6 @@ let topo_resp t =
       let self = Printf.sprintf "127.0.0.1:%d" t.actual_port in
       Protocol.Topo_reply (1, List.init t.cfg.shards (fun s -> (s, self)))
 
-(* Route a list of items against the migration fence: wait out an active
-   fence, re-check ownership (the fence-holder may have flipped routing),
-   and count the items in flight.  A quiet shard — empty ring, no kill
-   pending, not shutting down — leaves the list to the calling reactor
-   ([Inline]); otherwise it enters the ring, starting the shard's workers
-   if this is its first push.  The check-then-count is under
-   [sh_fence_m], so a fence set after our check cannot miss our items — the
-   drain sees [sh_inflight] > 0.  The list is routed or refused as a whole:
-   one fence check, at most one ring lock and one worker wakeup. *)
-type dispatched = Inline | Pushed | Not_owner | Shutting_down
-
-let dispatch_items t sh items =
-  let n = List.length items in
-  Sync.with_lock sh.sh_fence_m (fun () ->
-      while sh.sh_fenced do
-        Condition.wait sh.sh_fence_c sh.sh_fence_m
-      done;
-      if not (owns t sh.sh_id) then Not_owner
-      else begin
-        let route =
-          if
-            Atomic.get sh.sh_kills_pending = 0
-            && (not (Atomic.get t.stopping))
-            && Wqueue.length sh.sh_queue = 0
-          then Inline
-          else if start_workers t sh && Wqueue.push_list sh.sh_queue items then Pushed
-          else Shutting_down
-        in
-        if route <> Shutting_down then ignore (Atomic.fetch_and_add sh.sh_inflight n);
-        route
-      end)
-
 (* ------------------------- migration (source side) ----------------------- *)
 
 (* Changes per MIGIMPORT frame: bounds frame size (keys+values also bound
@@ -534,92 +395,88 @@ let rpc_ok conn req =
   | Ok _ -> Error "peer: unexpected response to migration push"
   | Error msg -> Error ("peer: " ^ msg)
 
-let fence sh on =
-  Sync.with_lock sh.sh_fence_m (fun () ->
-      sh.sh_fenced <- on;
-      if not on then Condition.broadcast sh.sh_fence_c)
-
 (* Live handoff of [shard] to the node at [addr], run on a helper thread
    for a HANDOFF frame.  Order of operations is the whole proof:
 
+     0. claim the shard ([Shard.claim_handoff]): under the fence lock, check
+        that this node owns it and that no other handoff holds it — a
+        second HANDOFF answers ERR instead of shipping the shard again;
      1. bulk-ship a [read_versioned] snapshot while the shard keeps
         serving (writes landing meanwhile will be in the delta);
-     2. fence the ring and drain in-flight batches through admission —
+     2. fence the shard and drain in-flight batches through admission —
         from here no mutation is acknowledged at the source;
      3. ship the delta (diff of a fresh snapshot against the bulk one)
-        stamped with the successor epoch; the destination applies it and
+        stamped with the successor epoch; the destination installs it and
         takes ownership;
-     4. flip local routing + ownership, then lift the fence, so blocked
-        mutators wake to a MOVED that names the new owner.
+     4. adopt the new routing, then drop ownership, lift the fence and end
+        the claim in one critical section, so blocked mutators wake to a
+        MOVED that names the new owner.
 
    Every mutation acknowledged before the fence is in bulk state or delta;
    none is acknowledged during it; every one after it happens at the new
    owner — zero acknowledged writes can be lost.  On any failure before
-   step 4 the fence lifts and the source keeps serving the shard. *)
+   step 4 the fence lifts, the claim ends and the source keeps serving the
+   shard. *)
+let ship_shard t cl ~shard ~addr =
+  match Netio.connect ~wire:Protocol.Binary ~timeout_s:10. addr with
+  | Error _ as e -> e
+  | Ok conn ->
+      Fun.protect
+        ~finally:(fun () -> Netio.close conn)
+        (fun () ->
+          let store = Sharded.shard t.store shard in
+          let rec ship_bulk = function
+            | [] -> Ok ()
+            | chunk :: rest -> (
+                let changes = List.map (fun (k, v) -> (k, Some v)) chunk in
+                match rpc_ok conn (Protocol.Mig_import (shard, 0, false, changes)) with
+                | Ok () -> ship_bulk rest
+                | Error _ as e -> e)
+          in
+          let _, bulk = Kv_store.read_versioned store in
+          logf t "handoff: shard %d -> %s (bulk %d keys)" shard addr (List.length bulk);
+          match ship_bulk (Migration.chunks ~max:mig_chunk bulk) with
+          | Error _ as e -> e
+          | Ok () ->
+              if not (Shard.fence t.shards.(shard) ~timeout_s:5.) then
+                Error "drain timed out (shard wedged?); handoff aborted"
+              else begin
+                let _, quiesced = Kv_store.read_versioned store in
+                let delta = Migration.diff ~before:bulk ~after:quiesced in
+                let next_epoch = Routing.epoch cl.cl_routing + 1 in
+                match rpc_ok conn (Protocol.Mig_import (shard, next_epoch, true, delta)) with
+                | Error _ as e -> e
+                | Ok () -> Ok (next_epoch, List.length delta)
+              end)
+
 let handoff t ~shard ~addr =
   match t.cluster with
   | None -> Error "not in cluster mode"
-  | Some cl ->
+  | Some cl -> (
       if shard < 0 || shard >= t.cfg.shards then
         Error (Printf.sprintf "shard %d out of range 0..%d" shard (t.cfg.shards - 1))
-      else if not cl.cl_owned.(shard) then
-        Error (Printf.sprintf "shard %d is not owned by this node" shard)
       else if String.equal addr cl.cl_self then Error "cannot hand off a shard to ourselves"
-      else begin
-        let sh = t.shard_ctxs.(shard) in
-        match Netio.connect ~wire:Protocol.Binary ~timeout_s:10. addr with
+      else
+        let sh = t.shards.(shard) in
+        match Shard.claim_handoff sh with
         | Error _ as e -> e
-        | Ok conn ->
-            let finish r =
-              Netio.close conn;
-              r
-            in
-            let rec ship_bulk = function
-              | [] -> Ok ()
-              | chunk :: rest -> (
-                  match
-                    rpc_ok conn
-                      (Protocol.Mig_import
-                         (shard, 0, false, List.map (fun (k, v) -> (k, Some v)) chunk))
-                  with
-                  | Ok () -> ship_bulk rest
-                  | Error _ as e -> e)
-            in
-            let _, bulk = Kv_store.read_versioned sh.sh_store in
-            logf t "handoff: shard %d -> %s (bulk %d keys)" shard addr (List.length bulk);
-            (match ship_bulk (Migration.chunks ~max:mig_chunk bulk) with
-            | Error _ as e -> finish e
-            | Ok () ->
-                fence sh true;
-                (* Drain: pushes are fenced out, so in-flight can only sink. *)
-                let deadline = Unix.gettimeofday () +. 5. in
-                while Atomic.get sh.sh_inflight > 0 && Unix.gettimeofday () < deadline do
-                  Thread.delay 0.001
-                done;
-                if Atomic.get sh.sh_inflight > 0 then begin
-                  fence sh false;
-                  finish (Error "drain timed out (shard wedged?); handoff aborted")
-                end
-                else begin
-                  let _, quiesced = Kv_store.read_versioned sh.sh_store in
-                  let delta = Migration.diff ~before:bulk ~after:quiesced in
-                  let next_epoch = Routing.epoch cl.cl_routing + 1 in
-                  match rpc_ok conn (Protocol.Mig_import (shard, next_epoch, true, delta)) with
-                  | Error msg ->
-                      fence sh false;
-                      finish (Error msg)
-                  | Ok () ->
-                      (* The destination owns the shard at [next_epoch];
-                         adopt that fact, drop ownership, lift the fence. *)
-                      ignore (Routing.observe cl.cl_routing ~shard ~epoch:next_epoch ~addr);
-                      cl.cl_owned.(shard) <- false;
-                      Metrics.incr_migrations_out t.conn_metrics;
-                      fence sh false;
-                      logf t "handoff: shard %d now owned by %s at epoch %d (delta %d changes)"
-                        shard addr next_epoch (List.length delta);
-                      finish (Ok ())
-                end)
-      end
+        | Ok () -> (
+            match ship_shard t cl ~shard ~addr with
+            | Ok (epoch, changes) ->
+                (* The destination owns the shard at [epoch]: adopt that
+                   fact, then flip and unfence. *)
+                ignore (Routing.observe cl.cl_routing ~shard ~epoch ~addr);
+                Metrics.incr_migrations_out t.conn_metrics;
+                Shard.end_handoff sh ~moved:true;
+                logf t "handoff: shard %d now owned by %s at epoch %d (delta %d changes)" shard
+                  addr epoch changes;
+                Ok ()
+            | Error _ as e ->
+                Shard.end_handoff sh ~moved:false;
+                e
+            | exception e ->
+                Shard.end_handoff sh ~moved:false;
+                raise e))
 
 (* A shard this node may import into: in range and not owned here. *)
 let import_target t shard =
@@ -628,7 +485,7 @@ let import_target t shard =
   | Some cl ->
       if shard < 0 || shard >= t.cfg.shards then
         Error (Printf.sprintf "shard %d out of range 0..%d" shard (t.cfg.shards - 1))
-      else if cl.cl_owned.(shard) then
+      else if owns t shard then
         Error (Printf.sprintf "shard %d is already owned by this node" shard)
       else Ok cl
 
@@ -638,7 +495,7 @@ let take_ownership t cl ~shard ~epoch =
       (Printf.sprintf "stale migration epoch %d (routing is at %d)" epoch
          (Routing.epoch cl.cl_routing))
   else begin
-    cl.cl_owned.(shard) <- true;
+    Shard.set_owned t.shards.(shard) true;
     Metrics.incr_migrations_in t.conn_metrics;
     logf t "migration: imported shard %d, owned at epoch %d" shard epoch;
     Ok ()
@@ -662,7 +519,7 @@ let mig_import t ~lpid conn ~shard ~epoch ~final changes =
       conn.c_imports <- (if final then others else (shard, image) :: others);
       if not final then Ok ()
       else
-        let store = t.shard_ctxs.(shard).sh_store in
+        let store = Sharded.shard t.store shard in
         match Kv_store.try_perform_batch store ~pid:lpid [ Kv_store.Install image ] with
         | Some _ -> take_ownership t cl ~shard ~epoch
         | None -> Error (Printf.sprintf "shard %d: admission refused the import" shard))
@@ -700,7 +557,7 @@ let respond_now conn out tag resp = Protocol.encode_response_wire out conn.c_wir
    answers as one batch — all newest first. *)
 type pending = { muts : item list array; mutable gets : (string * int option) list }
 
-let new_pending t = { muts = Array.make (Array.length t.shard_ctxs) []; gets = [] }
+let new_pending t = { muts = Array.make t.cfg.shards []; gets = [] }
 
 (* The wait-free read plane, one batch per socket read: answer the queued
    GETs into [out], in decode order, with no ring, no worker and no
@@ -733,48 +590,11 @@ let shutting_down t =
   Metrics.incr_errors t.conn_metrics;
   Protocol.Error "server shutting down"
 
-(* The inline path: this reactor, as process [lpid] of the shard's wrapper,
-   applies the list [max_batch] items per no-wait admission, framing the
-   replies into [out].  The first refusal hands the rest of the list to the
-   ring exactly as a ring dispatch would have (it is already counted in
-   flight), starting the workers if need be; a ring closed meanwhile, or
-   workers that can no longer start, refuse it. *)
-let run_inline t sh ~lpid conn out items =
-  let rec split_at n = function
-    | x :: rest when n > 0 ->
-        let chunk, rest = split_at (n - 1) rest in
-        (x :: chunk, rest)
-    | rest -> ([], rest)
-  in
-  let rec go items =
-    if items <> [] then begin
-      let chunk, rest = split_at max_batch items in
-      let n = List.length chunk in
-      if
-        exec_batch sh chunk
-          ~admit:(fun ops -> Kv_store.try_perform_batch sh.sh_store ~pid:lpid ops)
-          ~out:(fun _ -> out)
-      then begin
-        Metrics.incr_inline_admissions sh.sh_metrics;
-        ignore (Atomic.fetch_and_add conn.c_pending (-n));
-        ignore (Atomic.fetch_and_add sh.sh_inflight (-n));
-        go rest
-      end
-      else begin
-        Metrics.incr_inline_aborts sh.sh_metrics;
-        if not (start_workers t sh && Wqueue.push_list sh.sh_queue items) then begin
-          let n = List.length items in
-          ignore (Atomic.fetch_and_add conn.c_pending (-n));
-          ignore (Atomic.fetch_and_add sh.sh_inflight (-n));
-          List.iter (fun it -> respond_now conn out it.tag (shutting_down t)) items
-        end
-      end
-    end
-  in
-  go items
-
-(* Dispatch each shard's pending mutations, in arrival order, as one batch.
-   Replies made on the plane — a quiet shard's inline results, or a
+(* Dispatch each shard's pending mutations, in arrival order, as one batch
+   routed by [Shard.route].  A quiet shard's list runs on this reactor, as
+   process [lpid] of the shard's wrapper, a no-wait admission per
+   [Shard.max_batch] items, its replies framed into [out]; a refusal hands
+   the rest to the ring.  Replies made on the plane — inline results, or a
    refused batch's MOVED/ERR — land in [out] after the GETs decoded before
    them, and leave the connection's pending count right here: the plane
    appends [out] after this, so the replies and the count drops land in the
@@ -785,7 +605,7 @@ let flush_pending t ~lpid conn out p =
       if newest_first <> [] then begin
         p.muts.(s) <- [];
         let items = List.rev newest_first in
-        let refuse resp =
+        let refuse resp items =
           List.iter
             (fun it ->
               ignore (Atomic.fetch_and_add conn.c_pending (-1));
@@ -793,14 +613,24 @@ let flush_pending t ~lpid conn out p =
               respond_now conn out it.tag (resp ()))
             items
         in
-        let sh = t.shard_ctxs.(s) in
-        match dispatch_items t sh items with
-        | Inline ->
+        let sh = t.shards.(s) in
+        match Shard.route sh items with
+        | Shard.Inline ->
             resolve_gets t conn out p;
-            run_inline t sh ~lpid conn out items
-        | Pushed -> ()
-        | Not_owner -> refuse (fun () -> moved_resp t s)
-        | Shutting_down -> refuse (fun () -> shutting_down t)
+            let store = Sharded.shard t.store s in
+            let attempt chunk =
+              exec_batch (Shard.metrics sh) chunk
+                ~admit:(fun ops -> Kv_store.try_perform_batch store ~pid:lpid ops)
+                ~out:(fun _ -> out)
+              && begin
+                   ignore (Atomic.fetch_and_add conn.c_pending (-List.length chunk));
+                   true
+                 end
+            in
+            Shard.run_inline sh items ~attempt ~refuse:(refuse (fun () -> shutting_down t))
+        | Shard.Pushed -> ()
+        | Shard.Not_owner -> refuse (fun () -> moved_resp t s) items
+        | Shard.Shutting_down -> refuse (fun () -> shutting_down t) items
       end)
     p.muts
 
@@ -948,8 +778,13 @@ let reactor_handlers t ~lpid =
         Sync.with_lock t.conns_m (fun () ->
             t.conns <- List.filter (fun c -> c != conn) t.conns)) }
 
+(* A failed accept that is not [stop] or [crash] closing the listener (fd
+   exhaustion, a kernel buffer shortage) is retried after this pause. *)
+let accept_retry_s = 0.05
+
 let accept_loop t =
   let next_reactor = ref 0 in
+  let failing = ref false in
   let rec loop () =
     match Unix.accept t.listen_fd with
     | fd, _ ->
@@ -970,11 +805,20 @@ let accept_loop t =
         Sync.with_lock t.conns_m (fun () -> t.conns <- conn :: t.conns);
         Reactor.add t.reactors.(!next_reactor) fd conn;
         next_reactor := (!next_reactor + 1) mod Array.length t.reactors;
+        failing := false;
         loop ()
     | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) -> loop ()
-    | exception Unix.Unix_error _ ->
-        (* Listener closed under us — the shutdown path. *)
-        ()
+    | exception Unix.Unix_error (e, _, _) ->
+        (* Leave only once [stop] or [crash] closed the listener; any other
+           failure is logged once per streak and retried. *)
+        if not (Atomic.get t.listener_closed) then begin
+          if not !failing then
+            logf t "accept failed: %s; retrying every %.0f ms" (Unix.error_message e)
+              (accept_retry_s *. 1000.);
+          failing := true;
+          Thread.delay accept_retry_s;
+          loop ()
+        end
   in
   loop ()
 
@@ -991,13 +835,9 @@ let enable_cluster t ~node ~addrs =
   if node < 0 || node >= n then invalid_arg "Server.enable_cluster: node index out of range";
   let routing = Routing.initial ~addrs ~shards:t.cfg.shards in
   let addr_arr = Array.of_list addrs in
+  Array.iteri (fun s sh -> Shard.set_owned sh (s mod n = node)) t.shards;
   t.cluster <-
-    Some
-      { cl_node = node;
-        cl_addrs = addr_arr;
-        cl_self = addr_arr.(node);
-        cl_routing = routing;
-        cl_owned = Array.init t.cfg.shards (fun s -> s mod n = node) };
+    Some { cl_node = node; cl_addrs = addr_arr; cl_self = addr_arr.(node); cl_routing = routing };
   logf t "cluster: node %d/%d at %s, owning %d of %d shards" node n addr_arr.(node)
     ((t.cfg.shards + n - 1 - node) / n)
     t.cfg.shards
@@ -1029,33 +869,21 @@ let start cfg =
   let store =
     Sharded.create ~algo:cfg.algo ~shards:cfg.shards ~n:(cfg.workers + cfg.reactors) ~k:cfg.k ()
   in
-  let shard_ctxs =
-    Array.init cfg.shards (fun i ->
-        { sh_id = i;
-          sh_store = Sharded.shard store i;
-          sh_queue = Wqueue.create ();
-          sh_metrics = Metrics.create ();
-          sh_fence_m = Mutex.create ();
-          sh_fence_c = Condition.create ();
-          sh_fenced = false;
-          sh_inflight = Atomic.make 0;
-          sh_kills_pending = Atomic.make 0;
-          sh_started = Atomic.make false })
+  let pool = Shard.pool ~workers:cfg.workers ~log:cfg.log () in
+  let shards =
+    Array.init cfg.shards (fun id ->
+        let store = Sharded.shard store id and metrics = Metrics.create () in
+        Shard.create pool ~id ~store ~metrics ~apply:(work_batch store metrics))
   in
   let t =
     { cfg;
       store;
-      shard_ctxs;
+      pool;
+      shards;
       conn_metrics = Metrics.create ();
-      kill_flags = Array.init (cfg.shards * cfg.workers) (fun _ -> Atomic.make false);
-      morgue_m = Mutex.create ();
-      morgue_c = Condition.create ();
-      morgue_open = false;
       listen_fd;
+      listener_closed = Atomic.make false;
       actual_port;
-      stopping = Atomic.make false;
-      workers_m = Mutex.create ();
-      worker_domains = [];
       listener = None;
       chaos_thread = None;
       conns_m = Mutex.create ();
@@ -1080,38 +908,19 @@ let start cfg =
   t
 
 let stop ?(drain_timeout_s = 5.) t =
-  Atomic.set t.stopping true;
-  (* 1. Stop accepting.  shutdown() before close(): on Linux, closing a
-     socket does not wake a thread blocked in accept(), shutting it down
-     does (the accept fails with EINVAL/ECONNABORTED). *)
-  (try Unix.shutdown t.listen_fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-  (* 2. Let in-flight work drain (bounded: a stalled shard never drains). *)
-  let queued () = Array.fold_left (fun acc s -> acc + Wqueue.length s.sh_queue) 0 t.shard_ctxs in
-  let deadline = Unix.gettimeofday () +. drain_timeout_s in
-  while queued () > 0 && Unix.gettimeofday () < deadline do
-    Thread.delay 0.01
-  done;
-  (* 3. Reap the morgue: parked "dead" workers release their slots and
-     exit, unwedging any live worker stuck at admission. *)
-  Sync.with_lock t.morgue_m (fun () ->
-      t.morgue_open <- true;
-      Condition.broadcast t.morgue_c);
-  (* 4. Close every ring; refuse whatever never got dispatched. *)
-  Array.iter
-    (fun s ->
-      let leftovers = Wqueue.close s.sh_queue in
-      ignore (Atomic.fetch_and_add s.sh_inflight (-(List.length leftovers)));
-      List.iter
-        (fun it -> post_reply it.rc it.tag (Protocol.Error "server shutting down"))
-        leftovers)
-    t.shard_ctxs;
-  (* 5. Join workers, then retire the connection plane.  Workers go first:
-     their final flushes post into reactor mailboxes, and the reactors'
-     graceful stop (drain each connection's output, bounded, then close
-     it) needs those posts already queued.  [stopping] is set, so the list
-     read under [workers_m] is final. *)
-  List.iter Domain.join (Sync.with_lock t.workers_m (fun () -> t.worker_domains));
+  (* 1. No worker starts and no list runs inline from here; stop
+     accepting. *)
+  Shard.stop t.pool;
+  close_listener t;
+  (* 2. Drain the rings (bounded: a stalled shard never drains), reap the
+     morgue so parked "dead" workers release their slots, refuse whatever
+     never got dispatched, and join the workers. *)
+  Shard.retire t.pool t.shards ~drain_timeout_s ~refuse:(fun it ->
+      post_reply it.rc it.tag (Protocol.Error "server shutting down"));
+  (* 3. Retire the connection plane.  Workers went first: their final
+     flushes post into reactor mailboxes, and the reactors' graceful stop
+     (drain each connection's output, bounded, then close it) needs those
+     posts already queued. *)
   Array.iter (fun r -> Reactor.stop ~grace_s:drain_timeout_s r) t.reactors;
   Option.iter Thread.join t.listener;
   Option.iter Thread.join t.chaos_thread;

@@ -57,7 +57,17 @@
     move between live nodes with [HANDOFF] (bulk snapshot, fence + drain,
     delta + epoch bump, routing flip — zero acknowledged writes lost), and
     [kill-node] chaos crashes the whole process abruptly, the failure unit
-    the routing layer must route around. *)
+    the routing layer must route around.  A shard hands off one HANDOFF at
+    a time: a second HANDOFF of a shard already being handed off answers
+    [ERR].
+
+    Each shard's state machine — ownership, the route decision, the
+    migration fence and handoff claim, in-flight accounting, kills, the
+    worker loop and its lazy start — lives in the I/O-free {!Shard}; this
+    module keeps decode, reply framing, the GET plane, cluster RPC, chaos
+    and STATS.  The listener is closed once, by {!stop} or {!crash}, and
+    only that ends the accept loop: any other failed accept (fd
+    exhaustion) is retried after a short pause. *)
 
 type config = {
   port : int;  (** 0 picks an ephemeral port — read it back with {!port} *)
@@ -126,8 +136,9 @@ val crash : t -> unit
 
 val handoff : t -> shard:int -> addr:string -> (unit, string) result
 (** Programmatic [HANDOFF]: live-migrate [shard] to the node at [addr]
-    (bulk snapshot, fence + drain, delta + epoch bump, routing flip).
-    [Error] leaves ownership at this node. *)
+    (claim, bulk snapshot, fence + drain, delta + epoch bump, routing
+    flip).  [Error] leaves ownership at this node; a shard already being
+    handed off answers [Error] at once. *)
 
 val adopt : t -> shard:int -> (unit, string) result
 (** Forced takeover of an unowned shard at the successor epoch — the

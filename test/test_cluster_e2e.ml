@@ -438,6 +438,37 @@ let test_round_trip_mixed () =
               assert_resp "the receiver's SCAN equals the owner's" owner (scan c0)
           | _ -> assert false))
 
+(* Two HANDOFFs of one shard at once, to two different nodes: the shard's
+   handoff claim lets exactly one through and the other answers ERR, so
+   afterwards exactly one node owns the shard — the destination that
+   answered OK. *)
+let test_concurrent_handoffs_one_owner () =
+  let shards = 2 in
+  with_cluster ~cfg:{ quiet with shards; workers = 2; k = 1 } 3 (fun servers addrs ->
+      let cs = Array.map (fun t -> connect (Server.port t)) servers in
+      let to1 = connect (Server.port servers.(0)) and to2 = connect (Server.port servers.(0)) in
+      Fun.protect
+        ~finally:(fun () -> List.iter close (to1 :: to2 :: Array.to_list cs))
+        (fun () ->
+          List.iter
+            (fun key -> assert_resp "SET at node 0" P.Ok (rpc cs.(0) (P.Set (key, "v"))))
+            (keys_for_shard ~shards 0 200);
+          send to1 [ (None, P.Handoff (0, addrs.(1))) ];
+          send to2 [ (None, P.Handoff (0, addrs.(2))) ];
+          let ok r = match r with P.Ok -> true | _ -> false in
+          let r1 = recv to1 and r2 = recv to2 in
+          Alcotest.(check int)
+            (Printf.sprintf "one HANDOFF answers OK (%s / %s)" (P.print_response r1)
+               (P.print_response r2))
+            1
+            (List.length (List.filter ok [ r1; r2 ]));
+          let owners =
+            List.filter (fun node -> stat cs.(node) "owned_mask" land 1 = 1) [ 0; 1; 2 ]
+          in
+          Alcotest.(check (list int)) "the OK destination is the one owner"
+            [ (if ok r1 then 1 else 2) ]
+            owners))
+
 let suite =
   [ Helpers.tc "cluster: TOPO, MOVED, STATS topology" test_topo_and_moved;
     Helpers.tc_slow "cluster: live migration under load, exact counter"
@@ -458,4 +489,6 @@ let suite =
     Helpers.tc "cluster: adopt serves the empty shard, not a stale copy"
       test_adopt_serves_empty_shard;
     Helpers.tc "cluster: a mixed round trip ends with the owner's SCAN"
-      test_round_trip_mixed ]
+      test_round_trip_mixed;
+    Helpers.tc "cluster: two concurrent HANDOFFs of a shard leave one owner"
+      test_concurrent_handoffs_one_owner ]

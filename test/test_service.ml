@@ -1058,6 +1058,49 @@ let test_connection_burst () =
           let took = Unix.gettimeofday () -. t0 in
           if took >= 1. then Alcotest.failf "%d PINGs took %.2f s from the burst (want < 1 s)" n took))
 
+(* [stop] after [crash] closes the listener's fd once: after the crash, 32
+   pipes take the lowest free descriptors, the old listener's number among
+   them, and every one must still be open after [stop]. *)
+let test_stop_after_crash_closes_listener_once () =
+  let t = Server.start quiet in
+  Server.crash t;
+  let pipes = List.init 32 (fun _ -> Unix.pipe ()) in
+  let fds = List.concat_map (fun (r, w) -> [ r; w ]) pipes in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) fds)
+    (fun () ->
+      Server.stop ~drain_timeout_s:1. t;
+      List.iter
+        (fun fd ->
+          match Unix.fstat fd with
+          | _ -> ()
+          | exception Unix.Unix_error (e, _, _) ->
+              Alcotest.failf "stop closed a pipe opened after the crash: %s" (Unix.error_message e))
+        fds)
+
+(* One failed accept does not end the accept loop: with the process's fd
+   table full, the accept of a connection fails (EMFILE); once the fds are
+   free again, a new connection is answered within a second. *)
+let test_accept_survives_fd_exhaustion () =
+  with_server quiet (fun t ->
+      let first = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      let held = ref [] in
+      Fun.protect
+        ~finally:(fun () ->
+          List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) (first :: !held))
+        (fun () ->
+          (try
+             while true do
+               held := Unix.dup first :: !held
+             done
+           with Unix.Unix_error (Unix.EMFILE, _, _) -> ());
+          Unix.connect first (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port t));
+          (* The listener wakes for [first] and finds no free fd. *)
+          Thread.delay 0.2);
+      let c = connect ~timeout_s:1. (Server.port t) in
+      Fun.protect ~finally:(fun () -> close c) (fun () ->
+          assert_resp "PING after the fds are back" P.Pong (rpc c P.Ping)))
+
 let suite =
   [ Helpers.tc "CRUD over a socket" test_crud_over_socket;
     Helpers.tc "bad server and loadgen configs raise Invalid_argument"
@@ -1098,4 +1141,8 @@ let suite =
     Helpers.tc "worker domains start on first use: none when healthy, one shard's on KILL"
       test_workers_start_on_first_use;
     Helpers.tc_slow "a burst of 512 connections is answered within a second"
-      test_connection_burst ]
+      test_connection_burst;
+    Helpers.tc "stop after crash closes the listener's fd once"
+      test_stop_after_crash_closes_listener_once;
+    Helpers.tc "a failed accept (fd table full) does not end the accept loop"
+      test_accept_survives_fd_exhaustion ]

@@ -434,6 +434,57 @@ let with_lock m f handle =
       handle e
 |} ) ]
 
+(* ------------------------------ I/O-free -------------------------------- *)
+
+let test_s5_io_free_module () =
+  let manifest = [ A.Srclint.rules "fix/io.ml" ~io_free:true ] in
+  List.iter
+    (fun (what, src) ->
+      check_ids what [ "S5-unguarded-state" ] (lint ~manifest ~path:"fix/io.ml" src))
+    [ ("reactor call", {|
+let answer rc s = Reactor.post_write rc s
+|});
+      ("codec constructor", {|
+let ok = Kex_service.Protocol.Ok
+|});
+      ("netio open", {|
+open Netio
+|});
+      ("module alias", {|
+module R = Reactor
+|});
+      ("codec type", {|
+type reply = Protocol.response
+|});
+      ("socket call", {|
+let fd () = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0
+|}) ];
+  check_clean "no I/O"
+    (lint ~manifest ~path:"fix/io.ml"
+       {|
+let now () = Unix.gettimeofday ()
+let entry (p : Kex_runtime.Protocol.t) = p
+|});
+  check_clean "the same names outside an I/O-free module"
+    (lint {|
+let answer rc s = Reactor.post_write rc s
+|})
+
+(* The tier-1 side of the I/O-free rule: [lib/service/shard.ml] is declared
+   I/O-free and lints clean under its manifest entry.  The source is read
+   from the repository root or, under [dune runtest], from the build tree's
+   copy next to the test directory. *)
+let test_shard_is_io_free () =
+  let path = "lib/service/shard.ml" in
+  (match A.Srclint.rules_for A.Srclint.default_manifest path with
+  | None -> Alcotest.fail "no manifest entry for shard.ml"
+  | Some r -> Alcotest.(check bool) "shard.ml declared I/O-free" true r.A.Srclint.mr_io_free);
+  let file = if Sys.file_exists path then path else Filename.concat ".." path in
+  let fr = A.Srclint.lint_file file in
+  if not (A.Srclint.file_clean fr) then
+    Alcotest.failf "%s: %s" path
+      (String.concat "; " (List.map (fun (f : A.Finding.t) -> f.A.Finding.detail) fr.A.Srclint.fr_findings))
+
 let suite =
   [ Alcotest.test_case "S1: raising bare region flagged, with_lock twin clean" `Quick
       test_s1_raising_region;
@@ -471,4 +522,7 @@ let suite =
     Alcotest.test_case "mutant corpus covers S1-S5" `Quick test_mutant_corpus_covers_all_checks;
     Alcotest.test_case "kexclusion-srclint/v1 JSON document" `Quick test_json_document;
     Alcotest.test_case "S1: near misses of the with_lock shape flagged" `Quick
-      test_s1_shape_near_misses ]
+      test_s1_shape_near_misses;
+    Alcotest.test_case "S5: I/O-free module" `Quick test_s5_io_free_module;
+    Alcotest.test_case "lib/service/shard.ml is I/O-free and lints clean" `Quick
+      test_shard_is_io_free ]
