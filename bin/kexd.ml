@@ -3,7 +3,7 @@
 
      kexd run    --algo fastpath --model cc --n 32 --k 4 --contention 8
      kexd sweep  --algo tree --model dsm --k 4 --over n --values 8,16,32,64
-     kexd verify --figure fig2 --n 3 --crashes 2
+     kexd verify --figure fig2 -n 3 --crashes 2
      kexd serve  --port 7070 --workers 4 --k 2 --chaos kill-worker@5s
      kexd loadgen --port 7070 --connections 4 --duration 5 --mix get=80,set=20
 
@@ -194,35 +194,46 @@ let sweep_cmd =
 
 (* ------------------------------- verify --------------------------------- *)
 
+(* The figures [verify] and [hunt] check, at the sizes they check them:
+   Figures 2, 6 and 7 are the shipped text run on [Traced]; Figures 4 and 5
+   are hand models. *)
+type figure = Figure : (module Kex_verify.System.MODEL with type state = 's) -> figure
+
+let figures =
+  let open Kex_verify in
+  let module S = Shipped.Figures in
+  [ ("fig2", fun ~n ~crashes -> Figure (S.fig2 ~n ~max_crashes:crashes));
+    ("fig4", fun ~n ~crashes -> Figure (Fig4_model.model ~n ~k:(max 1 (n - 2)) ~max_crashes:crashes ()));
+    ("fig5", fun ~n ~crashes -> Figure (Fig5_model.model ~n:(min n 3) ~rounds:2 ~max_crashes:crashes ()));
+    ("fig6", fun ~n ~crashes -> Figure (S.fig6 ~n:(min n 2) ~max_crashes:crashes));
+    ("fig7", fun ~n ~crashes -> Figure (S.renaming ~procs:n ~k:n ~max_crashes:crashes)) ]
+
+let figure_arg =
+  Arg.(value & opt string "fig2" & info [ "figure" ] ~doc:(String.concat ", " (List.map fst figures)))
+
+let small_n_arg = Arg.(value & opt int 3 & info [ "n"; "procs" ] ~doc:"processes (keep small)")
+let crashes_arg = Arg.(value & opt int 1 & info [ "crashes" ] ~doc:"crash budget")
+
+(* Runs [f] on the named figure's model; 2 for an unknown name. *)
+let with_figure name ~n ~crashes f =
+  match List.assoc_opt name figures with
+  | Some model -> f (model ~n ~crashes)
+  | None ->
+      Format.eprintf "unknown figure %S@." name;
+      2
+
 let verify_cmd =
   let doc = "exhaustively model-check a figure of the paper at small N" in
-  let figure_arg =
-    Arg.(value & opt string "fig2" & info [ "figure" ] ~doc:"fig2, fig4, fig5, fig6 or fig7")
-  in
-  let crashes_arg = Arg.(value & opt int 1 & info [ "crashes" ] ~doc:"crash budget") in
-  let small_n_arg = Arg.(value & opt int 3 & info [ "n"; "procs" ] ~doc:"processes (keep small)") in
   let run figure n crashes =
-    let report (type s) name (m : (module Kex_verify.System.MODEL with type state = s)) =
-      let r = Kex_verify.Explore.check m () in
-      Format.printf "%s: %d states, %d transitions, %s@." name r.Kex_verify.Explore.states
-        r.transitions
-        (match r.violation with
-        | None -> if r.complete then "all invariants hold" else "no violation (capped)"
-        | Some v -> "VIOLATION of " ^ v.property);
-      match r.violation with None -> 0 | Some _ -> 1
-    in
-    match figure with
-    | "fig2" -> report "fig2" (Kex_verify.Fig2_model.model ~n ~max_crashes:crashes ())
-    | "fig4" ->
-        report "fig4"
-          (Kex_verify.Fig4_model.model ~n ~k:(max 1 (n - 2)) ~max_crashes:crashes ())
-    | "fig5" ->
-        report "fig5" (Kex_verify.Fig5_model.model ~n:(min n 3) ~rounds:2 ~max_crashes:crashes ())
-    | "fig6" -> report "fig6" (Kex_verify.Fig6_model.model ~n:(min n 2) ~max_crashes:crashes ())
-    | "fig7" -> report "fig7" (Kex_verify.Fig7_model.model ~procs:n ~k:n ~max_crashes:crashes ())
-    | s ->
-        Format.eprintf "unknown figure %S@." s;
-        2
+    with_figure figure ~n ~crashes (fun (Figure m) ->
+        let r = Kex_verify.Explore.check m () in
+        Format.printf "%s: %d states, %d transitions, %s@." figure r.Kex_verify.Explore.states
+          r.transitions
+          (match r.violation with
+          | None -> if r.complete then "all invariants hold" else "no violation (capped)"
+          | Some v -> "VIOLATION of " ^ v.property);
+        (* a capped exploration verified nothing *)
+        if r.violation = None && r.complete then 0 else 1)
   in
   Cmd.v (Cmd.info "verify" ~doc) Term.(const run $ figure_arg $ small_n_arg $ crashes_arg)
 
@@ -230,38 +241,17 @@ let verify_cmd =
 
 let hunt_cmd =
   let doc = "randomized deep-violation search on a figure's model" in
-  let figure_arg = Arg.(value & opt string "fig2" & info [ "figure" ] ~doc:"fig2, fig4, fig6 or fig7") in
-  let small_n_arg = Arg.(value & opt int 3 & info [ "n"; "procs" ] ~doc:"processes") in
-  let crashes_arg = Arg.(value & opt int 1 & info [ "crashes" ] ~doc:"crash budget") in
   let walks_arg = Arg.(value & opt int 200 & info [ "walks" ] ~doc:"random walks") in
   let steps_arg = Arg.(value & opt int 2000 & info [ "steps" ] ~doc:"steps per walk") in
   let run figure n crashes walks steps =
-    let hunt (type s) (m : (module Kex_verify.System.MODEL with type state = s))
-        (pp : Format.formatter -> s -> unit) =
-      match Kex_verify.Explore.hunt m ~seeds:(List.init walks Fun.id) ~steps () with
-      | None ->
-          Format.printf "no violation found in %d walks x %d steps@." walks steps;
-          0
-      | Some v ->
-          Format.printf "%a" (Kex_verify.Explore.pp_violation pp) v;
-          1
-    in
-    match figure with
-    | "fig2" ->
-        let (module M) = Kex_verify.Fig2_model.model ~n ~max_crashes:crashes () in
-        hunt (module M) M.pp
-    | "fig4" ->
-        let (module M) = Kex_verify.Fig4_model.model ~n ~k:(max 1 (n - 2)) ~max_crashes:crashes () in
-        hunt (module M) M.pp
-    | "fig6" ->
-        let (module M) = Kex_verify.Fig6_model.model ~n:(min n 3) ~max_crashes:crashes () in
-        hunt (module M) M.pp
-    | "fig7" ->
-        let (module M) = Kex_verify.Fig7_model.model ~procs:n ~k:n ~max_crashes:crashes () in
-        hunt (module M) M.pp
-    | s ->
-        Format.eprintf "unknown figure %S@." s;
-        2
+    with_figure figure ~n ~crashes (fun (Figure (module M)) ->
+        match Kex_verify.Explore.hunt (module M) ~seeds:(List.init walks Fun.id) ~steps () with
+        | None ->
+            Format.printf "no violation found in %d walks x %d steps@." walks steps;
+            0
+        | Some v ->
+            Format.printf "%a" (Kex_verify.Explore.pp_violation M.pp) v;
+            1)
   in
   Cmd.v (Cmd.info "hunt" ~doc)
     Term.(const run $ figure_arg $ small_n_arg $ crashes_arg $ walks_arg $ steps_arg)

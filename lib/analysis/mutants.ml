@@ -28,54 +28,33 @@ let subject ~name ~model ~n ~k ?(meta = meta_plain) make =
   { Lint.sub_name = name; sub_model = model; sub_n = n; sub_k = k; sub_meta = meta;
     sub_make = make; sub_name_cell = "fig7.X" }
 
-(* ---- 1. Figure 2 with the release write dropped (statement 7). -------- *)
-(* The releaser returns its slot but never writes Q, so a waiting process is
-   only ever woken by accident (another process entering with no slots).
-   Under a fair schedule the last waiter starves: the run stalls. *)
-let fig2_no_release_write mem ~k ~inner =
-  let x = Memory.alloc mem ~label:"fig2.X" ~init:k 1 in
-  let q = Memory.alloc mem ~label:"fig2.Q" ~init:0 1 in
-  let entry ~pid =
-    let* () = inner.Protocol.entry ~pid in
-    let* slots = faa x (-1) in
-    if slots = 0 then
-      let* () = write q pid in
-      let* xv = read x in
-      if xv < 0 then await_ne q pid else return ()
-    else return ()
-  in
-  let exit ~pid =
-    let* _ = faa x 1 in
-    (* BUG: statement 7 "Q := p" omitted *)
-    inner.Protocol.exit ~pid
-  in
-  { Protocol.name = Printf.sprintf "fig2-no-release[k=%d]" k; entry; exit; try_entry = refuse }
+(* ---- 1-3. Patches of the shipped figures (lib/figure_mutants). ------- *)
+(* Run by the simulator in the patched text's own Figure 7 assignment;
+   Figure 2's mutants are one block over a skip inner. *)
+module Patched (F : Kexclusion.Figures.S with type 'a m = 'a Op.t and type ctx = Memory.t) =
+struct
+  let assignment ~name ~n ~k kex =
+    subject ~name ~model:Cost_model.Cache_coherent ~n ~k (fun () ->
+        let mem = Memory.create () in
+        let { F.assignment_name; acquire; try_acquire; release } = F.assignment mem ~kex:(kex mem) ~k in
+        let named = { Protocol.assignment_name; acquire; try_acquire; release } in
+        let _payload, w = with_payload mem (Protocol.named_workload named) in
+        (mem, w))
 
-(* ---- 2. Figure 2 with the slot counter off by one. -------------------- *)
-(* X starts at k+1, so k+1 processes see a free slot and walk straight into
-   their critical sections: k-exclusion is violated. *)
-let fig2_off_by_one mem ~k ~inner =
-  let x = Memory.alloc mem ~label:"fig2.X" ~init:(k + 1) 1 in
-  let q = Memory.alloc mem ~label:"fig2.Q" ~init:0 1 in
-  let entry ~pid =
-    let* () = inner.Protocol.entry ~pid in
-    let* slots = faa x (-1) in
-    if slots = 0 then
-      let* () = write q pid in
-      let* xv = read x in
-      if xv < 0 then await_ne q pid else return ()
-    else return ()
-  in
-  let exit ~pid =
-    let* _ = faa x 1 in
-    let* () = write q pid in
-    inner.Protocol.exit ~pid
-  in
-  { Protocol.name = Printf.sprintf "fig2-off-by-one[k=%d]" k; entry; exit; try_entry = refuse }
+  let fig2_block ~name ~n ~k = assignment ~name ~n ~k (fun mem -> F.fig2 mem ~n ~k ~inner:(F.trivial ()))
+  let inductive ~name ~n ~k = assignment ~name ~n ~k (fun mem -> F.inductive mem ~block:F.fig2 ~n ~k)
+end
+
+module Sim = Kexclusion.Simulated.Mem
+module No_release_write = Patched (Kex_figure_mutants.Fig2_no_release_write.Make (Sim))
+module Off_by_one = Patched (Kex_figure_mutants.Fig2_off_by_one.Make (Sim))
+module No_clear = Patched (Kex_figure_mutants.Fig7_no_clear.Make (Sim))
 
 (* ---- 5. A waiter that re-announces itself inside its wait loop. ------- *)
 (* Functionally it still waits for Q to change, but each iteration rewrites
-   the announce cell, invalidating every other process's cached copy. *)
+   the announce cell, invalidating every other process's cached copy.  It is
+   written out here rather than patched into figures.ml: the spin rewrites
+   a cell inside the loop, which no [await] can express. *)
 let fig2_write_in_loop mem ~k ~inner =
   let x = Memory.alloc mem ~label:"fig2.X" ~init:k 1 in
   let q = Memory.alloc mem ~label:"fig2.Q" ~init:0 1 in
@@ -104,40 +83,13 @@ let fig2_write_in_loop mem ~k ~inner =
   in
   { Protocol.name = Printf.sprintf "fig2-write-in-loop[k=%d]" k; entry; exit; try_entry = refuse }
 
-(* Wrap a mutated k-exclusion block into the usual Figure 7 assignment. *)
-let assignment_subject ~name ~model ~n ~k ?meta block =
-  let make () =
-    let mem = Memory.create () in
-    let kex = block mem ~k ~inner:(Kexclusion.Trivial.create ()) in
-    let named = Kexclusion.Assignment.create mem ~kex ~k in
-    let _payload, w = with_payload mem (Protocol.named_workload named) in
-    (mem, w)
-  in
-  subject ~name ~model ~n ~k ?meta make
-
-(* ---- 3. Figure 7 renaming whose release skips the bit clear. ---------- *)
-let skip_clear_subject ~n ~k =
-  let model = Cost_model.Cache_coherent in
-  let make () =
-    let mem = Memory.create () in
-    let kex = Registry.build mem ~model Registry.Inductive ~n ~k in
-    let renaming = Kexclusion.Renaming.create mem ~k in
-    let acquire ~pid =
-      let* () = kex.Protocol.entry ~pid in
-      Kexclusion.Renaming.acquire renaming
-    in
-    let release ~pid ~name:_ =
-      (* BUG: the name's bit is never cleared *)
-      kex.Protocol.exit ~pid
-    in
-    let named =
-      { Protocol.assignment_name = "skip-clear"; acquire;
-        try_acquire = (fun ~pid:_ -> return None); release }
-    in
-    let _payload, w = with_payload mem (Protocol.named_workload named) in
-    (mem, w)
-  in
-  subject ~name:"renaming-skip-clear" ~model ~n ~k make
+let write_in_loop_subject ~n ~k =
+  subject ~name:"cc-write-in-wait-loop" ~model:Cost_model.Cache_coherent ~n ~k (fun () ->
+      let mem = Memory.create () in
+      let kex = fig2_write_in_loop mem ~k ~inner:(Kexclusion.Trivial.create ()) in
+      let named = Kexclusion.Assignment.create mem ~kex ~k in
+      let _payload, w = with_payload mem (Protocol.named_workload named) in
+      (mem, w))
 
 (* ---- 4. A cache-coherent algorithm deployed on a DSM machine. --------- *)
 (* Figure 2's spin on the unowned cell Q is local-spin under CC but remote
@@ -195,19 +147,15 @@ let all =
   let n = 5 and k = 2 in
   [ { m_name = "cc-no-release-write";
       m_desc = "Figure 2 exit omits the statement-7 wakeup write; waiters starve";
-      m_subject =
-        assignment_subject ~name:"cc-no-release-write"
-          ~model:Cost_model.Cache_coherent ~n ~k fig2_no_release_write;
+      m_subject = No_release_write.fig2_block ~name:"cc-no-release-write" ~n ~k;
       m_expected = Finding.S_stall };
     { m_name = "cc-off-by-one";
       m_desc = "Figure 2 slot counter initialised to k+1; k+1 processes enter";
-      m_subject =
-        assignment_subject ~name:"cc-off-by-one" ~model:Cost_model.Cache_coherent ~n ~k
-          fig2_off_by_one;
+      m_subject = Off_by_one.fig2_block ~name:"cc-off-by-one" ~n ~k;
       m_expected = Finding.S_kexclusion };
     { m_name = "renaming-skip-clear";
       m_desc = "Figure 7 release never clears the name bit";
-      m_subject = skip_clear_subject ~n ~k;
+      m_subject = No_clear.inductive ~name:"renaming-skip-clear" ~n ~k;
       m_expected = Finding.L3_name_leak };
     { m_name = "cc-block-on-dsm";
       m_desc = "Figure 2 (cache-coherent spin) deployed on a DSM machine";
@@ -215,9 +163,7 @@ let all =
       m_expected = Finding.L1_remote_spin };
     { m_name = "cc-write-in-wait-loop";
       m_desc = "waiter rewrites an announce cell inside its wait loop";
-      m_subject =
-        assignment_subject ~name:"cc-write-in-wait-loop"
-          ~model:Cost_model.Cache_coherent ~n ~k fig2_write_in_loop;
+      m_subject = write_in_loop_subject ~n ~k;
       m_expected = Finding.L2_invalidation_in_loop };
     { m_name = "bounded-faa-stuck";
       m_desc = "Bounded_faa delta exceeds its range width; the add never applies";

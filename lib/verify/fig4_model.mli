@@ -3,12 +3,14 @@
     path, and the final (2k,k)-exclusion implemented as the real stack of k
     Figure 2 layers (Theorem 1's induction).
 
-    The building blocks are verified separately ({!Fig2_model}); what this
+    The building blocks are verified separately ({!Shipped}); what this
     model checks exhaustively is the {e composition} argument of Theorem 3:
     at most k processes pass the gate, at most k come through the slow path,
     so at most 2k ever enter the final block, whose admission is then at
     most k.  Crash and retirement transitions included; each layer's X is
-    checked against the processes holding it.
+    checked against the processes holding it.  It stays beside {!Shipped}'s
+    check of the shipped composition because its abstract slow path reaches
+    one crash at k = 2, where the shipped text passes 2,000,000 states.
 
     A process may also enter with no patience, as the runtime's no-wait
     entry does: the gate refuses it at 0 (back to the noncritical

@@ -7,7 +7,7 @@
     to [rounds] cells per process.  Within that bound the model is checked
     exhaustively — k-exclusion, the X invariant, and possible progress with
     at most k-1 crashes — which validates the transcription that
-    {!Fig6_model} then strengthens with bounded reuse. *)
+    Figure 6 ({!Shipped}) then strengthens with bounded reuse. *)
 
 type variant =
   | Faithful

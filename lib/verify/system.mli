@@ -1,10 +1,10 @@
 (** Explicit-state transition systems for model checking the paper's
     algorithms at small N and k.
 
-    Unlike the simulator (closures, not hashable), these models are
-    hand-translated from the paper's numbered figures into first-order state
-    records, so the reachable state space can be enumerated exactly —
-    including crash transitions. *)
+    Hand-translated models use first-order state records; {!Shipped}'s hold
+    continuations of the shipped figures' text (run on {!Traced}) and
+    [encode] keys each state on what they depend on.  Either way the
+    reachable state space is enumerated exactly, crash transitions included. *)
 
 module type MODEL = sig
   type state

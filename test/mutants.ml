@@ -60,28 +60,29 @@ let test_mutant_names_unique () =
     (List.length (List.sort_uniq compare names))
 
 (* ---------------------------------------------------------------------- *)
-(* Satellite: the sanitizer's name-discipline check riding a randomized
-   model-checker hunt through [?on_step].  The fig7 No_clear mutant leaks
-   name bits, so eventually two processes hold the last name concurrently;
-   the model's own uniqueness invariant is stripped to prove the external
-   checker does the catching. *)
+(* The sanitizer's name-discipline check riding a randomized model-checker
+   hunt through [?on_step].  Figure 7 with the bit clear patched out
+   (lib/figure_mutants) leaks name bits, so eventually two processes hold
+   the last name concurrently; the model's own uniqueness invariant is
+   stripped to prove the external checker does the catching. *)
+
+module Traced = Kex_verify.Traced
+module Shipped = Kex_verify.Shipped
+module No_clear = Shipped.Make (Kex_figure_mutants.Fig7_no_clear.Make (Traced))
 
 let fig7_holders s procs =
   List.filter_map
-    (fun pid ->
-      Option.map (fun nm -> (pid, nm)) (Kex_verify.Fig7_model.held_name s pid))
+    (fun pid -> Option.map (fun nm -> (pid, nm)) (Shipped.held_name s pid))
     (List.init procs Fun.id)
 
-let hunt_no_clear ~variant =
+let hunt_no_clear ~renaming =
   let procs = 3 and k = 3 in
-  let (module M) =
-    Kex_verify.Fig7_model.model ~variant ~procs ~k ~max_crashes:0 ()
-  in
+  let (module M) : Shipped.model = renaming ~procs ~k ~max_crashes:0 in
   let module Stripped = struct
     include M
 
     let invariants =
-      List.filter (fun (name, _) -> name <> "names unique among holders") M.invariants
+      List.filter (fun (name, _) -> name <> "names unique and in range") M.invariants
   end in
   let on_step ~label:_ s =
     A.Sanitizer.check_unique_names ~k (fig7_holders s procs)
@@ -91,7 +92,7 @@ let hunt_no_clear ~variant =
     ~steps:400 ()
 
 let test_hunt_on_step_catches_no_clear () =
-  match hunt_no_clear ~variant:Kex_verify.Fig7_model.No_clear with
+  match hunt_no_clear ~renaming:No_clear.renaming with
   | None -> Alcotest.fail "hunt with on_step missed the No_clear duplicate name"
   | Some v ->
       Alcotest.(check bool) "reports a name problem" true
@@ -100,7 +101,7 @@ let test_hunt_on_step_catches_no_clear () =
         (List.length v.Kex_verify.Explore.trace > 1)
 
 let test_hunt_on_step_clean_on_faithful () =
-  match hunt_no_clear ~variant:Kex_verify.Fig7_model.Faithful with
+  match hunt_no_clear ~renaming:Shipped.Figures.renaming with
   | None -> ()
   | Some v ->
       Alcotest.failf "faithful fig7 flagged by on_step: %s" v.Kex_verify.Explore.property

@@ -1,9 +1,23 @@
-(* Model checking: exhaustive verification of Figures 2, 6 and 7 at small N
-   (including the paper's invariants and crash transitions), and mutant
-   killing — the checker must reject broken variants, which is the evidence
-   that a "no violation" verdict means something. *)
+(* Model checking: exhaustive verification of the shipped Figures 2, 4, 6
+   and 7 at small N (crash transitions included), of the hand models of
+   Figures 4 and 5, and mutant killing — the checker must reject broken
+   variants, which is the evidence that a "no violation" verdict means
+   something.  Figures 2, 6 and 7 and their mutants run the text of
+   lib/kexclusion/figures.ml (the mutants are patches of it) through
+   [Shipped]. *)
 
 open Kex_verify
+module S = Shipped.Figures
+module Mutant = Kex_figure_mutants
+module Broken_gate = Shipped.Make (Mutant.Fig2_broken_gate.Make (Traced))
+module No_release_write = Shipped.Make (Mutant.Fig2_no_release_write.Make (Traced))
+module Abort_no_release = Shipped.Make (Mutant.Abort_no_release.Make (Traced))
+module Abort_keeps_x = Shipped.Make (Mutant.Abort_keeps_x.Make (Traced))
+module Skip_init = Shipped.Make (Mutant.Fig6_skip_init.Make (Traced))
+module No_feedback = Shipped.Make (Mutant.Fig6_no_feedback.Make (Traced))
+module No_recheck = Shipped.Make (Mutant.Fig6_no_recheck.Make (Traced))
+module Fewer_slots = Shipped.Make (Mutant.Fig6_fewer_slots.Make (Traced))
+module No_clear = Shipped.Make (Mutant.Fig7_no_clear.Make (Traced))
 
 let no_violation ?max_states name m () =
   let r = Explore.check m ?max_states () in
@@ -45,28 +59,24 @@ let fig2_exhaustive =
   |> List.map (fun (n, crashes) ->
          let name = Printf.sprintf "fig2 n=%d crashes<=%d" n crashes in
          Helpers.tc (name ^ ": all invariants hold")
-           (no_violation name (Fig2_model.model ~n ~max_crashes:crashes ())))
+           (no_violation name (S.fig2 ~n ~max_crashes:crashes)))
 
 let fig2_larger =
   Helpers.tc_slow "fig2 n=4 crashes<=3: all invariants hold"
-    (no_violation "fig2 n=4" (Fig2_model.model ~n:4 ~max_crashes:3 ()))
+    (no_violation "fig2 n=4" (S.fig2 ~n:4 ~max_crashes:3))
 
 let test_fig2_progress () =
-  check_progress_all ~name:"fig2"
-    (Fig2_model.model ~n:3 ~max_crashes:1 ())
-    ~pids:[ 0; 1; 2 ] ~waiting:Fig2_model.live_entering ~goal:Fig2_model.in_cs
+  check_progress_all ~name:"fig2" (S.fig2 ~n:3 ~max_crashes:1) ~pids:[ 0; 1; 2 ]
+    ~waiting:Shipped.acquiring ~goal:Shipped.holding
 
 let test_fig2_broken_gate () =
-  violated "fig2 broken-gate"
-    (Fig2_model.model ~variant:Fig2_model.Broken_gate ~n:3 ~max_crashes:0 ())
-    "I4: k-exclusion" ()
+  violated "fig2 broken-gate" (Broken_gate.fig2 ~n:3 ~max_crashes:0) "k-exclusion" ()
 
 let test_fig2_no_release () =
   (* Without statement 7 the released slot is invisible to the parked waiter
      once everyone else stays in (or retires to) the noncritical section. *)
-  expect_lockout ~name:"fig2 no-release"
-    (Fig2_model.model ~variant:Fig2_model.No_release_write ~n:3 ~max_crashes:0 ())
-    ~pids:[ 0 ] ~waiting:Fig2_model.live_entering ~goal:Fig2_model.in_cs
+  expect_lockout ~name:"fig2 no-release" (No_release_write.fig2 ~n:3 ~max_crashes:0) ~pids:[ 0 ]
+    ~waiting:Shipped.acquiring ~goal:Shipped.holding
 
 (* ------------------------------- Figure 6 ------------------------------- *)
 
@@ -75,22 +85,18 @@ let fig6_exhaustive =
   |> List.map (fun (n, crashes) ->
          let name = Printf.sprintf "fig6 n=%d crashes<=%d" n crashes in
          Helpers.tc (name ^ ": all invariants hold")
-           (no_violation name (Fig6_model.model ~n ~max_crashes:crashes ())))
+           (no_violation name (S.fig6 ~n ~max_crashes:crashes)))
 
 let test_fig6_progress () =
-  check_progress_all ~name:"fig6"
-    (Fig6_model.model ~n:2 ~max_crashes:0 ())
-    ~pids:[ 0; 1 ] ~waiting:Fig6_model.live_entering ~goal:Fig6_model.in_cs
+  check_progress_all ~name:"fig6" (S.fig6 ~n:2 ~max_crashes:0) ~pids:[ 0; 1 ]
+    ~waiting:Shipped.acquiring ~goal:Shipped.holding
 
 let test_fig6_skip_init () =
-  violated "fig6 skip-init"
-    (Fig6_model.model ~variant:Fig6_model.Skip_init ~n:2 ~max_crashes:1 ())
-    "k-exclusion" ()
+  violated "fig6 skip-init" (Skip_init.fig6 ~n:2 ~max_crashes:1) "k-exclusion" ()
 
-let stuck_variant name variant () =
-  expect_lockout ~name
-    (Fig6_model.model ~variant ~n:2 ~max_crashes:1 ())
-    ~pids:[ 0; 1 ] ~waiting:Fig6_model.live_entering ~goal:Fig6_model.in_cs
+let stuck_variant name fig6 () =
+  expect_lockout ~name (fig6 ~n:2 ~max_crashes:1) ~pids:[ 0; 1 ] ~waiting:Shipped.acquiring
+    ~goal:Shipped.holding
 
 (* ------------------------------- Figure 5 ------------------------------- *)
 
@@ -161,29 +167,28 @@ let fig7_exhaustive =
   |> List.map (fun (procs, k, crashes) ->
          let name = Printf.sprintf "fig7 procs=%d k=%d crashes<=%d" procs k crashes in
          Helpers.tc (name ^ ": names unique and in range")
-           (no_violation name (Fig7_model.model ~procs ~k ~max_crashes:crashes ())))
+           (no_violation name (S.renaming ~procs ~k ~max_crashes:crashes)))
 
 let fig7_larger =
   Helpers.tc_slow "fig7 procs=4 k=4 crashes<=3"
-    (no_violation "fig7 k=4" (Fig7_model.model ~procs:4 ~k:4 ~max_crashes:3 ()))
+    (no_violation "fig7 k=4" (S.renaming ~procs:4 ~k:4 ~max_crashes:3))
 
 let test_fig7_progress () =
-  check_progress_all ~name:"fig7"
-    (Fig7_model.model ~procs:3 ~k:3 ~max_crashes:2 ())
-    ~pids:[ 0; 1; 2 ] ~waiting:Fig7_model.scanning ~goal:Fig7_model.holding
+  check_progress_all ~name:"fig7" (S.renaming ~procs:3 ~k:3 ~max_crashes:2) ~pids:[ 0; 1; 2 ]
+    ~waiting:Shipped.acquiring ~goal:Shipped.holding
 
 let test_fig7_needs_exclusion () =
   (* Running k+1 concurrent processes against a k-name space — exactly what
      happens without the k-exclusion wrapper — must produce a collision.
      This is the executable justification for the paper's composition. *)
   violated "fig7 precondition broken"
-    (Fig7_model.model ~procs:3 ~k:2 ~max_crashes:0 ())
-    "names unique among holders" ()
+    (S.renaming ~procs:3 ~k:2 ~max_crashes:0)
+    "names unique and in range" ()
 
 let test_fig7_no_clear () =
   violated "fig7 no-clear"
-    (Fig7_model.model ~variant:Fig7_model.No_clear ~procs:3 ~k:3 ~max_crashes:0 ())
-    "names unique among holders" ()
+    (No_clear.renaming ~procs:3 ~k:3 ~max_crashes:0)
+    "names unique and in range" ()
 
 (* ------------------------- Long-lived splitters -------------------------- *)
 
@@ -250,42 +255,39 @@ let test_explore_cap () =
 
 let test_hunt_finds_shallow_violation () =
   match
-    Explore.hunt
-      (Fig2_model.model ~variant:Fig2_model.Broken_gate ~n:3 ~max_crashes:0 ())
-      ~seeds:(List.init 50 Fun.id) ~steps:500 ()
+    Explore.hunt (Broken_gate.fig2 ~n:3 ~max_crashes:0) ~seeds:(List.init 50 Fun.id) ~steps:500 ()
   with
-  | Some v -> Alcotest.(check string) "property" "I4: k-exclusion" v.Explore.property
+  | Some v -> Alcotest.(check string) "property" "k-exclusion" v.Explore.property
   | None -> Alcotest.fail "hunt missed the broken gate"
 
 let test_hunt_clean_on_faithful () =
   match
-    Explore.hunt (Fig2_model.model ~n:3 ~max_crashes:2 ()) ~seeds:(List.init 30 Fun.id)
-      ~steps:500 ()
+    Explore.hunt (S.fig2 ~n:3 ~max_crashes:2) ~seeds:(List.init 30 Fun.id) ~steps:500 ()
   with
   | None -> ()
   | Some v -> Alcotest.failf "hunt reported %s on the faithful model" v.Explore.property
 
 (* ------------------------------ No-wait entry ---------------------------- *)
 
-(* The models include the runtime's abort move (a process whose
-   fetch-and-add returned 0 runs the exit statements instead of waiting;
-   Figure 4's gate refuses at 0), so the checks above cover it.  Each
-   abort mutant must be caught by exactly its check: skipping the release
-   write strands a waiter while a slot is free — it passes every invariant
-   but the progress check finds the lockout — and skipping the X restore
-   breaks the count invariant. *)
+(* Every process may enter through the no-wait entry (a block whose
+   fetch-and-add returned 0 runs its exit instead of waiting; Figure 4's
+   gate refuses at 0), so the checks above cover it.  Each abort mutant
+   must be caught by exactly its check: restoring only X strands a waiter
+   while a slot is free — it passes every invariant but the progress check
+   finds the lockout — and skipping the exit leaves a unit unreturned.
+   For Figures 2 and 6 both mutants are patches of the shared [no_wait]. *)
 let abort_mutants ~name ~no_release ~keeps_x ~count_invariant ~lockout () =
   no_violation (name ^ " abort-no-release (invariants)") no_release ();
   lockout ();
   violated (name ^ " abort-keeps-x") keeps_x count_invariant ()
 
 let test_fig2_abort_mutants =
-  let model variant = Fig2_model.model ~variant ~n:3 ~max_crashes:1 () in
-  abort_mutants ~name:"fig2" ~no_release:(model Fig2_model.Abort_no_release)
-    ~keeps_x:(model Fig2_model.Abort_keeps_x) ~count_invariant:"I2: X = k - |{p@3..6}|"
+  let no_release = Abort_no_release.fig2 ~n:3 ~max_crashes:1 in
+  abort_mutants ~name:"fig2" ~no_release ~keeps_x:(Abort_keeps_x.fig2 ~n:3 ~max_crashes:1)
+    ~count_invariant:"units returned"
     ~lockout:(fun () ->
-      expect_lockout ~name:"fig2 abort-no-release" (model Fig2_model.Abort_no_release)
-        ~pids:[ 0; 1; 2 ] ~waiting:Fig2_model.live_entering ~goal:Fig2_model.in_cs)
+      expect_lockout ~name:"fig2 abort-no-release" no_release ~pids:[ 0; 1; 2 ]
+        ~waiting:Shipped.acquiring ~goal:Shipped.holding)
 
 let test_fig4_abort_mutants =
   let model variant = Fig4_model.model ~variant ~n:3 ~k:2 ~max_crashes:1 () in
@@ -299,12 +301,23 @@ let test_fig4_abort_mutants =
    no crash budget), as its other progress check is; there the stranded
    waiter needs no crash, only the aborter's retirement. *)
 let test_fig6_abort_mutants =
-  let model variant = Fig6_model.model ~variant ~n:2 ~max_crashes:0 () in
-  abort_mutants ~name:"fig6" ~no_release:(model Fig6_model.Abort_no_release)
-    ~keeps_x:(model Fig6_model.Abort_keeps_x) ~count_invariant:"X = k - |in protocol|"
+  let no_release = Abort_no_release.fig6 ~n:2 ~max_crashes:0 in
+  abort_mutants ~name:"fig6" ~no_release ~keeps_x:(Abort_keeps_x.fig6 ~n:2 ~max_crashes:0)
+    ~count_invariant:"units returned"
     ~lockout:(fun () ->
-      expect_lockout ~name:"fig6 abort-no-release" (model Fig6_model.Abort_no_release)
-        ~pids:[ 0; 1 ] ~waiting:Fig6_model.live_entering ~goal:Fig6_model.in_cs)
+      expect_lockout ~name:"fig6 abort-no-release" no_release ~pids:[ 0; 1 ]
+        ~waiting:Shipped.acquiring ~goal:Shipped.holding)
+
+(* Figure 4 as shipped: the fast path over Figure 2 blocks with a tree as
+   its slow path, the composition [Kex_lock] admits through by default.
+   The hand model above checks more (one crash at k = 2, through its
+   abstract slow path); this one checks the text kexd runs, at the size
+   it can: N = 3, k = 1, every process free to use either entry. *)
+let test_fig4_shipped () =
+  let m = S.fast_path_tree ~n:3 ~k:1 ~max_crashes:0 in
+  no_violation "fastpath-tree" m ();
+  check_progress_all ~name:"fastpath-tree" m ~pids:[ 0; 1; 2 ] ~waiting:Shipped.acquiring
+    ~goal:Shipped.holding
 
 let suite =
   fig2_exhaustive
@@ -316,11 +329,11 @@ let suite =
   @ [ Helpers.tc "fig6: no lockout" test_fig6_progress;
       Helpers.tc "fig6 mutant: skipped init violates k-exclusion" test_fig6_skip_init;
       Helpers.tc "fig6 mutant: no R feedback locks out"
-        (stuck_variant "no-feedback" Fig6_model.No_feedback);
+        (stuck_variant "no-feedback" No_feedback.fig6);
       Helpers.tc "fig6 mutant: no Q re-check locks out"
-        (stuck_variant "no-recheck" Fig6_model.No_recheck);
+        (stuck_variant "no-recheck" No_recheck.fig6);
       Helpers.tc "fig6 ablation: k+1 spin locations are too few"
-        (stuck_variant "fewer-slots" Fig6_model.Fewer_slots) ]
+        (stuck_variant "fewer-slots" Fewer_slots.fig6) ]
   @ fig5_exhaustive
   @ [ Helpers.tc "fig5: no lockout with k-1 crashes" test_fig5_progress;
       Helpers.tc "fig5 mutant: the CAS at statement 7 is necessary" test_fig5_no_cas ]
@@ -348,4 +361,6 @@ let suite =
       Helpers.tc "fig4 abort mutants: no release locks out, kept X breaks the layer count"
         test_fig4_abort_mutants;
       Helpers.tc "fig6 abort mutants: no release locks out, kept X breaks the X count"
-        test_fig6_abort_mutants ]
+        test_fig6_abort_mutants;
+      Helpers.tc "fig4 as shipped: fast path over Figure 2 blocks, n=3 k=1, both entries"
+        test_fig4_shipped ]
