@@ -52,7 +52,8 @@ let renaming_test () =
 
 let universal_test () =
   let u =
-    Kex_resilient.Universal.create ~k:4 ~init:0 ~apply:(fun s (`Add d) -> (s + d, s + d))
+    Kex_resilient.Universal.create ~k:4 ~init:0
+      ~apply:(Kex_resilient.Universal.per_op (fun s (`Add d) -> (s + d, s + d)))
   in
   Test.make ~name:"universal op"
     (Staged.stage (fun () -> ignore (Kex_resilient.Universal.perform u ~tid:1 (`Add 1))))
@@ -60,7 +61,7 @@ let universal_test () =
 let resilient_test () =
   let obj =
     Kex_resilient.Resilient.create ~n:64 ~k:4 ~init:0
-      ~apply:(fun s (`Add d) -> (s + d, s + d))
+      ~apply:(Kex_resilient.Universal.per_op (fun s (`Add d) -> (s + d, s + d)))
       ()
   in
   Test.make ~name:"resilient object op"

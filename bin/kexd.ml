@@ -1,10 +1,10 @@
 (* kexd — command-line driver for the k-exclusion simulator, model checker
    and the networked resilient KV service.
 
-     kexd run    --algo fastpath --model cc --n 32 --k 4 --contention 8
-     kexd sweep  --algo tree --model dsm --k 4 --over n --values 8,16,32,64
+     kexd run    --algo fastpath --model cc -n 32 -k 4 --contention 8
+     kexd sweep  --algo tree --model dsm -k 4 --over n --values 8,16,32,64
      kexd verify --figure fig2 -n 3 --crashes 2
-     kexd serve  --port 7070 --workers 4 --k 2 --chaos kill-worker@5s
+     kexd serve  --port 7070 --workers 4 -k 2 --chaos kill-worker@5s
      kexd loadgen --port 7070 --connections 4 --duration 5 --mix get=80,set=20
 
    See DESIGN.md for the experiment catalogue these commands back. *)
@@ -317,7 +317,7 @@ let serve_cmd =
       value
       & opt chaos_conv []
       & info [ "chaos" ] ~docv:"SPEC"
-          ~doc:"fault-injection schedule, e.g. 'kill-worker\\@5s,kill-worker:2\\@10s'")
+          ~doc:"fault-injection schedule, e.g. 'kill-worker@5s,kill-worker:2@10s'")
   in
   let duration_arg =
     Arg.(

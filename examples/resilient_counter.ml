@@ -12,7 +12,9 @@
 let () =
   let n = 6 and k = 3 and per_worker = 400 in
   let apply s = function `Add d -> (s + d, s + d) in
-  let counter = Kex_resilient.Resilient.create ~n ~k ~init:0 ~apply () in
+  let counter =
+    Kex_resilient.Resilient.create ~n ~k ~init:0 ~apply:(Kex_resilient.Universal.per_op apply) ()
+  in
   (* pid 0 crashes mid-operation: it acquires a name, announces Add 10_000,
      and never takes another step. *)
   let dead_name =

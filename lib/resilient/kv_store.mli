@@ -77,7 +77,12 @@ val fetch_add : t -> pid:int -> key:string -> int -> int
 
 val perform_batch : t -> pid:int -> op list -> result list
 (** Linearize the ops as one batch, in order, through {e one}
-    (N,k)-assignment entry and one commit — see {!Resilient.perform_batch}. *)
+    (N,k)-assignment entry and one commit — see {!Resilient.perform_batch}.
+    The batch is applied in one ordered pass: sorted by key (a batch already
+    in key order is not sorted), it is written in one descent of the index,
+    each key's operations run in list order on that key's value, and the
+    results come back in list order.  An {!Install} replaces the state
+    between the passes of the operations before and after it. *)
 
 val try_perform_batch : t -> pid:int -> op list -> result list option
 (** {!perform_batch} through a no-wait admission: [None], with nothing
@@ -86,9 +91,10 @@ val try_perform_batch : t -> pid:int -> op list -> result list option
 val empty_image : image
 
 val stage : image -> (string * string option) list -> image
-(** Apply changes to an image, in order ([Some v] sets, [None] deletes).
-    Pure: no admission, no commit, and the store does not see the result
-    until an {!Install} commits it. *)
+(** Apply changes to an image, in order ([Some v] sets, [None] deletes),
+    through the same ordered pass as a batch.  Pure: no admission, no
+    commit, and the store does not see the result until an {!Install}
+    commits it. *)
 
 val size : t -> int
 (** Keys in the committed state; O(1), the count is kept by every write. *)

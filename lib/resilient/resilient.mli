@@ -22,10 +22,12 @@ val create :
   n:int ->
   k:int ->
   init:'s ->
-  apply:('s -> 'op -> 's * 'r) ->
+  apply:('s -> 'op list -> 's * 'r list) ->
   unit ->
   ('s, 'op, 'r) t
-(** [apply] must be pure (helpers may re-execute it). *)
+(** [apply] is the inner object's batch apply ({!Universal.create}; lift a
+    one-operation function with {!Universal.per_op}).  It must be pure
+    (helpers may re-execute it). *)
 
 val perform : ('s, 'op, 'r) t -> pid:int -> 'op -> 'r
 (** Linearize [op] on behalf of process [pid] (0 <= pid < n). *)

@@ -1,8 +1,9 @@
 (* The store's persistent sorted index: Stdlib.Map's height-balanced (AVL)
    tree, specialised to string keys and cut down to the operations Kv_store
-   uses.  It is owned here rather than taken from [Map.Make (String)] for
-   one reason: [find_many] walks many lookups down the tree in lockstep, and
-   that needs the node type, which Stdlib.Map keeps abstract.  The node
+   uses.  It is owned here rather than taken from [Map.Make (String)]
+   because two walks need the node type, which Stdlib.Map keeps abstract:
+   [find_many] walks many lookups down the tree in lockstep, and
+   [update_many] writes a sorted batch of keys in one descent.  The node
    layout is Stdlib.Map's (four fields and a height), so memory use is
    unchanged. *)
 
@@ -41,25 +42,6 @@ let rec find_opt key = function
       let c = String.compare key k in
       if c = 0 then Some v else find_opt key (if c < 0 then l else r)
 
-let add key value m =
-  let added = ref false in
-  let rec go = function
-    | Empty ->
-        added := true;
-        Node { l = Empty; k = key; v = value; r = Empty; h = 1 }
-    | Node { l; k; v; r; h } as n ->
-        let c = String.compare key k in
-        if c = 0 then if v == value then n else Node { l; k; v = value; r; h }
-        else if c < 0 then
-          let l' = go l in
-          if l' == l then n else bal l' k v r
-        else
-          let r' = go r in
-          if r' == r then n else bal l k v r'
-  in
-  let m = go m in
-  (m, !added)
-
 let rec min_binding = function
   | Empty -> invalid_arg "Smap.min_binding"
   | Node { l = Empty; k; v; _ } -> (k, v)
@@ -70,33 +52,124 @@ let rec remove_min = function
   | Node { l = Empty; r; _ } -> r
   | Node { l; k; v; r; _ } -> bal (remove_min l) k v r
 
-(* Join the two subtrees of a removed node (every key of [l] below every key
-   of [r], heights within 2): the right side's least binding takes the
-   removed node's place. *)
-let join l r =
+(* [l], a binding, then [r] (every key of [l] below [k], every key of [r]
+   above), of any heights: Stdlib.Map's [join].  It descends the taller side
+   until the heights are within [bal]'s reach, so a subtree several levels
+   taller than its new sibling is rebuilt only along one edge. *)
+let rec join l k v r =
+  let hl = height l and hr = height r in
+  if hl > hr + 3 then
+    match l with
+    | Node { l = ll; k = lk; v = lv; r = lr; _ } -> bal ll lk lv (join lr k v r)
+    | Empty -> assert false
+  else if hr > hl + 3 then
+    match r with
+    | Node { l = rl; k = rk; v = rv; r = rr; _ } -> bal (join l k v rl) rk rv rr
+    | Empty -> assert false
+  else bal l k v r
+
+(* [join] without the binding in the middle: the right side's least binding
+   takes that place. *)
+let concat l r =
   match (l, r) with
   | Empty, t | t, Empty -> t
   | _ ->
       let k, v = min_binding r in
-      bal l k v (remove_min r)
+      join l k v (remove_min r)
 
-(* An absent key leaves the very same tree, and a present one never does:
-   that identity is the "removed" report. *)
-let remove key m =
-  let rec go = function
-    | Empty -> Empty
+(* One descent for a sorted batch of distinct keys.  At each node a binary
+   search splits the node's part of the batch, [keys.(lo .. hi-1)], around
+   the node's key with three-way compares, stopping at an equal key.  The
+   node is rebuilt once, by [join], after both of its subtrees; a removed
+   key's subtrees are [concat]ed; untouched subtrees are shared.  Keys that
+   reach an empty subtree are built into a balanced tree directly, and a
+   part of one key walks down like a single add or remove: its subtree's
+   height moves by at most one, so [bal] suffices.  [f] runs on each key in
+   ascending order, because every range is visited left part, node, right
+   part. *)
+let rec update_range keys f m lo hi =
+  if hi - lo = 1 then update_one keys f m lo
+  else if lo >= hi then m
+  else
+    match m with
+    | Empty -> build keys f lo hi
     | Node { l; k; v; r; _ } as n ->
-        let c = String.compare key k in
-        if c = 0 then join l r
-        else if c < 0 then
-          let l' = go l in
-          if l' == l then n else bal l' k v r
-        else
-          let r' = go r in
-          if r' == r then n else bal l k v r'
+        let a = ref lo and b = ref hi and hit = ref false in
+        while !a < !b do
+          let mid = (!a + !b) lsr 1 in
+          let c = String.compare keys.(mid) k in
+          if c < 0 then a := mid + 1
+          else if c > 0 then b := mid
+          else begin
+            hit := true;
+            a := mid;
+            b := mid
+          end
+        done;
+        let j = !a in
+        if not !hit then begin
+          let l' = update_range keys f l lo j in
+          let r' = update_range keys f r j hi in
+          if l' == l && r' == r then n else join l' k v r'
+        end
+        else begin
+          let l' = update_range keys f l lo j in
+          let changed = f j (Some v) in
+          let r' = update_range keys f r (j + 1) hi in
+          match changed with
+          | Some v' -> if v' == v && l' == l && r' == r then n else join l' k v' r'
+          | None -> concat l' r'
+        end
+
+and update_one keys f m i =
+  match m with
+  | Empty -> (
+      match f i None with
+      | Some v -> Node { l = Empty; k = keys.(i); v; r = Empty; h = 1 }
+      | None -> Empty)
+  | Node { l; k; v; r; h } as n ->
+      let c = String.compare keys.(i) k in
+      if c = 0 then
+        match f i (Some v) with
+        | Some v' -> if v' == v then n else Node { l; k; v = v'; r; h }
+        | None -> concat l r
+      else if c < 0 then
+        let l' = update_one keys f l i in
+        if l' == l then n else bal l' k v r
+      else
+        let r' = update_one keys f r i in
+        if r' == r then n else bal l k v r'
+
+(* [keys.(lo .. hi-1)] are all absent: halve the range, so a run of new keys
+   becomes a tree of minimal height. *)
+and build keys f lo hi =
+  if lo >= hi then Empty
+  else
+    let mid = (lo + hi) lsr 1 in
+    let l = build keys f lo mid in
+    match f mid None with
+    | Some v -> join l keys.(mid) v (build keys f (mid + 1) hi)
+    | None -> concat l (build keys f (mid + 1) hi)
+
+let update_many m keys f = update_range keys f m 0 (Array.length keys)
+
+(* The shape checks a test needs: every node's stored height is exact, its
+   subtrees' heights differ by at most 2, and keys ascend in order. *)
+let well_formed m =
+  (* The subtree's height, or -1 when it breaks a rule; [lo]/[hi] bound its
+     keys (exclusive). *)
+  let rec check lo hi = function
+    | Empty -> 0
+    | Node { l; k; r; h; _ } ->
+        let in_range =
+          (match lo with Some lo -> String.compare lo k < 0 | None -> true)
+          && match hi with Some hi -> String.compare k hi < 0 | None -> true
+        in
+        let hl = check lo (Some k) l and hr = check (Some k) hi r in
+        if in_range && hl >= 0 && hr >= 0 && abs (hl - hr) <= 2 && h = 1 + max hl hr then h
+        else -1
   in
-  let m' = go m in
-  (m', m' != m)
+  check None None m >= 0
 
 let bindings m =
   let rec go acc = function

@@ -1,8 +1,9 @@
 (** The key-value store's persistent sorted index: Stdlib.Map's AVL tree
     over string keys, owned so that {!find_many} can walk the nodes
     directly.  Only the operations {!Kv_store} needs are here; all of them
-    behave as their [Map.Make (String)] namesakes, except that {!add} and
-    {!remove} also report whether the key count changed. *)
+    behave as their [Map.Make (String)] namesakes.  Every write goes through
+    {!update_many}, a batch of sorted keys in one descent; a single add or
+    remove is a batch of one. *)
 
 type 'a t
 
@@ -14,13 +15,20 @@ val height : 'a t -> int
 
 val find_opt : string -> 'a t -> 'a option
 
-val add : string -> 'a -> 'a t -> 'a t * bool
-(** [add key v m] binds [key] to [v]; the flag is [true] iff [key] was
-    absent from [m], i.e. the map gained a binding. *)
+val update_many : 'a t -> string array -> (int -> 'a option -> 'a option) -> 'a t
+(** [update_many m keys f] sets each key [keys.(i)] to [f i (find_opt
+    keys.(i) m)], where [Some v] binds it and [None] removes it.  [keys]
+    must be sorted ascending by [String.compare], with no repeats; [f] runs
+    once per key, in index order.  This is one descent of [m] for the whole
+    array, so each node on the touched paths is rebuilt once, however many
+    of the keys lie below it.  Nodes are never mutated, so [m] is unchanged.
+    A subtree where [f] changed nothing is returned physically equal: [f]
+    returning the current value (the same value, by [==]) for a present key,
+    or [None] for an absent one, leaves it alone. *)
 
-val remove : string -> 'a t -> 'a t * bool
-(** [remove key m] drops [key]'s binding; the flag is [true] iff there was
-    one.  An absent key returns [m] itself. *)
+val well_formed : 'a t -> bool
+(** The AVL invariant, for tests: each node's stored height is exact, its
+    two subtrees' heights differ by at most 2, and keys ascend. *)
 
 val bindings : 'a t -> (string * 'a) list
 (** All bindings, ascending by key. *)

@@ -13,14 +13,22 @@
     system the tid is the {e name} handed out by k-assignment.
 
     The unit of announcement and commit is a batch: a thread announces a
-    list of operations, and whoever helps it applies the whole list in one
-    pass and installs the result with one CAS. *)
+    list of operations, and whoever helps it applies the whole list with
+    one call of the object's batch apply and installs the result with one
+    CAS. *)
 
 type ('s, 'op, 'r) t
 
-val create : k:int -> init:'s -> apply:('s -> 'op -> 's * 'r) -> ('s, 'op, 'r) t
-(** [apply] must be a pure function of the state (it may be re-executed by
-    helpers; only the linearized application's result is returned). *)
+val create : k:int -> init:'s -> apply:('s -> 'op list -> 's * 'r list) -> ('s, 'op, 'r) t
+(** [apply s ops] applies a whole batch: the state after [ops] in list
+    order, and their results aligned with the list.  It must be a pure
+    function of the state (it may be re-executed by helpers; only the
+    linearized application's results are returned). *)
+
+val per_op : ('s -> 'op -> 's * 'r) -> 's -> 'op list -> 's * 'r list
+(** A batch apply that runs a one-operation function over the list in
+    order — how an object without a batch algorithm of its own is made:
+    [create ~k ~init ~apply:(per_op apply)]. *)
 
 val perform_batch : ('s, 'op, 'r) t -> tid:int -> 'op list -> 'r list
 (** Announce [ops] as one batch and return its results, aligned with the
@@ -51,8 +59,9 @@ val committed : ('s, 'op, 'r) t -> int * 's
     plane, migration's bulk and delta) needs. *)
 
 val apply_calls : ('s, 'op, 'r) t -> int
-(** Number of operations [apply] has been invoked on, including helper
-    re-executions of batches that lost the commit race.
+(** Number of operations the batch apply has been invoked on (a batch
+    counts its length), including helper re-executions of batches that
+    lost the commit race.
     [apply_calls t - applied_count t] is the re-execution overhead of
     helping; tests use it to observe that crashed operations are re-run
     without being double-applied. *)

@@ -15,7 +15,7 @@ let apply q = function
       | { front = v :: front; back } -> (norm { front; back }, Popped (Some v))
       | { front = []; _ } as q -> (q, Popped None))
 
-let create ~k = Universal.create ~k ~init:{ front = []; back = [] } ~apply
+let create ~k = Universal.create ~k ~init:{ front = []; back = [] } ~apply:(Universal.per_op apply)
 
 let enqueue t ~tid v =
   match Universal.perform t ~tid (Enqueue v) with Unit -> () | Popped _ -> assert false

@@ -8,7 +8,7 @@ let apply v = function
   | Modify f -> (f v, Previous v)
   | Cas (expected, desired) -> if v = expected then (desired, Success true) else (v, Success false)
 
-let create ~k ~init = Universal.create ~k ~init ~apply
+let create ~k ~init = Universal.create ~k ~init ~apply:(Universal.per_op apply)
 let read t = Universal.state t
 
 let write t ~tid v =

@@ -7,7 +7,7 @@ let apply s = function
   | Push v -> (v :: s, Unit)
   | Pop -> ( match s with [] -> ([], Popped None) | v :: rest -> (rest, Popped (Some v)))
 
-let create ~k = Universal.create ~k ~init:[] ~apply
+let create ~k = Universal.create ~k ~init:[] ~apply:(Universal.per_op apply)
 
 let push t ~tid v =
   match Universal.perform t ~tid (Push v) with Unit -> () | Popped _ -> assert false

@@ -173,6 +173,14 @@ let stats_pairs t =
       ("apply_calls", Sharded.apply_calls t.store);
       ("open_conns", Sync.with_lock t.conns_m (fun () -> List.length t.conns));
       ("uptime_ms", int_of_float ((Unix.gettimeofday () -. t.started_at) *. 1000.)) ]
+  (* Words allocated in the minor heaps and promoted out of them, cumulative
+     for the process: [Gc.quick_stat] adds every domain's counts as of the
+     last minor collection (which stops every domain) to this domain's
+     since.  Per [served] request they read as the allocation a request
+     costs. *)
+  @ (let gc = Gc.quick_stat () in
+     [ ("gc_minor_words", int_of_float gc.minor_words);
+       ("gc_promoted_words", int_of_float gc.promoted_words) ])
   @ [ ("ring_pushes", Array.fold_left (fun a s -> a + Wqueue.pushes (Shard.ring s)) 0 t.shards);
       ("ring_wakeups", Array.fold_left (fun a s -> a + Wqueue.wakeups (Shard.ring s)) 0 t.shards) ]
   @ [ ("reactors", Array.length t.reactors);

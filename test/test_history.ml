@@ -38,7 +38,7 @@ let test_concurrent_reorder_accepted () =
      logic with genuinely concurrent domain recordings below instead.  Here:
      same-timestamped overlap via two domains. *)
   let h = History.create () in
-  let u = Universal.create ~k:2 ~init:0 ~apply:counter_apply in
+  let u = Universal.create ~k:2 ~init:0 ~apply:(Universal.per_op counter_apply) in
   let worker tid () =
     for _ = 1 to 8 do
       ignore (History.record h ~tid ~op:(`Add 1) ~f:(fun () -> Universal.perform u ~tid (`Add 1)))
@@ -81,7 +81,7 @@ let test_wf_queue_linearizable () =
 
 let test_resilient_object_linearizable () =
   let h = History.create () in
-  let obj = Resilient.create ~n:4 ~k:2 ~init:0 ~apply:counter_apply () in
+  let obj = Resilient.create ~n:4 ~k:2 ~init:0 ~apply:(Universal.per_op counter_apply) () in
   let worker pid () =
     for _ = 1 to 7 do
       ignore

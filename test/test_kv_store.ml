@@ -295,6 +295,124 @@ let test_install_refused_when_slots_held () =
     "state and version unchanged" before (Kv_store.read_versioned s);
   List.iter (fun (pid, name) -> Kex_runtime.Kex_lock.Assignment.release asg ~pid ~name) held
 
+(* One batch through the store's ordered pass answers and leaves exactly
+   what its operations do one at a time (each a batch of one), and what a
+   model folding them over Stdlib.Map does.  Keys repeat within a batch,
+   with reads, deletes, closure updates and fetch-and-adds between the
+   writes, and an occasional [Install] splits the batch; the batch moves
+   [apply_calls] by its length. *)
+module Q = QCheck2
+module SM = Map.Make (String)
+
+type update = Append | Clear | Keep | Toggle
+
+type mop =
+  | MSet of string * string
+  | MGet of string
+  | MDel of string
+  | MUpd of string * update
+  | MAdd of string * int
+  | MInstall of (string * string) list
+
+let show_mop = function
+  | MSet (k, v) -> Printf.sprintf "set %s %S" k v
+  | MGet k -> "get " ^ k
+  | MDel k -> "del " ^ k
+  | MUpd (k, u) ->
+      Printf.sprintf "update %s %s" k
+        (match u with Append -> "append" | Clear -> "clear" | Keep -> "keep" | Toggle -> "toggle")
+  | MAdd (k, d) -> Printf.sprintf "add %s %d" k d
+  | MInstall kvs -> "install [" ^ String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) kvs) ^ "]"
+
+let update_fn = function
+  | Append -> fun v -> Some (Option.value v ~default:"" ^ "+")
+  | Clear -> fun _ -> None
+  | Keep -> fun v -> v
+  | Toggle -> ( function None -> Some "t" | Some _ -> None)
+
+let install kvs = List.fold_left (fun m (k, v) -> SM.add k v m) SM.empty kvs
+
+let to_op = function
+  | MSet (k, v) -> Kv_store.Set (k, v)
+  | MGet k -> Kv_store.Get k
+  | MDel k -> Kv_store.Delete k
+  | MUpd (k, u) -> Kv_store.Update (k, update_fn u)
+  | MAdd (k, d) -> Kv_store.Fetch_add (k, d)
+  | MInstall kvs ->
+      Kv_store.Install
+        (Kv_store.stage Kv_store.empty_image (SM.fold (fun k v acc -> (k, Some v) :: acc) (install kvs) []))
+
+let model_step m = function
+  | MSet (k, v) -> (SM.add k v m, Kv_store.Unit)
+  | MGet k -> (m, Kv_store.Value (SM.find_opt k m))
+  | MDel k -> (SM.remove k m, Kv_store.Existed (SM.mem k m))
+  | MUpd (k, u) -> (
+      match update_fn u (SM.find_opt k m) with
+      | Some v -> (SM.add k v m, Kv_store.Unit)
+      | None -> (SM.remove k m, Kv_store.Unit))
+  | MAdd (k, d) ->
+      let cur =
+        match SM.find_opt k m with
+        | Some s -> Option.value (int_of_string_opt s) ~default:0
+        | None -> 0
+      in
+      (SM.add k (string_of_int (cur + d)) m, Kv_store.New_value (cur + d))
+  | MInstall kvs -> (install kvs, Kv_store.Unit)
+
+let gen_batch_case =
+  let open Q.Gen in
+  let* nkeys = oneofl [ 3; 6; 40 ] in
+  let key = map (Printf.sprintf "k%02d") (int_range 0 (nkeys - 1)) in
+  let value = oneofl [ "1"; "7"; "-3"; "x"; "" ] in
+  let op =
+    frequency
+      [ (6, map2 (fun k v -> MSet (k, v)) key value);
+        (3, map (fun k -> MGet k) key);
+        (3, map (fun k -> MDel k) key);
+        (3, map2 (fun k u -> MUpd (k, u)) key (oneofl [ Append; Clear; Keep; Toggle ]));
+        (4, map2 (fun k d -> MAdd (k, d)) key (int_range (-5) 5));
+        (1, map (fun kvs -> MInstall kvs) (list_size (int_range 0 3) (pair key value))) ]
+  in
+  pair (list_size (int_range 0 20) (pair key value)) (list_size (int_range 0 48) op)
+
+let prop_batch_equals_one_at_a_time =
+  Q.Test.make ~name:"one batch apply = its operations one at a time" ~count:500
+    ~print:(fun (init, ops) ->
+      Printf.sprintf "init [%s]; batch [%s]"
+        (String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) init))
+        (String.concat "; " (List.map show_mop ops)))
+    gen_batch_case
+    (fun (init, ops) ->
+      let fresh () =
+        let s = Kv_store.create ~n:1 ~k:1 () in
+        ignore (Kv_store.perform_batch s ~pid:0 (List.map (fun (k, v) -> Kv_store.Set (k, v)) init));
+        s
+      in
+      let batched = fresh () and single = fresh () in
+      let kv_ops = List.map to_op ops in
+      let calls0 = Kv_store.apply_calls batched in
+      let batch_results = Kv_store.perform_batch batched ~pid:0 kv_ops in
+      let calls = Kv_store.apply_calls batched - calls0 in
+      let single_results =
+        List.concat_map (fun op -> Kv_store.perform_batch single ~pid:0 [ op ]) kv_ops
+      in
+      let model, model_results =
+        List.fold_left
+          (fun (m, rs) op ->
+            let m, r = model_step m op in
+            (m, r :: rs))
+          (List.fold_left (fun m (k, v) -> SM.add k v m) SM.empty init, [])
+          ops
+      in
+      let model_results = List.rev model_results in
+      batch_results = model_results
+      && single_results = model_results
+      && Kv_store.snapshot batched = SM.bindings model
+      && Kv_store.snapshot single = SM.bindings model
+      && Kv_store.size batched = SM.cardinal model
+      && Kv_store.size single = SM.cardinal model
+      && calls = List.length ops)
+
 let suite =
   [ Helpers.tc "basic CRUD" test_basic_crud;
     Helpers.tc "size tracks every kind of write" test_size_tracks_every_write;
@@ -312,4 +430,5 @@ let suite =
     Helpers.tc "an installed image replaces the state in one operation"
       test_install_replaces_state;
     Helpers.tc "the install is refused when every slot is held"
-      test_install_refused_when_slots_held ]
+      test_install_refused_when_slots_held;
+    QCheck_alcotest.to_alcotest prop_batch_equals_one_at_a_time ]

@@ -8,7 +8,7 @@ let counter_apply s = function `Add d -> (s + d, s + d) | `Get -> (s, s)
 (* ---------------------------- Universal -------------------------------- *)
 
 let test_universal_sequential () =
-  let u = Universal.create ~k:3 ~init:0 ~apply:counter_apply in
+  let u = Universal.create ~k:3 ~init:0 ~apply:(Universal.per_op counter_apply) in
   Alcotest.(check int) "first add" 5 (Universal.perform u ~tid:0 (`Add 5));
   Alcotest.(check int) "second add" 7 (Universal.perform u ~tid:0 (`Add 2));
   Alcotest.(check int) "get" 7 (Universal.perform u ~tid:2 `Get);
@@ -20,7 +20,7 @@ let test_universal_helping () =
      the sequence number, so the dead operation is guaranteed to be
      linearized within k appends by live threads: after two operations of
      tid 1 (k = 2), tid 0's op must be in. *)
-  let u = Universal.create ~k:2 ~init:0 ~apply:counter_apply in
+  let u = Universal.create ~k:2 ~init:0 ~apply:(Universal.per_op counter_apply) in
   Universal.announce_only u ~tid:0 [ `Add 100 ];
   ignore (Universal.perform u ~tid:1 (`Add 1));
   let r = Universal.perform u ~tid:1 (`Add 1) in
@@ -29,7 +29,7 @@ let test_universal_helping () =
   Alcotest.(check int) "live op linearized last" 102 r
 
 let test_universal_tid_validation () =
-  let u = Universal.create ~k:2 ~init:0 ~apply:counter_apply in
+  let u = Universal.create ~k:2 ~init:0 ~apply:(Universal.per_op counter_apply) in
   Alcotest.check_raises "tid out of range" (Invalid_argument "Universal: tid 2 out of range 0..1")
     (fun () -> ignore (Universal.perform u ~tid:2 `Get))
 
@@ -37,7 +37,7 @@ let test_universal_linearizable_under_domains () =
   (* k domains each add 1, m times.  The returned post-values must be a
      permutation of 1..k*m — the signature of a linearizable counter. *)
   let k = 3 and m = 120 in
-  let u = Universal.create ~k ~init:0 ~apply:counter_apply in
+  let u = Universal.create ~k ~init:0 ~apply:(Universal.per_op counter_apply) in
   let results = Array.make k [] in
   let worker tid () =
     for _ = 1 to m do
@@ -138,7 +138,7 @@ let test_counter_direct () =
 
 let test_resilient_counter_end_to_end () =
   let n = 6 and k = 3 and per = 80 in
-  let obj = Resilient.create ~n ~k ~init:0 ~apply:counter_apply () in
+  let obj = Resilient.create ~n ~k ~init:0 ~apply:(Universal.per_op counter_apply) () in
   let worker pid () =
     for _ = 1 to per do
       ignore (Resilient.perform obj ~pid (`Add 1))
@@ -155,7 +155,7 @@ let test_resilient_survives_crashed_holder () =
      failure (k-1 = 1).  Everyone else must still complete, and the dead
      op must be linearized by helpers. *)
   let n = 4 and k = 2 in
-  let obj = Resilient.create ~n ~k ~init:0 ~apply:counter_apply () in
+  let obj = Resilient.create ~n ~k ~init:0 ~apply:(Universal.per_op counter_apply) () in
   (* Simulated crash: acquire a name, announce, stop forever. *)
   let dead_name = Kex_runtime.Kex_lock.Assignment.acquire (Resilient.assignment obj) ~pid:0 in
   Universal.announce_only (Resilient.inner obj) ~tid:dead_name [ `Add 1000 ];
@@ -172,7 +172,7 @@ let test_resilient_effectively_wait_free_at_low_contention () =
   (* With a single active process (contention 1 <= k), operations complete
      without ever waiting — a bounded number of steps.  We can't count steps
      directly, but we can check completion with every other process absent. *)
-  let obj = Resilient.create ~n:8 ~k:2 ~init:0 ~apply:counter_apply () in
+  let obj = Resilient.create ~n:8 ~k:2 ~init:0 ~apply:(Universal.per_op counter_apply) () in
   for _ = 1 to 100 do
     ignore (Resilient.perform obj ~pid:5 (`Add 1))
   done;
@@ -185,7 +185,7 @@ let test_resilient_effectively_wait_free_at_low_contention () =
    torn), and its versions must never decrease. *)
 let test_resilient_head_reads_under_domains () =
   let writers = 2 and readers = 3 and per_writer = 2_000 in
-  let obj = Resilient.create ~n:writers ~k:2 ~init:0 ~apply:counter_apply () in
+  let obj = Resilient.create ~n:writers ~k:2 ~init:0 ~apply:(Universal.per_op counter_apply) () in
   let stop = Atomic.make false in
   let bad = Atomic.make 0 in
   let writer pid () =
@@ -219,7 +219,7 @@ let test_resilient_head_reads_under_domains () =
 let test_resilient_batch_seen_whole () =
   let writers = 2 and readers = 2 and per_writer = 3_000 in
   let apply (a, b) = function `A v -> ((v, b), ()) | `B v -> ((a, v), ()) in
-  let obj = Resilient.create ~n:writers ~k:2 ~init:(0, 0) ~apply () in
+  let obj = Resilient.create ~n:writers ~k:2 ~init:(0, 0) ~apply:(Universal.per_op apply) () in
   let stop = Atomic.make false in
   let torn = Atomic.make 0 and odd = Atomic.make 0 in
   let writer pid () =
@@ -253,7 +253,7 @@ let test_resilient_batch_seen_whole () =
    [apply_calls - applied_count] stays 0. *)
 let test_universal_dead_batch_helped () =
   let apply s = function `Add d -> (s + d, s + d) | `Mul m -> (s * m, s * m) in
-  let u = Universal.create ~k:2 ~init:0 ~apply in
+  let u = Universal.create ~k:2 ~init:0 ~apply:(Universal.per_op apply) in
   Universal.announce_only u ~tid:1 [ `Add 1; `Mul 10; `Add 2 ];
   Alcotest.(check int) "announcing applies nothing" 0 (Universal.applied_count u);
   (* In list order: ((0 + 1) * 10) + 2 = 12; any other order differs. *)

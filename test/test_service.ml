@@ -1101,6 +1101,29 @@ let test_accept_survives_fd_exhaustion () =
       Fun.protect ~finally:(fun () -> close c) (fun () ->
           assert_resp "PING after the fds are back" P.Pong (rpc c P.Ping)))
 
+(* STATS carries the process's allocation: [gc_minor_words] and
+   [gc_promoted_words] count every domain, the reactors' included, so a
+   burst of SETs whose values stay live in the store moves both.  The
+   forced minor collection brings every domain's counts up to date. *)
+let test_stats_gc_words () =
+  with_server quiet (fun t ->
+      let c = connect (Server.port t) in
+      Fun.protect ~finally:(fun () -> close c) (fun () ->
+          let value = String.make 800 'v' and sets = 2000 in
+          let deltas =
+            stat_delta t [ "gc_minor_words"; "gc_promoted_words" ] (fun () ->
+                for i = 1 to sets do
+                  assert_resp "set" P.Ok (rpc c (P.Set (Printf.sprintf "key%d" i, value)))
+                done;
+                Gc.minor ())
+          in
+          let delta name = List.assoc name deltas in
+          (* Each SET's value alone is 100 words when decoded. *)
+          if delta "gc_minor_words" < sets * 100 then
+            Alcotest.failf "gc_minor_words grew by %d" (delta "gc_minor_words");
+          if delta "gc_promoted_words" <= 0 then
+            Alcotest.failf "gc_promoted_words grew by %d" (delta "gc_promoted_words")))
+
 let suite =
   [ Helpers.tc "CRUD over a socket" test_crud_over_socket;
     Helpers.tc "bad server and loadgen configs raise Invalid_argument"
@@ -1145,4 +1168,6 @@ let suite =
     Helpers.tc "stop after crash closes the listener's fd once"
       test_stop_after_crash_closes_listener_once;
     Helpers.tc "a failed accept (fd table full) does not end the accept loop"
-      test_accept_survives_fd_exhaustion ]
+      test_accept_survives_fd_exhaustion;
+    Helpers.tc "STATS gc_minor_words and gc_promoted_words grow across a burst of SETs"
+      test_stats_gc_words ]
