@@ -13,8 +13,10 @@
 
    The table is mutated under a mutex and read under it too — routing
    lookups are two loads, far off any hot path that matters (the loadgen
-   does one lookup per generated request; servers consult their own [owned]
-   bitmap, not this table, on the data path). *)
+   does one lookup per generated request; on the data path a server reads
+   each shard's own ownership flag, a [bool Atomic.t] in [Shard], not this
+   table).  The key -> shard map itself, [key_shard], needs no table: it
+   is a pure function of the key and the shard count. *)
 
 type t = {
   m : Mutex.t;
@@ -89,8 +91,22 @@ let parse_addr addr =
       | Some port when port > 0 && port < 65536 -> Ok (host, port)
       | _ -> Error (Printf.sprintf "bad port in node address %S" addr))
 
-(* Same hash as the in-process sharded store, so "shard" means the same
-   thing on every node and in every client. *)
-let shard_of_key t key =
-  let n = locked t (fun () -> Array.length t.owners) in
-  if n = 1 then 0 else Kex_resilient.Sharded_store.hash_key key mod n
+(* The one key -> shard map, so "shard" means the same thing on every node
+   and in every client, and across builds: a shard migrated or adopted
+   keeps its keys only while this stays fixed.  FNV-1a (32-bit parameters;
+   the accumulator lives in a native int): cheap, deterministic across runs
+   (unlike Hashtbl.hash seeds we don't control), and good enough spread
+   over short keys.  One shard needs no hash at all. *)
+let key_shard ~shards key =
+  if shards = 1 then 0
+  else begin
+    let h = ref 0x811c9dc5 in
+    String.iter
+      (fun c ->
+        h := !h lxor Char.code c;
+        h := !h * 0x01000193 land 0xffffffff)
+      key;
+    (!h land max_int) mod shards
+  end
+
+let shard_of_key t key = key_shard ~shards:(shards t) key

@@ -38,7 +38,11 @@ val parse_addr : string -> (string * int, string) result
 (** Split a node address ["host:port"] at its last colon; the port must be
     in 1..65535.  [Error] carries a message naming the address. *)
 
+val key_shard : shards:int -> string -> int
+(** The shard of a key among [shards] (FNV-1a of the key, modulo
+    [shards]; 0 without hashing when [shards = 1]).  The one key -> shard
+    map: a server's table of shards, {!shard_of_key} and the loadgen all
+    use it, so shard ids agree across nodes, clients and builds. *)
+
 val shard_of_key : t -> string -> int
-(** Key routing with the same FNV-1a hash as
-    {!Kex_resilient.Sharded_store.shard_of_key}, so shard ids agree across
-    nodes and clients. *)
+(** {!key_shard} over the table's shard count. *)

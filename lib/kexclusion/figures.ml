@@ -2,16 +2,19 @@
     written once over a small memory signature.
 
     Every shared access is one {!MEMORY} operation, in the order of the
-    paper's numbered statements.  Two instances run the same text:
+    paper's numbered statements.  Three instances run the same text:
     {!Simulated} turns each access into one [Op] step over a simulated
     [Memory] (the simulator, [kexd lint] and the Table 1 benchmarks
-    measure it), and [Kex_runtime.Direct] performs it on an
-    [int Atomic.t] (the locks [kexd serve] admits through).  So the
-    remote references counted for a figure are the accesses the service
-    performs.
+    measure it), [Kex_runtime.Direct] performs it on an [int Atomic.t]
+    (the locks [kexd serve] admits through), and [Kex_verify.Traced]
+    stops at each access, so the model checker ([kexd verify], [kexd
+    hunt]) interleaves the figures one access at a time.  So the remote
+    references counted for a figure are the accesses the service performs,
+    and the text the checker explores is the text the service runs.
 
-    Both instances carry the no-wait entry ([try_entry]), written here
-    once; the simulator's runner and lint do not call it yet. *)
+    Every instance carries the no-wait entry ([try_entry]), written here
+    once; the model checker explores it, while the simulator's runner and
+    lint do not call it yet. *)
 
 (** Shared memory as the figures use it: cells holding integers, the
     paper's primitives, a busy-wait, and each process's private

@@ -58,14 +58,17 @@
    client-visible failures anywhere; killing k workers of a shard wedges
    that shard — and only that shard.
 
-   A shard's state machine — ownership, the route decision, the fence and
-   the handoff claim, in-flight accounting, kills, the worker loop and its
-   lazy start — is [Shard], which does no I/O.  This file keeps decode,
-   reply framing, the GET plane, cluster RPC and STATS. *)
+   A shard's state machine — its store, ownership, the route decision, the
+   fence and the handoff claim, in-flight accounting, kills, the worker
+   loop and its lazy start — is [Shard], which does no I/O.  The server's
+   [item Shard.t array] is its one table of shards: the GET batch read,
+   SCAN's merge and the STATS sums read each shard's store and ownership
+   from it, and keys map to it by [Routing.key_shard].  This file keeps
+   decode, reply framing, the GET plane's batching, cluster RPC and
+   STATS. *)
 
 module Kex_lock = Kex_runtime.Kex_lock
 module Kv_store = Kex_resilient.Kv_store
-module Sharded = Kex_resilient.Sharded_store
 module Routing = Kex_cluster.Routing
 module Migration = Kex_cluster.Migration
 module Sync = Kex_sync.Sync
@@ -134,9 +137,8 @@ type cluster = { cl_node : int; cl_addrs : string array; cl_self : string; cl_ro
 
 type t = {
   cfg : config;
-  store : Sharded.t;
   pool : Shard.pool;
-  shards : item Shard.t array;  (* each with its slice of [store] and its own metrics *)
+  shards : item Shard.t array;  (* the one table of shards: each with its store and metrics *)
   conn_metrics : Metrics.t;  (* connection-plane counters *)
   listen_fd : Unix.file_descr;
   (* Set once, by [stop] or [crash], before the listener is shut down and
@@ -156,21 +158,26 @@ type t = {
 
 let port t = t.actual_port
 let total_workers t = t.cfg.shards * t.cfg.workers
-let shard_of_key t key = Sharded.shard_of_key t.store key
+let shard_of_key t key = Routing.key_shard ~shards:t.cfg.shards key
 let owns t shard = Shard.owned t.shards.(shard)
 
 let all_metrics t = t.conn_metrics :: Array.to_list (Array.map Shard.metrics t.shards)
 
+(* Summed over the table's stores: exact under any interleaving, because
+   each summand is a per-shard linearization counter.  [keys] counts the
+   owned shards only, since an unowned shard's copy may be stale. *)
 let stats_pairs t =
+  let sum f = Array.fold_left (fun acc sh -> acc + f sh) 0 t.shards in
+  let store_sum f = sum (fun sh -> f (Shard.store sh)) in
   Metrics.pairs_merged (all_metrics t)
   @ [ ("workers", total_workers t);
       ("workers_per_shard", t.cfg.workers);
       ("worker_domains", Shard.spawned t.pool);
       ("shards", t.cfg.shards);
       ("k", t.cfg.k);
-      ("keys", Sharded.size ~owned:(owns t) t.store);
-      ("ops_linearized", Sharded.operations t.store);
-      ("apply_calls", Sharded.apply_calls t.store);
+      ("keys", sum (fun sh -> if Shard.owned sh then Kv_store.size (Shard.store sh) else 0));
+      ("ops_linearized", store_sum Kv_store.operations);
+      ("apply_calls", store_sum Kv_store.apply_calls);
       ("open_conns", Sync.with_lock t.conns_m (fun () -> List.length t.conns));
       ("uptime_ms", int_of_float ((Unix.gettimeofday () -. t.started_at) *. 1000.)) ]
   (* Words allocated in the minor heaps and promoted out of them, cumulative
@@ -187,7 +194,7 @@ let stats_pairs t =
       ("reactor_wakeups", Array.fold_left (fun a r -> a + Reactor.wakeups r) 0 t.reactors);
       ("reactor_posts", Array.fold_left (fun a r -> a + Reactor.posts r) 0 t.reactors) ]
   @ List.init t.cfg.shards (fun s ->
-        (Printf.sprintf "ops_shard_%d" s, Kv_store.operations (Sharded.shard t.store s)))
+        (Printf.sprintf "ops_shard_%d" s, Kv_store.operations (Shard.store t.shards.(s))))
   (* Cluster topology, observable without parsing logs: who we are, the
      routing epoch, and the owned-shard set (count + bitmask while it fits
      an int).  Migration counters ride in the metrics pairs above. *)
@@ -432,7 +439,7 @@ let ship_shard t cl ~shard ~addr =
       Fun.protect
         ~finally:(fun () -> Netio.close conn)
         (fun () ->
-          let store = Sharded.shard t.store shard in
+          let store = Shard.store t.shards.(shard) in
           let rec ship_bulk = function
             | [] -> Ok ()
             | chunk :: rest -> (
@@ -527,7 +534,7 @@ let mig_import t ~lpid conn ~shard ~epoch ~final changes =
       conn.c_imports <- (if final then others else (shard, image) :: others);
       if not final then Ok ()
       else
-        let store = Sharded.shard t.store shard in
+        let store = Shard.store t.shards.(shard) in
         match Kv_store.try_perform_batch store ~pid:lpid [ Kv_store.Install image ] with
         | Some _ -> take_ownership t cl ~shard ~epoch
         | None -> Error (Printf.sprintf "shard %d: admission refused the import" shard))
@@ -569,10 +576,11 @@ let new_pending t = { muts = Array.make t.cfg.shards []; gets = [] }
 
 (* The wait-free read plane, one batch per socket read: answer the queued
    GETs into [out], in decode order, with no ring, no worker and no
-   admission slot.  [Sharded.read_many] reads each shard the batch touches
-   off one load of its committed head and walks all of that shard's keys
-   down the tree in lockstep.  Ownership is checked per shard right before
-   that load, and an unowned key answers MOVED in its own position.
+   admission slot.  [Shard.read_many] reads each shard of the table the
+   batch touches off one load of its committed head and walks all of that
+   shard's keys down the tree in lockstep.  Ownership is checked per shard
+   right before that load, and an unowned key answers MOVED in its own
+   position.
    One clock pair and one metrics update cover the batch; each GET records
    the batch's per-GET share of the lookup time. *)
 let resolve_gets t conn out p =
@@ -580,7 +588,7 @@ let resolve_gets t conn out p =
     let gets = Array.of_list (List.rev p.gets) in
     p.gets <- [];
     let t0 = Metrics.now_us () in
-    let found = Sharded.read_many ~owned:(owns t) t.store (Array.map fst gets) in
+    let found = Shard.read_many t.shards (Array.map fst gets) in
     let lat_us = Metrics.now_us () - t0 in
     let served = Array.fold_left (fun n r -> if Result.is_ok r then n + 1 else n) 0 found in
     if served > 0 then begin
@@ -625,7 +633,7 @@ let flush_pending t ~lpid conn out p =
         match Shard.route sh items with
         | Shard.Inline ->
             resolve_gets t conn out p;
-            let store = Sharded.shard t.store s in
+            let store = Shard.store sh in
             let attempt chunk =
               exec_batch (Shard.metrics sh) chunk
                 ~admit:(fun ops -> Kv_store.try_perform_batch store ~pid:lpid ops)
@@ -709,7 +717,7 @@ let handle_request t ~lpid rc out pending tag (req : Protocol.request) =
          consistently even when a whole shard's worker pool is dead.
          Cluster mode answers for the shards this node owns. *)
       let t0 = Metrics.now_us () in
-      let pairs = Sharded.scan ~owned:(owns t) t.store ~start ~count:(min count max_scan) in
+      let pairs = Shard.scan t.shards ~start ~count:(min count max_scan) in
       Metrics.record t.conn_metrics Metrics.C_scan ~lat_us:(Metrics.now_us () - t0);
       Metrics.incr_inline_reads t.conn_metrics;
       respond_now conn out tag (Protocol.Range pairs)
@@ -874,18 +882,15 @@ let start cfg =
   in
   (* Every shard's wrapper admits the workers (pids 0..workers-1) and the
      reactors (pids workers..workers+reactors-1). *)
-  let store =
-    Sharded.create ~algo:cfg.algo ~shards:cfg.shards ~n:(cfg.workers + cfg.reactors) ~k:cfg.k ()
-  in
   let pool = Shard.pool ~workers:cfg.workers ~log:cfg.log () in
   let shards =
     Array.init cfg.shards (fun id ->
-        let store = Sharded.shard store id and metrics = Metrics.create () in
+        let store = Kv_store.create ~algo:cfg.algo ~n:(cfg.workers + cfg.reactors) ~k:cfg.k ()
+        and metrics = Metrics.create () in
         Shard.create pool ~id ~store ~metrics ~apply:(work_batch store metrics))
   in
   let t =
     { cfg;
-      store;
       pool;
       shards;
       conn_metrics = Metrics.create ();

@@ -6,6 +6,7 @@
 
 module Kex_lock = Kex_runtime.Kex_lock
 module Kv_store = Kex_resilient.Kv_store
+module Routing = Kex_cluster.Routing
 module Sync = Kex_sync.Sync
 
 (* Workers and the reactors' inline path apply at most this many items per
@@ -87,6 +88,7 @@ let create pool ~id ~store ~metrics ~apply =
     started = Atomic.make false }
 
 let logf pool fmt = Printf.ksprintf pool.log fmt
+let store sh = sh.store
 let ring sh = sh.ring
 let metrics sh = sh.metrics
 let owned sh = Atomic.get sh.owned
@@ -268,6 +270,50 @@ let end_handoff sh ~moved =
       sh.fenced <- false;
       sh.handing_off <- false;
       Condition.broadcast sh.fence_c)
+
+(* ------------------------------- the table ------------------------------ *)
+
+(* A batch of wait-free reads.  One pass buckets the key positions by
+   shard; each non-empty bucket is then read off one head read of its
+   shard ([Kv_store.read_many]), results landing back in key order.
+   Ownership is read once per shard the batch touches, just before that
+   shard's read; an unowned shard is not read and its keys answer
+   [Error shard]. *)
+let read_many shards keys =
+  let n = Array.length shards in
+  let buckets = Array.make n [] in
+  for i = Array.length keys - 1 downto 0 do
+    let s = Routing.key_shard ~shards:n keys.(i) in
+    buckets.(s) <- i :: buckets.(s)
+  done;
+  let out = Array.make (Array.length keys) (Ok None) in
+  Array.iteri
+    (fun s here ->
+      if here <> [] then
+        if owned shards.(s) then
+          let found =
+            Kv_store.read_many shards.(s).store (Array.of_list (List.map (Array.get keys) here))
+          in
+          List.iteri (fun j i -> out.(i) <- Ok found.(j)) here
+        else List.iter (fun i -> out.(i) <- Error s) here)
+    buckets;
+  out
+
+(* Range reads span shards (routing is by hash, not by range), so a scan
+   merges the owned shards' wait-free scans.  Each per-shard slice is
+   internally consistent; the merge is the usual sharded-store contract of
+   per-shard (not global) atomicity. *)
+let scan shards ~start ~count =
+  if count <= 0 then []
+  else begin
+    let all =
+      List.concat_map
+        (fun sh -> if owned sh then Kv_store.scan sh.store ~start ~count else [])
+        (Array.to_list shards)
+    in
+    let sorted = List.sort (fun (a, _) (b, _) -> compare a b) all in
+    List.filteri (fun i _ -> i < count) sorted
+  end
 
 (* ------------------------------- shutdown ------------------------------- *)
 

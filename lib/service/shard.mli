@@ -4,10 +4,12 @@
     {!Kex_resilient.Kv_store} behind its own (N,k)-assignment wrapper,
     whose processes are the shard's worker domains and the server's
     reactors.  This module decides what happens to a list of mutations
-    bound for the shard, and owns the state that decision reads:
-    ownership, the migration fence and its drain, the handoff claim, the
-    in-flight count, pending kills, the worker loop and its lazy start,
-    and the morgue where killed workers park.
+    bound for the shard, and owns the state that decision reads: the
+    store, ownership, the migration fence and its drain, the handoff
+    claim, the in-flight count, pending kills, the worker loop and its
+    lazy start, and the morgue where killed workers park.  A server's
+    array of shards is its one table of shards, which the wait-free reads
+    of {!read_many} and {!scan} span.
 
     It is polymorphic in the item a list carries, and the caller supplies
     how a worker applies a batch and how a domain is spawned, so it opens
@@ -39,6 +41,10 @@ val create :
     workers - 1]) runs [apply ~lpid batch] for each batch it pops: the
     batch's admission, its apply and its answers.  [metrics] takes the
     shard's batch, death and re-dispatch counts. *)
+
+val store : 'a t -> Kex_resilient.Kv_store.t
+(** The shard's store: its committed state, its counters and its
+    wrapper. *)
 
 val ring : 'a t -> 'a Wqueue.t
 (** The shard's ring, for its counters.  Items enter it only through
@@ -109,6 +115,26 @@ val end_handoff : 'a t -> moved:bool -> unit
 (** End the claim in one critical section: drop ownership if [moved],
     lift the fence and wake the routes it held, which then answer
     [Not_owner] or proceed. *)
+
+(** {1 The table}
+
+    A server's shards, indexed by id, are its one table of shards: a key
+    lives in shard [Kex_cluster.Routing.key_shard ~shards key] of a table
+    of [shards].  The reads below answer for the shards this node owns,
+    off their committed heads, with no slot. *)
+
+val read_many : 'a t array -> string array -> (string option, int) result array
+(** A wait-free read of every key of the array, in key order, reading each
+    shard's committed state once for all of that shard's keys
+    ({!Kex_resilient.Kv_store.read_many}).  {!owned} is read once per
+    shard the batch touches, right before that shard's read; the keys of
+    an unowned shard are not read and answer [Error shard]. *)
+
+val scan : 'a t array -> start:string -> count:int -> (string * string) list
+(** The first [count] bindings with key >= [start], ascending, merged from
+    the wait-free scans ({!Kex_resilient.Kv_store.scan}) of the owned
+    shards.  Each shard's slice is one consistent state; a wedged shard
+    still answers. *)
 
 (** {1 Workers and shutdown} *)
 

@@ -15,12 +15,17 @@ type edges = { src : int array; dst : int array }
 
 let n_edges e = Array.length e.src
 
-(* Internal BFS bookkeeping: state index -> (predecessor index, label). *)
+(* Internal BFS bookkeeping: state index -> its predecessor's index
+   ([-1] for an initial state) and the position, in the predecessor's
+   [M.next], of the move that first reached it.  No label is kept:
+   [trace_to] forces the labels of the moves on a trace's path, re-running
+   [M.next], which gives the same moves in the same order. *)
 let bfs (type s) (module M : System.MODEL with type state = s) ~max_states ~record_edges
-    ~on_state ~on_edge =
+    ~on_state =
   let index : (string, int) Hashtbl.t = Hashtbl.create 4096 in
   let states : s array ref = ref (Array.make 1024 (List.hd M.initial)) in
-  let parents = ref (Array.make 1024 (-1, "init")) in
+  let parents = ref (Array.make 1024 (-1)) in
+  let moves = ref (Array.make 1024 0) in
   let n = ref 0 in
   let e_src = ref (Array.make 1024 0) in
   let e_dst = ref (Array.make 1024 0) in
@@ -43,7 +48,7 @@ let bfs (type s) (module M : System.MODEL with type state = s) ~max_states ~reco
   in
   let transitions = ref 0 in
   let queue = Queue.create () in
-  let push parent label s =
+  let push parent move s =
     let key = M.encode s in
     match Hashtbl.find_opt index key with
     | Some i ->
@@ -59,12 +64,14 @@ let bfs (type s) (module M : System.MODEL with type state = s) ~max_states ~reco
               a'
             in
             states := grow !states s;
-            parents := grow !parents (-1, "init")
+            parents := grow !parents (-1);
+            moves := grow !moves 0
           end;
           let i = !n in
           Hashtbl.add index key i;
           !states.(i) <- s;
-          !parents.(i) <- (parent, label);
+          !parents.(i) <- parent;
+          !moves.(i) <- move;
           incr n;
           if parent >= 0 then record_edge parent i;
           Queue.push i queue;
@@ -75,34 +82,32 @@ let bfs (type s) (module M : System.MODEL with type state = s) ~max_states ~reco
   let stop = ref false in
   List.iter
     (fun s ->
-      match push (-1) "init" s with
+      match push (-1) 0 s with
       | Some i -> if on_state i s = `Stop then stop := true
       | None -> capped := true)
     M.initial;
   while (not !stop) && not (Queue.is_empty queue) do
     let i = Queue.pop queue in
     let s = !states.(i) in
-    List.iter
-      (fun (label, s') ->
+    List.iteri
+      (fun move (_, s') ->
         if not !stop then begin
           incr transitions;
-          match push i label s' with
+          match push i move s' with
           | Some j ->
-              if on_edge i s label s' = `Stop then stop := true
-              else if
-                (* only check state invariants the first time we see j *)
-                j = !n - 1 && on_state j s' = `Stop
-              then stop := true
+              (* only check state invariants the first time we see j *)
+              if j = !n - 1 && on_state j s' = `Stop then stop := true
           | None -> capped := true
         end)
       (M.next s)
   done;
   let trace_to i =
     let rec go i acc =
-      if i < 0 then acc
+      let parent = !parents.(i) in
+      if parent < 0 then ("init", !states.(i)) :: acc
       else
-        let parent, label = !parents.(i) in
-        go parent ((label, !states.(i)) :: acc)
+        let label, _ = List.nth (M.next !states.(parent)) !moves.(i) in
+        go parent ((Lazy.force label, !states.(i)) :: acc)
     in
     go i []
   in
@@ -114,36 +119,22 @@ let check (type s) (module M : System.MODEL with type state = s) ?(max_states = 
   let check_state i s =
     match List.find_opt (fun (_, p) -> not (p s)) M.invariants with
     | Some (name, _) ->
-        violation := Some (name, `State i);
-        `Stop
-    | None -> `Continue
-  in
-  let check_edge i _s _label s' =
-    (* step invariants get the *target* trace; the label is included there *)
-    match List.find_opt (fun (_, p) -> not (p _s s')) M.step_invariants with
-    | Some (name, _) ->
-        violation := Some (name, `Edge (i, _label, s'));
+        violation := Some (name, i);
         `Stop
     | None -> `Continue
   in
   let states, transitions, complete, _all, _edges, trace_to =
-    bfs (module M) ~max_states ~record_edges:false ~on_state:check_state ~on_edge:check_edge
+    bfs (module M) ~max_states ~record_edges:false ~on_state:check_state
   in
   let violation =
-    match !violation with
-    | None -> None
-    | Some (property, `State i) -> Some { property; trace = trace_to i }
-    | Some (property, `Edge (i, label, s')) ->
-        Some { property; trace = trace_to i @ [ (label, s') ] }
+    Option.map (fun (property, i) -> { property; trace = trace_to i }) !violation
   in
   { states; transitions; complete; violation }
 
 let reachable (type s) (module M : System.MODEL with type state = s) ?(max_states = 2_000_000)
     () =
   let states, _, complete, all, edges, _ =
-    bfs (module M) ~max_states ~record_edges:true
-      ~on_state:(fun _ _ -> `Continue)
-      ~on_edge:(fun _ _ _ _ -> `Continue)
+    bfs (module M) ~max_states ~record_edges:true ~on_state:(fun _ _ -> `Continue)
   in
   if not complete then failwith (M.name ^ ": state space exceeds max_states");
   ignore states;
@@ -189,40 +180,34 @@ let possible_progress_many (type s) (module M : System.MODEL with type state = s
   let preds = predecessors states edges in
   List.map (fun (waiting, goal) -> progress_on_graph states preds ~waiting ~goal) cases
 
-let hunt (type s) (module M : System.MODEL with type state = s) ?on_step ~seeds ~steps () =
-  let external_check ~label s =
-    match on_step with
-    | None -> None
-    | Some f -> f ~label s
-  in
-  let bad_state ~label s =
-    match List.find_opt (fun (_, p) -> not (p s)) M.invariants |> Option.map fst with
-    | Some p -> Some p
-    | None -> external_check ~label s
-  in
-  let bad_step s s' =
-    List.find_opt (fun (_, p) -> not (p s s')) M.step_invariants |> Option.map fst
+let hunt (type s) (module M : System.MODEL with type state = s) ?(on_step = fun _ -> None) ~seeds
+    ~steps () =
+  let bad s =
+    match List.find_opt (fun (_, p) -> not (p s)) M.invariants with
+    | Some (name, _) -> Some name
+    | None -> on_step s
   in
   let walk seed =
     let rng = Random.State.make [| seed |] in
-    let rec go ~label s trace remaining =
-      match bad_state ~label s with
-      | Some property -> Some { property; trace = List.rev trace }
+    (* [trace] is the walk so far, newest first, its labels unforced. *)
+    let rec go s trace remaining =
+      match bad s with
+      | Some property ->
+          Some { property; trace = List.rev_map (fun (label, s) -> (Lazy.force label, s)) trace }
       | None ->
           if remaining = 0 then None
           else begin
             match M.next s with
             | [] -> None
             | moves ->
-                let label, s' = List.nth moves (Random.State.int rng (List.length moves)) in
-                let trace = (label, s') :: trace in
-                (match bad_step s s' with
-                | Some property -> Some { property; trace = List.rev trace }
-                | None -> go ~label s' trace (remaining - 1))
+                let ((_, s') as move) =
+                  List.nth moves (Random.State.int rng (List.length moves))
+                in
+                go s' (move :: trace) (remaining - 1)
           end
     in
     let init = List.nth M.initial (Random.State.int rng (List.length M.initial)) in
-    go ~label:"init" init [ ("init", init) ] steps
+    go init [ (lazy "init", init) ] steps
   in
   List.fold_left (fun acc seed -> match acc with Some _ -> acc | None -> walk seed) None seeds
 

@@ -17,11 +17,13 @@ type 'state report = {
 
 val check :
   (module System.MODEL with type state = 's) -> ?max_states:int -> unit -> 's report
-(** Explore breadth-first from the initial states, checking every state
-    invariant on every state and every step invariant on every transition.
-    Stops at the first violation.  Default cap: 2_000_000 states.  Edge
-    recording is off: [check] never reads the edge set, so it explores
-    without accumulating an O(transitions) structure. *)
+(** Explore breadth-first from the initial states, checking every
+    invariant on every state.  Stops at the first violation.  Default cap:
+    2_000_000 states.  Edge recording is off: [check] never reads the edge
+    set, so it explores without accumulating an O(transitions) structure.
+    Per state it keeps two ints, its predecessor and the move that reached
+    it; a violation's labels are forced from those, by re-running
+    [next] along its trace. *)
 
 val possible_progress_many :
   (module System.MODEL with type state = 's) ->
@@ -38,7 +40,7 @@ val possible_progress_many :
 
 val hunt :
   (module System.MODEL with type state = 's) ->
-  ?on_step:(label:string -> 's -> string option) ->
+  ?on_step:('s -> string option) ->
   seeds:int list ->
   steps:int ->
   unit ->
@@ -49,9 +51,9 @@ val hunt :
     long schedules); returns the full violating trace.
 
     [on_step] is an external checker invoked on the initial state and after
-    every transition, with the label of the transition just taken; returning
-    [Some property] stops the walk and reports a violation of [property]
-    with the usual trace.  This is how checkers that are not part of the
+    every transition; returning [Some property] stops the walk and reports
+    a violation of [property] with the usual trace.  Labels are forced only
+    for the trace of a violation.  This is how checkers that are not part of the
     model — e.g. the analysis sanitizer's duplicate-name discipline — ride
     along a randomized hunt. *)
 

@@ -68,9 +68,9 @@ let model ?(variant = Faithful) ~n ~k ~max_crashes () :
           let l = s.layer.(pid) in
           (match s.pc.(pid) with
           | 0 ->
-              add (lbl "enter")
+              add (lazy (lbl "enter"))
                 { (with_pc_layer s pid 1 0) with slow_taken = set_arr s.slow_taken pid false };
-              add (lbl "retire") (with_pc s pid 99)
+              add (lazy (lbl "retire")) (with_pc s pid 99)
           | 99 -> ()
           | 1 -> (
               match variant with
@@ -78,40 +78,41 @@ let model ?(variant = Faithful) ~n ~k ~max_crashes () :
                   (* bounded faa: no-op when the gate is empty *)
                   if s.gate = 0 then begin
                     if variant = No_slow_path then
-                      add (lbl "gate empty; skip slow (MUTANT)") (with_pc_layer s pid 10 0)
+                      add (lazy (lbl "gate empty; skip slow (MUTANT)")) (with_pc_layer s pid 10 0)
                     else
-                      add (lbl "gate empty -> slow path")
+                      add (lazy (lbl "gate empty -> slow path"))
                         { (with_pc s pid 2) with slow_taken = set_arr s.slow_taken pid true };
-                    add (lbl "gate empty -> refused") (with_pc s pid 0)
+                    add (lazy (lbl "gate empty -> refused")) (with_pc s pid 0)
                   end
-                  else add (lbl "gate slot (%d left)" (s.gate - 1))
+                  else add (lazy (lbl "gate slot (%d left)" (s.gate - 1)))
                       { (with_pc_layer s pid 10 0) with gate = s.gate - 1 }
               | Leaky_gate ->
                   (* plain faa: only an exact zero routes to the slow path *)
                   if s.gate = 0 then
-                    add (lbl "gate=0 -> slow path")
+                    add (lazy (lbl "gate=0 -> slow path"))
                       { (with_pc s pid 2) with gate = s.gate - 1;
                         slow_taken = set_arr s.slow_taken pid true }
                   else
-                    add (lbl "gate=%d -> fast (leaky)" s.gate)
+                    add (lazy (lbl "gate=%d -> fast (leaky)" s.gate))
                       { (with_pc_layer s pid 10 0) with gate = s.gate - 1 })
           | 2 ->
               (* Abstract correct (N-k,k)-exclusion: admits while below k. *)
               if s.slow < k then
-                add (lbl "slow path admits") { (with_pc_layer s pid 10 0) with slow = s.slow + 1 }
+                add (lazy (lbl "slow path admits"))
+                  { (with_pc_layer s pid 10 0) with slow = s.slow + 1 }
           | 10 ->
               let old = s.xs.(l) in
               let s' = { s with xs = set_arr s.xs l (old - 1) } in
-              if old = 0 then add (lbl "layer %d: faa X (wait)" l) (with_pc s' pid 11)
-              else add (lbl "layer %d: faa X (through)" l) (next_entry s' pid l)
+              if old = 0 then add (lazy (lbl "layer %d: faa X (wait)" l)) (with_pc s' pid 11)
+              else add (lazy (lbl "layer %d: faa X (through)" l)) (next_entry s' pid l)
           | 11 ->
-              add (lbl "layer %d: Q := p" l)
+              add (lazy (lbl "layer %d: Q := p" l))
                 { (with_pc s pid 12) with qs = set_arr s.qs l (pid + 1) };
               (* The no-wait entry (fast-path processes only: it never takes
                  the slow path): the faa returned 0, so run the exit. *)
               if not s.slow_taken.(pid) then begin
                 let restored = { s with xs = set_arr s.xs l (s.xs.(l) + 1) } in
-                add (lbl "layer %d: abort, exit faa X" l)
+                add (lazy (lbl "layer %d: abort, exit faa X" l))
                   (match variant with
                   | Abort_keeps_x -> with_pc s pid 21
                   | Abort_no_release ->
@@ -119,19 +120,22 @@ let model ?(variant = Faithful) ~n ~k ~max_crashes () :
                   | Faithful | Leaky_gate | No_slow_path -> with_pc restored pid 21)
               end
           | 12 ->
-              if s.xs.(l) < 0 then add (lbl "layer %d: X<0, spin" l) (with_pc s pid 13)
-              else add (lbl "layer %d: X>=0, through" l) (next_entry s pid l)
-          | 13 -> if s.qs.(l) <> pid + 1 then add (lbl "layer %d: released" l) (next_entry s pid l)
-          | 30 -> add (lbl "exit: begin") (with_pc_layer s pid 20 (k - 1))
+              if s.xs.(l) < 0 then add (lazy (lbl "layer %d: X<0, spin" l)) (with_pc s pid 13)
+              else add (lazy (lbl "layer %d: X>=0, through" l)) (next_entry s pid l)
+          | 13 -> if s.qs.(l) <> pid + 1 then add (lazy (lbl "layer %d: released" l))
+                                                (next_entry s pid l)
+          | 30 -> add (lazy (lbl "exit: begin")) (with_pc_layer s pid 20 (k - 1))
           | 20 ->
-              add (lbl "layer %d: exit faa X" l)
+              add (lazy (lbl "layer %d: exit faa X" l))
                 { (with_pc s pid 21) with xs = set_arr s.xs l (s.xs.(l) + 1) }
           | 21 ->
               let s' = { s with qs = set_arr s.qs l (pid + 1) } in
-              if l > 0 then add (lbl "layer %d: release Q" l) (with_pc_layer s' pid 20 (l - 1))
-              else if s.slow_taken.(pid) then add (lbl "release Q; slow exit") (with_pc s' pid 3)
-              else add (lbl "release Q; gate exit") (with_pc s' pid 4)
-          | 3 -> add (lbl "slow release") { (with_pc s pid 0) with slow = s.slow - 1 }
+              if l > 0 then add (lazy (lbl "layer %d: release Q" l))
+                              (with_pc_layer s' pid 20 (l - 1))
+              else if s.slow_taken.(pid) then add (lazy (lbl "release Q; slow exit"))
+                                                (with_pc s' pid 3)
+              else add (lazy (lbl "release Q; gate exit")) (with_pc s' pid 4)
+          | 3 -> add (lazy (lbl "slow release")) { (with_pc s pid 0) with slow = s.slow - 1 }
           | 4 ->
               let gate =
                 match variant with
@@ -139,10 +143,10 @@ let model ?(variant = Faithful) ~n ~k ~max_crashes () :
                     min (s.gate + 1) k  (* bounded faa *)
                 | Leaky_gate -> s.gate + 1
               in
-              add (lbl "gate release") { (with_pc s pid 0) with gate }
+              add (lazy (lbl "gate release")) { (with_pc s pid 0) with gate }
           | _ -> assert false);
           if s.pc.(pid) <> 0 && s.pc.(pid) <> 99 && crash_count s < max_crashes then
-            add (lbl "crash@%d" s.pc.(pid)) { s with crashed = set_arr s.crashed pid true }
+            add (lazy (lbl "crash@%d" s.pc.(pid))) { s with crashed = set_arr s.crashed pid true }
         end
       done;
       !moves
@@ -203,6 +207,4 @@ let model ?(variant = Faithful) ~n ~k ~max_crashes () :
             [ ("gate within [0,k]", fun s -> s.gate >= 0 && s.gate <= k) ]
         | Leaky_gate -> [])
       @ [ ("layer X = cap - |holders|", layer_count) ]
-
-    let step_invariants = []
   end)

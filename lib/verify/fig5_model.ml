@@ -53,45 +53,49 @@ let model ?(variant = Faithful) ~n ~rounds ~max_crashes () :
           let lbl fmt = Printf.sprintf ("p%d: " ^^ fmt) pid in
           (match s.pc.(pid) with
           | 0 ->
-              if s.iter.(pid) < rounds then add (lbl "enter") (with_pc s pid 2);
-              add (lbl "retire") (with_pc s pid 99)
+              if s.iter.(pid) < rounds then add (lazy (lbl "enter")) (with_pc s pid 2);
+              add (lazy (lbl "retire")) (with_pc s pid 99)
           | 99 -> ()
           | 2 ->
               let old = s.x in
-              add (lbl "faa X (old=%d)" old)
+              add (lazy (lbl "faa X (old=%d)" old))
                 { (with_pc s pid (if old = 0 then 3 else 30)) with x = s.x - 1 }
           | 3 ->
               (* fresh spin location, initialised false *)
               let loc = (pid * rounds) + s.alloc.(pid) in
-              add (lbl "new loc %d; P := false" loc)
+              add (lazy (lbl "new loc %d; P := false" loc))
                 { (with_pc s pid 5) with
                   alloc = set_arr s.alloc pid (s.alloc.(pid) + 1);
                   pbits = set_arr s.pbits loc false;
                   next = set_arr s.next pid loc }
-          | 5 -> add (lbl "u := Q (=%d)" s.q) { (with_pc s pid 6) with u = set_arr s.u pid s.q }
+          | 5 -> add (lazy (lbl "u := Q (=%d)" s.q))
+                   { (with_pc s pid 6) with u = set_arr s.u pid s.q }
           | 6 ->
               let c = s.u.(pid) in
-              add (lbl "P[%d] := true" c) { (with_pc s pid 7) with pbits = set_arr s.pbits c true }
+              add (lazy (lbl "P[%d] := true" c))
+                { (with_pc s pid 7) with pbits = set_arr s.pbits c true }
           | 7 -> (
               match variant with
               | Faithful ->
                   if s.q = s.u.(pid) then
-                    add (lbl "CAS Q ok") { (with_pc s pid 8) with q = s.next.(pid) }
-                  else add (lbl "CAS Q failed; proceed") (with_pc s pid 30)
-              | No_cas -> add (lbl "Q := next (blind)") { (with_pc s pid 8) with q = s.next.(pid) })
-          | 8 -> add (lbl "read X=%d" s.x) (with_pc s pid (if s.x < 0 then 9 else 30))
-          | 9 -> if s.pbits.(s.next.(pid)) then add (lbl "released") (with_pc s pid 30)
-          | 30 -> add (lbl "exit faa X") { (with_pc s pid 11) with x = s.x + 1 }
-          | 11 -> add (lbl "u := Q (=%d)" s.q) { (with_pc s pid 12) with u = set_arr s.u pid s.q }
+                    add (lazy (lbl "CAS Q ok")) { (with_pc s pid 8) with q = s.next.(pid) }
+                  else add (lazy (lbl "CAS Q failed; proceed")) (with_pc s pid 30)
+              | No_cas -> add (lazy (lbl "Q := next (blind)"))
+                            { (with_pc s pid 8) with q = s.next.(pid) })
+          | 8 -> add (lazy (lbl "read X=%d" s.x)) (with_pc s pid (if s.x < 0 then 9 else 30))
+          | 9 -> if s.pbits.(s.next.(pid)) then add (lazy (lbl "released")) (with_pc s pid 30)
+          | 30 -> add (lazy (lbl "exit faa X")) { (with_pc s pid 11) with x = s.x + 1 }
+          | 11 -> add (lazy (lbl "u := Q (=%d)" s.q))
+                    { (with_pc s pid 12) with u = set_arr s.u pid s.q }
           | 12 ->
               let c = s.u.(pid) in
-              add (lbl "P[%d] := true; done" c)
+              add (lazy (lbl "P[%d] := true; done" c))
                 { (with_pc s pid 0) with
                   pbits = set_arr s.pbits c true;
                   iter = set_arr s.iter pid (s.iter.(pid) + 1) }
           | _ -> assert false);
           if s.pc.(pid) <> 0 && s.pc.(pid) <> 99 && crash_count s < max_crashes then
-            add (lbl "crash@%d" s.pc.(pid)) { s with crashed = set_arr s.crashed pid true }
+            add (lazy (lbl "crash@%d" s.pc.(pid))) { s with crashed = set_arr s.crashed pid true }
         end
       done;
       !moves
@@ -128,6 +132,4 @@ let model ?(variant = Faithful) ~n ~rounds ~max_crashes () :
         ("X = k - |in protocol|", fun s -> s.x = k - count_in_protocol s);
         ("X within [-1, k]", fun s -> s.x >= -1 && s.x <= k);
         ("allocation bounded", fun s -> Array.for_all (fun a -> a <= rounds) s.alloc) ]
-
-    let step_invariants = []
   end)

@@ -47,30 +47,36 @@ let model ?(reset_on_release = true) ~procs ~k ~max_crashes () :
           let last_diagonal = s.r.(pid) + s.d.(pid) >= k - 1 in
           (match s.pc.(pid) with
           | 0 ->
-              add (lbl "seek")
+              add (lazy (lbl "seek"))
                 { (with_pc s pid 1) with r = set_arr s.r pid 0; d = set_arr s.d pid 0 };
-              add (lbl "retire") (with_pc s pid 99)
+              add (lazy (lbl "retire")) (with_pc s pid 99)
           | 99 | 98 -> ()
-          | 1 -> add (lbl "X[%d] := p" pos) { (with_pc s pid 2) with xs = set_arr s.xs pos (pid + 1) }
+          | 1 -> add (lazy (lbl "X[%d] := p" pos))
+                   { (with_pc s pid 2) with xs = set_arr s.xs pos (pid + 1) }
           | 2 ->
               if s.ys.(pos) then
-                if last_diagonal then add (lbl "RIGHT off grid!") (with_pc s pid 98)
+                if last_diagonal then add (lazy (lbl "RIGHT off grid!")) (with_pc s pid 98)
                 else
-                  add (lbl "right") { (with_pc s pid 1) with r = set_arr s.r pid (s.r.(pid) + 1) }
-              else add (lbl "Y clear") (with_pc s pid 3)
-          | 3 -> add (lbl "Y[%d] := true" pos) { (with_pc s pid 4) with ys = set_barr s.ys pos true }
+                  add (lazy (lbl "right"))
+                    { (with_pc s pid 1) with r = set_arr s.r pid (s.r.(pid) + 1) }
+              else add (lazy (lbl "Y clear")) (with_pc s pid 3)
+          | 3 -> add (lazy (lbl "Y[%d] := true" pos))
+                   { (with_pc s pid 4) with ys = set_barr s.ys pos true }
           | 4 ->
-              if s.xs.(pos) = pid + 1 then add (lbl "stop at %d" pos) (with_pc s pid 30)
-              else if last_diagonal then add (lbl "DOWN off grid!") (with_pc s pid 98)
-              else add (lbl "down") { (with_pc s pid 1) with d = set_arr s.d pid (s.d.(pid) + 1) }
+              if s.xs.(pos) = pid + 1 then add (lazy (lbl "stop at %d" pos)) (with_pc s pid 30)
+              else if last_diagonal then add (lazy (lbl "DOWN off grid!")) (with_pc s pid 98)
+              else add (lazy (lbl "down"))
+                     { (with_pc s pid 1) with d = set_arr s.d pid (s.d.(pid) + 1) }
           | 30 ->
-              if reset_on_release then add (lbl "release") (with_pc s pid 31)
-              else add (lbl "hold forever (one-shot)") (with_pc s pid 99)
+              if reset_on_release then add (lazy (lbl "release")) (with_pc s pid 31)
+              else add (lazy (lbl "hold forever (one-shot)")) (with_pc s pid 99)
           | 31 ->
-              add (lbl "reset Y[%d]" pos) { (with_pc s pid 0) with ys = set_barr s.ys pos false }
+              add (lazy (lbl "reset Y[%d]" pos))
+                { (with_pc s pid 0) with ys = set_barr s.ys pos false }
           | _ -> assert false);
           if s.pc.(pid) <> 0 && s.pc.(pid) <> 99 && s.pc.(pid) <> 98 && crash_count s < max_crashes
-          then add (lbl "crash@%d" s.pc.(pid)) { s with crashed = set_arr s.crashed pid true }
+          then add (lazy (lbl "crash@%d" s.pc.(pid)))
+                 { s with crashed = set_arr s.crashed pid true }
         end
       done;
       !moves
@@ -112,6 +118,4 @@ let model ?(reset_on_release = true) ~procs ~k ~max_crashes () :
             !ok );
         ( "nobody walks off the grid",
           fun s -> Array.for_all (fun pc -> pc <> 98) s.pc ) ]
-
-    let step_invariants = []
   end)

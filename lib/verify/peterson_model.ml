@@ -26,22 +26,24 @@ let model ?(max_crashes = 0) () : (module System.MODEL with type state = state) 
           let lbl fmt = Printf.sprintf ("p%d: " ^^ fmt) pid in
           (match s.pc.(pid) with
           | 0 ->
-              add (lbl "enter") (with_pc s pid 1);
-              add (lbl "retire") (with_pc s pid 99)
+              add (lazy (lbl "enter")) (with_pc s pid 1);
+              add (lazy (lbl "retire")) (with_pc s pid 99)
           | 99 -> ()
-          | 1 -> add (lbl "flag := true") { (with_pc s pid 2) with flags = set_arr s.flags pid true }
-          | 2 -> add (lbl "turn := p") { (with_pc s pid 3) with turn = pid }
+          | 1 -> add (lazy (lbl "flag := true"))
+                   { (with_pc s pid 2) with flags = set_arr s.flags pid true }
+          | 2 -> add (lazy (lbl "turn := p")) { (with_pc s pid 3) with turn = pid }
           | 3 ->
-              if s.flags.(1 - pid) then add (lbl "rival present") (with_pc s pid 4)
-              else add (lbl "rival absent") (with_pc s pid 30)
+              if s.flags.(1 - pid) then add (lazy (lbl "rival present")) (with_pc s pid 4)
+              else add (lazy (lbl "rival absent")) (with_pc s pid 30)
           | 4 ->
-              if s.turn <> pid then add (lbl "priority") (with_pc s pid 30)
-              else add (lbl "spin") (with_pc s pid 3)
-          | 30 -> add (lbl "exit") (with_pc s pid 31)
-          | 31 -> add (lbl "flag := false") { (with_pc s pid 0) with flags = set_arr s.flags pid false }
+              if s.turn <> pid then add (lazy (lbl "priority")) (with_pc s pid 30)
+              else add (lazy (lbl "spin")) (with_pc s pid 3)
+          | 30 -> add (lazy (lbl "exit")) (with_pc s pid 31)
+          | 31 -> add (lazy (lbl "flag := false"))
+                    { (with_pc s pid 0) with flags = set_arr s.flags pid false }
           | _ -> assert false);
           if s.pc.(pid) <> 0 && s.pc.(pid) <> 99 && crash_count s < max_crashes then
-            add (lbl "crash@%d" s.pc.(pid)) { s with crashed = set_arr s.crashed pid true }
+            add (lazy (lbl "crash@%d" s.pc.(pid))) { s with crashed = set_arr s.crashed pid true }
         end
       done;
       !moves
@@ -61,6 +63,4 @@ let model ?(max_crashes = 0) () : (module System.MODEL with type state = state) 
 
     let invariants =
       [ ("mutual exclusion", fun s -> not (s.pc.(0) = 30 && s.pc.(1) = 30)) ]
-
-    let step_invariants = []
   end)

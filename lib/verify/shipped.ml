@@ -39,7 +39,9 @@ let rec add_units units cell d =
 let model ~name ~ctx ~procs ~max_crashes ~invariants ~acquire:acquires ~release:release_call : model =
   let mem = Traced.memory ctx and privates = Traced.save ctx in
   let idle = Traced.start ctx (fun () -> Traced.return 0) in
-  let label what = Array.init procs (fun pid -> Printf.sprintf "p%d: %s" pid what) in
+  let label what =
+    Array.init procs (fun pid -> Lazy.from_val (Printf.sprintf "p%d: %s" pid what))
+  in
   let retire = label "retire" and crash = label "crash" and release = label "release" in
   let acquire = Array.map (fun (what, _) -> label what) acquires in
   (module struct
@@ -73,7 +75,7 @@ let model ~name ~ctx ~procs ~max_crashes ~invariants ~acquire:acquires ~release:
                | Traced.Faa (c, _) | Bounded_faa (c, _, _, _) -> add_units p.units c (mem.(c) - s.mem.(c))
                | _ -> p.units
              in
-             let label = Printf.sprintf "p%d: %s -> %d" pid (Traced.describe ctx a) result in
+             let label = lazy (Printf.sprintf "p%d: %s -> %d" pid (Traced.describe ctx a) result) in
              (label, settle s pid { p with units } mem run))
 
     let start s p phase call =
@@ -129,7 +131,6 @@ let model ~name ~ctx ~procs ~max_crashes ~invariants ~acquire:acquires ~release:
         s.procs
 
     let invariants = invariants @ [ ("units returned", units_returned) ]
-    let step_invariants = []
   end)
 
 module Make

@@ -3,9 +3,8 @@ module type MODEL = sig
 
   val name : string
   val initial : state list
-  val next : state -> (string * state) list
+  val next : state -> (string Lazy.t * state) list
   val encode : state -> string
   val pp : Format.formatter -> state -> unit
   val invariants : (string * (state -> bool)) list
-  val step_invariants : (string * (state -> state -> bool)) list
 end

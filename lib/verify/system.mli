@@ -12,9 +12,10 @@ module type MODEL = sig
   val name : string
   val initial : state list
 
-  val next : state -> (string * state) list
-  (** All atomic transitions enabled in a state, with human-readable labels
-      (used in counterexample traces). *)
+  val next : state -> (string Lazy.t * state) list
+  (** All atomic transitions enabled in a state, in a fixed order, with
+      human-readable labels.  A label is forced only when a counterexample
+      trace is built, so exploring formats none. *)
 
   val encode : state -> string
   (** Injective encoding; used as the hash key for visited-state sets. *)
@@ -23,8 +24,4 @@ module type MODEL = sig
 
   val invariants : (string * (state -> bool)) list
   (** State invariants; checked on every reachable state. *)
-
-  val step_invariants : (string * (state -> state -> bool)) list
-  (** Two-state (unless-style) properties; checked on every explored
-      transition. *)
 end

@@ -84,9 +84,7 @@ let hunt_no_clear ~renaming =
     let invariants =
       List.filter (fun (name, _) -> name <> "names unique and in range") M.invariants
   end in
-  let on_step ~label:_ s =
-    A.Sanitizer.check_unique_names ~k (fig7_holders s procs)
-  in
+  let on_step s = A.Sanitizer.check_unique_names ~k (fig7_holders s procs) in
   (* pinned seeds: the run is deterministic *)
   Kex_verify.Explore.hunt (module Stripped) ~on_step ~seeds:(List.init 50 Fun.id)
     ~steps:400 ()

@@ -5,7 +5,6 @@
 module Q = QCheck2
 module Routing = Kex_cluster.Routing
 module Migration = Kex_cluster.Migration
-module Sharded = Kex_resilient.Sharded_store
 
 let test_initial () =
   let addrs = [ "a:1"; "b:2"; "c:3" ] in
@@ -61,16 +60,28 @@ let test_install () =
     (Routing.install t ~epoch:2 ~owners:[ (0, "z:7") ]);
   Alcotest.(check string) "survives stale install" "x:9" (Routing.owner t 0)
 
-(* Clients and servers must agree on key -> shard or MOVED chases forever. *)
-let test_shard_of_key_agrees () =
+(* Clients and servers must agree on key -> shard or MOVED chases forever,
+   and so must builds: a client of another build, or a shard migrated to
+   or adopted by a node of another build, would be misrouted.  So the map
+   is pinned: the shard of each key below at 8 shards, one digit per key
+   in list order, as the FNV-1a map has always answered. *)
+let pinned_at_8 =
+  "16305274162547610325163052741603614725037452301674610325476152741630524725036147301674523025"
+  ^ "47610325610325476174523016744725036147527416305225476103253016745230036147250316305274166103"
+  ^ "2547617452301674570"
+
+let test_key_shard_pinned () =
   let t = Routing.initial ~addrs:[ "a:1"; "b:2"; "c:3" ] ~shards:8 in
   let keys = List.init 200 (fun i -> Printf.sprintf "key-%d" i) @ [ ""; "\x00"; "\xff\xfe" ] in
-  List.iter
-    (fun key ->
-      Alcotest.(check int) ("routing agrees with store on " ^ String.escaped key)
-        (Sharded.hash_key key mod 8) (Routing.shard_of_key t key))
+  Alcotest.(check int) "one pin per key" (List.length keys) (String.length pinned_at_8);
+  List.iteri
+    (fun i key ->
+      let want = Char.code pinned_at_8.[i] - Char.code '0' in
+      let name = String.escaped key in
+      Alcotest.(check int) ("pinned shard of " ^ name) want (Routing.key_shard ~shards:8 key);
+      Alcotest.(check int) ("the table routes " ^ name) want (Routing.shard_of_key t key))
     keys;
-  (* One shard means no hashing at all, on both sides. *)
+  (* One shard means no hashing at all. *)
   let t1 = Routing.initial ~addrs:[ "a:1" ] ~shards:1 in
   List.iter
     (fun key -> Alcotest.(check int) "single shard is 0" 0 (Routing.shard_of_key t1 key))
@@ -124,7 +135,7 @@ let suite =
     Helpers.tc "routing: move bumps epoch" test_move_bumps_epoch;
     Helpers.tc "routing: observe adopts strictly newer only" test_observe_strictly_newer;
     Helpers.tc "routing: install adopts strictly newer tables" test_install;
-    Helpers.tc "routing: shard_of_key agrees with sharded store" test_shard_of_key_agrees;
+    Helpers.tc "routing: the key -> shard map is pinned" test_key_shard_pinned;
     Helpers.tc "migration: diff/apply basics" test_diff_apply_basic;
     Helpers.tc "migration: chunks" test_chunks ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_diff_apply_roundtrip; prop_chunks_concat ]

@@ -6,7 +6,7 @@
 
 module Server = Kex_service.Server
 module P = Kex_service.Protocol
-module Sharded = Kex_resilient.Sharded_store
+module Routing = Kex_cluster.Routing
 
 open Wire_client
 
@@ -29,11 +29,11 @@ let with_cluster ?(cfg = quiet) n f =
     ~finally:(fun () -> Array.iter (fun t -> Server.stop ~drain_timeout_s:1. t) servers)
     (fun () -> f servers (Array.of_list addrs))
 
-(* A key that hashes to [shard] — deterministic, same FNV-1a as the nodes. *)
+(* A key that routes to [shard] — deterministic, the nodes' own map. *)
 let key_for_shard ~shards shard =
   let rec go i =
     let k = Printf.sprintf "key-%d" i in
-    if Sharded.hash_key k mod shards = shard then k else go (i + 1)
+    if Routing.key_shard ~shards k = shard then k else go (i + 1)
   in
   go 0
 
@@ -363,7 +363,7 @@ let keys_for_shard ~shards shard n =
     if List.length acc = n then List.rev acc
     else
       let k = Printf.sprintf "key-%d" i in
-      go (i + 1) (if Sharded.hash_key k mod shards = shard then k :: acc else acc)
+      go (i + 1) (if Routing.key_shard ~shards k = shard then k :: acc else acc)
   in
   go 0 []
 

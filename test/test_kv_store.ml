@@ -129,34 +129,26 @@ let test_read_sees_acknowledged_writes () =
   done;
   Alcotest.(check int) "version tracks every op" 40 (Kv_store.read_version s)
 
-let test_sharded_read () =
-  let s = Sharded_store.create ~shards:4 ~n:2 ~k:1 () in
-  for i = 1 to 20 do
-    Sharded_store.set s ~pid:0 ~key:(Printf.sprintf "key%d" i) (string_of_int i)
+(* A scan is the first [count] bindings at or after [start], ascending,
+   from one committed state; like [read] it needs no slot, so it answers
+   on a store whose every admission slot is held by a dead client. *)
+let test_scan () =
+  let k = 2 in
+  let s = Kv_store.create ~n:4 ~k () in
+  List.iter (fun key -> Kv_store.set s ~pid:2 ~key (String.uppercase_ascii key)) [ "d"; "b"; "a"; "c" ];
+  ignore (Kv_store.delete s ~pid:3 ~key:"c");
+  for pid = 0 to k - 1 do
+    ignore (Kex_runtime.Kex_lock.Assignment.acquire (Kv_store.assignment s) ~pid)
   done;
-  for i = 1 to 20 do
-    Alcotest.(check (option string))
-      (Printf.sprintf "routed read key%d" i)
-      (Some (string_of_int i))
-      (Sharded_store.read s ~key:(Printf.sprintf "key%d" i))
-  done;
-  Alcotest.(check (option string)) "missing key" None (Sharded_store.read s ~key:"absent");
-  (* Wedge one shard's only slot: its keys still read; other shards still
-     mutate. *)
-  let victim = Sharded_store.shard_of_key s "key1" in
-  ignore (Kex_runtime.Kex_lock.Assignment.acquire (Sharded_store.assignment s victim) ~pid:0);
-  Alcotest.(check (option string)) "read on wedged shard" (Some "1")
-    (Sharded_store.read s ~key:"key1");
-  (match
-     List.find_opt (fun i -> Sharded_store.shard_of_key s (Printf.sprintf "key%d" i) <> victim)
-       (List.init 20 (fun i -> i + 1))
-   with
-  | Some i ->
-      let key = Printf.sprintf "key%d" i in
-      Sharded_store.set s ~pid:1 ~key "fresh";
-      Alcotest.(check (option string)) "other shard mutates and reads" (Some "fresh")
-        (Sharded_store.read s ~key)
-  | None -> Alcotest.fail "all 20 keys hashed to one shard")
+  let check name want ~start ~count =
+    Alcotest.(check (list (pair string string))) name want (Kv_store.scan s ~start ~count)
+  in
+  check "all, ascending" [ ("a", "A"); ("b", "B"); ("d", "D") ] ~start:"" ~count:10;
+  check "from a present key" [ ("b", "B"); ("d", "D") ] ~start:"b" ~count:10;
+  check "from a deleted key" [ ("d", "D") ] ~start:"c" ~count:10;
+  check "count bounds it" [ ("a", "A"); ("b", "B") ] ~start:"" ~count:2;
+  check "zero count" [] ~start:"" ~count:0;
+  check "past the last key" [] ~start:"e" ~count:10
 
 let test_available_with_wedged_client () =
   let n = 4 and k = 2 in
@@ -201,40 +193,15 @@ let test_size_tracks_every_write () =
   check "batch";
   Alcotest.(check int) "three keys" 3 (Kv_store.size s)
 
-(* Batched reads answer what single reads answer, in key order; across
-   shards each shard is asked about ownership once, and a refused shard's
-   keys come back as [Error shard] in their own positions. *)
+(* Batched reads answer what single reads answer, in key order.  The
+   batch across a table of shards is [Shard.read_many], tested in
+   test_shard.ml. *)
 let test_read_many () =
   let s = Kv_store.create ~n:1 ~k:1 () in
   List.iter (fun i -> Kv_store.set s ~pid:0 ~key:(Printf.sprintf "key%d" i) (string_of_int i)) [ 1; 2; 3 ];
   let keys = [| "key3"; "absent"; "key1"; "key3" |] in
   Alcotest.(check (array (option string)))
-    "kv read_many" (Array.map (fun key -> Kv_store.read s ~key) keys) (Kv_store.read_many s keys);
-  let sh = Sharded_store.create ~shards:4 ~n:1 ~k:1 () in
-  for i = 0 to 39 do
-    Sharded_store.set sh ~pid:0 ~key:(Printf.sprintf "key%d" i) (string_of_int i)
-  done;
-  let keys = Array.init 44 (fun i -> Printf.sprintf "key%d" i) in
-  let asked = Array.make 4 0 in
-  let owned shard =
-    asked.(shard) <- asked.(shard) + 1;
-    shard <> 1
-  in
-  let got = Sharded_store.read_many ~owned sh keys in
-  Array.iteri
-    (fun i key ->
-      let shard = Sharded_store.shard_of_key sh key in
-      let want = if shard = 1 then Error 1 else Ok (Sharded_store.read sh ~key) in
-      if got.(i) <> want then Alcotest.failf "%s (shard %d) answered wrongly" key shard)
-    keys;
-  Alcotest.(check (array int)) "each shard asked once" [| 1; 1; 1; 1 |] asked;
-  let one = Sharded_store.create ~shards:1 ~n:1 ~k:1 () in
-  Sharded_store.set one ~pid:0 ~key:"key1" "1";
-  let keys = [| "key1"; "absent"; "key1" |] in
-  Alcotest.(check bool) "one shard, owned" true
-    (Sharded_store.read_many ~owned:(fun _ -> true) one keys = [| Ok (Some "1"); Ok None; Ok (Some "1") |]);
-  Alcotest.(check bool) "one shard, refused" true
-    (Sharded_store.read_many ~owned:(fun _ -> false) one keys = [| Error 0; Error 0; Error 0 |])
+    "kv read_many" (Array.map (fun key -> Kv_store.read s ~key) keys) (Kv_store.read_many s keys)
 
 (* Versions count operations, not commits: one 32-op batch is one
    admission and one commit, and it moves [operations], the versioned
@@ -416,7 +383,7 @@ let prop_batch_equals_one_at_a_time =
 let suite =
   [ Helpers.tc "basic CRUD" test_basic_crud;
     Helpers.tc "size tracks every kind of write" test_size_tracks_every_write;
-    Helpers.tc "read_many matches read, per shard ownership" test_read_many;
+    Helpers.tc "read_many matches read" test_read_many;
     Helpers.tc "set overwrites" test_set_overwrites;
     Helpers.tc "update is a linearized RMW" test_update_atomic;
     Helpers.tc "fetch_add is a closure-free RMW" test_fetch_add;
@@ -425,7 +392,7 @@ let suite =
     Helpers.tc "available with a wedged client" test_available_with_wedged_client;
     Helpers.tc "wait-free read on a fully wedged store" test_read_wait_free_on_wedged_store;
     Helpers.tc "read sees every acknowledged write" test_read_sees_acknowledged_writes;
-    Helpers.tc "sharded wait-free reads route and survive wedging" test_sharded_read;
+    Helpers.tc "scan is an ordered range read of one state" test_scan;
     Helpers.tc "a 32-op batch counts 32 operations" test_batch_counts_operations;
     Helpers.tc "an installed image replaces the state in one operation"
       test_install_replaces_state;

@@ -8,6 +8,7 @@ module Shard = Kex_service.Shard
 module Kv_store = Kex_resilient.Kv_store
 module Metrics = Kex_service.Metrics
 module Wqueue = Kex_service.Wqueue
+module Routing = Kex_cluster.Routing
 
 type fixture = {
   sh : Kv_store.op Shard.t;
@@ -76,6 +77,29 @@ let route_async fx items =
   let result = Atomic.make None in
   let th = Thread.create (fun () -> Atomic.set result (Some (Shard.route fx.sh items))) () in
   (th, result)
+
+(* A server's table of shards, with no worker started: [n] processes per
+   shard's wrapper and one slot each.  Keys are written through the
+   shard's store the map routes them to. *)
+let with_table ~shards ~n f =
+  let pool = Shard.pool ~workers:1 ~log:ignore () in
+  let table =
+    Array.init shards (fun id ->
+        let store = Kv_store.create ~n ~k:1 () in
+        Shard.create pool ~id ~store ~metrics:(Metrics.create ()) ~apply:(fun ~lpid ops ->
+            ignore (Kv_store.perform_batch store ~pid:lpid ops)))
+  in
+  Fun.protect
+    ~finally:(fun () -> Shard.retire pool table ~drain_timeout_s:1. ~refuse:ignore)
+    (fun () -> f table)
+
+let shard_of table key = Routing.key_shard ~shards:(Array.length table) key
+let table_set table ~pid key v = Kv_store.set (Shard.store table.(shard_of table key)) ~pid ~key v
+
+let table_read table key =
+  match (Shard.read_many table [| key |]).(0) with
+  | Ok v -> v
+  | Error s -> Alcotest.failf "%s: shard %d answered not-owner" key s
 
 (* --------------------------------- tests -------------------------------- *)
 
@@ -237,6 +261,103 @@ let test_handoff_claim_exclusive () =
       Shard.end_handoff fx.sh ~moved:true;
       Alcotest.(check bool) "not after the flip" true (Result.is_error (Shard.claim_handoff fx.sh)))
 
+let test_table_reads_route_and_survive_wedging () =
+  with_table ~shards:4 ~n:2 (fun table ->
+      for i = 1 to 20 do
+        table_set table ~pid:0 (Printf.sprintf "key%d" i) (string_of_int i)
+      done;
+      for i = 1 to 20 do
+        Alcotest.(check (option string))
+          (Printf.sprintf "routed read key%d" i)
+          (Some (string_of_int i))
+          (table_read table (Printf.sprintf "key%d" i))
+      done;
+      Alcotest.(check (option string)) "missing key" None (table_read table "absent");
+      (* Wedge one shard's only slot: its keys still read; other shards
+         still mutate. *)
+      let victim = shard_of table "key1" in
+      ignore
+        (Kex_runtime.Kex_lock.Assignment.acquire
+           (Kv_store.assignment (Shard.store table.(victim)))
+           ~pid:0);
+      Alcotest.(check (option string)) "read on wedged shard" (Some "1") (table_read table "key1");
+      match
+        List.find_opt
+          (fun i -> shard_of table (Printf.sprintf "key%d" i) <> victim)
+          (List.init 20 (fun i -> i + 1))
+      with
+      | Some i ->
+          let key = Printf.sprintf "key%d" i in
+          table_set table ~pid:1 key "fresh";
+          Alcotest.(check (option string)) "other shard mutates and reads" (Some "fresh")
+            (table_read table key)
+      | None -> Alcotest.fail "all 20 keys hashed to one shard")
+
+(* A batch answers what single reads answer, in key order; an unowned
+   shard's keys come back as [Error shard] in their own positions, and a
+   scan merges the owned shards only.  Ownership is read once per shard
+   the batch touches: while another domain flips shard 1 back and forth,
+   each batch answers all of shard 1's keys from its store or all of them
+   [Error 1], never a mix. *)
+let test_table_read_many_per_shard_ownership () =
+  with_table ~shards:4 ~n:1 (fun table ->
+      for i = 0 to 39 do
+        table_set table ~pid:0 (Printf.sprintf "key%d" i) (string_of_int i)
+      done;
+      let keys = Array.init 44 (fun i -> Printf.sprintf "key%d" i) in
+      Shard.set_owned table.(1) false;
+      let got = Shard.read_many table keys in
+      Array.iteri
+        (fun i key ->
+          let shard = shard_of table key in
+          let want =
+            if shard = 1 then Error 1 else Ok (Kv_store.read (Shard.store table.(shard)) ~key)
+          in
+          if got.(i) <> want then Alcotest.failf "%s (shard %d) answered wrongly" key shard)
+        keys;
+      let owned_from_key2 =
+        List.filter_map
+          (fun i ->
+            let key = Printf.sprintf "key%d" i in
+            if shard_of table key <> 1 && key >= "key2" then Some (key, string_of_int i) else None)
+          (List.init 40 Fun.id)
+      in
+      Alcotest.(check (list (pair string string)))
+        "scan merges the owned shards"
+        (List.filteri (fun i _ -> i < 5) (List.sort compare owned_from_key2))
+        (Shard.scan table ~start:"key2" ~count:5);
+      let split = ref 0 and batches = ref 0 in
+      let stop = Atomic.make false and flips = Atomic.make 0 in
+      let flipper =
+        Domain.spawn (fun () ->
+            while not (Atomic.get stop) do
+              Shard.set_owned table.(1) (Atomic.fetch_and_add flips 1 land 1 = 0)
+            done)
+      in
+      let deadline = Unix.gettimeofday () +. 5. in
+      while (!batches < 2000 || Atomic.get flips < 2000) && Unix.gettimeofday () < deadline do
+        let got = Shard.read_many table keys in
+        let moved = ref 0 and read = ref 0 in
+        Array.iteri
+          (fun i key ->
+            if shard_of table key = 1 then
+              match got.(i) with Error _ -> incr moved | Ok _ -> incr read)
+          keys;
+        if !moved > 0 && !read > 0 then incr split;
+        incr batches
+      done;
+      Atomic.set stop true;
+      Domain.join flipper;
+      Alcotest.(check int) "batches that split shard 1" 0 !split);
+  with_table ~shards:1 ~n:1 (fun table ->
+      table_set table ~pid:0 "key1" "1";
+      let keys = [| "key1"; "absent"; "key1" |] in
+      Alcotest.(check bool) "one shard, owned" true
+        (Shard.read_many table keys = [| Ok (Some "1"); Ok None; Ok (Some "1") |]);
+      Shard.set_owned table.(0) false;
+      Alcotest.(check bool) "one shard, refused" true
+        (Shard.read_many table keys = [| Error 0; Error 0; Error 0 |]))
+
 let suite =
   [ Helpers.tc "a quiet owned shard routes inline" test_quiet_routes_inline;
     Helpers.tc "a pending kill, or a non-empty ring, routes to the ring"
@@ -249,4 +370,8 @@ let suite =
     Helpers.tc "two concurrent first pushes spawn the workers exactly once"
       test_first_pushes_spawn_once;
     Helpers.tc "in-flight returns to 0 after every path" test_inflight_settles_on_every_path;
-    Helpers.tc "a handoff claim is exclusive until it ends" test_handoff_claim_exclusive ]
+    Helpers.tc "a handoff claim is exclusive until it ends" test_handoff_claim_exclusive;
+    Helpers.tc "the table's wait-free reads route and survive wedging"
+      test_table_reads_route_and_survive_wedging;
+    Helpers.tc "the table's batch read checks ownership once per shard"
+      test_table_read_many_per_shard_ownership ]

@@ -224,11 +224,10 @@ let counter_model ~modulus ~bad : (module System.MODEL with type state = int) =
 
     let name = "counter"
     let initial = [ 0 ]
-    let next s = [ ("inc", (s + 1) mod modulus) ]
+    let next s = [ (lazy "inc", (s + 1) mod modulus) ]
     let encode = string_of_int
     let pp = Format.pp_print_int
     let invariants = [ ("not bad", fun s -> s <> bad) ]
-    let step_invariants = []
   end)
 
 let test_explore_counts_states () =
