@@ -288,7 +288,7 @@ let dynamic_findings ?(spin_threshold = Sanitizer.default_threshold) sub =
       let san =
         Sanitizer.create mem
           (Sanitizer.config ~spin_threshold ~k:sub.sub_k
-             ~protected:(payload_label :: sub.sub_meta.Registry.protected)
+             ~protected:[ payload_label ]
              ~intended_spin:sub.sub_meta.Registry.intended_spin ())
       in
       let cfgr =

@@ -40,18 +40,8 @@ val subject_of_algo :
   k:int ->
   subject
 
-val program_of_workload :
-  Kex_sim.Runner.workload -> pid:int -> unit Kex_sim.Op.t
-(** One full entry / critical / exit cycle of the workload for [pid], with
-    the marks the runner would emit — the program the static layer lints. *)
-
 val static_findings : ?pids:int list option -> subject -> Finding.t list
 (** Run L1–L4 on the CFGs of the given pids (default: pid 0 and pid n-1). *)
-
-val dynamic_findings : ?spin_threshold:int -> subject -> Finding.t list
-(** Execute the workload under round-robin, seeded-random and burst
-    schedulers with the sanitizer hooked in; also reports [S-stall] on
-    budget exhaustion and [S-monitor] for run-time monitor violations. *)
 
 type report = {
   r_subject : subject;

@@ -14,7 +14,7 @@ type t = {
   m_expected : Finding.check;
 }
 
-let meta_plain = { Registry.local_spin = true; intended_spin = []; protected = [] }
+let meta_plain = { Registry.intended_spin = [] }
 
 let with_payload mem (w : Runner.workload) =
   let payload = Memory.alloc mem ~label:Lint.payload_label ~init:0 1 in

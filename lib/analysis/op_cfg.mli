@@ -63,9 +63,6 @@ val build : make:(unit -> Memory.t * unit Op.t) -> unit -> t
     The exploration keeps at most 4000 states, follows paths up to 400
     steps, and fingerprints states 5 levels deep. *)
 
-val sccs : t -> int list list
-(** Tarjan strongly-connected components, each a list of node ids. *)
-
 val loops : t -> int list list
 (** The SCCs that are actual loops: more than one node, or a self edge. *)
 
@@ -74,7 +71,6 @@ val reaches_halt_avoiding :
 (** BFS witness path from [start] to a [Halt] node that never enters a node
     satisfying [blocked]; [None] if every terminating path is blocked. *)
 
-val pp_event : Op.event -> string
 val describe : t -> int -> string
 
 val exec_block :

@@ -4,9 +4,6 @@
 val schema : string
 val model_name : Kex_sim.Cost_model.model -> string
 
-val finding_json : Finding.t -> Kex_service.Json.t
-val report_json : Lint.report -> Kex_service.Json.t
-
 val to_json :
   ?mutants:(Mutants.t * Lint.report * bool) list ->
   Lint.report list ->
@@ -22,9 +19,6 @@ val pp_findings : Format.formatter -> Finding.t list -> unit
 
 (** {1 srclint} — the [kexclusion-srclint/v1] document and the table printed
     by [kexd srclint]. *)
-
-val srclint_schema : string
-val srclint_file_json : Srclint.file_report -> Kex_service.Json.t
 
 val srclint_to_json :
   ?mutants:(Srclint_mutants.t * Srclint.file_report * bool * bool) list ->

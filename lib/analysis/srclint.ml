@@ -77,7 +77,6 @@ let default_manifest =
               [ "front"; "front_len"; "q"; "closed"; "sleeping"; "wake_pending"; "pushes";
                 "wakeups" ] } ]
       ~wrappers:[ { wr_fn = "locked"; wr_lock = "m" } ];
-    rules "lib/service/server.ml" ~guards:[ { g_lock = "conns_m"; g_fields = [ "conns" ] } ];
     rules "lib/service/shard.ml" ~io_free:true
       ~guards:
         [ { g_lock = "fence_m"; g_fields = [ "fenced"; "handing_off" ] };

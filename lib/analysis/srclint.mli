@@ -88,10 +88,5 @@ val lint_source : ?manifest:module_rules list -> path:string -> string -> file_r
 
 val lint_file : ?manifest:module_rules list -> string -> file_report
 
-val discover : ?root:string -> ?roots:string list -> unit -> (string * string) list
-(** [(absolute-ish path, root-relative path)] of every [.ml] under [roots]
-    (default [lib] and [bin]) beneath [root], sorted, skipping [_*] and
-    hidden directories. *)
-
 val scan : ?manifest:module_rules list -> ?root:string -> ?roots:string list -> unit -> file_report list
 (** Lint every discovered file; [fr_path] is root-relative. *)

@@ -19,11 +19,7 @@ let block_for = function
   | Cost_model.Cache_coherent -> Cc_block.create
   | Cost_model.Distributed -> Dsm_block.create
 
-type lint_meta = {
-  local_spin : bool;
-  intended_spin : string list;
-  protected : string list;
-}
+type lint_meta = { intended_spin : string list }
 
 (* Queue and bakery are the paper's Table 1 baselines whose per-acquisition
    remote-reference count is unbounded under contention: their busy-wait
@@ -32,16 +28,9 @@ type lint_meta = {
    declare nothing — every spin they perform must satisfy the paper's rule
    on its own. *)
 let lint_meta = function
-  | Queue ->
-      { local_spin = false;
-        intended_spin = [ "fig1.head"; "fig1.tail"; "fig1.slots" ];
-        protected = [] }
-  | Bakery ->
-      { local_spin = false;
-        intended_spin = [ "bakery.choosing"; "bakery.number" ];
-        protected = [] }
-  | Inductive | Tree | Fast_path | Graceful ->
-      { local_spin = true; intended_spin = []; protected = [] }
+  | Queue -> { intended_spin = [ "fig1.head"; "fig1.tail"; "fig1.slots" ] }
+  | Bakery -> { intended_spin = [ "bakery.choosing"; "bakery.number" ] }
+  | Inductive | Tree | Fast_path | Graceful -> { intended_spin = [] }
 
 let build mem ~model algo ~n ~k =
   let block = block_for model in

@@ -19,22 +19,15 @@ val block_for : Cost_model.model -> Protocol.block
 (** Figure 2 for cache-coherent machines, Figure 6 for DSM. *)
 
 type lint_meta = {
-  local_spin : bool;
-      (** the paper claims bounded remote references per acquisition for this
-          algorithm (Table 1 rows backed by Theorems 1–8); [false] for the
-          deliberately unbounded baselines *)
   intended_spin : string list;
       (** {!Memory.label} prefixes of cells the algorithm busy-waits on {e by
           design} even though the spin is not local — findings at these sites
           are reported as waived, not as violations *)
-  protected : string list;
-      (** label prefixes of cells that only a process inside its critical
-          section may write; consumed by the dynamic sanitizer *)
 }
 
 val lint_meta : algo -> lint_meta
-(** Declared spin/exclusion discipline metadata consumed by the
-    [Kex_analysis] lint passes and sanitizer. *)
+(** Declared spin discipline metadata consumed by the [Kex_analysis] lint
+    passes and sanitizer. *)
 
 val build : Memory.t -> model:Cost_model.model -> algo -> n:int -> k:int -> Protocol.t
 (** [Queue] and [Bakery] ignore [model]. *)

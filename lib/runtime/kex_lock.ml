@@ -62,8 +62,9 @@ let n t = t.n
 module Assignment = struct
   type nonrec t = { lock : t; named : Direct.named }
 
-  let of_lock lock = { lock; named = Direct.assignment lock.n ~kex:lock.protocol ~k:lock.k }
-  let create ?algo ~n ~k () = of_lock (create ?algo ~n ~k ())
+  let create ?algo ~n ~k () =
+    let lock = create ?algo ~n ~k () in
+    { lock; named = Direct.assignment lock.n ~kex:lock.protocol ~k:lock.k }
 
   let acquire t ~pid =
     check_pid t.lock pid;

@@ -57,11 +57,9 @@ val n : t -> int
 (** k-assignment: k-exclusion plus a unique name in [0..k-1] per holder —
     e.g. an index into a pool of k resources. *)
 module Assignment : sig
-  type lock := t
   type t
 
   val create : ?algo:algo -> n:int -> k:int -> unit -> t
-  val of_lock : lock -> t
   val acquire : t -> pid:int -> int
 
   val try_acquire : t -> pid:int -> int option

@@ -32,7 +32,6 @@ val parse : string -> (t, string) result
 val member : string -> t -> t option
 val to_int : t -> int option
 val to_number : t -> float option
-val to_str : t -> string option
 val to_list : t -> t list option
 val member_int : string -> t -> int option
 val member_number : string -> t -> float option

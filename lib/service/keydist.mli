@@ -17,9 +17,6 @@ type dist =
 val dist_name : dist -> string
 val dist_of_string : string -> dist option
 
-val default_theta : float
-(** YCSB's 0.99. *)
-
 type t
 
 val create : ?theta:float -> dist -> keys:int -> t

@@ -17,8 +17,6 @@ type op_class =
           does not own the key's shard (client side: responses that had to
           be chased to another node). *)
 
-val class_name : op_class -> string
-
 val op_classes : op_class array
 (** Every class, in {!class_index} order. *)
 

@@ -13,20 +13,26 @@
    Concurrency contract (this module is manifest-declared atomic-only —
    no Mutex/Condition anywhere):
 
-   - All per-connection mutable state ([rc_out]/[rc_start]/[rc_len],
-     pause/drain flags, the [r_conns] list, poll scratch arrays) is owned
-     by the reactor domain and touched only from the loop.
-   - Producers (workers, the acceptor, helper threads) communicate solely
-     through [post]: a CAS-cons push onto the lock-free mailbox stack plus
-     a deduplicated self-pipe wakeup.  [Atomic.exchange] on the wake flag
-     guarantees at most one pipe byte per quiet period — one wakeup per
-     drained batch, not one per response.
+   - All per-connection mutable state ([rc_out]/[rc_start]/[rc_len], the
+     replies owed, pause/drain flags, the [r_conns] list, poll scratch
+     arrays) and the user value are owned by the reactor domain and
+     touched only from the loop, which alone closes a connection.
+   - Producers (workers, the acceptor, helper threads, a node crash)
+     communicate solely through [post]: a CAS-cons push onto the lock-free
+     mailbox stack plus a deduplicated self-pipe wakeup.  [Atomic.exchange]
+     on the wake flag guarantees at most one pipe byte per quiet period —
+     one wakeup per drained batch, not one per response.
+   - A reply written off the loop carries the number of owed replies it
+     answers, and the loop lowers [rc_owed] in the step that appends its
+     bytes.  So a connection that hung up closes only once every reply it
+     is owed sits in its output buffer and has been flushed.
    - The loop clears the wake flag *before* draining the mailbox: a
      producer that pushes after the clear writes a fresh byte (next cycle
      picks it up), and one that pushed before is caught by this drain —
      no lost-wakeup window.
    - [rc_alive] is the producers' view: once false, [post_write] drops the
-     payload instead of growing a dead connection's buffer.
+     payload instead of growing a dead connection's buffer.  [r_live] is
+     the loop's count of attached connections, read by any thread.
 
    Backpressure: the output buffer is bounded by policy, not by capacity.
    When unsent bytes exceed [out_hwm] the connection leaves the read set
@@ -50,15 +56,7 @@ module Mailbox = struct
   let drain mb = List.rev (Atomic.exchange mb [])
 end
 
-type 'a handlers = {
-  on_data : 'a conn -> Bytes.t -> int -> bool;
-      (* loop thread: [len] fresh bytes; [false] = hang up after flush *)
-  on_drained : 'a conn -> bool;
-      (* loop thread: may this draining connection close now? *)
-  on_detach : 'a conn -> unit; (* loop thread, after the fd is closed *)
-}
-
-and 'a conn = {
+type 'a conn = {
   rc_fd : Unix.file_descr;
   rc_user : 'a;
   rc_owner : 'a t;
@@ -66,6 +64,7 @@ and 'a conn = {
   mutable rc_out : Bytes.t; (* unsent response bytes: [start, start+len) *)
   mutable rc_start : int;
   mutable rc_len : int;
+  mutable rc_owed : int; (* replies owed by producers, not yet appended *)
   mutable rc_paused : bool; (* over high-watermark: out of the read set *)
   mutable rc_pause_start : float;
   mutable rc_draining : bool; (* no more reads; close once drained *)
@@ -75,7 +74,8 @@ and 'a conn = {
 
 and 'a msg =
   | Add of Unix.file_descr * 'a
-  | Write of 'a conn * string
+  | Write of 'a conn * string * int (* bytes, and the owed replies they carry *)
+  | Sever (* close every connection now, and every one added later *)
   | Stop of float (* grace seconds for the final drain *)
 
 and 'a t = {
@@ -87,11 +87,14 @@ and 'a t = {
   r_out_hwm : int;
   r_slow_drain_s : float;
   r_log : string -> unit;
-  r_handlers : 'a handlers;
+  r_on_data : 'a conn -> Bytes.t -> int -> bool;
+      (* [len] fresh bytes; [false] = hang up after flush *)
   r_wakeups : int Atomic.t; (* pipe bytes actually written *)
   r_posts : int Atomic.t; (* mailbox messages pushed *)
+  r_live : int Atomic.t; (* connections attached and not closed *)
   mutable r_conns : 'a conn list; (* loop thread only *)
   mutable r_stopping : bool; (* loop thread only *)
+  mutable r_severed : bool; (* loop thread only *)
   mutable r_domain : unit Domain.t option;
   (* poll scratch, reused across cycles: parallel fd/eventmask/conn rows *)
   mutable r_pfds : Unix.file_descr array;
@@ -102,12 +105,14 @@ and 'a t = {
 let user c = c.rc_user
 let wakeups t = Atomic.get t.r_wakeups
 let posts t = Atomic.get t.r_posts
+let live t = Atomic.get t.r_live
+let owe c n = c.rc_owed <- c.rc_owed + n
 
 (* How long a connection that hung up may take to drain before it is
    force-closed. *)
 let drain_grace_s = 5.0
 
-let create ?(out_hwm = 256 * 1024) ?(slow_drain_s = 5.0) ?(log = fun _ -> ()) ~id handlers =
+let create ?(out_hwm = 256 * 1024) ?(slow_drain_s = 5.0) ?(log = fun _ -> ()) ~id on_data =
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   Unix.set_nonblock wake_r;
   Unix.set_nonblock wake_w;
@@ -119,11 +124,13 @@ let create ?(out_hwm = 256 * 1024) ?(slow_drain_s = 5.0) ?(log = fun _ -> ()) ~i
     r_out_hwm = out_hwm;
     r_slow_drain_s = slow_drain_s;
     r_log = log;
-    r_handlers = handlers;
+    r_on_data = on_data;
     r_wakeups = Atomic.make 0;
     r_posts = Atomic.make 0;
+    r_live = Atomic.make 0;
     r_conns = [];
     r_stopping = false;
+    r_severed = false;
     r_domain = None;
     r_pfds = Array.make 8 wake_r;
     r_pflags = Array.make 8 0;
@@ -144,9 +151,10 @@ let post t m =
   end
 
 let add t fd u = post t (Add (fd, u))
+let sever t = post t Sever
 
-let post_write c s =
-  if Atomic.get c.rc_alive then post c.rc_owner (Write (c, s))
+let post_write ?(replies = 0) c s =
+  if Atomic.get c.rc_alive then post c.rc_owner (Write (c, s, replies))
 
 (* ---------------------------- output buffer ----------------------------- *)
 
@@ -190,8 +198,8 @@ let close_conn t c =
     c.rc_dead <- true;
     Atomic.set c.rc_alive false;
     t.r_conns <- List.filter (fun x -> x != c) t.r_conns;
-    (try Unix.close c.rc_fd with Unix.Unix_error _ -> ());
-    t.r_handlers.on_detach c
+    Atomic.decr t.r_live;
+    try Unix.close c.rc_fd with Unix.Unix_error _ -> ()
   end
 
 let begin_drain c deadline =
@@ -213,7 +221,7 @@ let flush t c =
     | exception Unix.Unix_error (_, _, _) -> close_conn t c
 
 let attach t fd u now =
-  if t.r_stopping then (try Unix.close fd with Unix.Unix_error _ -> ())
+  if t.r_stopping || t.r_severed then (try Unix.close fd with Unix.Unix_error _ -> ())
   else begin
     (try Unix.set_nonblock fd with Unix.Unix_error _ -> ());
     let c =
@@ -224,13 +232,15 @@ let attach t fd u now =
         rc_out = Bytes.create 4096;
         rc_start = 0;
         rc_len = 0;
+        rc_owed = 0;
         rc_paused = false;
         rc_pause_start = now;
         rc_draining = false;
         rc_deadline = 0.;
         rc_dead = false }
     in
-    t.r_conns <- c :: t.r_conns
+    t.r_conns <- c :: t.r_conns;
+    Atomic.incr t.r_live
   end
 
 let process_mailbox t now =
@@ -238,7 +248,14 @@ let process_mailbox t now =
     (fun m ->
       match m with
       | Add (fd, u) -> attach t fd u now
-      | Write (c, s) -> if not c.rc_dead then append_string c s
+      | Write (c, s, replies) ->
+          if not c.rc_dead then begin
+            append_string c s;
+            c.rc_owed <- c.rc_owed - replies
+          end
+      | Sever ->
+          t.r_severed <- true;
+          List.iter (close_conn t) t.r_conns
       | Stop grace ->
           if not t.r_stopping then begin
             t.r_stopping <- true;
@@ -322,7 +339,7 @@ let cycle t buf =
               (match Netio.read_nb c.rc_fd buf 0 (Bytes.length buf) with
               | `Data len ->
                   if len < Bytes.length buf then more := false;
-                  if not (t.r_handlers.on_data c buf len) then begin
+                  if not (t.r_on_data c buf len) then begin
                     begin_drain c (now +. drain_grace_s);
                     more := false
                   end
@@ -343,7 +360,9 @@ let cycle t buf =
         end
   done;
   (* 5. housekeeping: watermark transitions, slow-client drops, drained or
-     expired closes.  Snapshot the list — close_conn edits it in place. *)
+     expired closes.  A draining connection is drained once its buffer is
+     empty and it is owed no reply.  Snapshot the list — close_conn edits
+     it in place. *)
   let now = Unix.gettimeofday () in
   List.iter
     (fun c ->
@@ -351,8 +370,7 @@ let cycle t buf =
         if c.rc_draining then begin
           if c.rc_len > 0 then flush t c;
           if
-            (c.rc_len = 0 && t.r_handlers.on_drained c)
-            || now >= c.rc_deadline
+            (c.rc_len = 0 && c.rc_owed = 0) || now >= c.rc_deadline
           then close_conn t c
         end
         else if c.rc_paused then begin
@@ -385,7 +403,7 @@ let run t =
     (fun m ->
       match m with
       | Add (fd, _) -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-      | Write _ | Stop _ -> ())
+      | Write _ | Sever | Stop _ -> ())
     (Mailbox.drain t.r_mailbox);
   try Unix.close t.r_wake_r with Unix.Unix_error _ -> ()
 

@@ -2,12 +2,16 @@
     non-blocking connections — the server's only connection plane.
 
     Each reactor is one domain running one loop; it owns its connections'
-    decode/encode state outright, so that state needs no locks.  Producers
-    (admission workers, the acceptor, helper threads) reach the loop only
-    through {!post_write}/{!add}: a lock-free mailbox push
-    plus a deduplicated self-pipe wakeup — one wakeup per drained batch,
-    not one per response.  The module is manifest-declared atomic-only:
-    no [Mutex] or [Condition] anywhere.
+    decode/encode state and their bookkeeping outright, so that state
+    needs no locks.  Producers (admission workers, the acceptor, helper
+    threads) reach the loop only through {!post_write}/{!add}/{!sever}: a
+    lock-free mailbox push plus a deduplicated self-pipe wakeup — one
+    wakeup per drained batch, not one per response.  The module is
+    manifest-declared atomic-only: no [Mutex] or [Condition] anywhere.
+
+    A connection that hung up closes once its output is flushed and it is
+    owed no reply: the loop counts the replies owed with {!owe}, and each
+    {!post_write} says how many of them its bytes carry.
 
     Output is bounded by policy: past [out_hwm] unsent bytes a connection
     leaves the read set (backpressure), and if the peer then accepts
@@ -38,29 +42,21 @@ type 'a t
 type 'a conn
 (** A connection owned by a reactor's loop. *)
 
-type 'a handlers = {
-  on_data : 'a conn -> Bytes.t -> int -> bool;
-      (** Loop thread: the first [len] bytes of the scratch buffer are
-          fresh input.  Return [false] to hang up (after a final drain of
-          queued output).  The buffer is reused; copy what you keep. *)
-  on_drained : 'a conn -> bool;
-      (** Loop thread: a draining connection's output is flushed — may it
-          close now, or is server-side work still in flight? *)
-  on_detach : 'a conn -> unit;
-      (** Loop thread, after the fd is closed: unregister server-side. *)
-}
-
 val create :
   ?out_hwm:int ->
   ?slow_drain_s:float ->
   ?log:(string -> unit) ->
   id:int ->
-  'a handlers ->
+  ('a conn -> Bytes.t -> int -> bool) ->
   'a t
-(** [out_hwm] — unsent-output watermark that pauses reads (default 256
-    KiB); [slow_drain_s] — how long a paused connection may make no
-    progress before it is dropped.  A connection that hung up is
-    force-closed if it has not drained within 5 s. *)
+(** [create ~id on_data]: [on_data c buf len] runs on the loop thread with
+    the first [len] bytes of the scratch buffer as [c]'s fresh input, and
+    returns [false] to hang up (after a final drain of queued output).
+    The buffer is reused; copy what you keep.  [out_hwm] — unsent-output
+    watermark that pauses reads (default 256 KiB); [slow_drain_s] — how
+    long a paused connection may make no progress before it is dropped.
+    A connection that hung up is force-closed if it has not drained
+    within 5 s. *)
 
 val start : 'a t -> unit
 (** Spawn the loop domain. *)
@@ -73,9 +69,21 @@ val add : 'a t -> Unix.file_descr -> 'a -> unit
 (** Hand a freshly-accepted socket to the reactor (any thread).  The
     reactor sets it non-blocking and owns it from here on. *)
 
-val post_write : 'a conn -> string -> unit
-(** Queue response bytes for delivery (any thread).  Dropped once the
-    connection is closed or closing. *)
+val sever : 'a t -> unit
+(** Crash the plane (any thread): the loop closes every attached
+    connection with nothing drained, and closes on arrival every one
+    added after this.  The loop keeps running until {!stop}. *)
+
+val owe : 'a conn -> int -> unit
+(** Loop thread only (inside [on_data]): [n] more replies will come
+    through {!post_write}; a negative [n] takes back that many, answered
+    on the loop after all. *)
+
+val post_write : ?replies:int -> 'a conn -> string -> unit
+(** Queue response bytes for delivery (any thread); they answer [replies]
+    (default 0) of the replies the connection is owed, which the loop
+    takes off the count as it appends the bytes.  Dropped once the
+    connection is closed. *)
 
 val user : 'a conn -> 'a
 
@@ -92,3 +100,6 @@ val wakeups : 'a t -> int
 
 val posts : 'a t -> int
 (** Mailbox messages pushed — the load the dedup is amortizing. *)
+
+val live : 'a t -> int
+(** Connections attached and not yet closed (any thread). *)

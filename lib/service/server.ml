@@ -71,7 +71,6 @@ module Kex_lock = Kex_runtime.Kex_lock
 module Kv_store = Kex_resilient.Kv_store
 module Routing = Kex_cluster.Routing
 module Migration = Kex_cluster.Migration
-module Sync = Kex_sync.Sync
 
 type config = {
   port : int;  (* 0 = ephemeral; read back with [port] *)
@@ -101,30 +100,27 @@ let default_config =
     log = (fun _ -> ()) }
 
 (* A connection's server-side state, the user value of its reactor
-   connection.  The socket belongs to one reactor's event loop; a worker
-   "writes" by posting into that loop's lock-free mailbox.  [c_pending]
-   counts dispatched requests not yet answered, so the reactor's drain
-   waits them out before it closes the socket.  [c_imports] holds the
+   connection.  The socket and this record belong to one reactor's event
+   loop, and only that loop reads or writes them; a worker "writes" by
+   posting into the loop's lock-free mailbox.  [c_wire] is the framing the
+   connection speaks, sniffed from its first byte.  [c_imports] holds the
    image staged so far for each shard this connection is importing (see
-   [mig_import]); only the owning reactor touches it. *)
+   [mig_import]). *)
 type conn = {
-  c_fd : Unix.file_descr;
-  c_pending : int Atomic.t;
   c_dec : Protocol.Req_decoder.t;
-  (* Which framing this connection speaks — sniffed from its first byte and
-     written once by the owning reactor before any request is dispatched,
-     so the ring's mutex publishes it to every worker that replies here. *)
   mutable c_wire : Protocol.wire;
   mutable c_imports : (int * Kv_store.image) list;
 }
 
 (* A dispatched mutation: its store op and op class, the reactor
-   connection to answer on and the id to echo ([None] for an untagged v1
-   request). *)
+   connection to answer on, the wire to answer in and the id to echo
+   ([None] for an untagged v1 request).  The loop raised the connection's
+   owed count for it, and the reply posted off the loop carries it back. *)
 type item = {
   op : Kv_store.op;
   cls : Metrics.op_class;
   rc : conn Reactor.conn;
+  wire : Protocol.wire;
   tag : int option;
 }
 
@@ -148,8 +144,6 @@ type t = {
   actual_port : int;
   mutable listener : Thread.t option;
   mutable chaos_thread : Thread.t option;
-  conns_m : Mutex.t;
-  mutable conns : conn list;
   mutable reactors : conn Reactor.t array;
   started_at : float;
   mutable cluster : cluster option;
@@ -178,7 +172,7 @@ let stats_pairs t =
       ("keys", sum (fun sh -> if Shard.owned sh then Kv_store.size (Shard.store sh) else 0));
       ("ops_linearized", store_sum Kv_store.operations);
       ("apply_calls", store_sum Kv_store.apply_calls);
-      ("open_conns", Sync.with_lock t.conns_m (fun () -> List.length t.conns));
+      ("open_conns", Array.fold_left (fun a r -> a + Reactor.live r) 0 t.reactors);
       ("uptime_ms", int_of_float ((Unix.gettimeofday () -. t.started_at) *. 1000.)) ]
   (* Words allocated in the minor heaps and promoted out of them, cumulative
      for the process: [Gc.quick_stat] adds every domain's counts as of the
@@ -219,18 +213,15 @@ let logf t fmt = Printf.ksprintf t.cfg.log fmt
 
 (* --------------------------- response delivery -------------------------- *)
 
-(* Answer one request off the event loop: post the reply into the owning
-   reactor, which coalesces it with everything else that arrived this cycle
-   into one write.  The post comes *before* the pending-count drop so a
-   draining connection never closes with this reply still outside its
-   output buffer.  (Used for the un-coalesced paths: shutdown refusals and
-   HANDOFF replies.) *)
-let post_reply rc tag resp =
-  let conn = Reactor.user rc in
+(* Answer one owed request off the event loop: post the reply into the
+   owning reactor, which coalesces it with everything else that arrived
+   this cycle into one write and takes it off the connection's owed count
+   as it appends it.  (Used for the un-coalesced paths: shutdown refusals
+   and HANDOFF replies.) *)
+let post_reply rc wire tag resp =
   let b = Buffer.create 64 in
-  Protocol.encode_response_wire b conn.c_wire ~id:tag resp;
-  Reactor.post_write rc (Buffer.contents b);
-  ignore (Atomic.fetch_and_add conn.c_pending (-1))
+  Protocol.encode_response_wire b wire ~id:tag resp;
+  Reactor.post_write ~replies:1 rc (Buffer.contents b)
 
 (* -------------------------------- workers ------------------------------- *)
 
@@ -273,7 +264,7 @@ let exec_batch metrics ~admit ~out items =
           | _ ->
               let i = Metrics.class_index it.cls in
               answered.(i) <- answered.(i) + 1);
-          Protocol.encode_response_wire (out it.rc) (Reactor.user it.rc).c_wire ~id:it.tag resp)
+          Protocol.encode_response_wire (out it.rc) it.wire ~id:it.tag resp)
         items resps;
       Array.iteri
         (fun i n -> Metrics.record_many metrics Metrics.op_classes.(i) ~n ~lat_us:share_us)
@@ -300,9 +291,7 @@ let work_batch store metrics ~lpid items =
     (exec_batch metrics ~out items ~admit:(fun ops ->
          Some (Kv_store.perform_batch store ~pid:lpid ops)));
   List.iter
-    (fun (rc, buf, count) ->
-      Reactor.post_write rc (Buffer.contents buf);
-      ignore (Atomic.fetch_and_add (Reactor.user rc).c_pending (- !count)))
+    (fun (rc, buf, count) -> Reactor.post_write ~replies:!count rc (Buffer.contents buf))
     !flushes
 
 (* ---------------------------- fault injection --------------------------- *)
@@ -337,9 +326,10 @@ let close_listener t =
     try Unix.close t.listen_fd with Unix.Unix_error _ -> ()
   end
 
-(* kill-node: crash the whole node abruptly — stop accepting and sever
-   every live connection with nothing drained.  Nothing inside the process
-   is cleaned up (workers idle, parked corpses stay parked): to clients and
+(* kill-node: crash the whole node abruptly — stop accepting, and have
+   every reactor sever its connections with nothing drained, those the
+   acceptor hands it later included.  Nothing inside the process is
+   cleaned up (workers idle, parked corpses stay parked): to clients and
    cluster peers this node is simply gone, which is exactly the failure the
    routing layer must route around.  [stop] still works afterwards so
    harnesses join cleanly. *)
@@ -347,10 +337,7 @@ let crash t =
   if not (Atomic.exchange t.crashed true) then begin
     logf t "kexd serve: node crash (kill-node)";
     close_listener t;
-    let conns = Sync.with_lock t.conns_m (fun () -> t.conns) in
-    List.iter
-      (fun c -> try Unix.shutdown c.c_fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-      conns
+    Array.iter Reactor.sever t.reactors
   end
 
 let chaos_loop t events =
@@ -612,19 +599,19 @@ let shutting_down t =
    [Shard.max_batch] items, its replies framed into [out]; a refusal hands
    the rest to the ring.  Replies made on the plane — inline results, or a
    refused batch's MOVED/ERR — land in [out] after the GETs decoded before
-   them, and leave the connection's pending count right here: the plane
-   appends [out] after this, so the replies and the count drops land in the
-   same append. *)
-let flush_pending t ~lpid conn out p =
+   them, and come off the connection's owed count right here; only the
+   items a worker answers stay owed. *)
+let flush_pending t ~lpid rc out p =
+  let conn = Reactor.user rc in
   Array.iteri
     (fun s newest_first ->
       if newest_first <> [] then begin
         p.muts.(s) <- [];
         let items = List.rev newest_first in
         let refuse resp items =
+          Reactor.owe rc (-List.length items);
           List.iter
             (fun it ->
-              ignore (Atomic.fetch_and_add conn.c_pending (-1));
               resolve_gets t conn out p;
               respond_now conn out it.tag (resp ()))
             items
@@ -639,7 +626,7 @@ let flush_pending t ~lpid conn out p =
                 ~admit:(fun ops -> Kv_store.try_perform_batch store ~pid:lpid ops)
                 ~out:(fun _ -> out)
               && begin
-                   ignore (Atomic.fetch_and_add conn.c_pending (-List.length chunk));
+                   Reactor.owe rc (-List.length chunk);
                    true
                  end
             in
@@ -653,13 +640,13 @@ let flush_pending t ~lpid conn out p =
 let handle_request t ~lpid rc out pending tag (req : Protocol.request) =
   let conn = Reactor.user rc in
   (* A mutation: queue it for this read's batched dispatch and keep going;
-     [flush_pending] applies it inline or hands it to a worker.  Untagged
-     responses stay in order because the v1 contract keeps one request in
-     flight. *)
+     [flush_pending] applies it inline or hands it to a worker, and until
+     then the connection is owed its reply.  Untagged responses stay in
+     order because the v1 contract keeps one request in flight. *)
   let queue key op cls =
     let shard = shard_of_key t key in
-    Atomic.incr conn.c_pending;
-    pending.muts.(shard) <- { op; cls; rc; tag } :: pending.muts.(shard)
+    Reactor.owe rc 1;
+    pending.muts.(shard) <- { op; cls; rc; wire = conn.c_wire; tag } :: pending.muts.(shard)
   in
   (* A request that is not a store operation is answered right here; the
      GETs queued before it answer first, so inline replies keep decode
@@ -683,13 +670,14 @@ let handle_request t ~lpid rc out pending tag (req : Protocol.request) =
   | Protocol.Handoff (shard, addr) ->
       (* A handoff blocks for its whole fence+drain window — far too long
          for an event loop.  Run it on a helper thread and post the reply
-         back through the reactor mailbox; [c_pending] keeps the
+         back through the reactor mailbox; the owed reply keeps the
          connection from draining shut underneath it. *)
-      Atomic.incr conn.c_pending;
+      Reactor.owe rc 1;
+      let wire = conn.c_wire in
       ignore
         (Thread.create
            (fun () ->
-             post_reply rc tag
+             post_reply rc wire tag
                (match handoff t ~shard ~addr with
                | Ok () -> Protocol.Ok
                | Error msg ->
@@ -757,42 +745,34 @@ let serve_read t ~lpid rc out pending =
   let keep = drain () in
   (* Mutations first, so the workers start on any the ring gets while the
      loop walks the read's GETs. *)
-  flush_pending t ~lpid conn out pending;
+  flush_pending t ~lpid rc out pending;
   resolve_gets t conn out pending;
   keep
 
-(* The connection plane's handlers for the reactor that is process [lpid]
-   of every shard's wrapper.  All three run on the owning reactor's loop
-   domain; the only cross-thread traffic is the mailbox they answer to.
+(* The connection plane's input handler for the reactor that is process
+   [lpid] of every shard's wrapper.  It runs on the owning reactor's loop
+   domain; the only cross-thread traffic is the mailbox it answers to.
    [scratch] collects every reply produced while draining one socket read
    (pipelined GETs, inline mutations, MOVED, parse errors...) and lands in
    the connection's output buffer as one append.  The read's mutations and
    GETs collect in [pending]; the mutations are dispatched, one batch per
    shard, and the GETs resolved as one batch, before that append. *)
-let reactor_handlers t ~lpid =
+let on_data t ~lpid =
   let scratch = Buffer.create 4096 in
   let pending = new_pending t in
-  { Reactor.on_data =
-      (fun rc bytes len ->
-        let conn = Reactor.user rc in
-        let dec = conn.c_dec in
-        Protocol.Req_decoder.feed_bytes dec bytes ~off:0 ~len;
-        (* The first bytes decide the wire; workers read [c_wire] only for
-           requests dispatched after this point, so the plain write is
-           published by the ring's mutex. *)
-        (match Protocol.Req_decoder.wire dec with
-        | Some w -> conn.c_wire <- w
-        | None -> ());
-        Buffer.clear scratch;
-        let keep = serve_read t ~lpid rc scratch pending in
-        if Buffer.length scratch > 0 then Reactor.append_buffer rc scratch;
-        keep);
-    on_drained = (fun rc -> Atomic.get (Reactor.user rc).c_pending = 0);
-    on_detach =
-      (fun rc ->
-        let conn = Reactor.user rc in
-        Sync.with_lock t.conns_m (fun () ->
-            t.conns <- List.filter (fun c -> c != conn) t.conns)) }
+  fun rc bytes len ->
+    let conn = Reactor.user rc in
+    let dec = conn.c_dec in
+    Protocol.Req_decoder.feed_bytes dec bytes ~off:0 ~len;
+    (* The first bytes decide the wire; each item dispatched from here on
+       carries it to the worker that answers it. *)
+    (match Protocol.Req_decoder.wire dec with
+    | Some w -> conn.c_wire <- w
+    | None -> ());
+    Buffer.clear scratch;
+    let keep = serve_read t ~lpid rc scratch pending in
+    if Buffer.length scratch > 0 then Reactor.append_buffer rc scratch;
+    keep
 
 (* A failed accept that is not [stop] or [crash] closing the listener (fd
    exhaustion, a kernel buffer shortage) is retried after this pause. *)
@@ -810,15 +790,8 @@ let accept_loop t =
            first. *)
         (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
         let conn =
-          { c_fd = fd;
-            c_pending = Atomic.make 0;
-            c_dec = Protocol.Req_decoder.create ();
-            c_wire = Protocol.Text;
-            c_imports = [] }
+          { c_dec = Protocol.Req_decoder.create (); c_wire = Protocol.Text; c_imports = [] }
         in
-        (* Register first, then hand the socket over: [crash] must be able
-           to sever this connection the instant the reactor owns it. *)
-        Sync.with_lock t.conns_m (fun () -> t.conns <- conn :: t.conns);
         Reactor.add t.reactors.(!next_reactor) fd conn;
         next_reactor := (!next_reactor + 1) mod Array.length t.reactors;
         failing := false;
@@ -899,8 +872,6 @@ let start cfg =
       actual_port;
       listener = None;
       chaos_thread = None;
-      conns_m = Mutex.create ();
-      conns = [];
       reactors = [||];
       started_at = Unix.gettimeofday ();
       cluster = None;
@@ -910,7 +881,7 @@ let start cfg =
   t.reactors <-
     Array.init cfg.reactors (fun i ->
         Reactor.create ~out_hwm:cfg.out_hwm ~slow_drain_s:cfg.slow_drain_s ~log:cfg.log ~id:i
-          (reactor_handlers t ~lpid:(cfg.workers + i)));
+          (on_data t ~lpid:(cfg.workers + i)));
   Array.iter Reactor.start t.reactors;
   t.listener <- Some (Thread.create (fun () -> accept_loop t) ());
   if cfg.chaos <> [] then t.chaos_thread <- Some (Thread.create (fun () -> chaos_loop t cfg.chaos) ());
@@ -929,7 +900,7 @@ let stop ?(drain_timeout_s = 5.) t =
      morgue so parked "dead" workers release their slots, refuse whatever
      never got dispatched, and join the workers. *)
   Shard.retire t.pool t.shards ~drain_timeout_s ~refuse:(fun it ->
-      post_reply it.rc it.tag (Protocol.Error "server shutting down"));
+      post_reply it.rc it.wire it.tag (Protocol.Error "server shutting down"));
   (* 3. Retire the connection plane.  Workers went first: their final
      flushes post into reactor mailboxes, and the reactors' graceful stop
      (drain each connection's output, bounded, then close it) needs those

@@ -107,9 +107,6 @@ val start : config -> t
 
 val port : t -> int
 
-val total_workers : t -> int
-(** [shards * workers] — the range of worker ids [KILL] accepts. *)
-
 val shard_of_key : t -> string -> int
 (** The server's key routing, exposed so tests can aim kills at the shard
     that owns a given key. *)
@@ -130,9 +127,10 @@ val enable_cluster : t -> node:int -> addrs:string list -> unit
 
 val crash : t -> unit
 (** Abrupt whole-node crash — what [kill-node] chaos fires: stop accepting
-    and sever every live connection, draining nothing.  The process keeps
-    running (workers idle) so a harness can still {!stop} it cleanly, but
-    to clients and cluster peers the node is gone. *)
+    and have every reactor sever its connections, draining nothing, those
+    it is handed later included.  The process keeps running (workers
+    idle) so a harness can still {!stop} it cleanly, but to clients and
+    cluster peers the node is gone. *)
 
 val handoff : t -> shard:int -> addr:string -> (unit, string) result
 (** Programmatic [HANDOFF]: live-migrate [shard] to the node at [addr]

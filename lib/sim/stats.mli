@@ -10,10 +10,6 @@ type summary = {
   total_steps : int;
 }
 
-val per_acquisition : Runner.result -> int array
-(** Entry+exit remote references of every completed acquisition, flattened
-    across processes. *)
-
 val percentile : int array -> float -> int
 (** [percentile data p] with p in [0..1]; nearest-rank on sorted data;
     0 on empty input. *)

@@ -45,5 +45,4 @@ val schedule : t -> int list
     {!Scheduler.replay}.  Empty when the trace was created with
     [~record_schedule:false]. *)
 
-val pp_entry : Format.formatter -> entry -> unit
 val pp : ?last:int -> Format.formatter -> t -> unit

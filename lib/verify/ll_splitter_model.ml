@@ -11,7 +11,6 @@ type state = {
 }
 
 let holding s pid = s.pc.(pid) = 30
-let seeking s pid = (not s.crashed.(pid)) && s.pc.(pid) >= 1 && s.pc.(pid) <= 4
 let crash_count s = Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0 s.crashed
 
 let model ?(reset_on_release = true) ~procs ~k ~max_crashes () :

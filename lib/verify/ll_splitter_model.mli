@@ -24,5 +24,4 @@ val model :
     re-acquire through reset splitters. *)
 
 val holding : state -> int -> bool
-val seeking : state -> int -> bool
 val crash_count : state -> int

@@ -87,29 +87,25 @@ let read_line_client fd buf rem =
    because the loop answers those in arrival order. *)
 let run_echo_interleaving n seed =
   let rng = Random.State.make [| seed |] in
-  let handlers =
-    { Reactor.on_data =
-        (fun c bytes len ->
-          let u = Reactor.user c in
-          Buffer.add_subbytes u.acc bytes 0 len;
-          List.iter
-            (fun line ->
-              let id = int_of_string line in
-              if id mod 2 = 0 then Reactor.append_string c (line ^ "\n")
-              else
-                let delay = float_of_int (id mod 5) *. 0.001 in
-                ignore
-                  (Thread.create
-                     (fun () ->
-                       Thread.delay delay;
-                       Reactor.post_write c (line ^ "\n"))
-                     ()))
-            (take_lines u.acc);
-          true);
-      on_drained = (fun _ -> true);
-      on_detach = (fun _ -> ()) }
+  let on_data c bytes len =
+    let u = Reactor.user c in
+    Buffer.add_subbytes u.acc bytes 0 len;
+    List.iter
+      (fun line ->
+        let id = int_of_string line in
+        if id mod 2 = 0 then Reactor.append_string c (line ^ "\n")
+        else
+          let delay = float_of_int (id mod 5) *. 0.001 in
+          ignore
+            (Thread.create
+               (fun () ->
+                 Thread.delay delay;
+                 Reactor.post_write c (line ^ "\n"))
+               ()))
+      (take_lines u.acc);
+    true
   in
-  let r = Reactor.create ~id:0 handlers in
+  let r = Reactor.create ~id:0 on_data in
   Reactor.start r;
   let server_end, client_end = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect
@@ -162,15 +158,11 @@ let prop_echo_interleaving =
    silently, not crash the loop or leak into another connection. *)
 let test_post_after_close () =
   let captured = ref None in
-  let handlers =
-    { Reactor.on_data =
-        (fun c _ _ ->
-          captured := Some c;
-          false (* hang up on first bytes *));
-      on_drained = (fun _ -> true);
-      on_detach = (fun _ -> ()) }
+  let on_data c _ _ =
+    captured := Some c;
+    false (* hang up on first bytes *)
   in
-  let r = Reactor.create ~id:1 handlers in
+  let r = Reactor.create ~id:1 on_data in
   Reactor.start r;
   let server_end, client_end = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect
@@ -193,7 +185,114 @@ let test_post_after_close () =
           Reactor.post_write c "ghost";
           Reactor.post_write c "ghost2")
 
+(* Read [fd] to EOF (or a reset), counting the bytes. *)
+let bytes_until_eof fd =
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.;
+  let buf = Bytes.create 256 in
+  let rec go got =
+    match Unix.read fd buf 0 (Bytes.length buf) with
+    | 0 -> got
+    | n -> go (got + n)
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        Alcotest.fail "no EOF within 5 s"
+    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> got
+  in
+  go 0
+
+(* A connection that hung up gets every reply a second domain posts
+   before its EOF.  Each client writes 16 one-byte requests and at once
+   half-closes; the loop owes 16 replies and hands them to a poster
+   domain, which answers all 16 in one post.  So the loop often reads the
+   EOF while the post is still on its way, and it must not close before
+   those bytes are in the connection's buffer.  When the poster itself
+   dropped the count after posting, a post that landed between the loop's
+   mailbox drain and its close check was closed out with all 16 replies:
+   on a two-CPU machine, 19 of 20 runs of this case lost them on 21–168
+   of its 4,096 connections.  The race needs the poster and the loop on
+   two CPUs at once; pinned to one CPU (taskset -c 0) nothing was lost,
+   so a pass there proves nothing. *)
+let test_half_closed_gets_every_reply () =
+  let per = 16 and width = 32 and rounds = 128 in
+  let jobs = Reactor.Mailbox.create () in
+  let on_data c _ len =
+    Reactor.owe c len;
+    Reactor.Mailbox.push jobs (c, len);
+    true
+  in
+  let r = Reactor.create ~id:2 on_data in
+  Reactor.start r;
+  let finished = Atomic.make false in
+  let poster =
+    Domain.spawn (fun () ->
+        while not (Atomic.get finished) do
+          match Reactor.Mailbox.drain jobs with
+          | [] -> Domain.cpu_relax ()
+          | js -> List.iter (fun (c, n) -> Reactor.post_write ~replies:n c (String.make n 'r')) js
+        done)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set finished true;
+      Domain.join poster;
+      Reactor.stop ~grace_s:1. r)
+    (fun () ->
+      let req = Bytes.make per 'q' in
+      let short = ref 0 in
+      for _ = 1 to rounds do
+        let clients =
+          List.init width (fun _ ->
+              let server_end, client_end = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+              Reactor.add r server_end ();
+              client_end)
+        in
+        List.iter
+          (fun fd ->
+            ignore (Unix.write fd req 0 per);
+            Unix.shutdown fd Unix.SHUTDOWN_SEND)
+          clients;
+        List.iter
+          (fun fd ->
+            if bytes_until_eof fd <> per then incr short;
+            Unix.close fd)
+          clients
+      done;
+      Alcotest.(check int) "connections closed short of their replies" 0 !short)
+
+(* A sever closes every attached connection with nothing drained, and
+   closes on arrival a connection added after it; the loop keeps running
+   and counts no live connection. *)
+let test_sever () =
+  let r = Reactor.create ~id:3 (fun _ _ _ -> true) in
+  Reactor.start r;
+  let pairs = List.init 4 (fun _ -> Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0) in
+  Fun.protect
+    ~finally:(fun () ->
+      Reactor.stop ~grace_s:1. r;
+      List.iter (fun (_, c) -> try Unix.close c with Unix.Unix_error _ -> ()) pairs)
+    (fun () ->
+      List.iter (fun (s, _) -> Reactor.add r s ()) pairs;
+      let deadline = Unix.gettimeofday () +. 5. in
+      while Reactor.live r < 4 && Unix.gettimeofday () < deadline do
+        Thread.delay 0.001
+      done;
+      Alcotest.(check int) "attached" 4 (Reactor.live r);
+      Reactor.sever r;
+      List.iter
+        (fun (_, c) -> Alcotest.(check int) "severed connection reads EOF" 0 (bytes_until_eof c))
+        pairs;
+      let late, late_client = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close late_client)
+        (fun () ->
+          Reactor.add r late ();
+          Alcotest.(check int) "a connection added later reads EOF" 0
+            (bytes_until_eof late_client));
+      Alcotest.(check int) "no live connection" 0 (Reactor.live r))
+
 let suite =
   [ QCheck_alcotest.to_alcotest prop_mailbox_no_loss_no_dup;
     QCheck_alcotest.to_alcotest prop_echo_interleaving;
-    Helpers.tc "post_write after close is dropped" test_post_after_close ]
+    Helpers.tc "post_write after close is dropped" test_post_after_close;
+    Helpers.tc "a half-closed connection reads every reply a second domain posts"
+      test_half_closed_gets_every_reply;
+    Helpers.tc "sever closes attached connections and every later one" test_sever ]

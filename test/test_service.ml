@@ -1124,6 +1124,116 @@ let test_stats_gc_words () =
           if delta "gc_promoted_words" <= 0 then
             Alcotest.failf "gc_promoted_words grew by %d" (delta "gc_promoted_words")))
 
+(* STATS [open_conns] counts the connections the reactors hold, the one
+   asking included, and falls back as they close. *)
+let test_open_conns_counts () =
+  with_server quiet (fun t ->
+      let admin = connect (Server.port t) in
+      Fun.protect ~finally:(fun () -> close admin) (fun () ->
+          let open_conns () =
+            match rpc admin P.Stats with
+            | P.Stats_reply pairs -> List.assoc "open_conns" pairs
+            | r -> Alcotest.failf "STATS answered %s" (P.print_response r)
+          in
+          Alcotest.(check int) "the admin connection alone" 1 (open_conns ());
+          let cs = List.init 5 (fun _ -> connect (Server.port t)) in
+          (* A round trip on each: its reactor holds it. *)
+          List.iter (fun c -> assert_resp "ping" P.Pong (rpc c P.Ping)) cs;
+          Alcotest.(check int) "five more" 6 (open_conns ());
+          List.iter close cs;
+          let deadline = Unix.gettimeofday () +. 5. in
+          let rec settle () =
+            let n = open_conns () in
+            if n = 1 then ()
+            else if Unix.gettimeofday () > deadline then
+              Alcotest.failf "closed connections still counted: open_conns = %d" n
+            else begin
+              Thread.delay 0.01;
+              settle ()
+            end
+          in
+          settle ()))
+
+(* Count the replies on [c] up to its EOF (or a reset), requiring each to
+   be [OK]. *)
+let oks_until_eof c =
+  let rec go n =
+    match P.Resp_decoder.next c.dec with
+    | P.Dec_frame (_, P.Ok) -> go (n + 1)
+    | P.Dec_frame (_, r) -> Alcotest.failf "a SET answered %s" (P.print_response r)
+    | P.Dec_skip (_, msg) | P.Dec_broken msg -> Alcotest.failf "undecodable reply: %s" msg
+    | P.Dec_more -> (
+        match Unix.read c.fd c.buf 0 (Bytes.length c.buf) with
+        | 0 -> n
+        | len ->
+            P.Resp_decoder.feed_bytes c.dec c.buf ~off:0 ~len;
+            go n
+        | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> n
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+            Alcotest.fail "no EOF within 5 s")
+  in
+  go 0
+
+(* Half-closing clients read every reply before their EOF, the ones a
+   worker posts included.  With k = 1 and two hammer connections keeping
+   the shard busy, a read's list often goes to the ring: the ring is not
+   empty, or the one slot is held.  Each probe connection pipelines 16
+   SETs in one write and at once half-closes, so its reactor reads the EOF
+   while the worker's post may still be on its way.  When workers dropped
+   the connection's pending count after posting, a post that landed
+   between the loop's mailbox drain and its close check was closed out
+   with all 16 replies: every one of 10 runs of this case lost them on
+   17–83 of its 768 connections.  That race needs the worker and the
+   reactor on two CPUs at once, and so does the hammer's slot contention:
+   pinned to one CPU (taskset -c 0) no list went through the ring in 4 of
+   5 runs, so only a run with two CPUs must see the ring used, and a pass
+   on one proves nothing. *)
+let test_half_closed_clients_get_ring_replies () =
+  with_server { quiet with workers = 2; k = 1; reactors = 2 } (fun t ->
+      let port = Server.port t in
+      let hammering = Atomic.make true in
+      let hammer i () =
+        let c = connect ~wire:P.Binary ~timeout_s:5. port in
+        Fun.protect ~finally:(fun () -> close c) (fun () ->
+            while Atomic.get hammering do
+              send c
+                (List.init 32 (fun id -> (Some id, P.Set (Printf.sprintf "h%d.%d" i id, "v"))));
+              for _ = 1 to 32 do
+                ignore (recv_tagged c)
+              done
+            done)
+      in
+      let hammers = List.init 2 (fun i -> Thread.create (hammer i) ()) in
+      let per = 16 and width = 32 and rounds = 24 in
+      let short = ref 0 in
+      let deltas =
+        Fun.protect
+          ~finally:(fun () ->
+            Atomic.set hammering false;
+            List.iter Thread.join hammers)
+          (fun () ->
+            stat_delta t [ "ring_pushes" ] (fun () ->
+                for round = 1 to rounds do
+                  let probes =
+                    List.init width (fun i ->
+                        let c = connect ~wire:P.Binary ~timeout_s:5. port in
+                        send c
+                          (List.init per (fun id ->
+                               (Some id, P.Set (Printf.sprintf "p%d.%d.%d" round i id, "v"))));
+                        Unix.shutdown c.fd Unix.SHUTDOWN_SEND;
+                        c)
+                  in
+                  List.iter
+                    (fun c ->
+                      if oks_until_eof c <> per then incr short;
+                      close c)
+                    probes
+                done))
+      in
+      if Domain.recommended_domain_count () >= 2 && List.assoc "ring_pushes" deltas = 0 then
+        Alcotest.fail "no list went through the ring";
+      Alcotest.(check int) "connections closed short of their replies" 0 !short)
+
 let suite =
   [ Helpers.tc "CRUD over a socket" test_crud_over_socket;
     Helpers.tc "bad server and loadgen configs raise Invalid_argument"
@@ -1170,4 +1280,8 @@ let suite =
     Helpers.tc "a failed accept (fd table full) does not end the accept loop"
       test_accept_survives_fd_exhaustion;
     Helpers.tc "STATS gc_minor_words and gc_promoted_words grow across a burst of SETs"
-      test_stats_gc_words ]
+      test_stats_gc_words;
+    Helpers.tc "STATS open_conns counts the open connections and falls back as they close"
+      test_open_conns_counts;
+    Helpers.tc "half-closing clients read every reply, ring replies included"
+      test_half_closed_clients_get_ring_replies ]
