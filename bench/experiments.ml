@@ -234,7 +234,7 @@ let ablation_k1 () =
           in
           let mcs =
             baseline
-              (fun mem -> Kexclusion.Protocol.workload (Kexclusion.Mcs_lock.create mem ~n))
+              (fun mem -> Kexclusion.Protocol.workload (Kexclusion.Simulated.mcs mem ~n))
               "mcs"
           in
           let peterson =
@@ -275,12 +275,12 @@ let renaming_cmp () =
       let fig7_cost =
         let res =
           run_workload ~iterations:4 ~cs_delay:3 ~model:cc ~n:k ~k ~c:k (fun mem ->
-              let r = Kexclusion.Renaming.create mem ~k in
+              let r = Kexclusion.Simulated.renaming mem ~k in
               Kexclusion.Protocol.named_workload
                 { Kexclusion.Protocol.assignment_name = "fig7";
-                  acquire = (fun ~pid:_ -> Kexclusion.Renaming.acquire r);
-                  try_acquire = (fun ~pid:_ -> Op.map Option.some (Kexclusion.Renaming.acquire r));
-                  release = (fun ~pid:_ ~name -> Kexclusion.Renaming.release r ~name) })
+                  acquire = (fun ~pid:_ -> Kexclusion.Simulated.rename r);
+                  try_acquire = (fun ~pid:_ -> Op.map Option.some (Kexclusion.Simulated.rename r));
+                  release = (fun ~pid:_ ~name -> Kexclusion.Simulated.unname r ~name) })
         in
         check "fig7-renaming" res;
         (point_of res).max

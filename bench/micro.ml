@@ -68,11 +68,11 @@ let resilient_test () =
     (Staged.stage (fun () -> ignore (Kex_resilient.Resilient.perform obj ~pid:7 (`Add 1))))
 
 let mcs_test () =
-  let lock = Kex_runtime.Mcs.create ~n:64 in
+  let lock = Kex_runtime.Direct.mcs 64 ~n:64 in
   Test.make ~name:"mcs lock (k=1 target)"
     (Staged.stage (fun () ->
-         Kex_runtime.Mcs.acquire lock ~pid:7;
-         Kex_runtime.Mcs.release lock ~pid:7))
+         lock.entry ~pid:7;
+         lock.exit ~pid:7))
 
 (* The "/read" codec rows feed one pipelined window of this many frames as
    one chunk, as a server read of a busy connection does, and report ns per

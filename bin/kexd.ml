@@ -2,7 +2,6 @@
    and the networked resilient KV service.
 
      kexd run    --algo fastpath --model cc -n 32 -k 4 --contention 8
-     kexd sweep  --algo tree --model dsm -k 4 --over n --values 8,16,32,64
      kexd verify --figure fig2 -n 3 --crashes 2
      kexd serve  --port 7070 --workers 4 -k 2 --chaos kill-worker@5s
      kexd loadgen --port 7070 --connections 4 --duration 5 --mix get=80,set=20
@@ -62,44 +61,51 @@ let contention_arg =
 let assignment_arg =
   Arg.(value & flag & info [ "assignment" ] ~doc:"wrap in (N,k)-assignment (Figure 7 renaming)")
 
-(* ------------------------------- run ------------------------------------ *)
+(* A value the command cannot run with: one line on stderr and exit 2, as
+   [serve] answers a bad configuration. *)
+let usage_error cmd msg =
+  Format.eprintf "kexd %s: %s@." cmd msg;
+  2
 
-let measure ~model ~algo ~n ~k ~c ~iterations ~seed ~assignment =
-  let mem = Memory.create () in
-  let workload =
-    if assignment then
-      Kexclusion.Protocol.named_workload
-        (Kexclusion.Registry.build_assignment mem ~model algo ~n ~k)
-    else Kexclusion.Protocol.workload (Kexclusion.Registry.build mem ~model algo ~n ~k)
-  in
-  let cost = Cost_model.create model ~n_procs:n in
-  let scheduler = Option.map (fun seed -> Kex_sim.Scheduler.random ~seed) seed in
-  let cfg =
-    Runner.config ~n ~k ~iterations ~cs_delay:2 ?scheduler
-      ~participants:(List.init c Fun.id) ()
-  in
-  Runner.run cfg mem cost workload
+(* ------------------------------- run ------------------------------------ *)
 
 let run_cmd =
   let doc = "run one algorithm under the simulator and report remote references" in
   let run model algo n k iterations seed c assignment =
     let c = Option.value c ~default:n in
-    let res = measure ~model ~algo ~n ~k ~c ~iterations ~seed ~assignment in
-    let s = Kex_sim.Stats.summarize res in
-    Format.printf "algorithm   : %s%s@." (Kexclusion.Registry.algo_name algo)
-      (if assignment then " + assignment" else "");
-    Format.printf "model       : %a@." Cost_model.pp_model model;
-    Format.printf "n=%d k=%d contention<=%d iterations=%d@." n k c iterations;
-    Format.printf "result      : %s@."
-      (if res.Runner.ok then "ok"
-       else if res.stalled then "STALLED"
-       else "VIOLATIONS: " ^ String.concat "; " res.violations);
-    Format.printf "remote refs : max %d, mean %.1f per acquisition (%d acquisitions)@."
-      s.Kex_sim.Stats.max_remote s.mean_remote s.acquisitions;
-    (match Kexclusion.Registry.bound ~model algo ~n ~k ~c with
-    | Some b -> Format.printf "paper bound : %d%s@." b (if assignment then Printf.sprintf " + %d (renaming)" k else "")
-    | None -> Format.printf "paper bound : unbounded under contention@.");
-    if res.Runner.ok then 0 else 1
+    let mem = Memory.create () in
+    match
+      if assignment then
+        Kexclusion.Protocol.named_workload
+          (Kexclusion.Registry.build_assignment mem ~model algo ~n ~k)
+      else Kexclusion.Protocol.workload (Kexclusion.Registry.build mem ~model algo ~n ~k)
+    with
+    | exception Invalid_argument msg -> usage_error "run" msg
+    | _ when c < 1 || c > n -> usage_error "run" (Printf.sprintf "--contention must be in 1..%d" n)
+    | _ when iterations < 1 -> usage_error "run" "--iterations must be at least 1"
+    | workload ->
+        let cost = Cost_model.create model ~n_procs:n in
+        let scheduler = Option.map (fun seed -> Kex_sim.Scheduler.random ~seed) seed in
+        let cfg =
+          Runner.config ~n ~k ~iterations ~cs_delay:2 ?scheduler
+            ~participants:(List.init c Fun.id) ()
+        in
+        let res = Runner.run cfg mem cost workload in
+        let s = Kex_sim.Stats.summarize res in
+        Format.printf "algorithm   : %s%s@." (Kexclusion.Registry.algo_name algo)
+          (if assignment then " + assignment" else "");
+        Format.printf "model       : %a@." Cost_model.pp_model model;
+        Format.printf "n=%d k=%d contention<=%d iterations=%d@." n k c iterations;
+        Format.printf "result      : %s@."
+          (if res.Runner.ok then "ok"
+           else if res.stalled then "STALLED"
+           else "VIOLATIONS: " ^ String.concat "; " res.violations);
+        Format.printf "remote refs : max %d, mean %.1f per acquisition (%d acquisitions)@."
+          s.Kex_sim.Stats.max_remote s.mean_remote s.acquisitions;
+        (match Kexclusion.Registry.bound ~model algo ~n ~k ~c with
+        | Some b -> Format.printf "paper bound : %d%s@." b (if assignment then Printf.sprintf " + %d (renaming)" k else "")
+        | None -> Format.printf "paper bound : unbounded under contention@.");
+        if res.Runner.ok then 0 else 1
   in
   Cmd.v
     (Cmd.info "run" ~doc)
@@ -107,125 +113,51 @@ let run_cmd =
       const run $ model_arg $ algo_arg $ n_arg $ k_arg $ iters_arg $ seed_arg $ contention_arg
       $ assignment_arg)
 
-(* ------------------------------- sweep ---------------------------------- *)
-
-let sweep_cmd =
-  let doc = "sweep N or contention and print remote-reference series" in
-  let over_conv =
-    Arg.conv
-      ( (function
-        | "n" -> Ok `N
-        | "contention" | "c" -> Ok `C
-        | s -> Error (`Msg (Printf.sprintf "unknown sweep variable %S (use n or contention)" s))),
-        fun ppf v -> Format.pp_print_string ppf (match v with `N -> "n" | `C -> "contention") )
-  in
-  let over_arg = Arg.(value & opt over_conv `N & info [ "over" ] ~doc:"n or contention") in
-  let values_arg =
-    Arg.(
-      value
-      & opt (list int) [ 8; 16; 32; 64 ]
-      & info [ "values" ] ~doc:"comma-separated sweep values")
-  in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"also write the sweep as machine-readable JSON (schema kexclusion-sweep/v1, \
-                same point fields as bench/main.ml)")
-  in
-  let run model algo n k iterations seed over values json =
-    Format.printf "%-8s %10s %10s %10s %10s %10s@." "value" "max" "mean" "p50" "p99" "bound";
-    let points =
-      List.filter_map
-        (fun v ->
-          let n, c = match over with `N -> (v, v) | `C -> (n, v) in
-          let res = measure ~model ~algo ~n ~k ~c ~iterations ~seed ~assignment:false in
-          if not res.Runner.ok then begin
-            Format.printf "%-8d (run failed)@." v;
-            None
-          end
-          else begin
-            let s = Kex_sim.Stats.summarize res in
-            let bound = Kexclusion.Registry.bound ~model algo ~n ~k ~c in
-            Format.printf "%-8d %10d %10.1f %10d %10d %10s@." v s.Kex_sim.Stats.max_remote
-              s.mean_remote s.p50_remote s.p99_remote
-              (match bound with Some b -> string_of_int b | None -> "-");
-            Some (v, s, bound)
-          end)
-        values
-    in
-    (match json with
-    | None -> ()
-    | Some file ->
-        let open Kex_service.Json in
-        let point (v, (s : Kex_sim.Stats.summary), bound) =
-          Obj
-            ([ ("label", String (string_of_int v));
-               ("value", Int v);
-               ("max", Int s.Kex_sim.Stats.max_remote);
-               ("mean", Float s.mean_remote);
-               ("p50", Int s.p50_remote);
-               ("p99", Int s.p99_remote) ]
-            @ match bound with Some b -> [ ("bound", Int b) ] | None -> [])
-        in
-        let doc =
-          Obj
-            [ ("schema", String "kexclusion-sweep/v1");
-              ("git_rev", String (Kex_service.Provenance.git_rev ()));
-              ("hostname", String (Kex_service.Provenance.hostname ()));
-              ("ocaml", String Sys.ocaml_version);
-              ("algo", String (Kexclusion.Registry.algo_name algo));
-              ("model", String (Format.asprintf "%a" Cost_model.pp_model model));
-              ("n", Int n);
-              ("k", Int k);
-              ("iterations", Int iterations);
-              ("over", String (match over with `N -> "n" | `C -> "contention"));
-              ("points", List (Stdlib.List.map point points)) ]
-        in
-        to_file file doc);
-    0
-  in
-  Cmd.v
-    (Cmd.info "sweep" ~doc)
-    Term.(
-      const run $ model_arg $ algo_arg $ n_arg $ k_arg $ iters_arg $ seed_arg $ over_arg
-      $ values_arg $ json_arg)
-
 (* ------------------------------- verify --------------------------------- *)
 
-(* The figures [verify] and [hunt] check, at the sizes they check them:
-   Figures 2, 6 and 7 are the shipped text run on [Traced]; Figures 4 and 5
-   are hand models. *)
+(* The figures [verify] and [hunt] check, each with the k it checks at n
+   processes and its model at that size: Figures 2, 6 and 7 are the shipped
+   text run on [Traced]; Figures 4 and 5 are hand models. *)
 type figure = Figure : (module Kex_verify.System.MODEL with type state = 's) -> figure
 
 let figures =
   let open Kex_verify in
   let module S = Shipped.Figures in
-  [ ("fig2", fun ~n ~crashes -> Figure (S.fig2 ~n ~max_crashes:crashes));
-    ("fig4", fun ~n ~crashes -> Figure (Fig4_model.model ~n ~k:(max 1 (n - 2)) ~max_crashes:crashes ()));
-    ("fig5", fun ~n ~crashes -> Figure (Fig5_model.model ~n:(min n 3) ~rounds:2 ~max_crashes:crashes ()));
-    ("fig6", fun ~n ~crashes -> Figure (S.fig6 ~n:(min n 2) ~max_crashes:crashes));
-    ("fig7", fun ~n ~crashes -> Figure (S.renaming ~procs:n ~k:n ~max_crashes:crashes)) ]
+  [ ("fig2", (fun n -> n - 1), fun ~n ~k:_ ~crashes -> Figure (S.fig2 ~n ~max_crashes:crashes));
+    ( "fig4",
+      (fun n -> max 1 (n - 2)),
+      fun ~n ~k ~crashes -> Figure (Fig4_model.model ~n ~k ~max_crashes:crashes ()) );
+    ( "fig5",
+      (fun n -> min n 3 - 1),
+      fun ~n ~k:_ ~crashes -> Figure (Fig5_model.model ~n:(min n 3) ~rounds:2 ~max_crashes:crashes ()) );
+    ( "fig6",
+      (fun n -> min n 2 - 1),
+      fun ~n ~k:_ ~crashes -> Figure (S.fig6 ~n:(min n 2) ~max_crashes:crashes) );
+    ("fig7", Fun.id, fun ~n ~k:_ ~crashes -> Figure (S.renaming ~procs:n ~k:n ~max_crashes:crashes)) ]
 
 let figure_arg =
-  Arg.(value & opt string "fig2" & info [ "figure" ] ~doc:(String.concat ", " (List.map fst figures)))
+  let names = List.map (fun (name, _, _) -> name) figures in
+  Arg.(value & opt string "fig2" & info [ "figure" ] ~doc:(String.concat ", " names))
 
 let small_n_arg = Arg.(value & opt int 3 & info [ "n"; "procs" ] ~doc:"processes (keep small)")
 let crashes_arg = Arg.(value & opt int 1 & info [ "crashes" ] ~doc:"crash budget")
 
-(* Runs [f] on the named figure's model; 2 for an unknown name. *)
-let with_figure name ~n ~crashes f =
-  match List.assoc_opt name figures with
-  | Some model -> f (model ~n ~crashes)
-  | None ->
-      Format.eprintf "unknown figure %S@." name;
-      2
+(* Runs [f] on the named figure's model; 2 for an unknown name, or a size
+   with no process or with k below 1. *)
+let with_figure cmd name ~n ~crashes f =
+  match List.find_opt (fun (fig, _, _) -> fig = name) figures with
+  | None -> usage_error cmd (Printf.sprintf "unknown figure %S" name)
+  | Some (_, k_of_n, model) ->
+      let k = k_of_n n in
+      if n < 1 then usage_error cmd "-n must be at least 1"
+      else if k < 1 then
+        usage_error cmd (Printf.sprintf "%s at -n %d checks k = %d; k must be at least 1" name n k)
+      else f (model ~n ~k ~crashes)
 
 let verify_cmd =
   let doc = "exhaustively model-check a figure of the paper at small N" in
   let run figure n crashes =
-    with_figure figure ~n ~crashes (fun (Figure m) ->
+    with_figure "verify" figure ~n ~crashes (fun (Figure m) ->
         let r = Kex_verify.Explore.check m () in
         Format.printf "%s: %d states, %d transitions, %s@." figure r.Kex_verify.Explore.states
           r.transitions
@@ -244,14 +176,17 @@ let hunt_cmd =
   let walks_arg = Arg.(value & opt int 200 & info [ "walks" ] ~doc:"random walks") in
   let steps_arg = Arg.(value & opt int 2000 & info [ "steps" ] ~doc:"steps per walk") in
   let run figure n crashes walks steps =
-    with_figure figure ~n ~crashes (fun (Figure (module M)) ->
-        match Kex_verify.Explore.hunt (module M) ~seeds:(List.init walks Fun.id) ~steps () with
-        | None ->
-            Format.printf "no violation found in %d walks x %d steps@." walks steps;
-            0
-        | Some v ->
-            Format.printf "%a" (Kex_verify.Explore.pp_violation M.pp) v;
-            1)
+    if walks < 1 then usage_error "hunt" "--walks must be at least 1"
+    else if steps < 1 then usage_error "hunt" "--steps must be at least 1"
+    else
+      with_figure "hunt" figure ~n ~crashes (fun (Figure (module M)) ->
+          match Kex_verify.Explore.hunt (module M) ~seeds:(List.init walks Fun.id) ~steps () with
+          | None ->
+              Format.printf "no violation found in %d walks x %d steps@." walks steps;
+              0
+          | Some v ->
+              Format.printf "%a" (Kex_verify.Explore.pp_violation M.pp) v;
+              1)
   in
   Cmd.v (Cmd.info "hunt" ~doc)
     Term.(const run $ figure_arg $ small_n_arg $ crashes_arg $ walks_arg $ steps_arg)
@@ -615,57 +550,59 @@ let lint_cmd =
             Format.printf "%a" A.Report.pp_findings r.A.Lint.r_findings;
             Option.iter (fun file -> Kex_service.Json.to_file file (A.Report.to_json [ r ])) json;
             if A.Lint.clean r then 0 else 1)
-    | None ->
+    | None -> (
         let algos = match algo with Some a -> [ a ] | None -> Kexclusion.Registry.all in
         let models =
           match model with
           | Some m -> [ m ]
           | None -> [ Cost_model.Cache_coherent; Cost_model.Distributed ]
         in
-        let reports =
+        match
           Stdlib.List.concat_map
             (fun model ->
               Stdlib.List.map
                 (fun algo -> analyze (A.Lint.subject_of_algo ~model ~algo ~n ~k))
                 algos)
             models
-        in
-        Format.printf "%a" A.Report.pp_table reports;
-        if verbose then
-          Stdlib.List.iter
-            (fun r ->
-              if r.A.Lint.r_findings <> [] then begin
-                Format.printf "@.%s under %s:@." r.A.Lint.r_subject.A.Lint.sub_name
-                  (A.Report.model_name r.A.Lint.r_subject.A.Lint.sub_model);
-                Format.printf "%a" A.Report.pp_findings r.A.Lint.r_findings
-              end)
-            reports;
-        let mutant_results =
-          if not mutants then []
-          else
-            Stdlib.List.map
-              (fun m ->
-                let r = analyze m.A.Mutants.m_subject in
-                (m, r, A.Finding.kills m.A.Mutants.m_expected r.A.Lint.r_findings))
-              A.Mutants.all
-        in
-        if mutants then begin
-          Format.printf "@.%-26s %-26s %s@." "mutant" "expected" "verdict";
-          Format.printf "%s@." (String.make 62 '-');
-          Stdlib.List.iter
-            (fun (m, _, killed) ->
-              Format.printf "%-26s %-26s %s@." m.A.Mutants.m_name
-                (A.Finding.id m.A.Mutants.m_expected)
-                (if killed then "killed" else "SURVIVED"))
-            mutant_results
-        end;
-        Option.iter
-          (fun file ->
-            Kex_service.Json.to_file file (A.Report.to_json ~mutants:mutant_results reports))
-          json;
-        let dirty = Stdlib.List.exists (fun r -> not (A.Lint.clean r)) reports in
-        let survived = Stdlib.List.exists (fun (_, _, killed) -> not killed) mutant_results in
-        if (require_clean && dirty) || survived then 1 else 0
+        with
+        | exception Invalid_argument msg -> usage_error "lint" msg
+        | reports ->
+            Format.printf "%a" A.Report.pp_table reports;
+            if verbose then
+              Stdlib.List.iter
+                (fun r ->
+                  if r.A.Lint.r_findings <> [] then begin
+                    Format.printf "@.%s under %s:@." r.A.Lint.r_subject.A.Lint.sub_name
+                      (A.Report.model_name r.A.Lint.r_subject.A.Lint.sub_model);
+                    Format.printf "%a" A.Report.pp_findings r.A.Lint.r_findings
+                  end)
+                reports;
+            let mutant_results =
+              if not mutants then []
+              else
+                Stdlib.List.map
+                  (fun m ->
+                    let r = analyze m.A.Mutants.m_subject in
+                    (m, r, A.Finding.kills m.A.Mutants.m_expected r.A.Lint.r_findings))
+                  A.Mutants.all
+            in
+            if mutants then begin
+              Format.printf "@.%-26s %-26s %s@." "mutant" "expected" "verdict";
+              Format.printf "%s@." (String.make 62 '-');
+              Stdlib.List.iter
+                (fun (m, _, killed) ->
+                  Format.printf "%-26s %-26s %s@." m.A.Mutants.m_name
+                    (A.Finding.id m.A.Mutants.m_expected)
+                    (if killed then "killed" else "SURVIVED"))
+                mutant_results
+            end;
+            Option.iter
+              (fun file ->
+                Kex_service.Json.to_file file (A.Report.to_json ~mutants:mutant_results reports))
+              json;
+            let dirty = Stdlib.List.exists (fun r -> not (A.Lint.clean r)) reports in
+            let survived = Stdlib.List.exists (fun (_, _, killed) -> not killed) mutant_results in
+            if (require_clean && dirty) || survived then 1 else 0)
   in
   Cmd.v (Cmd.info "lint" ~doc ~man)
     Term.(
@@ -817,5 +754,4 @@ let () =
   exit
     (Cmd.eval'
        (Cmd.group info
-          [ run_cmd; sweep_cmd; verify_cmd; hunt_cmd; lint_cmd; srclint_cmd; serve_cmd;
-            loadgen_cmd ]))
+          [ run_cmd; verify_cmd; hunt_cmd; lint_cmd; srclint_cmd; serve_cmd; loadgen_cmd ]))

@@ -13,7 +13,10 @@ let run ?tracer ~scheduler () =
   let mem = Memory.create () in
   let p = Kexclusion.Registry.build mem ~model:Cost_model.Cache_coherent Kexclusion.Registry.Graceful ~n:5 ~k:2 in
   let cost = Cost_model.create Cost_model.Cache_coherent ~n_procs:5 in
-  let cfg = Runner.config ~n:5 ~k:2 ~iterations:2 ~cs_delay:2 ~scheduler ?tracer () in
+  let cfg =
+    Runner.config ~n:5 ~k:2 ~iterations:2 ~cs_delay:2 ~scheduler
+      ?hooks:(Option.map Kex_sim.Trace.hooks tracer) ()
+  in
   Runner.run cfg mem cost (Kexclusion.Protocol.workload p)
 
 let () =

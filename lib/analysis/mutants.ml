@@ -86,8 +86,8 @@ let fig2_write_in_loop mem ~k ~inner =
 let write_in_loop_subject ~n ~k =
   subject ~name:"cc-write-in-wait-loop" ~model:Cost_model.Cache_coherent ~n ~k (fun () ->
       let mem = Memory.create () in
-      let kex = fig2_write_in_loop mem ~k ~inner:(Kexclusion.Trivial.create ()) in
-      let named = Kexclusion.Assignment.create mem ~kex ~k in
+      let kex = fig2_write_in_loop mem ~k ~inner:(Kexclusion.Simulated.trivial ()) in
+      let named = Kexclusion.Simulated.assignment mem ~kex ~k in
       let _payload, w = with_payload mem (Protocol.named_workload named) in
       (mem, w))
 
@@ -100,9 +100,9 @@ let remote_spin_subject ~n ~k =
   let make () =
     let mem = Memory.create () in
     let kex =
-      Kexclusion.Inductive.create mem ~block:Kexclusion.Cc_block.create ~n ~k
+      Kexclusion.Simulated.inductive mem ~block:Kexclusion.Simulated.fig2 ~n ~k
     in
-    let named = Kexclusion.Assignment.create mem ~kex ~k in
+    let named = Kexclusion.Simulated.assignment mem ~kex ~k in
     let _payload, w = with_payload mem (Protocol.named_workload named) in
     (mem, w)
   in
@@ -115,7 +115,7 @@ let bfaa_stuck_subject ~n ~k =
     let mem = Memory.create () in
     let x = Memory.alloc mem ~label:"stuck.X" ~init:0 1 in
     let kex = Registry.build mem ~model Registry.Inductive ~n ~k in
-    let named = Kexclusion.Assignment.create mem ~kex ~k in
+    let named = Kexclusion.Simulated.assignment mem ~kex ~k in
     let acquire ~pid =
       (* BUG: |delta| = 2 can never fit in [0..1]; the add never applies *)
       let* _ = bounded_faa x (-2) ~lo:0 ~hi:1 in

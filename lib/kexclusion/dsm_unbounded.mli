@@ -9,9 +9,9 @@
     read at statement 5 and the CAS at statement 7, some other process
     already took over the wait, and this process must not block.
 
-    {!Dsm_block} (Figure 6) bounds the space; this module exists because the
-    paper presents it first and because its simplicity makes it the best
-    test oracle for the bounded version. *)
+    {!Simulated.fig6} (Figure 6) bounds the space; this module exists
+    because the paper presents it first and because its simplicity makes
+    it the best test oracle for the bounded version. *)
 
 open Import
 

@@ -1,4 +1,5 @@
-(** The paper's Figures 2, 4, 6 and 7 and the compositions of Section 3,
+(** The paper's Figures 2, 4, 6 and 7, the compositions of Section 3,
+    and the MCS queue lock [12] that Section 5 sets as the k = 1 target,
     written once over a small memory signature.
 
     Every shared access is one {!MEMORY} operation, in the order of the
@@ -56,6 +57,9 @@ module type MEMORY = sig
 
   val tas : cell -> bool m
   (** Stores 1; [true] iff the cell held 0. *)
+
+  val swap : cell -> int -> int m
+  (** Fetch-and-store; returns the old value. *)
 
   val await : cell -> (int -> bool) -> unit m
   (** Busy-waits, one read per iteration, until the cell satisfies the
@@ -116,36 +120,43 @@ module type S = sig
 
   val fig2 : block
   (** Figure 2, the cache-coherent block: slot counter X and one spin
-      location Q. *)
+      location Q.  Entry and exit make at most 7 remote references on a
+      cache-coherent machine, Theorem 1's per-level constant. *)
 
   val fig6 : block
   (** Figure 6, the bounded-space DSM block: k+2 spin locations per
-      process, recycled through the R counters. *)
+      process, recycled through the R counters.  At most 14 remote
+      references per level on a DSM machine (Theorem 5). *)
 
   val inductive : ctx -> block:block -> n:int -> k:int -> protocol
-  (** Theorems 1 and 5: blocks stacked from k up to n. *)
+  (** Theorems 1 and 5: blocks stacked from k up to n, 7(n-k) remote
+      references over Figure 2, 14(n-k) over Figure 6. *)
 
   val tree_levels : n:int -> k:int -> int
   (** Levels of the arbitration tree; 0 when k >= n. *)
 
   val tree : ctx -> block:block -> n:int -> k:int -> protocol
   (** Theorems 2 and 6 (Figure 3(a)): (2k,k) blocks on the leaf-to-root
-      path; a refused [try_entry] leaves the levels it passed. *)
+      path, 7k or 14k remote references per level; a refused [try_entry]
+      leaves the levels it passed. *)
 
   val fast_path_tree : ctx -> block:block -> n:int -> k:int -> protocol
   (** Theorems 3 and 7 (Figure 4): a bounded gate hands out k fast slots,
-      the rest go through a {!tree} first.  [try_entry] refuses at an
-      empty gate, and gives its slot back after a refusal in the final
+      the rest go through a {!tree} first; 7k+2 (14k+2 on DSM) remote
+      references while contention is at most k.  [try_entry] refuses at
+      an empty gate, and gives its slot back after a refusal in the final
       stage. *)
 
   val graceful : ctx -> block:block -> n:int -> k:int -> protocol
   (** Theorems 4 and 8 (Figure 3(b)): Figure 4 with nested fast paths as
-      its slow path. *)
+      its slow path; contention c costs ceil(c/k) gate levels of 7k+2
+      (14k+2) remote references. *)
 
   type renaming
 
   val renaming : ctx -> k:int -> renaming
-  (** Figure 7's bits X[0..k-2]. *)
+  (** Figure 7's long-lived renaming, bits X[0..k-2]: names in [0..k-1]
+      for at most k concurrent holders. *)
 
   val rename : renaming -> int m
   (** Test-and-set X[0], X[1], ... until one is won; name k-1 needs no
@@ -154,7 +165,15 @@ module type S = sig
   val unname : renaming -> name:int -> unit m
 
   val assignment : ctx -> kex:protocol -> k:int -> named
-  (** Section 4: [kex], then a name from a fresh {!renaming}. *)
+  (** Section 4: [kex], then a name from a fresh {!renaming}; the names
+      add at most k remote references (Theorems 9 and 10). *)
+
+  val mcs : ctx -> n:int -> protocol
+  (** The MCS queue lock [12], mutual exclusion for n processes: at most
+      7 remote references per acquisition on either machine, every wait
+      on a cell of the waiter's own partition.  It tolerates no failure:
+      a process that crashes in the queue blocks every process behind
+      it.  [try_entry] refuses without a step. *)
 end
 
 module Make (M : MEMORY) :
@@ -482,4 +501,38 @@ module Make (M : MEMORY) :
       acquire;
       try_acquire;
       release }
+
+  (* The queue's links hold pid+1, 0 for nil.  [locked] and [next] of
+     process p live in p's partition, so every wait is local on DSM too. *)
+  let mcs ctx ~n =
+    let tail = one ctx ~label:"mcs.tail" ~init:0 in
+    let own name =
+      Array.init n (fun pid ->
+          M.cell (M.alloc ctx ~owner:pid ~label:(Printf.sprintf "mcs.%s[p%d]" name pid) ~init:0 1) 0)
+    in
+    let locked = own "locked" in
+    let next = own "next" in
+    let entry ~pid =
+      let* () = M.write next.(pid) 0 in
+      let* pred = M.swap tail (pid + 1) in
+      if pred = 0 then return ()
+      else
+        let* () = M.write locked.(pid) 1 in
+        let* () = M.write next.(pred - 1) (pid + 1) in
+        M.await locked.(pid) (fun v -> v = 0)
+    in
+    let exit ~pid =
+      let* succ = M.read next.(pid) in
+      if succ <> 0 then M.write locked.(succ - 1) 0
+      else
+        let* released = M.cas tail ~expected:(pid + 1) ~desired:0 in
+        if released then return ()
+        else
+          (* A successor has swapped itself in but not linked yet: wait for
+             the link, then hand over. *)
+          let* () = M.await next.(pid) (fun v -> v <> 0) in
+          let* succ = M.read next.(pid) in
+          M.write locked.(succ - 1) 0
+    in
+    { name = Printf.sprintf "mcs[n=%d]" n; entry; exit; try_entry = (fun ~pid:_ -> return false) }
 end

@@ -30,8 +30,8 @@ type named = Simulated.named = {
 
 type block = Simulated.block
 (** A building-block constructor: given an inner (n,k+1)-exclusion, produce
-    an (n,k)-exclusion.  {!Cc_block.create} (Figure 2) and
-    {!Dsm_block.create} (Figure 6) have this shape. *)
+    an (n,k)-exclusion.  {!Simulated.fig2} (Figure 2) and
+    {!Simulated.fig6} (Figure 6) have this shape. *)
 
 val workload : t -> Runner.workload
 (** Lift a plain exclusion protocol to a runner workload (name 0, no

@@ -16,8 +16,8 @@ let algo_of_string s =
   List.find_opt (fun a -> String.equal (algo_name a) (String.lowercase_ascii s)) all
 
 let block_for = function
-  | Cost_model.Cache_coherent -> Cc_block.create
-  | Cost_model.Distributed -> Dsm_block.create
+  | Cost_model.Cache_coherent -> Simulated.fig2
+  | Cost_model.Distributed -> Simulated.fig6
 
 type lint_meta = { intended_spin : string list }
 
@@ -33,18 +33,20 @@ let lint_meta = function
   | Inductive | Tree | Fast_path | Graceful -> { intended_spin = [] }
 
 let build mem ~model algo ~n ~k =
+  if n < 1 then invalid_arg "Registry.build: n must be positive";
+  if k < 1 then invalid_arg "Registry.build: k must be positive";
   let block = block_for model in
   match algo with
   | Queue -> Queue_kex.create mem ~n ~k
   | Bakery -> Baseline_bakery.create mem ~n ~k
-  | Inductive -> Inductive.create mem ~block ~n ~k
-  | Tree -> Tree.create mem ~block ~n ~k
-  | Fast_path -> Fast_path.with_tree mem ~block ~n ~k
-  | Graceful -> Graceful.create mem ~block ~n ~k
+  | Inductive -> Simulated.inductive mem ~block ~n ~k
+  | Tree -> Simulated.tree mem ~block ~n ~k
+  | Fast_path -> Simulated.fast_path_tree mem ~block ~n ~k
+  | Graceful -> Simulated.graceful mem ~block ~n ~k
 
 let build_assignment mem ~model algo ~n ~k =
   let kex = build mem ~model algo ~n ~k in
-  Assignment.create mem ~kex ~k
+  Simulated.assignment mem ~kex ~k
 
 let bound ~model algo ~n ~k ~c =
   let low_contention = c <= k in

@@ -30,11 +30,13 @@ val lint_meta : algo -> lint_meta
     passes and sanitizer. *)
 
 val build : Memory.t -> model:Cost_model.model -> algo -> n:int -> k:int -> Protocol.t
-(** [Queue] and [Bakery] ignore [model]. *)
+(** [Queue] and [Bakery] ignore [model].  Raises [Invalid_argument] unless
+    [n] and [k] are at least 1. *)
 
 val build_assignment :
   Memory.t -> model:Cost_model.model -> algo -> n:int -> k:int -> Protocol.named
-(** The algorithm wrapped into an (N,k)-assignment via Figure 7 renaming. *)
+(** The algorithm wrapped into an (N,k)-assignment via Figure 7 renaming;
+    raises as {!build} does. *)
 
 val bound :
   model:Cost_model.model -> algo -> n:int -> k:int -> c:int -> int option

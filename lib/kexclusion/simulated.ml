@@ -18,6 +18,7 @@ module Mem = struct
   let bounded_faa = Op.bounded_faa
   let cas = Op.cas
   let tas = Op.tas
+  let swap = Op.swap
   let await = Op.await
 
   type 'a per_pid = 'a Pid_state.t

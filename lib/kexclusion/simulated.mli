@@ -1,9 +1,8 @@
 (** The simulator instance of {!Figures}: each shared access is one [Op]
     step over a simulated {!Memory}, and private variables live in
-    {!Pid_state} tables, materialised per pid on first use.  The modules
-    {!Cc_block}, {!Dsm_block}, {!Inductive}, {!Tree}, {!Fast_path},
-    {!Graceful}, {!Trivial}, {!Renaming} and {!Assignment} name its
-    parts. *)
+    {!Pid_state} tables, materialised per pid on first use.  The
+    simulator, the benchmarks, lint and the tests build the figures, their
+    compositions and the MCS lock from its parts. *)
 
 open Import
 

@@ -16,6 +16,7 @@ module Mem = struct
   let bounded_faa = Atomic_ext.bounded_fetch_and_add
   let cas c ~expected ~desired = Atomic.compare_and_set c expected desired
   let tas = Atomic_ext.test_and_set
+  let swap = Atomic.exchange
 
   let await c pred =
     while not (pred (Atomic.get c)) do

@@ -1,90 +1,48 @@
 type kind = Local | Remote
 type model = Cache_coherent | Distributed
 
-(* CC validity bookkeeping.  The hot operations are [cc_write] (invalidate
-   every other copy of a line) and [cc_read] (test/install one copy), so the
-   representation is chosen to make both O(1):
-
-   - [Bits]: one int per cell, one presence bit per process.  An OCaml int
-     has 63 usable bits, so this covers every machine with at most
-     [max_bits_procs] processes — a write replaces the whole mask with the
-     writer's bit, a read tests/sets one bit.
-   - [Wide]: the transparent fallback above that width — one byte per
-     (process, cell), exactly the historical representation, with the O(n)
-     invalidation walk on writes. *)
-type rep =
-  | Bits of { mutable mask : int array }  (* mask.(cell) = bitset of pids *)
-  | Wide of { mutable valid : Bytes.t array }  (* valid.(pid) has a byte per cell *)
+(* CC validity: one presence bit per (process, cell), [bits] processes to
+   an int and [words] ints to a cell, so a read tests and sets one bit and
+   a write clears its cell's words before setting the writer's bit. *)
+let bits = 62
 
 type t = {
   which : model;
-  n_procs : int;
-  mutable cap : int;  (* cells covered by the validity store *)
-  rep : rep;
+  words : int;  (* ints per cell; at least 1, so pid 0 always has a word *)
+  mutable valid : int array;  (* cell [a]'s words start at [a * words] *)
 }
 
-let max_bits_procs = 62
-
 let create which ~n_procs =
-  let cap = 64 in
-  let rep =
-    if n_procs <= max_bits_procs then Bits { mask = Array.make cap 0 }
-    else Wide { valid = Array.init n_procs (fun _ -> Bytes.make cap '\000') }
-  in
-  { which; n_procs; cap; rep }
+  let words = max 1 ((n_procs + bits - 1) / bits) in
+  { which; words; valid = Array.make (64 * words) 0 }
 
 let model t = t.which
 
-(* Capacity is tracked in [t.cap] rather than read off the store itself so
-   that a model created with [~n_procs:0] (an empty machine) never indexes
-   into an empty array. *)
-let ensure t a =
-  if a >= t.cap then begin
-    let cap' = max (2 * t.cap) (a + 1) in
-    (match t.rep with
-    | Bits r ->
-        let mask' = Array.make cap' 0 in
-        Array.blit r.mask 0 mask' 0 t.cap;
-        r.mask <- mask'
-    | Wide r ->
-        r.valid <-
-          Array.map
-            (fun b ->
-              let b' = Bytes.make cap' '\000' in
-              Bytes.blit b 0 b' 0 (Bytes.length b);
-              b')
-            r.valid);
-    t.cap <- cap'
-  end
+(* The index of [pid]'s word of cell [a]; grows the store to cover [a]. *)
+let word t ~pid a =
+  let len = Array.length t.valid in
+  if (a + 1) * t.words > len then begin
+    let valid = Array.make (max (2 * len) ((a + 1) * t.words)) 0 in
+    Array.blit t.valid 0 valid 0 len;
+    t.valid <- valid
+  end;
+  (a * t.words) + (pid / bits)
 
 let cc_read t ~pid a =
-  ensure t a;
-  match t.rep with
-  | Bits r ->
-      let bit = 1 lsl pid in
-      if r.mask.(a) land bit <> 0 then Local
-      else begin
-        r.mask.(a) <- r.mask.(a) lor bit;
-        Remote
-      end
-  | Wide r ->
-      if Bytes.get r.valid.(pid) a = '\001' then Local
-      else begin
-        Bytes.set r.valid.(pid) a '\001';
-        Remote
-      end
+  let i = word t ~pid a and bit = 1 lsl (pid mod bits) in
+  if t.valid.(i) land bit <> 0 then Local
+  else begin
+    t.valid.(i) <- t.valid.(i) lor bit;
+    Remote
+  end
 
 (* A write or read-modify-write claims the line: it invalidates every other
    copy, leaves the writer with a valid copy, and always costs one remote
    reference (the paper counts every write statement as remote). *)
 let cc_write t ~pid a =
-  ensure t a;
-  (match t.rep with
-  | Bits r -> r.mask.(a) <- 1 lsl pid
-  | Wide r ->
-      for q = 0 to t.n_procs - 1 do
-        Bytes.set r.valid.(q) a (if q = pid then '\001' else '\000')
-      done);
+  let i = word t ~pid a in
+  Array.fill t.valid (a * t.words) t.words 0;
+  t.valid.(i) <- 1 lsl (pid mod bits);
   Remote
 
 let dsm_access mem ~pid a =

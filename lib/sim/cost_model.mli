@@ -15,13 +15,12 @@
       processor's memory partition.  Accesses by the owner are local; all
       others are remote.  Unowned cells are remote to everyone.
 
-    Representation note: CC validity is kept as one presence bitmask per
-    cell (one bit per process) whenever [n_procs <= 62], making a write's
-    invalidation of all other copies O(1) instead of O(n_procs); machines
-    wider than 62 processes fall back transparently to a byte-per-copy
-    store.  The choice is invisible in the accounting — both
-    representations charge identically (pinned by the differential tests
-    in [test/test_cost_model_diff.ml]). *)
+    Representation note: CC validity is one presence bit per (process,
+    cell), packed into ceil(n_procs / 62) ints per cell.  A read tests and
+    sets its bit; a write's invalidation of all other copies clears its
+    cell's ints, one int up to 62 processes instead of an O(n_procs) walk.
+    The accounting is pinned against a byte-per-copy reference store by
+    the differential tests in [test/test_cost_model_diff.ml]. *)
 
 type kind = Local | Remote
 

@@ -30,15 +30,14 @@ type config = {
   failures : Failures.plan;
   participants : int list option;
   step_budget : int;
-  tracer : Trace.t option;
   hooks : hooks option;
 }
 
 let config ?(iterations = 3) ?(cs_delay = 2) ?(noncrit_delay = 0) ?scheduler ?(failures = [])
-    ?participants ?(step_budget = 0) ?tracer ?hooks ~n ~k () =
+    ?participants ?(step_budget = 0) ?hooks ~n ~k () =
   let scheduler = match scheduler with Some s -> s | None -> Scheduler.round_robin () in
   { n; k; iterations; cs_delay; noncrit_delay; scheduler; failures; participants; step_budget;
-    tracer; hooks }
+    hooks }
 
 type proc_stats = {
   participated : bool;
@@ -168,7 +167,6 @@ let run cfg mem cost wl =
   in
   let on_event ps pid e =
     Monitor.on_event monitor ~pid e;
-    (match cfg.tracer with Some tr -> Trace.record_event tr ~pid ~event:e | None -> ());
     (match cfg.hooks with Some h -> h.h_event ~pid e | None -> ());
     match (e : Op.event) with
     | Entry_begin | Cs_enter _ | Cs_exit -> ps.steps_in_phase <- 0
@@ -201,9 +199,6 @@ let run cfg mem cost wl =
     ps.local <- ps.local + n_local;
     if n_remote > 0 && phase_now <> Monitor.Noncrit then
       ps.acq_remote <- ps.acq_remote + n_remote;
-    (match cfg.tracer with
-    | Some tr -> Trace.record_step ?footprint tr ~pid ~step:s ~value:v ~remote:n_remote
-    | None -> ());
     (match cfg.hooks with
     | Some h -> h.h_step ~pid ~step:s ~value:v ~remote:n_remote ~phase:phase_now ~footprint
     | None -> ());
@@ -231,7 +226,6 @@ let run cfg mem cost wl =
         then begin
           ps.failed <- true;
           Monitor.on_crash monitor ~pid;
-          (match cfg.tracer with Some tr -> Trace.record_crash tr ~pid | None -> ());
           (match cfg.hooks with Some h -> h.h_crash ~pid | None -> ());
           dirty := true
         end

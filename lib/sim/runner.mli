@@ -35,11 +35,12 @@ type hooks = {
           remote references charged, the phase the process was in {e when it
           took the step}, and (for atomic blocks) the recorded footprint *)
   h_event : pid:int -> Op.event -> unit;
-      (** called on every [Mark] event, after the monitor and tracer see it *)
+      (** called on every [Mark] event, after the monitor sees it *)
   h_crash : pid:int -> unit;  (** called when the failure plan kills a pid *)
 }
-(** Observation hooks for online checkers (e.g. the analysis sanitizer):
-    strictly read-only — the runner's behaviour does not depend on them. *)
+(** Observation hooks for online checkers (e.g. the analysis sanitizer) and
+    recorders ({!Trace.hooks}): strictly read-only — the runner's behaviour
+    does not depend on them. *)
 
 type config = {
   n : int;  (** number of processes *)
@@ -55,7 +56,6 @@ type config = {
           c" (maximum number of processes outside their noncritical
           sections). *)
   step_budget : int;  (** 0 = choose automatically *)
-  tracer : Trace.t option;  (** record every step and event of the run *)
   hooks : hooks option;  (** online observation callbacks *)
 }
 
@@ -67,7 +67,6 @@ val config :
   ?failures:Failures.plan ->
   ?participants:int list ->
   ?step_budget:int ->
-  ?tracer:Trace.t ->
   ?hooks:hooks ->
   n:int ->
   k:int ->

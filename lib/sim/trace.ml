@@ -51,6 +51,13 @@ let record_step ?footprint t ~pid ~step ~value ~remote =
 let record_event t ~pid ~event = push t (Event { pid; event = string_of_event event })
 let record_crash t ~pid = push t (Crashed { pid })
 
+let hooks t =
+  { Runner.h_step =
+      (fun ~pid ~step ~value ~remote ~phase:_ ~footprint ->
+        record_step ?footprint t ~pid ~step ~value ~remote);
+    h_event = (fun ~pid event -> record_event t ~pid ~event);
+    h_crash = (fun ~pid -> record_crash t ~pid) }
+
 let entries t =
   let kept = min t.next t.capacity in
   List.init kept (fun i -> t.ring.((t.next - kept + i) mod t.capacity))

@@ -34,6 +34,10 @@ val record_step :
 val record_event : t -> pid:int -> event:Op.event -> unit
 val record_crash : t -> pid:int -> unit
 
+val hooks : t -> Runner.hooks
+(** Records every step, event and crash of a run into [t]: pass it to
+    {!Runner.config} as [~hooks]. *)
+
 val entries : t -> entry list
 (** Oldest first (within the retained window). *)
 

@@ -175,6 +175,8 @@ struct
     exclusion ~name:"fastpath-tree" ~n ~k ~max_crashes (fun ctx ->
         F.fast_path_tree ctx ~block:(scoped F.fig2) ~n ~k)
 
+  let mcs ~n ~max_crashes = exclusion ~name:"mcs" ~n ~k:1 ~max_crashes (fun ctx -> F.mcs ctx ~n)
+
   let renaming ~procs ~k ~max_crashes =
     let ctx = Traced.create ~procs in
     let r = F.renaming ctx ~k in

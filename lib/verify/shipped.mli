@@ -2,8 +2,8 @@
 
     Each process cycles through its noncritical section, an acquiring call
     ([entry] or [try_entry], either at every passage, for Figures 2, 4 and
-    6; [rename] for Figure 7), a holding section and a releasing call
-    ([exit]; [unname]).  A move performs one shared access, except starting
+    6 and MCS; [rename] for Figure 7), a holding section and a releasing
+    call ([exit]; [unname]).  A move performs one shared access, except starting
     an acquiring call (none) and leaving the holding section (the release's
     first access, if any).  An idle process may retire for good, so
     progress cannot rely on arrivals; elsewhere it may crash, up to the
@@ -40,6 +40,10 @@ module Make
   val fast_path_tree : n:int -> k:int -> max_crashes:int -> model
   (** Figure 4 over Figure 2 blocks, the composition [Kex_lock] admits
       through by default. *)
+
+  val mcs : n:int -> max_crashes:int -> model
+  (** The MCS queue lock, k = 1: the lock A1 measures, with no failure
+      tolerance. *)
 
   val renaming : procs:int -> k:int -> max_crashes:int -> model
   (** Figure 7 with no enclosing k-exclusion: [procs <= k] is its

@@ -6,6 +6,7 @@ type access =
   | Cas of int * int * int
   | Tas of int
   | Await of int * (int -> bool)
+  | Swap of int * int
 
 (* [Mark] opens a scope and [Collapse] closes the innermost one with the
    code of its result.  Neither is an access, and both hold thunks so the
@@ -71,12 +72,13 @@ let faa c d = access (Faa (c, d))
 let bounded_faa c d ~lo ~hi = access (Bounded_faa (c, d, lo, hi))
 let cas c ~expected ~desired = Step (Cas (c, expected, desired), fun r -> Return (r = 1))
 let tas c = Step (Tas c, fun old -> Return (old = 0))
+let swap c v = access (Swap (c, v))
 let await c p = Step (Await (c, p), fun _ -> Return ())
 
-(* One integer per history event: kind, cell and result.  Kinds 0-6 are
-   the accesses, 7 a closed scope with its result's code, 8 a private
-   read, whose cell is its entry in [save]'s vector and result its id.
-   [alloc] keeps cells below 2^20, so the fields do not overlap. *)
+(* One integer per history event: kind, cell and result.  Kinds 0-6 and
+   9 are the accesses, 7 a closed scope with its result's code, 8 a
+   private read, whose cell is its entry in [save]'s vector and result its
+   id.  [alloc] keeps cells below 2^20, so the fields do not overlap. *)
 let event kind cell result = (result lsl 25) lor (cell lsl 4) lor kind
 
 let intern v x =
@@ -153,6 +155,7 @@ let apply mem a =
       if mem.(c) = expected then (4, c, set c desired, 1) else (4, c, mem, 0)
   | Tas c -> (5, c, set c 1, mem.(c))
   | Await (c, _) -> (6, c, mem, mem.(c))
+  | Swap (c, v) -> (9, c, set c v, mem.(c))
 
 let perform ctx mem r =
   match r.prog with
@@ -173,3 +176,4 @@ let describe ctx a =
   | Cas (c, e, d) -> "cas" ^ cell c ^ int e ^ int d
   | Tas c -> "tas" ^ cell c
   | Await (c, _) -> "await" ^ cell c
+  | Swap (c, v) -> "swap" ^ cell c ^ int v

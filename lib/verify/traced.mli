@@ -40,6 +40,7 @@ type access =
   | Cas of int * int * int  (** cell, expected, desired *)
   | Tas of int
   | Await of int * (int -> bool)
+  | Swap of int * int  (** cell, value *)
 
 include Kexclusion.Figures.MEMORY with type block = int and type cell = int
 

@@ -6,7 +6,7 @@ open Kexclusion
 open Kexclusion.Import
 open Helpers
 
-let block ~n ~k mem = `Exclusion (Inductive.create mem ~block:Cc_block.create ~n ~k)
+let block ~n ~k mem = `Exclusion (Simulated.inductive mem ~block:Simulated.fig2 ~n ~k)
 
 (* N = k+1: the pure Figure 2 building block (inner = skip). *)
 let base_cases =

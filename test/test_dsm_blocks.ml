@@ -7,8 +7,8 @@ open Kexclusion
 open Kexclusion.Import
 open Helpers
 
-let bounded ~n ~k mem = `Exclusion (Inductive.create mem ~block:Dsm_block.create ~n ~k)
-let unbounded ~n ~k mem = `Exclusion (Inductive.create mem ~block:Dsm_unbounded.create ~n ~k)
+let bounded ~n ~k mem = `Exclusion (Simulated.inductive mem ~block:Simulated.fig6 ~n ~k)
+let unbounded ~n ~k mem = `Exclusion (Simulated.inductive mem ~block:Dsm_unbounded.create ~n ~k)
 
 let batteries name block =
   [ (2, 1); (3, 2); (5, 4) ]
@@ -58,7 +58,7 @@ let test_bounded_space () =
      so after one warm-up run in which every process participates, further
      runs must not grow the heap at all. *)
   let mem = Memory.create () in
-  let p = Inductive.create mem ~block:Dsm_block.create ~n:3 ~k:2 in
+  let p = Simulated.inductive mem ~block:Simulated.fig6 ~n:3 ~k:2 in
   let cost = Cost_model.create dsm ~n_procs:3 in
   let cfg = Runner.config ~n:3 ~k:2 ~iterations:2 ~cs_delay:3 () in
   let warmup = Runner.run cfg mem cost (Protocol.workload p) in
@@ -73,7 +73,7 @@ let test_unbounded_grows () =
   (* And Figure 5 does allocate per waiting acquisition — the documented
      reason Figure 6 exists. *)
   let mem = Memory.create () in
-  let p = Inductive.create mem ~block:Dsm_unbounded.create ~n:3 ~k:2 in
+  let p = Simulated.inductive mem ~block:Dsm_unbounded.create ~n:3 ~k:2 in
   let before = Memory.size mem in
   let cost = Cost_model.create dsm ~n_procs:3 in
   let cfg = Runner.config ~n:3 ~k:2 ~iterations:12 ~cs_delay:3 () in

@@ -5,7 +5,7 @@ open Kexclusion.Import
 open Helpers
 
 let fp ~model ~n ~k mem =
-  `Exclusion (Fast_path.with_tree mem ~block:(Registry.block_for model) ~n ~k)
+  `Exclusion (Simulated.fast_path_tree mem ~block:(Registry.block_for model) ~n ~k)
 
 let batteries =
   [ (cc, 8, 2); (dsm, 8, 2); (cc, 12, 3); (dsm, 9, 4) ]
@@ -55,7 +55,7 @@ let test_fast_slots_recover () =
      slots: a subsequent solo run pays the low-contention price again. *)
   let model = cc and n = 8 and k = 2 in
   let mem = Memory.create () in
-  let p = Fast_path.with_tree mem ~block:(Registry.block_for model) ~n ~k in
+  let p = Simulated.fast_path_tree mem ~block:(Registry.block_for model) ~n ~k in
   let cost = Cost_model.create model ~n_procs:n in
   let storm = Runner.config ~n ~k ~iterations:4 ~cs_delay:2 () in
   let res = Runner.run storm mem cost (Protocol.workload p) in
@@ -126,9 +126,9 @@ let try_refuses_then_admits build ~n ~tryer () =
   finish mem (p.exit ~pid:tryer);
   Alcotest.check counters "slot counters after try + exit" one_inside (slot_counters mem)
 
-let inductive_shape block mem ~n ~k = Inductive.create mem ~block ~n ~k
-let tree_shape block mem ~n ~k = Tree.create mem ~block ~n ~k
-let kexd_shape block mem ~n ~k = Fast_path.with_tree mem ~block ~n ~k
+let inductive_shape block mem ~n ~k = Simulated.inductive mem ~block ~n ~k
+let tree_shape block mem ~n ~k = Simulated.tree mem ~block ~n ~k
+let kexd_shape block mem ~n ~k = Simulated.fast_path_tree mem ~block ~n ~k
 
 (* The final stage refuses while the gate admits: pid 0 holds a gate slot,
    pid 2 came through the slow path (it waited in the final block until
@@ -136,7 +136,7 @@ let kexd_shape block mem ~n ~k = Fast_path.with_tree mem ~block ~n ~k
    refused try gives the gate slot back. *)
 let try_final_stage_refusal block () =
   let mem = Memory.create () in
-  let p = Fast_path.with_tree mem ~block ~n:6 ~k:2 in
+  let p = Simulated.fast_path_tree mem ~block ~n:6 ~k:2 in
   finish mem (p.entry ~pid:0);
   finish mem (p.entry ~pid:1);
   let waiting =
@@ -169,7 +169,7 @@ let try_cases =
         tc
           (Printf.sprintf "%s try: fastpath-tree (6,2) final stage refuses" bname)
           (try_final_stage_refusal block) ])
-    [ ("fig2", Cc_block.create); ("fig5", Dsm_unbounded.create); ("fig6", Dsm_block.create) ]
+    [ ("fig2", Simulated.fig2); ("fig5", Dsm_unbounded.create); ("fig6", Simulated.fig6) ]
 
 let suite =
   batteries

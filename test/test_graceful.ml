@@ -4,7 +4,7 @@
 open Kexclusion
 open Helpers
 
-let gr ~model ~n ~k mem = `Exclusion (Graceful.create mem ~block:(Registry.block_for model) ~n ~k)
+let gr ~model ~n ~k mem = `Exclusion (Simulated.graceful mem ~block:(Registry.block_for model) ~n ~k)
 
 let batteries =
   [ (cc, 8, 2); (dsm, 8, 2); (cc, 13, 3) ]

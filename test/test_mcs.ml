@@ -1,11 +1,13 @@
 (* The MCS queue lock (reference [12]) — the k = 1 efficiency target of the
-   paper's concluding section — in both the simulator and the runtime. *)
+   paper's concluding section — written once in [Figures] and run by both
+   of its instances: the simulator ([Simulated.mcs]) and real atomics
+   ([Kex_runtime.Direct.mcs]). *)
 
 open Kexclusion
 open Kexclusion.Import
 open Helpers
 
-let mcs ~n mem = `Exclusion (Mcs_lock.create mem ~n)
+let mcs ~n mem = `Exclusion (Simulated.mcs mem ~n)
 
 let batteries =
   [ 2; 3; 6 ]
@@ -62,13 +64,17 @@ let test_not_resilient () =
 
 (* ------------------------------ runtime --------------------------------- *)
 
+let with_lock (lock : Kex_runtime.Direct.protocol) ~pid f =
+  lock.entry ~pid;
+  Fun.protect ~finally:(fun () -> lock.exit ~pid) f
+
 let test_runtime_mutual_exclusion () =
-  let lock = Kex_runtime.Mcs.create ~n:4 in
+  let lock = Kex_runtime.Direct.mcs 4 ~n:4 in
   let in_cs = Atomic.make 0 in
   let violations = Atomic.make 0 in
   let worker pid () =
     for _ = 1 to 200 do
-      Kex_runtime.Mcs.with_lock lock ~pid (fun () ->
+      with_lock lock ~pid (fun () ->
           if 1 + Atomic.fetch_and_add in_cs 1 > 1 then ignore (Atomic.fetch_and_add violations 1);
           Domain.cpu_relax ();
           ignore (Atomic.fetch_and_add in_cs (-1)))
@@ -80,11 +86,11 @@ let test_runtime_mutual_exclusion () =
 
 let test_runtime_handover_race () =
   (* Exercise the release/link race path: many short handovers. *)
-  let lock = Kex_runtime.Mcs.create ~n:2 in
+  let lock = Kex_runtime.Direct.mcs 2 ~n:2 in
   let counter = ref 0 in
   let worker pid () =
     for _ = 1 to 500 do
-      Kex_runtime.Mcs.with_lock lock ~pid (fun () -> incr counter)
+      with_lock lock ~pid (fun () -> incr counter)
     done
   in
   let domains = List.init 2 (fun pid -> Domain.spawn (worker pid)) in

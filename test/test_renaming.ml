@@ -9,12 +9,12 @@ open Helpers
 (* Workload: acquire/release names directly, with exactly c <= k concurrent
    participants so the renaming precondition holds. *)
 let renaming_workload ~k mem =
-  let r = Renaming.create mem ~k in
+  let r = Simulated.renaming mem ~k in
   `Assignment
     { Protocol.assignment_name = "renaming-direct";
-      acquire = (fun ~pid:_ -> Renaming.acquire r);
-      try_acquire = (fun ~pid:_ -> Op.map Option.some (Renaming.acquire r));
-      release = (fun ~pid:_ ~name -> Renaming.release r ~name) }
+      acquire = (fun ~pid:_ -> Simulated.rename r);
+      try_acquire = (fun ~pid:_ -> Op.map Option.some (Simulated.rename r));
+      release = (fun ~pid:_ ~name -> Simulated.unname r ~name) }
 
 let run_renaming ?(iterations = 5) ?(cs_delay = 3) ?scheduler ~k ~c () =
   run ?scheduler ~iterations ~cs_delay ~participants:(participants c) ~model:cc ~n:c ~k
@@ -44,7 +44,7 @@ let test_long_lived_reuse () =
      and reacquired (long-livedness, the paper's novelty over one-shot
      renaming). *)
   let mem = Memory.create () in
-  let r = Renaming.create mem ~k:3 in
+  let r = Simulated.renaming mem ~k:3 in
   let names = ref [] in
   let wl =
     { Runner.acquire =
@@ -53,8 +53,8 @@ let test_long_lived_reuse () =
             (fun name ->
               names := name :: !names;
               name)
-            (Renaming.acquire r));
-      release = (fun ~pid:_ ~name -> Renaming.release r ~name);
+            (Simulated.rename r));
+      release = (fun ~pid:_ ~name -> Simulated.unname r ~name);
       check_names = true; cs_body = None }
   in
   let cost = Cost_model.create cc ~n_procs:1 in

@@ -42,6 +42,7 @@ type access =
   | Bounded_faa of { d : int; lo : int; hi : int }
   | Cas of { expected : int; desired : int }
   | Tas
+  | Swap of int
 
 let show_access = function
   | Read -> "read"
@@ -50,6 +51,7 @@ let show_access = function
   | Bounded_faa { d; lo; hi } -> Printf.sprintf "bounded_faa %+d [%d..%d]" d lo hi
   | Cas { expected; desired } -> Printf.sprintf "cas %d->%d" expected desired
   | Tas -> "tas"
+  | Swap v -> Printf.sprintf "swap %d" v
 
 module Access (M : Kexclusion.Figures.MEMORY) = struct
   let int_of_bool m = M.bind m (fun b -> M.return (Bool.to_int b))
@@ -61,6 +63,7 @@ module Access (M : Kexclusion.Figures.MEMORY) = struct
     | Bounded_faa { d; lo; hi } -> M.bounded_faa cell d ~lo ~hi
     | Cas { expected; desired } -> int_of_bool (M.cas cell ~expected ~desired)
     | Tas -> int_of_bool (M.tas cell)
+    | Swap v -> M.swap cell v
 end
 
 module Sim_access = Access (Kexclusion.Simulated.Mem)
@@ -101,7 +104,8 @@ let gen_access =
         map (fun d -> Faa d) (int_range (-3) 3);
         bounded init;
         map2 (fun expected desired -> Cas { expected; desired }) value value;
-        return Tas ]
+        return Tas;
+        map (fun v -> Swap v) value ]
   in
   return (init, access)
 

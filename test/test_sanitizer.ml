@@ -78,9 +78,9 @@ let test_watchdog_fires_on_remote_spin () =
   let make () =
     let mem = Memory.create () in
     let kex =
-      Kexclusion.Inductive.create mem ~block:Kexclusion.Cc_block.create ~n:4 ~k:2
+      Kexclusion.Simulated.inductive mem ~block:Kexclusion.Simulated.fig2 ~n:4 ~k:2
     in
-    let named = Kexclusion.Assignment.create mem ~kex ~k:2 in
+    let named = Kexclusion.Simulated.assignment mem ~kex ~k:2 in
     (mem, Kexclusion.Protocol.named_workload named)
   in
   (* long critical-section dwell: the waiter spins well past the threshold *)
@@ -97,9 +97,9 @@ let test_watchdog_waived_by_intended_spin () =
   let make () =
     let mem = Memory.create () in
     let kex =
-      Kexclusion.Inductive.create mem ~block:Kexclusion.Cc_block.create ~n:4 ~k:2
+      Kexclusion.Simulated.inductive mem ~block:Kexclusion.Simulated.fig2 ~n:4 ~k:2
     in
-    let named = Kexclusion.Assignment.create mem ~kex ~k:2 in
+    let named = Kexclusion.Simulated.assignment mem ~kex ~k:2 in
     (mem, Kexclusion.Protocol.named_workload named)
   in
   let _res, findings =

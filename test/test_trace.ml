@@ -9,7 +9,10 @@ let run_traced ?tracer ~scheduler () =
   let mem = Memory.create () in
   let p = Registry.build mem ~model:cc Registry.Fast_path ~n:6 ~k:2 in
   let cost = Cost_model.create cc ~n_procs:6 in
-  let cfg = Runner.config ~n:6 ~k:2 ~iterations:3 ~cs_delay:2 ~scheduler ?tracer () in
+  let cfg =
+    Runner.config ~n:6 ~k:2 ~iterations:3 ~cs_delay:2 ~scheduler
+      ?hooks:(Option.map Trace.hooks tracer) ()
+  in
   Runner.run cfg mem cost (Protocol.workload p)
 
 let digest (res : Runner.result) =
@@ -47,7 +50,7 @@ let test_crash_recorded () =
   let p = Registry.build mem ~model:cc Registry.Graceful ~n:4 ~k:2 in
   let cost = Cost_model.create cc ~n_procs:4 in
   let cfg =
-    Runner.config ~n:4 ~k:2 ~iterations:2 ~cs_delay:2 ~tracer:tr
+    Runner.config ~n:4 ~k:2 ~iterations:2 ~cs_delay:2 ~hooks:(Trace.hooks tr)
       ~failures:[ (1, Kex_sim.Failures.In_cs 1) ]
       ()
   in
@@ -94,7 +97,7 @@ let test_block_footprint_rendered () =
   let mem = Memory.create () in
   let p = Registry.build mem ~model:cc Registry.Queue ~n:4 ~k:1 in
   let cost = Cost_model.create cc ~n_procs:4 in
-  let cfg = Runner.config ~n:4 ~k:1 ~iterations:2 ~cs_delay:3 ~tracer:tr () in
+  let cfg = Runner.config ~n:4 ~k:1 ~iterations:2 ~cs_delay:3 ~hooks:(Trace.hooks tr) () in
   let res = Runner.run cfg mem cost (Protocol.workload p) in
   assert_ok res;
   let s = Format.asprintf "%a" (Trace.pp ?last:None) tr in

@@ -4,11 +4,11 @@ open Kexclusion
 open Helpers
 
 let tree ~model ~n ~k mem =
-  `Exclusion (Tree.create mem ~block:(Registry.block_for model) ~n ~k)
+  `Exclusion (Simulated.tree mem ~block:(Registry.block_for model) ~n ~k)
 
 let test_levels () =
   let check ~n ~k expected =
-    Alcotest.(check int) (Printf.sprintf "levels n=%d k=%d" n k) expected (Tree.levels ~n ~k)
+    Alcotest.(check int) (Printf.sprintf "levels n=%d k=%d" n k) expected (Simulated.tree_levels ~n ~k)
   in
   check ~n:16 ~k:2 3;
   (* 16 -> 8 -> 4 -> 2: blocks 4,2,1 *)

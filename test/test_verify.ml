@@ -1,10 +1,10 @@
 (* Model checking: exhaustive verification of the shipped Figures 2, 4, 6
-   and 7 at small N (crash transitions included), of the hand models of
-   Figures 4 and 5, and mutant killing — the checker must reject broken
-   variants, which is the evidence that a "no violation" verdict means
-   something.  Figures 2, 6 and 7 and their mutants run the text of
-   lib/kexclusion/figures.ml (the mutants are patches of it) through
-   [Shipped]. *)
+   and 7 and the MCS lock at small N (crash transitions included), of the
+   hand models of Figures 4 and 5, and mutant killing — the checker must
+   reject broken variants, which is the evidence that a "no violation"
+   verdict means something.  Figures 2, 6 and 7, MCS and their mutants run
+   the text of lib/kexclusion/figures.ml (the mutants are patches of it)
+   through [Shipped]. *)
 
 open Kex_verify
 module S = Shipped.Figures
@@ -18,6 +18,7 @@ module No_feedback = Shipped.Make (Mutant.Fig6_no_feedback.Make (Traced))
 module No_recheck = Shipped.Make (Mutant.Fig6_no_recheck.Make (Traced))
 module Fewer_slots = Shipped.Make (Mutant.Fig6_fewer_slots.Make (Traced))
 module No_clear = Shipped.Make (Mutant.Fig7_no_clear.Make (Traced))
+module Mcs_no_cas = Shipped.Make (Mutant.Mcs_no_cas.Make (Traced))
 
 let no_violation ?max_states name m () =
   let r = Explore.check m ?max_states () in
@@ -317,6 +318,41 @@ let test_fig4_shipped () =
   check_progress_all ~name:"fastpath-tree" m ~pids:[ 0; 1; 2 ] ~waiting:Shipped.acquiring
     ~goal:Shipped.holding
 
+(* --------------------------------- MCS ---------------------------------- *)
+
+(* The MCS lock A1 measures, as shipped.  With no crash it keeps mutual
+   exclusion and every waiting process can get in; one crash in the queue
+   locks out the processes behind it, the trade the paper's algorithms
+   avoid. *)
+let mcs_exhaustive =
+  [ 3; 4 ]
+  |> List.map (fun n ->
+         let name = Printf.sprintf "mcs n=%d crashes<=0" n in
+         Helpers.tc (name ^ ": mutual exclusion, no lockout") (fun () ->
+             let m = S.mcs ~n ~max_crashes:0 in
+             no_violation name m ();
+             check_progress_all ~name m ~pids:(List.init n Fun.id) ~waiting:Shipped.acquiring
+               ~goal:Shipped.holding))
+
+let test_mcs_crash_locks_out () =
+  let name = "mcs n=3 crashes<=1" in
+  let m = S.mcs ~n:3 ~max_crashes:1 in
+  no_violation name m ();
+  expect_lockout ~name m ~pids:[ 0; 1; 2 ] ~waiting:Shipped.acquiring ~goal:Shipped.holding
+
+(* Releasing with [tail := 0] in place of the CAS cuts off a successor
+   that has swapped itself in but not yet linked: mutual exclusion holds,
+   and only the progress check catches it. *)
+let test_mcs_no_cas () =
+  List.iter
+    (fun n ->
+      let name = Printf.sprintf "mcs no-cas n=%d" n in
+      let m = Mcs_no_cas.mcs ~n ~max_crashes:0 in
+      no_violation (name ^ " (invariants)") m ();
+      expect_lockout ~name m ~pids:(List.init n Fun.id) ~waiting:Shipped.acquiring
+        ~goal:Shipped.holding)
+    [ 2; 3 ]
+
 let suite =
   fig2_exhaustive
   @ [ fig2_larger;
@@ -364,3 +400,6 @@ let suite =
         test_fig4_shipped;
       (* Fewer processes than names. *)
       fig7_case (2, 3, 0) ]
+  @ mcs_exhaustive
+  @ [ Helpers.tc "mcs: one crash in the queue locks out its successors" test_mcs_crash_locks_out;
+      Helpers.tc "mcs mutant: tail := 0 in place of the CAS locks out" test_mcs_no_cas ]
