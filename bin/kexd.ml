@@ -67,6 +67,10 @@ let usage_error cmd msg =
   Format.eprintf "kexd %s: %s@." cmd msg;
   2
 
+(* At k >= n every process is admitted at once, so a run checks nothing. *)
+let k_not_below_n cmd ~n ~k =
+  usage_error cmd (Printf.sprintf "-k %d must be below -n %d: at k >= n no process ever waits" k n)
+
 (* ------------------------------- run ------------------------------------ *)
 
 let run_cmd =
@@ -83,6 +87,7 @@ let run_cmd =
     | exception Invalid_argument msg -> usage_error "run" msg
     | _ when c < 1 || c > n -> usage_error "run" (Printf.sprintf "--contention must be in 1..%d" n)
     | _ when iterations < 1 -> usage_error "run" "--iterations must be at least 1"
+    | _ when k >= n -> k_not_below_n "run" ~n ~k
     | workload ->
         let cost = Cost_model.create model ~n_procs:n in
         let scheduler = Option.map (fun seed -> Kex_sim.Scheduler.random ~seed) seed in
@@ -142,8 +147,8 @@ let figure_arg =
 let small_n_arg = Arg.(value & opt int 3 & info [ "n"; "procs" ] ~doc:"processes (keep small)")
 let crashes_arg = Arg.(value & opt int 1 & info [ "crashes" ] ~doc:"crash budget")
 
-(* Runs [f] on the named figure's model; 2 for an unknown name, or a size
-   with no process or with k below 1. *)
+(* Runs [f] on the named figure's model; 2 for an unknown name, a size
+   with no process or with k below 1, or a negative crash budget. *)
 let with_figure cmd name ~n ~crashes f =
   match List.find_opt (fun (fig, _, _) -> fig = name) figures with
   | None -> usage_error cmd (Printf.sprintf "unknown figure %S" name)
@@ -152,6 +157,7 @@ let with_figure cmd name ~n ~crashes f =
       if n < 1 then usage_error cmd "-n must be at least 1"
       else if k < 1 then
         usage_error cmd (Printf.sprintf "%s at -n %d checks k = %d; k must be at least 1" name n k)
+      else if crashes < 0 then usage_error cmd "--crashes must be at least 0"
       else f (model ~n ~k ~crashes)
 
 let verify_cmd =
@@ -467,7 +473,41 @@ let loadgen_cmd =
       $ timeout_arg $ pipeline_arg $ conns_per_client_arg $ phase_marks_arg $ json_arg
       $ cluster_arg $ expect_dead_arg $ fail_on_errors_arg $ quiet_arg)
 
-(* -------------------------------- lint ----------------------------------- *)
+(* --------------------------- lint and srclint ----------------------------- *)
+
+let analysis_json_arg a =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "json" ] ~docv:"FILE"
+        ~doc:(Printf.sprintf "write the %s report" a.Kex_analysis.Report.schema))
+
+let verbose_arg =
+  Arg.(
+    value & flag
+    & info [ "verbose"; "v" ] ~doc:"print every finding with its witness, the mutants' too")
+
+(* Both analyzers' gate: the subject table, each seeded mutant's verdict and
+   the JSON document; exit 1 on an un-waived finding or on a mutant that its
+   expected check did not kill exactly. *)
+let gate a reports json verbose =
+  let module A = Kex_analysis in
+  let judged = A.Report.judge a in
+  let section title r =
+    match a.A.Report.findings r with
+    | fs when verbose && fs <> [] -> Format.printf "@.%s:@.%a" title A.Report.pp_findings fs
+    | _ -> ()
+  in
+  Format.printf "%a" (A.Report.pp_table a) reports;
+  Stdlib.List.iter (fun r -> section (a.A.Report.title r) r) reports;
+  Format.printf "@.%a" A.Report.pp_verdicts judged;
+  Stdlib.List.iter (fun (m, r, _) -> section ("mutant " ^ m.A.Finding.m_name) r) judged;
+  Option.iter (fun file -> Kex_service.Json.to_file file (A.Report.to_json a reports judged)) json;
+  if
+    Stdlib.List.for_all (A.Report.clean a) reports
+    && Stdlib.List.for_all (fun (_, _, v) -> v = A.Finding.Killed) judged
+  then 0
+  else 1
 
 let lint_cmd =
   let doc = "lint the algorithms' local-spin and exclusion discipline (static CFG + sanitizer)" in
@@ -477,10 +517,12 @@ let lint_cmd =
         "Lowers each algorithm's Op program into a bounded symbolic control-flow graph and \
          runs the L1-L4 lint passes (remote spin, invalidation-in-loop, name leak, \
          Bounded_faa range), then executes the workload under several schedulers with the \
-         run-time sanitizer hooked into the simulator (k-exclusion, name uniqueness, \
-         protected-cell writes, remote-spin watchdog).  Findings at an algorithm's declared \
-         intended-spin sites are reported as waived.  Writes the kexclusion-lint/v1 JSON \
-         document with $(b,--json)." ]
+         run-time sanitizer hooked into the simulator (protected-cell writes, remote-spin \
+         watchdog); the simulator's monitor reports k-exclusion and name violations as \
+         S-monitor.  Findings at an algorithm's declared intended-spin sites are reported as \
+         waived.  Then runs the seeded-mutant corpus, and exits 1 unless every algorithm is \
+         clean and every mutant is killed by its expected check alone among the checks of \
+         its layer.  Writes the kexclusion-lint/v1 JSON document with $(b,--json)." ]
   in
   let algo_opt_arg =
     Arg.(
@@ -498,118 +540,30 @@ let lint_cmd =
     Arg.(value & opt int 5 & info [ "n"; "procs" ] ~doc:"representative process count")
   in
   let lint_k_arg = Arg.(value & opt int 2 & info [ "k"; "degree" ] ~doc:"exclusion degree") in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE" ~doc:"write the kexclusion-lint/v1 report")
-  in
-  let require_clean_arg =
-    Arg.(
-      value & flag
-      & info [ "require-clean" ] ~doc:"exit 1 on any non-waived finding (CI gate)")
-  in
-  let mutant_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "mutant" ] ~docv:"NAME"
-          ~doc:"lint one seeded mutant instead of the real algorithms (expected dirty: \
-                exits nonzero when the analyzer catches it)")
-  in
-  let mutants_arg =
-    Arg.(
-      value & flag
-      & info [ "mutants" ]
-          ~doc:"also run the whole seeded-mutant corpus; exit 1 unless every mutant is \
-                killed by its expected check")
-  in
-  let static_only_arg =
-    Arg.(value & flag & info [ "static-only" ] ~doc:"skip the dynamic sanitizer runs")
-  in
-  let verbose_arg =
-    Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"print every finding with its witness")
-  in
-  let run algo model n k json require_clean mutant mutants static_only verbose =
+  let run algo model n k json verbose =
     let module A = Kex_analysis in
-    let analyze = A.Lint.analyze ~static_only in
-    match mutant with
-    | Some name -> (
-        match A.Mutants.find name with
-        | None ->
-            Format.eprintf "unknown mutant %S (have: %s)@." name
-              (String.concat ", " (Stdlib.List.map (fun m -> m.A.Mutants.m_name) A.Mutants.all));
-            2
-        | Some m ->
-            let r = analyze m.A.Mutants.m_subject in
-            Format.printf "mutant %s: %s@." m.A.Mutants.m_name m.A.Mutants.m_desc;
-            Format.printf "expected: %s — %s@."
-              (A.Finding.id m.A.Mutants.m_expected)
-              (if A.Finding.kills m.A.Mutants.m_expected r.A.Lint.r_findings then "KILLED"
-               else "SURVIVED");
-            Format.printf "%a" A.Report.pp_findings r.A.Lint.r_findings;
-            Option.iter (fun file -> Kex_service.Json.to_file file (A.Report.to_json [ r ])) json;
-            if A.Lint.clean r then 0 else 1)
-    | None -> (
-        let algos = match algo with Some a -> [ a ] | None -> Kexclusion.Registry.all in
-        let models =
-          match model with
-          | Some m -> [ m ]
-          | None -> [ Cost_model.Cache_coherent; Cost_model.Distributed ]
-        in
-        match
-          Stdlib.List.concat_map
-            (fun model ->
-              Stdlib.List.map
-                (fun algo -> analyze (A.Lint.subject_of_algo ~model ~algo ~n ~k))
-                algos)
-            models
-        with
-        | exception Invalid_argument msg -> usage_error "lint" msg
-        | reports ->
-            Format.printf "%a" A.Report.pp_table reports;
-            if verbose then
-              Stdlib.List.iter
-                (fun r ->
-                  if r.A.Lint.r_findings <> [] then begin
-                    Format.printf "@.%s under %s:@." r.A.Lint.r_subject.A.Lint.sub_name
-                      (A.Report.model_name r.A.Lint.r_subject.A.Lint.sub_model);
-                    Format.printf "%a" A.Report.pp_findings r.A.Lint.r_findings
-                  end)
-                reports;
-            let mutant_results =
-              if not mutants then []
-              else
-                Stdlib.List.map
-                  (fun m ->
-                    let r = analyze m.A.Mutants.m_subject in
-                    (m, r, A.Finding.kills m.A.Mutants.m_expected r.A.Lint.r_findings))
-                  A.Mutants.all
-            in
-            if mutants then begin
-              Format.printf "@.%-26s %-26s %s@." "mutant" "expected" "verdict";
-              Format.printf "%s@." (String.make 62 '-');
-              Stdlib.List.iter
-                (fun (m, _, killed) ->
-                  Format.printf "%-26s %-26s %s@." m.A.Mutants.m_name
-                    (A.Finding.id m.A.Mutants.m_expected)
-                    (if killed then "killed" else "SURVIVED"))
-                mutant_results
-            end;
-            Option.iter
-              (fun file ->
-                Kex_service.Json.to_file file (A.Report.to_json ~mutants:mutant_results reports))
-              json;
-            let dirty = Stdlib.List.exists (fun r -> not (A.Lint.clean r)) reports in
-            let survived = Stdlib.List.exists (fun (_, _, killed) -> not killed) mutant_results in
-            if (require_clean && dirty) || survived then 1 else 0)
+    let algos = match algo with Some a -> [ a ] | None -> Kexclusion.Registry.all in
+    let models =
+      match model with
+      | Some m -> [ m ]
+      | None -> [ Cost_model.Cache_coherent; Cost_model.Distributed ]
+    in
+    match
+      Stdlib.List.concat_map
+        (fun model ->
+          Stdlib.List.map
+            (fun algo -> A.Lint.analyze (A.Lint.subject_of_algo ~model ~algo ~n ~k))
+            algos)
+        models
+    with
+    | exception Invalid_argument msg -> usage_error "lint" msg
+    | _ when k >= n -> k_not_below_n "lint" ~n ~k
+    | reports -> gate A.Report.lint reports json verbose
   in
   Cmd.v (Cmd.info "lint" ~doc ~man)
     Term.(
-      const run $ algo_opt_arg $ model_opt_arg $ lint_n_arg $ lint_k_arg $ json_arg
-      $ require_clean_arg $ mutant_arg $ mutants_arg $ static_only_arg $ verbose_arg)
-
-(* ------------------------------- srclint ---------------------------------- *)
+      const run $ algo_opt_arg $ model_opt_arg $ lint_n_arg $ lint_k_arg
+      $ analysis_json_arg Kex_analysis.Report.lint $ verbose_arg)
 
 let srclint_cmd =
   let doc = "lint the real OCaml service stack's concurrency discipline (S1-S5)" in
@@ -624,124 +578,16 @@ let srclint_cmd =
          Mutex.protect or manifest-wrapper body), S4 non-atomic RMW (Atomic.set computed \
          from Atomic.get of the same cell), and S5 unguarded shared state (accesses that the \
          per-module guarded-by manifest assigns to a lock, made without it).  There are no \
-         waivers: every finding counts.  Writes the kexclusion-srclint/v1 JSON document with \
-         $(b,--json)." ]
+         waivers: every finding counts.  Then runs the seeded source-mutant corpus, and exits \
+         1 on any finding, or unless every mutant is killed by exactly its expected check.  \
+         Writes the kexclusion-srclint/v1 JSON document with $(b,--json)." ]
   in
   let root_arg =
     Arg.(value & opt string "." & info [ "root" ] ~docv:"DIR" ~doc:"repository root to scan")
   in
-  let file_opt_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "file" ] ~docv:"PATH" ~doc:"lint a single .ml file instead of scanning")
-  in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE" ~doc:"write the kexclusion-srclint/v1 report")
-  in
-  let require_clean_arg =
-    Arg.(
-      value & flag
-      & info [ "require-clean" ] ~doc:"exit 1 on any finding (CI gate)")
-  in
-  let mutant_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "mutant" ] ~docv:"NAME"
-          ~doc:"lint one seeded source mutant (expected dirty: exits nonzero when its \
-                expected check kills it)")
-  in
-  let mutants_arg =
-    Arg.(
-      value & flag
-      & info [ "mutants" ]
-          ~doc:"also run the seeded source-mutant corpus; exit 1 unless every mutant is \
-                killed by exactly its expected check")
-  in
-  let verbose_arg =
-    Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"print every finding with its witness")
-  in
-  let run root file json require_clean mutant mutants verbose =
-    let module A = Kex_analysis in
-    match mutant with
-    | Some name -> (
-        match A.Srclint_mutants.find name with
-        | None ->
-            Format.eprintf "unknown mutant %S (have: %s)@." name
-              (String.concat ", "
-                 (Stdlib.List.map (fun m -> m.A.Srclint_mutants.sm_name) A.Srclint_mutants.all));
-            2
-        | Some m ->
-            let fr = A.Srclint_mutants.report m in
-            let killed = A.Finding.kills m.A.Srclint_mutants.sm_expected fr.A.Srclint.fr_findings in
-            Format.printf "mutant %s: %s@." m.A.Srclint_mutants.sm_name
-              m.A.Srclint_mutants.sm_desc;
-            Format.printf "expected: %s — %s%s@."
-              (A.Finding.id m.A.Srclint_mutants.sm_expected)
-              (if killed then "KILLED" else "SURVIVED")
-              (if killed && not (A.Srclint_mutants.exact m fr) then " (but not exact)" else "");
-            Format.printf "%a" A.Report.pp_findings fr.A.Srclint.fr_findings;
-            Option.iter
-              (fun out -> Kex_service.Json.to_file out (A.Report.srclint_to_json [ fr ]))
-              json;
-            if killed then 1 else 0)
-    | None ->
-        let frs =
-          match file with
-          | Some f -> [ A.Srclint.lint_file f ]
-          | None -> A.Srclint.scan ~root ()
-        in
-        Format.printf "%a" A.Report.pp_srclint_table frs;
-        if verbose then
-          Stdlib.List.iter
-            (fun fr ->
-              if fr.A.Srclint.fr_findings <> [] then begin
-                Format.printf "@.%s:@." fr.A.Srclint.fr_path;
-                Format.printf "%a" A.Report.pp_findings fr.A.Srclint.fr_findings
-              end)
-            frs;
-        let mutant_results =
-          if not mutants then []
-          else
-            Stdlib.List.map
-              (fun m ->
-                let fr = A.Srclint_mutants.report m in
-                ( m,
-                  fr,
-                  A.Finding.kills m.A.Srclint_mutants.sm_expected fr.A.Srclint.fr_findings,
-                  A.Srclint_mutants.exact m fr ))
-              A.Srclint_mutants.all
-        in
-        if mutants then begin
-          Format.printf "@.%-26s %-26s %s@." "mutant" "expected" "verdict";
-          Format.printf "%s@." (String.make 66 '-');
-          Stdlib.List.iter
-            (fun (m, _, killed, exact) ->
-              Format.printf "%-26s %-26s %s@." m.A.Srclint_mutants.sm_name
-                (A.Finding.id m.A.Srclint_mutants.sm_expected)
-                (if killed && exact then "killed"
-                 else if killed then "KILLED-INEXACT"
-                 else "SURVIVED"))
-            mutant_results
-        end;
-        Option.iter
-          (fun out ->
-            Kex_service.Json.to_file out (A.Report.srclint_to_json ~mutants:mutant_results frs))
-          json;
-        let dirty = not (A.Srclint.clean frs) in
-        let survived =
-          Stdlib.List.exists (fun (_, _, killed, exact) -> not (killed && exact)) mutant_results
-        in
-        if (require_clean && dirty) || survived then 1 else 0
-  in
+  let run root = gate Kex_analysis.Report.srclint (Kex_analysis.Srclint.scan ~root ()) in
   Cmd.v (Cmd.info "srclint" ~doc ~man)
-    Term.(
-      const run $ root_arg $ file_opt_arg $ json_arg $ require_clean_arg $ mutant_arg
-      $ mutants_arg $ verbose_arg)
+    Term.(const run $ root_arg $ analysis_json_arg Kex_analysis.Report.srclint $ verbose_arg)
 
 (* -------------------------------- main ----------------------------------- *)
 

@@ -9,8 +9,6 @@ type check =
   | S3_blocking_under_lock
   | S4_nonatomic_rmw
   | S5_unguarded_state
-  | S_kexclusion
-  | S_duplicate_name
   | S_protected_write
   | S_spin_watchdog
   | S_stall
@@ -36,8 +34,6 @@ let id = function
   | S3_blocking_under_lock -> "S3-blocking-under-lock"
   | S4_nonatomic_rmw -> "S4-nonatomic-rmw"
   | S5_unguarded_state -> "S5-unguarded-state"
-  | S_kexclusion -> "S-kexclusion"
-  | S_duplicate_name -> "S-duplicate-name"
   | S_protected_write -> "S-protected-write"
   | S_spin_watchdog -> "S-spin-watchdog"
   | S_stall -> "S-stall"
@@ -50,7 +46,15 @@ let is_static = function
       true
   | _ -> false
 
-let kills check fs = List.exists (fun f -> f.check = check && not f.waived) fs
+type 'r mutant = { m_name : string; m_desc : string; m_expected : check; m_run : unit -> 'r }
+type verdict = Killed | Inexact | Survived
+
+let verdict expected fs =
+  let fired = List.filter (fun f -> not f.waived) fs in
+  let other f = f.check <> expected && is_static f.check = is_static expected in
+  if not (List.exists (fun f -> f.check = expected) fired) then Survived
+  else if List.exists other fired then Inexact
+  else Killed
 
 let pp ppf f =
   Format.fprintf ppf "%s%s at %s%s: %s" (id f.check)

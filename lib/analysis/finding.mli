@@ -1,5 +1,6 @@
-(** Analyzer findings, shared between the static lint passes and the dynamic
-    sanitizer.
+(** Analyzer findings, shared between kexlint (the static lint passes and
+    the dynamic sanitizer) and srclint, with the seeded-mutant record and
+    kill rule both analyzers' corpora share.
 
     A finding is {e waived} when its site matches the algorithm's declared
     [intended_spin] metadata (see {!Kexclusion.Registry.lint_meta}): the
@@ -35,13 +36,14 @@ type check =
       (** mutable state the guarded-by manifest assigns to a lock is accessed
           without that lock held (or a manifest-declared atomic-only module
           uses a mutex after all) *)
-  | S_kexclusion  (** more than [k] processes observed in critical sections *)
-  | S_duplicate_name  (** two holders share a name, or a name out of range *)
   | S_protected_write  (** write to a protected cell outside a critical section *)
   | S_spin_watchdog
       (** a process kept issuing charged-remote reads of one cell *)
   | S_stall  (** the run exhausted its step budget *)
-  | S_monitor  (** a safety violation reported by the run-time monitor *)
+  | S_monitor
+      (** a safety violation reported by the run-time monitor: more than [k]
+          processes in critical sections, or two holders sharing a name or
+          one holding a name out of range *)
 
 type t = {
   check : check;
@@ -56,11 +58,32 @@ val id : check -> string
 (** Stable string id used in the JSON report, e.g. ["L1-remote-spin"]. *)
 
 val is_static : check -> bool
-(** [true] for the CFG lint passes, [false] for sanitizer findings. *)
+(** The check's layer: [true] for the static checks (L1–L4, A-incomplete,
+    S1–S5), [false] for the dynamic ones (the sanitizer's, S-stall and
+    S-monitor). *)
 
-val kills : check -> t list -> bool
-(** [kills c fs]: [c] fires un-waived among [fs] — the kill test for a
-    seeded mutant that expects [c], in both the {!Mutants} and the
-    {!Srclint_mutants} corpus. *)
+(** {1 Seeded mutants}
+
+    A mutant is a deliberately broken program paired with the one check
+    expected to kill it; {!Mutants} (Op programs, for kexlint) and
+    {!Srclint_mutants} (OCaml source, for srclint) are the two corpora. *)
+
+type 'r mutant = {
+  m_name : string;
+  m_desc : string;
+  m_expected : check;  (** the check that must fire, un-waived *)
+  m_run : unit -> 'r;  (** the analyzer's own report on the mutant *)
+}
+
+type verdict =
+  | Killed  (** the expected check fired, and no other check of its layer *)
+  | Inexact  (** the expected check fired, next to another of its layer *)
+  | Survived  (** the expected check did not fire *)
+
+val verdict : check -> t list -> verdict
+(** [verdict expected fs] over the un-waived findings [fs].  A check of the
+    other layer ({!is_static}) does not make a kill inexact: a bug both
+    layers see (a leaked name bit is L3 statically and a name collision
+    dynamically) is still attributed to its expected check. *)
 
 val pp : Format.formatter -> t -> unit

@@ -287,8 +287,7 @@ let dynamic_findings ?(spin_threshold = Sanitizer.default_threshold) sub =
       let mem, w = sub.sub_make () in
       let san =
         Sanitizer.create mem
-          (Sanitizer.config ~spin_threshold ~k:sub.sub_k
-             ~protected:[ payload_label ]
+          (Sanitizer.config ~spin_threshold ~protected:[ payload_label ]
              ~intended_spin:sub.sub_meta.Registry.intended_spin ())
       in
       let cfgr =
@@ -328,18 +327,10 @@ let dynamic_findings ?(spin_threshold = Sanitizer.default_threshold) sub =
 
 (* ------------------------------------------------------------------ *)
 
-type report = {
-  r_subject : subject;
-  r_findings : Finding.t list;
-  r_static : int;
-  r_dynamic : int;
-}
+type report = { r_subject : subject; r_findings : Finding.t list }
 
-let analyze ?static_only sub =
-  let st = dedup_findings (static_findings sub) in
-  let dy = match static_only with Some true -> [] | _ -> dynamic_findings sub in
-  { r_subject = sub; r_findings = st @ dy; r_static = List.length st;
-    r_dynamic = List.length dy }
+let analyze sub =
+  { r_subject = sub; r_findings = dedup_findings (static_findings sub) @ dynamic_findings sub }
 
 let violations r = List.filter (fun f -> not f.Finding.waived) r.r_findings
 let clean r = violations r = []

@@ -14,6 +14,11 @@
     - {b A-incomplete}: the bounded exploration hit a cap, so the absence of
       findings is only a lower bound.
 
+    The dynamic layer runs the workload under three schedulers with the
+    {!Sanitizer} hooked in, and adds {b S-stall} for a run that exhausts its
+    step budget and {b S-monitor} for each violation the runner's
+    {!Kex_sim.Monitor} records (k-exclusion, name uniqueness).
+
     Findings at sites matching the algorithm's declared [intended_spin]
     metadata are reported as waived. *)
 
@@ -45,12 +50,10 @@ val static_findings : ?pids:int list option -> subject -> Finding.t list
 
 type report = {
   r_subject : subject;
-  r_findings : Finding.t list;
-  r_static : int;  (** count of static findings *)
-  r_dynamic : int;
+  r_findings : Finding.t list;  (** static findings, then dynamic ones *)
 }
 
-val analyze : ?static_only:bool -> subject -> report
+val analyze : subject -> report
 val violations : report -> Finding.t list
 (** Non-waived findings. *)
 

@@ -7,13 +7,6 @@ module Protocol = Kexclusion.Protocol
 
 open Op
 
-type t = {
-  m_name : string;
-  m_desc : string;
-  m_subject : Lint.subject;
-  m_expected : Finding.check;
-}
-
 let meta_plain = { Registry.intended_spin = [] }
 
 let with_payload mem (w : Runner.workload) =
@@ -45,6 +38,7 @@ struct
   let inductive ~name ~n ~k = assignment ~name ~n ~k (fun mem -> F.inductive mem ~block:F.fig2 ~n ~k)
 end
 
+module Faithful = Patched (Kexclusion.Simulated)
 module Sim = Kexclusion.Simulated.Mem
 module No_release_write = Patched (Kex_figure_mutants.Fig2_no_release_write.Make (Sim))
 module Off_by_one = Patched (Kex_figure_mutants.Fig2_off_by_one.Make (Sim))
@@ -83,8 +77,8 @@ let fig2_write_in_loop mem ~k ~inner =
   in
   { Protocol.name = Printf.sprintf "fig2-write-in-loop[k=%d]" k; entry; exit; try_entry = refuse }
 
-let write_in_loop_subject ~n ~k =
-  subject ~name:"cc-write-in-wait-loop" ~model:Cost_model.Cache_coherent ~n ~k (fun () ->
+let write_in_loop_subject ~name ~n ~k =
+  subject ~name ~model:Cost_model.Cache_coherent ~n ~k (fun () ->
       let mem = Memory.create () in
       let kex = fig2_write_in_loop mem ~k ~inner:(Kexclusion.Simulated.trivial ()) in
       let named = Kexclusion.Simulated.assignment mem ~kex ~k in
@@ -95,7 +89,7 @@ let write_in_loop_subject ~n ~k =
 (* Figure 2's spin on the unowned cell Q is local-spin under CC but remote
    on every iteration under DSM — the exact mismatch Figure 6 exists to
    fix. *)
-let remote_spin_subject ~n ~k =
+let remote_spin_subject ~name ~n ~k =
   let model = Cost_model.Distributed in
   let make () =
     let mem = Memory.create () in
@@ -106,10 +100,10 @@ let remote_spin_subject ~n ~k =
     let _payload, w = with_payload mem (Protocol.named_workload named) in
     (mem, w)
   in
-  subject ~name:"cc-block-on-dsm" ~model ~n ~k make
+  subject ~name ~model ~n ~k make
 
 (* ---- 6. Bounded_faa with an impossible range. ------------------------- *)
-let bfaa_stuck_subject ~n ~k =
+let bfaa_stuck_subject ~name ~n ~k =
   let model = Cost_model.Cache_coherent in
   let make () =
     let mem = Memory.create () in
@@ -125,10 +119,10 @@ let bfaa_stuck_subject ~n ~k =
     let _payload, w = with_payload mem (Protocol.named_workload named) in
     (mem, w)
   in
-  subject ~name:"bounded-faa-stuck" ~model ~n ~k make
+  subject ~name ~model ~n ~k make
 
 (* ---- 7. Entry section writing the protected payload cell. ------------- *)
-let protected_write_subject ~n ~k =
+let protected_write_subject ~name ~n ~k =
   let model = Cost_model.Cache_coherent in
   let make () =
     let mem = Memory.create () in
@@ -141,37 +135,33 @@ let protected_write_subject ~n ~k =
     in
     (mem, { w with Runner.acquire })
   in
-  subject ~name:"payload-write-outside-cs" ~model ~n ~k make
+  subject ~name ~model ~n ~k make
+
+(* The corpus runs at n = 5, k = 2, except the lone Figure 2 blocks: one
+   block admits at most k + 1 contenders (Theorem 1's basis), and beyond
+   that even the unmutated block breaks k-exclusion, so a kill there would
+   prove nothing.  [fig2_block] is that unmutated control. *)
+let n = 5 and k = 2
+let block_n = k + 1
+let fig2_block = Faithful.fig2_block ~name:"fig2-block" ~n:block_n ~k
+
+let mutant m_name m_desc m_expected subject =
+  let sub = subject ~name:m_name in
+  { Finding.m_name; m_desc; m_expected; m_run = (fun () -> Lint.analyze sub) }
 
 let all =
-  let n = 5 and k = 2 in
-  [ { m_name = "cc-no-release-write";
-      m_desc = "Figure 2 exit omits the statement-7 wakeup write; waiters starve";
-      m_subject = No_release_write.fig2_block ~name:"cc-no-release-write" ~n ~k;
-      m_expected = Finding.S_stall };
-    { m_name = "cc-off-by-one";
-      m_desc = "Figure 2 slot counter initialised to k+1; k+1 processes enter";
-      m_subject = Off_by_one.fig2_block ~name:"cc-off-by-one" ~n ~k;
-      m_expected = Finding.S_kexclusion };
-    { m_name = "renaming-skip-clear";
-      m_desc = "Figure 7 release never clears the name bit";
-      m_subject = No_clear.inductive ~name:"renaming-skip-clear" ~n ~k;
-      m_expected = Finding.L3_name_leak };
-    { m_name = "cc-block-on-dsm";
-      m_desc = "Figure 2 (cache-coherent spin) deployed on a DSM machine";
-      m_subject = remote_spin_subject ~n ~k;
-      m_expected = Finding.L1_remote_spin };
-    { m_name = "cc-write-in-wait-loop";
-      m_desc = "waiter rewrites an announce cell inside its wait loop";
-      m_subject = write_in_loop_subject ~n ~k;
-      m_expected = Finding.L2_invalidation_in_loop };
-    { m_name = "bounded-faa-stuck";
-      m_desc = "Bounded_faa delta exceeds its range width; the add never applies";
-      m_subject = bfaa_stuck_subject ~n ~k;
-      m_expected = Finding.L4_bfaa_range };
-    { m_name = "payload-write-outside-cs";
-      m_desc = "entry section writes the protected payload cell";
-      m_subject = protected_write_subject ~n ~k;
-      m_expected = Finding.S_protected_write } ]
-
-let find name = List.find_opt (fun m -> String.equal m.m_name name) all
+  [ mutant "cc-no-release-write"
+      "Figure 2 exit omits the statement-7 wakeup write; waiters starve" Finding.S_stall
+      (No_release_write.fig2_block ~n:block_n ~k);
+    mutant "cc-off-by-one" "Figure 2 slot counter initialised to k+1; k+1 processes enter"
+      Finding.S_monitor (Off_by_one.fig2_block ~n:block_n ~k);
+    mutant "renaming-skip-clear" "Figure 7 release never clears the name bit"
+      Finding.L3_name_leak (No_clear.inductive ~n ~k);
+    mutant "cc-block-on-dsm" "Figure 2 (cache-coherent spin) deployed on a DSM machine"
+      Finding.L1_remote_spin (remote_spin_subject ~n ~k);
+    mutant "cc-write-in-wait-loop" "waiter rewrites an announce cell inside its wait loop"
+      Finding.L2_invalidation_in_loop (write_in_loop_subject ~n:block_n ~k);
+    mutant "bounded-faa-stuck" "Bounded_faa delta exceeds its range width; the add never applies"
+      Finding.L4_bfaa_range (bfaa_stuck_subject ~n ~k);
+    mutant "payload-write-outside-cs" "entry section writes the protected payload cell"
+      Finding.S_protected_write (protected_write_subject ~n ~k) ]

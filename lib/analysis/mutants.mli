@@ -5,12 +5,9 @@
     corpus pins the analyzer's sensitivity: the real algorithms must come out
     clean, every mutant must not. *)
 
-type t = {
-  m_name : string;
-  m_desc : string;
-  m_subject : Lint.subject;
-  m_expected : Finding.check;  (** the check that must fire, un-waived *)
-}
+val all : Lint.report Finding.mutant list
 
-val all : t list
-val find : string -> t option
+val fig2_block : Lint.subject
+(** The unmutated Figure 2 block over a skip inner, at the size its three
+    mutants ([cc-no-release-write], [cc-off-by-one],
+    [cc-write-in-wait-loop]) run: it must lint clean there. *)

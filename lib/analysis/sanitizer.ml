@@ -4,7 +4,6 @@ module Runner = Kex_sim.Runner
 module Monitor = Kex_sim.Monitor
 
 type cfg = {
-  k : int;
   protected : string list;
   intended_spin : string list;
   spin_threshold : int;
@@ -12,16 +11,14 @@ type cfg = {
 
 let default_threshold = 8
 
-let config ?(spin_threshold = default_threshold) ~k ~protected ~intended_spin () =
-  { k; protected; intended_spin; spin_threshold }
+let config ?(spin_threshold = default_threshold) ~protected ~intended_spin () =
+  { protected; intended_spin; spin_threshold }
 
 type watch = { mutable w_addr : Op.addr; mutable w_count : int }
 
 type t = {
   cfg : cfg;
   mem : Memory.t;
-  mutable in_cs : int list;  (* pids currently between Cs_enter and Cs_exit *)
-  names : (int, int) Hashtbl.t;  (* pid -> name, held Cs_enter .. Exit_end *)
   watches : (int, watch) Hashtbl.t;
   reported : (string, unit) Hashtbl.t;  (* dedup key -> () *)
   mutable findings : Finding.t list;
@@ -29,8 +26,7 @@ type t = {
 }
 
 let create mem cfg =
-  { cfg; mem; in_cs = []; names = Hashtbl.create 16; watches = Hashtbl.create 16;
-    reported = Hashtbl.create 16; findings = []; step_clock = 0 }
+  { cfg; mem; watches = Hashtbl.create 16; reported = Hashtbl.create 16; findings = []; step_clock = 0 }
 
 let findings t = List.rev t.findings
 
@@ -48,8 +44,9 @@ let report t ~check ~site ~pid ~detail ~waived ~witness =
 
 let site_of t a = Format.asprintf "%a" (Memory.pp_addr t.mem) a
 
-(* Pure helper shared with the model-checker hunt test: given the (pid, name)
-   pairs currently holding names, report the first discipline breach. *)
+(* Pure helper for the model-checker hunt test (the simulator's Monitor
+   checks names in every run): given the (pid, name) pairs currently holding
+   names, report the first discipline breach. *)
 let check_unique_names ~k holders =
   let rec go seen = function
     | [] -> None
@@ -63,34 +60,6 @@ let check_unique_names ~k holders =
           | None -> go ((nm, pid) :: seen) rest)
   in
   go [] holders
-
-let holders t = Hashtbl.fold (fun pid nm acc -> (pid, nm) :: acc) t.names []
-
-let on_event t ~pid (e : Op.event) =
-  match e with
-  | Op.Entry_begin | Op.Note _ -> ()
-  | Op.Cs_enter nm ->
-      if not (List.mem pid t.in_cs) then t.in_cs <- pid :: t.in_cs;
-      if List.length t.in_cs > t.cfg.k then
-        report t ~check:Finding.S_kexclusion ~site:"critical-section" ~pid
-          ~detail:
-            (Printf.sprintf "%d processes in critical sections, k = %d (pids %s)"
-               (List.length t.in_cs) t.cfg.k
-               (String.concat "," (List.map string_of_int (List.sort compare t.in_cs))))
-          ~waived:false ~witness:[];
-      Hashtbl.replace t.names pid nm;
-      (match check_unique_names ~k:t.cfg.k (holders t) with
-      | None -> ()
-      | Some msg ->
-          report t ~check:Finding.S_duplicate_name ~site:"name-assignment" ~pid ~detail:msg
-            ~waived:false ~witness:[])
-  (* Names need only be unique among concurrent critical-section holders:
-     name k-1 has no renaming bit (Figure 7), so a successor may pick it up
-     while the previous holder is still in its exit section. *)
-  | Op.Cs_exit ->
-      t.in_cs <- List.filter (fun p -> p <> pid) t.in_cs;
-      Hashtbl.remove t.names pid
-  | Op.Exit_end -> ()
 
 let step_writes (s : Op.step) ~(value : Op.value) ~(footprint : Op.Footprint.t option) =
   match s with
@@ -152,14 +121,11 @@ let on_step t ~pid ~step ~value ~remote ~(phase : Monitor.phase) ~footprint =
       w.w_addr <- -1;
       w.w_count <- 0
 
-let on_crash t ~pid =
-  t.in_cs <- List.filter (fun p -> p <> pid) t.in_cs;
-  Hashtbl.remove t.names pid;
-  Hashtbl.remove t.watches pid
+let on_crash t ~pid = Hashtbl.remove t.watches pid
 
 let hooks t : Runner.hooks =
   { Runner.h_step =
       (fun ~pid ~step ~value ~remote ~phase ~footprint ->
         on_step t ~pid ~step ~value ~remote ~phase ~footprint);
-    h_event = (fun ~pid e -> on_event t ~pid e);
+    h_event = (fun ~pid:_ _ -> ());
     h_crash = (fun ~pid -> on_crash t ~pid) }

@@ -2,15 +2,10 @@
 
     An opt-in online checker fed by {!Kex_sim.Runner.hooks}: create one per
     run, pass {!hooks} to the runner configuration, and collect
-    {!findings} afterwards.  Checks:
+    {!findings} afterwards.  k-exclusion and name uniqueness are not its
+    business: the runner's {!Kex_sim.Monitor} checks both on every run, and
+    {!Lint} reports what it finds as S-monitor.  Checks:
 
-    - {b S-kexclusion}: more than [k] processes between [Cs_enter] and
-      [Cs_exit];
-    - {b S-duplicate-name}: a name held by two processes concurrently in
-      their critical sections, or out of [0..k-1].  The window is
-      [Cs_enter] to [Cs_exit]: name k-1 has no renaming bit (Figure 7), so
-      a successor may legitimately take it while the previous holder is
-      still in its exit section;
     - {b S-protected-write}: a write to a cell whose region label matches the
       algorithm's [protected] metadata while the writer is not in its
       critical section;
@@ -19,7 +14,6 @@
       wait.  Waived when the cell's label matches [intended_spin]. *)
 
 type cfg = {
-  k : int;
   protected : string list;  (** region-label prefixes *)
   intended_spin : string list;  (** region-label prefixes; waives the watchdog *)
   spin_threshold : int;
@@ -32,7 +26,6 @@ val default_threshold : int
 
 val config :
   ?spin_threshold:int ->
-  k:int ->
   protected:string list ->
   intended_spin:string list ->
   unit ->
@@ -46,5 +39,5 @@ val findings : t -> Finding.t list
 
 val check_unique_names : k:int -> (int * int) list -> string option
 (** [check_unique_names ~k holders] over [(pid, name)] pairs: [Some message]
-    on the first out-of-range or duplicated name.  Pure; shared with the
-    model-checker hunt tests. *)
+    on the first out-of-range or duplicated name.  Pure; the model-checker
+    hunt tests run it on every explored state. *)

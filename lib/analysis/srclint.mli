@@ -26,7 +26,8 @@
 
     Findings flow through the shared {!Finding} type.  srclint has no
     waivers: every finding has [waived = false].  A file that fails to parse
-    yields an {!Finding.A_incomplete} so [--require-clean] stays honest. *)
+    yields an {!Finding.A_incomplete} so the gate cannot pass by not
+    looking. *)
 
 (** {1 Guarded-by manifest} *)
 

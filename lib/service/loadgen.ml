@@ -94,39 +94,6 @@ let parse_mix s =
 let mix_to_string mix =
   String.concat "," (List.map (fun (k, w) -> Printf.sprintf "%s=%d" k w) mix)
 
-(* ------------------------------- sampling ------------------------------- *)
-
-(* One flat record per request, appended lock-free into per-connection
-   buffers: (t_offset_ms, latency_us, op_kind, ok). *)
-type samples = {
-  mutable t_off_ms : int array;
-  mutable lat_us : int array;
-  mutable kind : int array;
-  mutable ok : bool array;
-  mutable len : int;
-}
-
-let samples_create () =
-  { t_off_ms = Array.make 1024 0;
-    lat_us = Array.make 1024 0;
-    kind = Array.make 1024 0;
-    ok = Array.make 1024 false;
-    len = 0 }
-
-let samples_push s ~t_off_ms ~lat_us ~kind ~ok =
-  if s.len = Array.length s.t_off_ms then begin
-    let grow a fill = Array.append a (Array.make (Array.length a) fill) in
-    s.t_off_ms <- grow s.t_off_ms 0;
-    s.lat_us <- grow s.lat_us 0;
-    s.kind <- grow s.kind 0;
-    s.ok <- grow s.ok false
-  end;
-  s.t_off_ms.(s.len) <- t_off_ms;
-  s.lat_us.(s.len) <- lat_us;
-  s.kind.(s.len) <- kind;
-  s.ok.(s.len) <- ok;
-  s.len <- s.len + 1
-
 (* ------------------------------- the client ----------------------------- *)
 
 exception Req_failed of string
@@ -232,11 +199,38 @@ let pick_op cfg g =
 
 module Routing = Kex_cluster.Routing
 
+(* A client domain's own tallies.  Each completed request goes straight
+   into one per-phase and one per-op histogram (successes) or error count,
+   so a client's memory stays fixed however long it runs; [summarize]
+   merges the clients' histograms bucketwise. *)
 type client_stats = {
   mutable cs_redirects : int;  (* MOVED replies followed *)
   mutable cs_expected : int;  (* errors attributed to expect_dead nodes *)
   cs_node_errors : (string, int ref) Hashtbl.t;  (* addr -> error count *)
+  cs_phase : Hist.t array;  (* by phase (see [phase_of]), then by op kind *)
+  cs_phase_errs : int array;
+  cs_op : Hist.t array;
+  cs_op_errs : int array;
 }
+
+let client_stats cfg =
+  let n_phases = List.length cfg.phase_marks + 1 in
+  { cs_redirects = 0;
+    cs_expected = 0;
+    cs_node_errors = Hashtbl.create 8;
+    cs_phase = Array.init n_phases (fun _ -> Hist.create ());
+    cs_phase_errs = Array.make n_phases 0;
+    cs_op = Array.init n_kinds (fun _ -> Hist.create ());
+    cs_op_errs = Array.make n_kinds 0 }
+
+(* The phase a request enqueued [ms] into the run falls in: phase i spans
+   [marks(i-1), marks(i)) over the sorted [marks]. *)
+let phase_of marks ms =
+  let rec go i = function
+    | [] -> i
+    | m :: rest -> if float_of_int ms /. 1000. < m then i else go (i + 1) rest
+  in
+  go 0 marks
 
 (* One TOPO exchange on a throwaway connection (interleaving it into a
    pipelined stream would need its own id bookkeeping for no benefit).
@@ -294,8 +288,9 @@ and slot = {
    a table that is itself flipping); past this it counts as an error. *)
 let max_redirects = 3
 
-let client_loop cfg ~t0 ~conn_id samples cs =
+let client_loop cfg ~t0 ~conn_id cs =
   let g = gen_create cfg ~conn_id in
+  let marks = List.sort compare cfg.phase_marks in
   let deadline = t0 +. cfg.duration_s in
   let buf = Bytes.create 65536 in
   let slots =
@@ -333,14 +328,14 @@ let client_loop cfg ~t0 ~conn_id samples cs =
     end
   in
   let record_ok e =
-    samples_push samples ~t_off_ms:e.e_t_off_ms
-      ~lat_us:(Metrics.now_us () - e.e_enq_us)
-      ~kind:e.e_kind ~ok:true
+    let lat_us = Metrics.now_us () - e.e_enq_us in
+    Hist.add cs.cs_phase.(phase_of marks e.e_t_off_ms) lat_us;
+    Hist.add cs.cs_op.(e.e_kind) lat_us
   in
   let record_err addr e =
-    samples_push samples ~t_off_ms:e.e_t_off_ms
-      ~lat_us:(Metrics.now_us () - e.e_enq_us)
-      ~kind:e.e_kind ~ok:false;
+    let ph = phase_of marks e.e_t_off_ms in
+    cs.cs_phase_errs.(ph) <- cs.cs_phase_errs.(ph) + 1;
+    cs.cs_op_errs.(e.e_kind) <- cs.cs_op_errs.(e.e_kind) + 1;
     (match Hashtbl.find_opt cs.cs_node_errors addr with
     | Some r -> incr r
     | None -> Hashtbl.add cs.cs_node_errors addr (ref 1));
@@ -627,66 +622,38 @@ let bucket_of label ~window_s hist errors =
     p99_us = Hist.percentile hist 0.99;
     max_us = Hist.max_value hist }
 
-(* Aggregation runs entirely on fixed-layout histograms: per-connection data
-   lands in per-phase/per-op histograms and every roll-up (op -> phase ->
-   total) is an exact bucketwise merge, so percentiles are well-defined and
-   independent of how samples were spread over connections — concatenating
-   raw sample lists gave the same numbers but O(requests) space and a sort;
-   this is O(buckets). *)
-let summarize cfg ~wall_s (all : samples list) =
-  let total = List.fold_left (fun acc s -> acc + s.len) 0 all in
-  let errors = ref 0 in
+(* Every roll-up (clients -> phase or op -> total) is an exact bucketwise
+   merge of fixed-layout histograms, so percentiles are well-defined and
+   independent of how requests were spread over client domains, in
+   O(buckets) space. *)
+let summarize cfg ~wall_s (all : client_stats list) =
+  let merged hists i = Hist.merge (List.map (fun cs -> (hists cs).(i)) all) in
+  let summed errs i = List.fold_left (fun acc cs -> acc + (errs cs).(i)) 0 all in
   let marks = List.sort compare cfg.phase_marks in
-  let phase_of_ms ms =
-    let rec go i = function
-      | [] -> i
-      | m :: rest -> if float_of_int ms /. 1000. < m then i else go (i + 1) rest
-    in
-    go 0 marks
-  in
-  let n_phases = List.length marks + 1 in
-  let phase_hist = Array.init n_phases (fun _ -> Hist.create ()) in
-  let phase_errs = Array.make n_phases 0 in
-  let op_hist = Array.init n_kinds (fun _ -> Hist.create ()) in
-  let op_errs = Array.make n_kinds 0 in
-  List.iter
-    (fun s ->
-      for i = 0 to s.len - 1 do
-        let ph = phase_of_ms s.t_off_ms.(i) and k = s.kind.(i) in
-        if s.ok.(i) then begin
-          Hist.add phase_hist.(ph) s.lat_us.(i);
-          Hist.add op_hist.(k) s.lat_us.(i)
-        end
-        else begin
-          incr errors;
-          phase_errs.(ph) <- phase_errs.(ph) + 1;
-          op_errs.(k) <- op_errs.(k) + 1
-        end
-      done)
-    all;
-  let bounds =
-    (* phase i spans [lo_i, hi_i) *)
-    let lows = 0. :: marks in
-    let highs = marks @ [ cfg.duration_s ] in
-    List.combine lows highs
-  in
+  (* phase i spans [lo_i, hi_i) *)
+  let bounds = List.combine (0. :: marks) (marks @ [ cfg.duration_s ]) in
+  let phase_hists = List.mapi (fun i _ -> merged (fun cs -> cs.cs_phase) i) bounds in
+  let phase_errs = List.mapi (fun i _ -> summed (fun cs -> cs.cs_phase_errs) i) bounds in
   let phases =
-    List.mapi
-      (fun i (lo, hi) ->
-        bucket_of
-          (Printf.sprintf "%g-%gs" lo hi)
-          ~window_s:(hi -. lo) phase_hist.(i) phase_errs.(i))
-      bounds
+    List.map2
+      (fun ((lo, hi), hist) errors ->
+        bucket_of (Printf.sprintf "%g-%gs" lo hi) ~window_s:(hi -. lo) hist errors)
+      (List.combine bounds phase_hists) phase_errs
   in
   let ops =
-    List.filteri (fun i _ -> Hist.count op_hist.(i) > 0 || op_errs.(i) > 0) op_kinds
-    |> List.map (fun kind ->
-           let i = kind_index kind in
-           bucket_of kind ~window_s:wall_s op_hist.(i) op_errs.(i))
+    List.filter_map
+      (fun kind ->
+        let i = kind_index kind in
+        let hist = merged (fun cs -> cs.cs_op) i and errors = summed (fun cs -> cs.cs_op_errs) i in
+        if Hist.count hist > 0 || errors > 0 then Some (bucket_of kind ~window_s:wall_s hist errors)
+        else None)
+      op_kinds
   in
-  let all_hist = Hist.merge (Array.to_list phase_hist) in
+  let all_hist = Hist.merge phase_hists in
+  let errors = List.fold_left ( + ) 0 phase_errs in
+  let total = Hist.count all_hist + errors in
   { requests = total;
-    errors = !errors;
+    errors;
     wall_s;
     throughput_rps = (if wall_s > 0. then float_of_int total /. wall_s else 0.);
     p50_us = Hist.percentile all_hist 0.5;
@@ -708,15 +675,9 @@ let run cfg =
       ("keys", cfg.keys) ];
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let t0 = Unix.gettimeofday () in
-  let samples = List.init cfg.connections (fun _ -> samples_create ()) in
-  let cstats =
-    List.init cfg.connections (fun _ ->
-        { cs_redirects = 0; cs_expected = 0; cs_node_errors = Hashtbl.create 8 })
-  in
+  let cstats = List.init cfg.connections (fun _ -> client_stats cfg) in
   let domains =
-    List.mapi
-      (fun conn_id (s, cs) -> Domain.spawn (fun () -> client_loop cfg ~t0 ~conn_id s cs))
-      (List.combine samples cstats)
+    List.mapi (fun conn_id cs -> Domain.spawn (fun () -> client_loop cfg ~t0 ~conn_id cs)) cstats
   in
   List.iter Domain.join domains;
   let wall_s = Unix.gettimeofday () -. t0 in
@@ -730,7 +691,7 @@ let run cfg =
           | None -> Hashtbl.add node_errors addr (ref !r))
         cs.cs_node_errors)
     cstats;
-  { (summarize cfg ~wall_s samples) with
+  { (summarize cfg ~wall_s cstats) with
     redirects = List.fold_left (fun acc cs -> acc + cs.cs_redirects) 0 cstats;
     expected_errors = List.fold_left (fun acc cs -> acc + cs.cs_expected) 0 cstats;
     node_errors =

@@ -1,17 +1,20 @@
 (* The seeded-bug corpus: every mutant must be killed by exactly the check
-   it was seeded for, and the kill must come with a usable witness.  The
-   real algorithms passing clean is asserted in test_lint.ml; together the
-   two pin the analyzer's sensitivity from both sides. *)
+   it was seeded for (within its layer), and the kill must come with a
+   usable witness.  The real algorithms passing clean is asserted in
+   test_lint.ml; together the two pin the analyzer's sensitivity from both
+   sides. *)
 
 module A = Kex_analysis
 
-let analyze m = A.Lint.analyze m.A.Mutants.m_subject
+let analyze m = m.A.Finding.m_run ()
+
+let ids fs = String.concat "; " (List.map (fun f -> A.Finding.id f.A.Finding.check) fs)
 
 let test_corpus_size () =
   (* the ISSUE floor: at least 4 seeded bugs, covering both layers *)
   Alcotest.(check bool) ">= 4 mutants" true (List.length A.Mutants.all >= 4);
   let static, dynamic =
-    List.partition (fun m -> A.Finding.is_static m.A.Mutants.m_expected) A.Mutants.all
+    List.partition (fun m -> A.Finding.is_static m.A.Finding.m_expected) A.Mutants.all
   in
   Alcotest.(check bool) "static checks covered" true (List.length static >= 2);
   Alcotest.(check bool) "dynamic checks covered" true (List.length dynamic >= 2)
@@ -20,13 +23,10 @@ let test_each_mutant_killed_by_expected_check () =
   List.iter
     (fun m ->
       let r = analyze m in
-      if not (A.Finding.kills m.A.Mutants.m_expected r.A.Lint.r_findings) then
-        Alcotest.failf "%s survived: expected %s, got [%s]" m.A.Mutants.m_name
-          (A.Finding.id m.A.Mutants.m_expected)
-          (String.concat "; "
-             (List.map
-                (fun f -> A.Finding.id f.A.Finding.check)
-                r.A.Lint.r_findings)))
+      if A.Finding.verdict m.A.Finding.m_expected r.A.Lint.r_findings <> A.Finding.Killed then
+        Alcotest.failf "%s not killed exactly: expected %s, got [%s]" m.A.Finding.m_name
+          (A.Finding.id m.A.Finding.m_expected)
+          (ids r.A.Lint.r_findings))
     A.Mutants.all
 
 let test_kills_have_witnesses () =
@@ -37,25 +37,34 @@ let test_kills_have_witnesses () =
       let r = analyze m in
       let f =
         List.find
-          (fun f -> f.A.Finding.check = m.A.Mutants.m_expected && not f.A.Finding.waived)
+          (fun f -> f.A.Finding.check = m.A.Finding.m_expected && not f.A.Finding.waived)
           r.A.Lint.r_findings
       in
-      Alcotest.(check bool) (m.A.Mutants.m_name ^ ": has site") true (f.A.Finding.site <> "");
+      Alcotest.(check bool) (m.A.Finding.m_name ^ ": has site") true (f.A.Finding.site <> "");
       Alcotest.(check bool)
-        (m.A.Mutants.m_name ^ ": has detail")
+        (m.A.Finding.m_name ^ ": has detail")
         true
         (String.length f.A.Finding.detail > 10);
       if
-        A.Finding.is_static m.A.Mutants.m_expected
-        && m.A.Mutants.m_expected <> A.Finding.L4_bfaa_range
+        A.Finding.is_static m.A.Finding.m_expected
+        && m.A.Finding.m_expected <> A.Finding.L4_bfaa_range
       then
         Alcotest.(check bool)
-          (m.A.Mutants.m_name ^ ": static witness path")
+          (m.A.Finding.m_name ^ ": static witness path")
           true (f.A.Finding.witness <> []))
     A.Mutants.all
 
+let test_fig2_block_control_clean () =
+  (* The three block mutants run one Figure 2 block at n = k + 1; the
+     unmutated block must lint clean there, or their kills prove nothing. *)
+  let r = A.Lint.analyze A.Mutants.fig2_block in
+  if not (A.Lint.clean r) then
+    Alcotest.failf "unmutated Figure 2 block at n = %d, k = %d: [%s]"
+      A.Mutants.fig2_block.A.Lint.sub_n A.Mutants.fig2_block.A.Lint.sub_k
+      (ids (A.Lint.violations r))
+
 let test_mutant_names_unique () =
-  let names = List.map (fun m -> m.A.Mutants.m_name) A.Mutants.all in
+  let names = List.map (fun m -> m.A.Finding.m_name) A.Mutants.all in
   Alcotest.(check int) "unique names" (List.length names)
     (List.length (List.sort_uniq compare names))
 
@@ -109,6 +118,8 @@ let suite =
     Alcotest.test_case "every mutant killed by its expected check" `Slow
       test_each_mutant_killed_by_expected_check;
     Alcotest.test_case "kills carry witnesses" `Slow test_kills_have_witnesses;
+    Alcotest.test_case "unmutated Figure 2 block clean at the block mutants' size" `Quick
+      test_fig2_block_control_clean;
     Alcotest.test_case "mutant names unique" `Quick test_mutant_names_unique;
     Alcotest.test_case "hunt ?on_step catches fig7 No_clear (pinned seeds)" `Quick
       test_hunt_on_step_catches_no_clear;

@@ -334,24 +334,26 @@ let test_default_manifest_lookup () =
 
 let test_mutant_kill_matrix () =
   List.iter
-    (fun (m : A.Srclint_mutants.t) ->
-      let fr = A.Srclint_mutants.report m in
-      if not (A.Finding.kills m.A.Srclint_mutants.sm_expected fr.A.Srclint.fr_findings) then
-        Alcotest.failf "mutant %s survived (expected %s); got: %s" m.A.Srclint_mutants.sm_name
-          (A.Finding.id m.A.Srclint_mutants.sm_expected)
-          (String.concat ", " (ids fr));
-      if not (A.Srclint_mutants.exact m fr) then
-        Alcotest.failf "mutant %s killed inexactly: expected only %s, got %s"
-          m.A.Srclint_mutants.sm_name
-          (A.Finding.id m.A.Srclint_mutants.sm_expected)
-          (String.concat ", " (ids fr)))
+    (fun (m : A.Srclint.file_report A.Finding.mutant) ->
+      let fr = m.A.Finding.m_run () in
+      match A.Finding.verdict m.A.Finding.m_expected fr.A.Srclint.fr_findings with
+      | A.Finding.Killed -> ()
+      | A.Finding.Survived ->
+          Alcotest.failf "mutant %s survived (expected %s); got: %s" m.A.Finding.m_name
+            (A.Finding.id m.A.Finding.m_expected)
+            (String.concat ", " (ids fr))
+      | A.Finding.Inexact ->
+          Alcotest.failf "mutant %s killed inexactly: expected only %s, got %s"
+            m.A.Finding.m_name
+            (A.Finding.id m.A.Finding.m_expected)
+            (String.concat ", " (ids fr)))
     A.Srclint_mutants.all
 
 let test_mutant_corpus_covers_all_checks () =
   let expected =
     List.sort_uniq compare
       (List.map
-         (fun (m : A.Srclint_mutants.t) -> A.Finding.id m.A.Srclint_mutants.sm_expected)
+         (fun (m : A.Srclint.file_report A.Finding.mutant) -> A.Finding.id m.A.Finding.m_expected)
          A.Srclint_mutants.all)
   in
   Alcotest.(check (list string))
@@ -359,7 +361,7 @@ let test_mutant_corpus_covers_all_checks () =
     [ "S1-lock-leak"; "S2-wait-without-recheck"; "S3-blocking-under-lock"; "S4-nonatomic-rmw";
       "S5-unguarded-state" ]
     expected;
-  let names = List.map (fun (m : A.Srclint_mutants.t) -> m.A.Srclint_mutants.sm_name) A.Srclint_mutants.all in
+  let names = List.map (fun (m : A.Srclint.file_report A.Finding.mutant) -> m.A.Finding.m_name) A.Srclint_mutants.all in
   Alcotest.(check int) "names unique" (List.length names)
     (List.length (List.sort_uniq compare names))
 
@@ -369,17 +371,8 @@ let test_json_document () =
   let fr = lint {|
 let bump a = Atomic.set a (Atomic.get a + 1)
 |} in
-  let mutants =
-    List.map
-      (fun m ->
-        let r = A.Srclint_mutants.report m in
-        ( m,
-          r,
-          A.Finding.kills m.A.Srclint_mutants.sm_expected r.A.Srclint.fr_findings,
-          A.Srclint_mutants.exact m r ))
-      A.Srclint_mutants.all
-  in
-  let doc = Kex_service.Json.to_string ~indent:2 (A.Report.srclint_to_json ~mutants [ fr ]) in
+  let mutants = A.Report.judge A.Report.srclint in
+  let doc = Kex_service.Json.to_string ~indent:2 (A.Report.to_json A.Report.srclint [ fr ] mutants) in
   let contains needle =
     let n = String.length needle and h = String.length doc in
     let rec go i = i + n <= h && (String.sub doc i n = needle || go (i + 1)) in
